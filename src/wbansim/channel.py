@@ -183,7 +183,6 @@ class ChannelModel:
         if tx_power_dbm is None:
             tx_power_dbm = self.params.tx_power_for(src_placement)
         tx = ActiveTx(frame, tx_power_dbm, src_placement, start, start + duration, radio)
-        frame.tx_start = start
         # A transmission may be registered ahead of its start instant, so
         # interference links require a genuine interval overlap.
         for other in self._active:
@@ -202,9 +201,7 @@ class ChannelModel:
         ends = [tx.end for tx in self._active if tx.radio is radio and tx.end > now]
         return max(ends, default=now)
 
-    def received_power_dbm(
-        self, listener: Placement, now: SimTime, exclude_src: int | None = None
-    ) -> float:
+    def received_power_dbm(self, listener: Placement, now: SimTime) -> float:
         """Linear-milliwatt sum over active data-radio transmissions, in dBm."""
         total_mw = 0.0
         for tx in self._active:
@@ -212,21 +209,15 @@ class ChannelModel:
                 continue
             if not tx.start <= now < tx.end:
                 continue
-            if exclude_src is not None and tx.frame.src == exclude_src:
-                continue
             total_mw += dbm_to_mw(
                 rx_power_dbm(tx.tx_power_dbm, tx.src_placement, listener, self.params.path_loss)
             )
         return mw_to_dbm(total_mw)
 
     def cca_energy_detect(
-        self,
-        listener: Placement,
-        threshold_dbm: float,
-        now: SimTime,
-        exclude_src: int | None = None,
+        self, listener: Placement, threshold_dbm: float, now: SimTime
     ) -> CcaResult:
-        power = self.received_power_dbm(listener, now, exclude_src=exclude_src)
+        power = self.received_power_dbm(listener, now)
         return CcaResult.BUSY if power >= threshold_dbm else CcaResult.IDLE
 
     def deliver(

@@ -1,4 +1,5 @@
-"""Shared domain vocabulary: node identities, time, traffic classes, frames.
+"""Shared domain vocabulary: node identities, time, traffic classes, frames,
+superframe timing and beacons.
 
 Simulation time is an integer count of microseconds since run start, so event
 ordering is exact and runs are bit-reproducible.  The coordinator (BNC) is
@@ -135,9 +136,8 @@ BROADCAST_ID = -1
 class Frame:
     """One over-the-air unit with the timestamps needed for latency accounting.
 
-    created_at marks generation, tx_start the first bit on air, rx_end the
-    last bit at the receiver.  Control frames (beacon, ack, wakeup signal)
-    carry no traffic class.  Wakeup signals travel only on the wakeup radio.
+    created_at marks generation, rx_end the last bit at the receiver.  Control
+    frames (beacon, ack, wakeup signal) carry no traffic class.  Wakeup signals travel only on the wakeup radio.
     """
 
     kind: FrameKind
@@ -147,7 +147,6 @@ class Frame:
     traffic_class: TrafficClass | None
     created_at: SimTime
     sequence: int
-    tx_start: SimTime | None = None
     rx_end: SimTime | None = None
     payload: object = None
     # Runtime bookkeeping, not part of the wire format.
@@ -171,3 +170,84 @@ def airtime(size_bits: int, bitrate_bps: int) -> SimTime:
     if bitrate_bps <= 0:
         raise ValueError(f"bitrate_bps must be positive, got {bitrate_bps}")
     return -(-size_bits * 1_000_000 // bitrate_bps)
+
+
+BASE_SLOT_SYMBOLS = 60
+SLOTS_PER_SUPERFRAME = 16
+UNIT_BACKOFF_SYMBOLS = 20
+TURNAROUND_SYMBOLS = 12
+ACK_WAIT_SYMBOLS = 54
+
+
+@dataclass(frozen=True)
+class SuperframeConfig:
+    """Beacon-interval / active-duration arithmetic, exact in microseconds."""
+
+    beacon_order: int = 6
+    superframe_order: int = 6
+    symbol_rate_sps: int = 62_500
+
+    def __post_init__(self) -> None:
+        if not 0 <= self.superframe_order <= self.beacon_order <= 14:
+            raise ValueError(
+                f"need 0 <= SO <= BO <= 14, got SO={self.superframe_order} BO={self.beacon_order}"
+            )
+        if self.symbol_rate_sps <= 0 or 1_000_000 % self.symbol_rate_sps != 0:
+            raise ValueError(
+                f"symbol rate must divide 1e6 for exact microsecond timing, got {self.symbol_rate_sps}"
+            )
+
+    @property
+    def us_per_symbol(self) -> int:
+        return 1_000_000 // self.symbol_rate_sps
+
+    @property
+    def beacon_interval_us(self) -> SimTime:
+        return BASE_SLOT_SYMBOLS * SLOTS_PER_SUPERFRAME * (1 << self.beacon_order) * self.us_per_symbol
+
+    @property
+    def active_duration_us(self) -> SimTime:
+        return BASE_SLOT_SYMBOLS * SLOTS_PER_SUPERFRAME * (1 << self.superframe_order) * self.us_per_symbol
+
+    @property
+    def unit_backoff_us(self) -> SimTime:
+        return UNIT_BACKOFF_SYMBOLS * self.us_per_symbol
+
+    @property
+    def turnaround_us(self) -> SimTime:
+        return TURNAROUND_SYMBOLS * self.us_per_symbol
+
+    @property
+    def ack_wait_us(self) -> SimTime:
+        return ACK_WAIT_SYMBOLS * self.us_per_symbol
+
+    @property
+    def default_bitrate_bps(self) -> int:
+        return self.symbol_rate_sps * 4  # 4 bits/symbol
+
+
+@dataclass(frozen=True)
+class BeaconInfo:
+    superframe_index: int
+    cap_anchor: SimTime  # first usable backoff boundary / slot-region start
+    cap_end: SimTime
+    table_version: int
+    commands: tuple = ()  # coordinator frames piggybacked under TDMA
+
+
+def make_beacon(
+    sf_index: int, cap_anchor: SimTime, cap_end: SimTime,
+    table_version: int, size_bits: int, now: SimTime, sequence: int,
+    commands: tuple = (),
+) -> Frame:
+    """Broadcast beacon carrying superframe timing and the wakeup-table version."""
+    return Frame(
+        kind=FrameKind.BEACON,
+        src=BNC_ID,
+        dst=BROADCAST_ID,
+        size_bits=size_bits,
+        traffic_class=None,
+        created_at=now,
+        sequence=sequence,
+        payload=BeaconInfo(sf_index, cap_anchor, cap_end, table_version, commands),
+    )

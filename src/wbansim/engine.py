@@ -3,6 +3,12 @@
 Events fire in (fire_at, insertion order) order; ties at the same instant are
 resolved strictly by insertion, so a run's event trace is a pure function of
 (scenario, seed).  Scheduling into the past is a fatal logic error.
+
+Dispatch contract: an event carries its own callback and arguments, and
+firing it means calling `ev.fn(*ev.args)` (see `fire`).  Its `EventKind` and
+`node` do not steer anything; they label the event in the trace, and the
+kind is the key a handler is registered under, so dispatches can be counted
+and timed per kind.
 """
 
 from __future__ import annotations
@@ -12,7 +18,7 @@ import random
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Callable
+from typing import Callable
 
 from .core import SimTime
 
@@ -43,12 +49,15 @@ class Event:
     fire_at: SimTime
     kind: EventKind
     node: int | None = None  # acting device id, None for run-level events
-    data: Any = None
+    fn: Callable[..., None] | None = None  # what firing the event does
+    args: tuple = ()
     seq: int = field(default=-1, init=False)  # insertion counter, set by schedule()
     cancelled: bool = field(default=False, init=False)
 
-    def sort_key(self) -> tuple[SimTime, int]:
-        return (self.fire_at, self.seq)
+
+def fire(ev: Event) -> None:
+    """The handler for every kind: run the event's own callback."""
+    ev.fn(*ev.args)
 
 
 class Scheduler:

@@ -18,62 +18,18 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 
-from .core import BROADCAST_ID, BNC_ID, Criticality, Frame, FrameKind, SimTime, TrafficClass
+from .core import (
+    BNC_ID,
+    BeaconInfo,
+    Criticality,
+    Frame,
+    FrameKind,
+    SimTime,
+    TrafficClass,
+    make_beacon,
+)
 from .channel import CcaResult
 from .engine import Event, EventKind
-
-BASE_SLOT_SYMBOLS = 60
-SLOTS_PER_SUPERFRAME = 16
-UNIT_BACKOFF_SYMBOLS = 20
-TURNAROUND_SYMBOLS = 12
-ACK_WAIT_SYMBOLS = 54
-
-
-@dataclass(frozen=True)
-class SuperframeConfig:
-    """Beacon-interval / active-duration arithmetic, exact in microseconds."""
-
-    beacon_order: int = 6
-    superframe_order: int = 6
-    symbol_rate_sps: int = 62_500
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.superframe_order <= self.beacon_order <= 14:
-            raise ValueError(
-                f"need 0 <= SO <= BO <= 14, got SO={self.superframe_order} BO={self.beacon_order}"
-            )
-        if self.symbol_rate_sps <= 0 or 1_000_000 % self.symbol_rate_sps != 0:
-            raise ValueError(
-                f"symbol rate must divide 1e6 for exact microsecond timing, got {self.symbol_rate_sps}"
-            )
-
-    @property
-    def us_per_symbol(self) -> int:
-        return 1_000_000 // self.symbol_rate_sps
-
-    @property
-    def beacon_interval_us(self) -> SimTime:
-        return BASE_SLOT_SYMBOLS * SLOTS_PER_SUPERFRAME * (1 << self.beacon_order) * self.us_per_symbol
-
-    @property
-    def active_duration_us(self) -> SimTime:
-        return BASE_SLOT_SYMBOLS * SLOTS_PER_SUPERFRAME * (1 << self.superframe_order) * self.us_per_symbol
-
-    @property
-    def unit_backoff_us(self) -> SimTime:
-        return UNIT_BACKOFF_SYMBOLS * self.us_per_symbol
-
-    @property
-    def turnaround_us(self) -> SimTime:
-        return TURNAROUND_SYMBOLS * self.us_per_symbol
-
-    @property
-    def ack_wait_us(self) -> SimTime:
-        return ACK_WAIT_SYMBOLS * self.us_per_symbol
-
-    @property
-    def default_bitrate_bps(self) -> int:
-        return self.symbol_rate_sps * 4  # 4 bits/symbol
 
 
 @dataclass(frozen=True)
@@ -146,33 +102,6 @@ class CsmaBackoffFsm:
         return CsmaAction.SECOND_CCA
 
 
-@dataclass(frozen=True)
-class BeaconInfo:
-    superframe_index: int
-    cap_anchor: SimTime  # first usable backoff boundary / slot-region start
-    cap_end: SimTime
-    table_version: int
-    commands: tuple = ()  # coordinator frames piggybacked under TDMA
-
-
-def make_beacon(
-    sf_index: int, cap_anchor: SimTime, cap_end: SimTime,
-    table_version: int, size_bits: int, now: SimTime, sequence: int,
-    commands: tuple = (),
-) -> Frame:
-    """Broadcast beacon carrying superframe timing and the wakeup-table version."""
-    return Frame(
-        kind=FrameKind.BEACON,
-        src=BNC_ID,
-        dst=BROADCAST_ID,
-        size_bits=size_bits,
-        traffic_class=None,
-        created_at=now,
-        sequence=sequence,
-        payload=BeaconInfo(sf_index, cap_anchor, cap_end, table_version, commands),
-    )
-
-
 class CsmaMac:
     """Contention logic for one run; device bookkeeping lives on sim.devices."""
 
@@ -180,7 +109,6 @@ class CsmaMac:
 
     def __init__(self, sim) -> None:
         self.sim = sim
-        self._beacon_listeners: list[int] = []
 
     # -- superframe lifecycle -------------------------------------------------
 
@@ -195,7 +123,6 @@ class CsmaMac:
             sf_index, anchor, cap_end, sim.table.version,
             sim.fp.beacon_bits, t_b, sim.next_seq(),
         )
-        self._beacon_listeners = list(awake_nodes)
         bnc = sim.bnc
         bnc.cap_anchor, bnc.cap_end = anchor, cap_end
         bnc.in_cap = True
@@ -205,27 +132,8 @@ class CsmaMac:
             sim.wake_device(dev)
             sim.set_state(dev, sim.RX)
             dev.cap_anchor, dev.cap_end = anchor, cap_end
-            sim.schedule(Event(cap_end, EventKind.SLOT_BOUNDARY, node_id, ("cap_end",)))
-        sim.schedule(Event(cap_end, EventKind.SLOT_BOUNDARY, BNC_ID, ("cap_end",)))
-
-    def on_beacon_tx_end(self, tx) -> None:
-        sim = self.sim
-        for node_id in self._beacon_listeners:
-            dev = sim.devices[node_id]
-            if not dev.awake:
-                continue
-            sim.set_state(dev, sim.IDLE)
-            outcome = sim.channel.deliver(tx, dev.placement, sim.rngs.channel, dst_id=node_id)
-            if outcome is None:
-                sim.schedule(Event(sim.now, EventKind.RX_END, node_id, ("beacon", tx.frame)))
-            else:
-                sim.ledger.loss_reasons[f"beacon_{outcome.value}"] += 1
-        # The coordinator contends for its own pending frames in the CAP.
-        bnc = sim.bnc
-        bnc.in_cap = True
-        sim.wake_device(bnc)
-        sim.set_state(bnc, sim.IDLE)
-        self.try_start(bnc)
+            sim.schedule(Event(cap_end, EventKind.SLOT_BOUNDARY, node_id, self.on_cap_end, (dev,)))
+        sim.schedule(Event(cap_end, EventKind.SLOT_BOUNDARY, BNC_ID, self.on_cap_end, (bnc,)))
 
     def on_beacon_received(self, dev, beacon: Frame) -> None:
         info: BeaconInfo = beacon.payload
@@ -288,7 +196,9 @@ class CsmaMac:
             dev.backoff_remaining = periods - consumed
             return  # countdown resumes in the next CAP this device joins
         dev.backoff_expiry = expiry
-        dev.backoff_ev = sim.schedule(Event(expiry, EventKind.BACKOFF_EXPIRED, dev.id))
+        dev.backoff_ev = sim.schedule(
+            Event(expiry, EventKind.BACKOFF_EXPIRED, dev.id, self.on_backoff_expired, (dev,))
+        )
 
     def transaction_us(self, dev) -> SimTime:
         sim = self.sim
@@ -307,7 +217,9 @@ class CsmaMac:
         if sim.now + needed > dev.cap_end:
             dev.backoff_remaining = 0
             return
-        dev.cca_ev = sim.schedule(Event(sim.now, EventKind.CCA_DUE, dev.id))
+        dev.cca_ev = sim.schedule(
+            Event(sim.now, EventKind.CCA_DUE, dev.id, self.on_cca_due, (dev,))
+        )
 
     def on_cca_due(self, dev) -> None:
         sim = self.sim
@@ -321,7 +233,9 @@ class CsmaMac:
         action = dev.fsm.on_cca(busy)
         ubp = sim.sf.unit_backoff_us
         if action is CsmaAction.SECOND_CCA:
-            dev.cca_ev = sim.schedule(Event(sim.now + ubp, EventKind.CCA_DUE, dev.id))
+            dev.cca_ev = sim.schedule(
+                Event(sim.now + ubp, EventKind.CCA_DUE, dev.id, self.on_cca_due, (dev,))
+            )
         elif action is CsmaAction.TRANSMIT:
             self._start_transaction(dev, sim.now + ubp)
         elif action is CsmaAction.NEW_BACKOFF:
@@ -344,26 +258,34 @@ class CsmaMac:
         dev.active_frame = frame
         tx = sim.begin_tx(dev, frame, tx_start)
         dev.ack_ev = sim.schedule(
-            Event(tx.end + sim.sf.ack_wait_us, EventKind.ACK_TIMEOUT, dev.id, frame)
+            Event(tx.end + sim.sf.ack_wait_us, EventKind.ACK_TIMEOUT, dev.id,
+                  self.on_ack_timeout, (dev, frame))
         )
 
     # -- transaction completion ------------------------------------------------
 
     def on_data_tx_end(self, dev, tx, delivered: bool) -> None:
         sim = self.sim
+        frame = tx.frame
         if delivered:
-            tx.frame.rx_end = sim.now
-            sim.schedule(Event(sim.now, EventKind.RX_END, tx.frame.dst, ("data", tx.frame)))
+            frame.rx_end = sim.now
+            dst = sim.devices[frame.dst]
+            sim.schedule(Event(sim.now, EventKind.RX_END, dst.id,
+                               self.on_data_received, (dst, frame)))
+
+    def on_ack_tx_end(self, tx, delivered: bool) -> None:
+        sim = self.sim
+        if delivered:
+            dst = sim.devices[tx.frame.dst]
+            sim.schedule(Event(sim.now, EventKind.RX_END, dst.id,
+                               self.on_ack_received, (dst, tx.frame)))
 
     def on_data_received(self, dev, frame: Frame) -> None:
         """Destination side: record first delivery, always acknowledge."""
         sim = self.sim
-        key = (frame.src, frame.sequence)
-        if key not in dev.seen:
-            dev.seen.add(key)
-            if not frame.delivered:
-                frame.delivered = True
-                sim.record_delivery(frame)
+        if not frame.delivered:
+            frame.delivered = True
+            sim.record_delivery(frame)
         ack = Frame(
             kind=FrameKind.ACK,
             src=dev.id,
@@ -374,6 +296,8 @@ class CsmaMac:
             sequence=frame.sequence,
         )
         sim.begin_tx(dev, ack, sim.now + sim.sf.turnaround_us)
+        if frame.kind is FrameKind.COMMAND:
+            sim.apply_command(dev, frame)
 
     def on_ack_received(self, dev, ack: Frame) -> None:
         frame = dev.active_frame
@@ -417,31 +341,3 @@ class CsmaMac:
             sim.record_drop(frame)
         sim.on_frame_resolved(dev, frame)
         self.try_start(dev)
-
-    # -- event routing ----------------------------------------------------------
-
-    def on_slot_boundary(self, dev, data) -> None:
-        if data[0] == "cap_end":
-            self.on_cap_end(dev)
-        elif data[0] == "spurious_end":
-            self.sim.end_spurious(dev)
-
-    def on_tx_end(self, tx, delivered: bool) -> None:
-        sim = self.sim
-        kind = tx.frame.kind
-        if kind is FrameKind.BEACON:
-            self.on_beacon_tx_end(tx)
-        elif kind in (FrameKind.DATA, FrameKind.COMMAND):
-            self.on_data_tx_end(sim.devices[tx.frame.src], tx, delivered)
-        elif kind is FrameKind.ACK:
-            if delivered:
-                sim.schedule(Event(sim.now, EventKind.RX_END, tx.frame.dst, ("ack", tx.frame)))
-
-    def on_rx_end(self, dev, data) -> None:
-        tag, frame = data
-        if tag == "beacon":
-            self.on_beacon_received(dev, frame)
-        elif tag == "data":
-            self.on_data_received(dev, frame)
-        elif tag == "ack":
-            self.on_ack_received(dev, frame)

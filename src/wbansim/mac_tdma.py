@@ -11,17 +11,20 @@ is free.  To keep the air collision-free around such windows, a node skips
 its slot when it senses the channel busy at the slot start.  Coordinator
 commands (e.g. stream stop) piggyback on beacons rather than taking airtime
 from the slot region.
+
+Beacon delivery to the awake nodes is shared with CSMA and lives in the
+simulation; this module builds the beacon, turns its reception into a slot
+start event and runs the slot.  There is no backoff, CCA retry or ack here,
+and arrivals between slots just queue, so `try_start` does nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import BNC_ID, FrameKind, SimTime
+from .core import BNC_ID, SimTime, make_beacon
 from .channel import CcaResult
 from .engine import Event, EventKind
-from .mac_csma import make_beacon
-from .wakeup import WakeupTable, is_awake
 
 
 @dataclass(frozen=True)
@@ -53,18 +56,12 @@ class TdmaSchedule:
         return self.slots_per_superframe * self.slot_duration_us
 
 
-def slot_active(table: WakeupTable, node: int, superframe_index: int) -> bool:
-    """The wakeup pattern is the slot-activation pattern."""
-    return is_awake(table, node, superframe_index)
-
-
 class TdmaMac:
     name = "tdma"
 
     def __init__(self, sim, schedule: TdmaSchedule) -> None:
         self.sim = sim
         self.schedule = schedule
-        self._beacon_listeners: list[int] = []
 
     # -- superframe lifecycle -------------------------------------------------
 
@@ -77,29 +74,14 @@ class TdmaMac:
             sf_index, region_start, region_end, sim.table.version,
             sim.fp.beacon_bits, t_b, sim.next_seq(), commands=commands,
         )
-        self._beacon_listeners = list(awake_nodes)
         sim.bnc.hold_awake_until = max(sim.bnc.hold_awake_until, region_end)
         sim.begin_tx(sim.bnc, beacon, t_b)
         for node_id in awake_nodes:
             dev = sim.devices[node_id]
             sim.wake_device(dev)
             sim.set_state(dev, sim.RX)
-        sim.schedule(Event(region_end, EventKind.SLOT_BOUNDARY, BNC_ID, ("cap_end",)))
-
-    def on_beacon_tx_end(self, tx) -> None:
-        sim = self.sim
-        sim.wake_device(sim.bnc)
-        sim.set_state(sim.bnc, sim.IDLE)  # coordinator listens across the slot region
-        for node_id in self._beacon_listeners:
-            dev = sim.devices[node_id]
-            if not dev.awake:
-                continue
-            sim.set_state(dev, sim.IDLE)
-            outcome = sim.channel.deliver(tx, dev.placement, sim.rngs.channel, dst_id=node_id)
-            if outcome is None:
-                sim.schedule(Event(sim.now, EventKind.RX_END, node_id, ("beacon", tx.frame)))
-            else:
-                sim.ledger.loss_reasons[f"beacon_{outcome.value}"] += 1
+        sim.schedule(Event(region_end, EventKind.SLOT_BOUNDARY, BNC_ID,
+                           sim.maybe_sleep, (sim.bnc,)))
 
     def on_beacon_received(self, dev, beacon) -> None:
         sim = self.sim
@@ -114,7 +96,8 @@ class TdmaMac:
         slot_end = info.cap_anchor + self.schedule.slot_offset_us(dev.id) + self.schedule.slot_duration_us
         if slot_start > sim.now:
             sim.micro_sleep(dev)  # doze between beacon and the owned slot
-        sim.schedule(Event(slot_start, EventKind.SLOT_BOUNDARY, dev.id, ("slot_start", slot_end)))
+        sim.schedule(Event(slot_start, EventKind.SLOT_BOUNDARY, dev.id,
+                           self.on_slot_start, (dev, slot_end)))
 
     # -- slot transmissions -----------------------------------------------------
 
@@ -165,38 +148,5 @@ class TdmaMac:
             dev.slot_end = None
             sim.maybe_sleep(dev)
 
-    # -- event routing ------------------------------------------------------------
-
-    def on_slot_boundary(self, dev, data) -> None:
-        tag = data[0]
-        if tag == "slot_start":
-            self.on_slot_start(dev, data[1])
-        elif tag == "cap_end":
-            self.sim.maybe_sleep(dev)
-        elif tag == "spurious_end":
-            self.sim.end_spurious(dev)
-
     def try_start(self, dev) -> None:
-        # Mid-superframe arrivals wait for the node's next active slot.
-        pass
-
-    def on_tx_end(self, tx, delivered: bool) -> None:
-        kind = tx.frame.kind
-        if kind is FrameKind.BEACON:
-            self.on_beacon_tx_end(tx)
-        elif kind is FrameKind.DATA:
-            self.on_data_tx_end(self.sim.devices[tx.frame.src], tx, delivered)
-
-    def on_rx_end(self, dev, data) -> None:
-        tag, frame = data
-        if tag == "beacon":
-            self.on_beacon_received(dev, frame)
-
-    def on_backoff_expired(self, dev) -> None:
-        raise RuntimeError("no CSMA backoff under TDMA")
-
-    def on_cca_due(self, dev) -> None:
-        raise RuntimeError("no CSMA CCA under TDMA")
-
-    def on_ack_timeout(self, dev, frame) -> None:
-        raise RuntimeError("no acknowledgements under TDMA")
+        """Mid-superframe arrivals wait for the node's next active slot."""

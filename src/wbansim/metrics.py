@@ -58,19 +58,6 @@ class EnergyModel:
         }[state]
 
 
-@dataclass
-class EmergencyRecord:
-    node: int
-    event_time: SimTime
-    delivered_at: SimTime | None  # None while in flight / after a drop
-
-    @property
-    def latency_us(self) -> SimTime | None:
-        if self.delivered_at is None:
-            return None
-        return self.delivered_at - self.event_time
-
-
 NODE_CSV_COLUMNS = (
     "run_id,seed,mac,node_id,class,offered,delivered,dropped,pdr,"
     "mean_latency_us,p50_us,p99_us,max_us,energy_mj,spurious_wakeups"
@@ -97,7 +84,6 @@ class MetricsLedger:
         self.loss_reasons: Counter[str] = Counter()
         self.bnc_awake_superframes = 0
         self.total_superframes = 0
-        self.emergency_records: list[EmergencyRecord] = []
         # live state-tracking bookkeeping
         self._state_now: dict[int, RadioState] = {}
         self._state_since: dict[int, SimTime] = {}
@@ -128,9 +114,6 @@ class MetricsLedger:
         self.state_us[node][prev] += now - self._state_since[node]
         self._state_now[node] = state
         self._state_since[node] = now
-
-    def current_state(self, node: int) -> RadioState:
-        return self._state_now[node]
 
     def finalize_states(self, horizon: SimTime) -> None:
         for node, state in self._state_now.items():
@@ -186,7 +169,6 @@ class MetricsLedger:
         self.loss_reasons.update(other.loss_reasons)
         self.bnc_awake_superframes += other.bnc_awake_superframes
         self.total_superframes += other.total_superframes
-        self.emergency_records.extend(other.emergency_records)
 
 
 def merge_ledgers(ledgers: Iterable[MetricsLedger]) -> MetricsLedger:

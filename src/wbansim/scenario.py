@@ -8,6 +8,7 @@ just a MAC choice, a horizon and a node list.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -20,10 +21,11 @@ from .core import (
     Placement,
     PlacementKind,
     SimTime,
+    SuperframeConfig,
     TrafficClass,
     airtime,
 )
-from .mac_csma import BackoffPolicy, SuperframeConfig
+from .mac_csma import BackoffPolicy
 from .mac_tdma import TdmaSchedule
 from .metrics import EnergyModel
 from .traffic import (
@@ -112,6 +114,9 @@ class _Check:
             return None
         if isinstance(v, bool) or not isinstance(v, (int, float)):
             self.err(f"{path}.{key}", f"expected a number, got {v!r}")
+            return default
+        if not math.isfinite(v):
+            self.err(f"{path}.{key}", f"must be finite, got {v}")
             return default
         if minimum is not None and v < minimum:
             self.err(f"{path}.{key}", f"must be >= {minimum}, got {v}")
@@ -234,7 +239,8 @@ def _horizon(ck: _Check, top: dict, name: str, sf: SuperframeConfig) -> SimTime:
     horizon_s = ck.num(top, "horizon_s", name, None, minimum=0)
     horizon_sfs = ck.integer(top, "horizon_superframes", name, None, minimum=1)
     if horizon_s is None and horizon_sfs is None:
-        ck.err(name, "one of horizon_s / horizon_superframes is required")
+        if top.get("horizon_s") is None and top.get("horizon_superframes") is None:
+            ck.err(name, "one of horizon_s / horizon_superframes is required")
         return 0
     if horizon_s is not None and horizon_sfs is not None:
         ck.err(name, "give only one of horizon_s / horizon_superframes")

@@ -7,6 +7,10 @@ module owns everything around it: who is awake on which superframe, traffic
 generation, the emergency and on-demand wakeup paths, and radio-state
 bookkeeping for the energy figures.
 
+Every event names the method it runs (see `engine.fire`).  The beacon's end
+of transmission is shared by both MACs and handled here: each awake listener
+gets a reception outcome, and the MAC decides what a received beacon means.
+
 A device's low-power state is `wakeup_rx` when it carries an always-on wakeup
 receiver and plain `sleep` otherwise; together with tx/rx/idle_listen this
 partitions every microsecond of the run, per device.
@@ -30,10 +34,10 @@ from .core import (
     TrafficClass,
     airtime,
 )
-from .engine import Event, EventKind, RngStreams, Scheduler
+from .engine import Event, EventKind, RngStreams, Scheduler, fire
 from .mac_csma import CsmaMac
 from .mac_tdma import TdmaMac
-from .metrics import EmergencyRecord, MetricsLedger, RadioState
+from .metrics import MetricsLedger, RadioState
 from .scenario import Scenario
 from .traffic import ArrivalProcess, GeneratorSpec, OnDemandEntry
 from .wakeup import (
@@ -101,7 +105,6 @@ class StreamState:
 class EmergencyFlow:
     node: int
     frame: Frame
-    record: EmergencyRecord
     granted: bool = False
 
 
@@ -122,7 +125,6 @@ class Device:
     spurious_until: SimTime = 0
     grant_active: bool = False
     stream: StreamState | None = None
-    seen: set = field(default_factory=set)
     # CSMA attempt state
     in_cap: bool = False
     cap_anchor: SimTime = 0
@@ -186,31 +188,17 @@ class Simulation:
             self.mac = CsmaMac(self)
 
         self._listening: dict[object, bool] = {}
-        self._register_handlers()
+        self._beacon_listeners: list[int] = []
+        for kind in EventKind:
+            self.scheduler.register(kind, fire)
         self._schedule_initial()
 
     # -- setup ------------------------------------------------------------------
 
-    def _register_handlers(self) -> None:
-        s = self.scheduler
-        s.register(EventKind.BEACON_DUE, self._on_beacon_due)
-        s.register(EventKind.TRAFFIC_ARRIVAL, self._on_traffic_arrival)
-        s.register(EventKind.WAKEUP_DUE, self._on_wakeup_due)
-        s.register(EventKind.SLOT_BOUNDARY, self._on_slot_boundary)
-        s.register(EventKind.BACKOFF_EXPIRED,
-                   lambda ev: self.mac.on_backoff_expired(self.devices[ev.node]))
-        s.register(EventKind.CCA_DUE,
-                   lambda ev: self.mac.on_cca_due(self.devices[ev.node]))
-        s.register(EventKind.TX_END, self._on_tx_end)
-        s.register(EventKind.RX_END, self._on_rx_end)
-        s.register(EventKind.ACK_TIMEOUT,
-                   lambda ev: self.mac.on_ack_timeout(self.devices[ev.node], ev.data))
-        s.register(EventKind.MEASUREMENT_TICK, lambda ev: None)
-
     def _schedule_initial(self) -> None:
         for dev in self.devices.values():
             self.ledger.init_state(dev.id, dev.sleep_state, 0)
-        self.schedule(Event(0, EventKind.BEACON_DUE, BNC_ID, 0))
+        self.schedule(Event(0, EventKind.BEACON_DUE, BNC_ID, self._on_beacon_due, (0,)))
         for node_id in self.node_ids:
             dev = self.devices[node_id]
             if dev.gen is None:
@@ -220,10 +208,12 @@ class Simulation:
             else:
                 t0 = traffic_mod.first_arrival(dev.gen, dev.rng)
                 if t0 <= self.horizon_us:
-                    self.schedule(Event(t0, EventKind.TRAFFIC_ARRIVAL, node_id))
+                    self.schedule(Event(t0, EventKind.TRAFFIC_ARRIVAL, node_id,
+                                        self._on_arrival, (dev,)))
         for entry in self.scn.on_demand:
-            self.schedule(Event(entry.time_us, EventKind.TRAFFIC_ARRIVAL, BNC_ID, ("query", entry)))
-        self.schedule(Event(self.horizon_us, EventKind.MEASUREMENT_TICK))
+            self.schedule(Event(entry.time_us, EventKind.TRAFFIC_ARRIVAL, BNC_ID,
+                                self._start_query, (entry,)))
+        self.schedule(Event(self.horizon_us, EventKind.MEASUREMENT_TICK, None, _horizon_mark))
 
     def run(self) -> MetricsLedger:
         self.scheduler.run_until(self.horizon_us)
@@ -288,8 +278,7 @@ class Simulation:
         dev = self.devices[node_id]
         return is_awake(self.table, node_id, sf_index) or dev.grant_active
 
-    def _on_beacon_due(self, ev: Event) -> None:
-        sf_index: int = ev.data
+    def _on_beacon_due(self, sf_index: int) -> None:
         self.ledger.total_superframes += 1
         awake = []
         for node_id in self.node_ids:
@@ -298,22 +287,31 @@ class Simulation:
                 self.ledger.node_awake_superframes[node_id] += 1
         if awake:
             self.ledger.bnc_awake_superframes += 1
+            self._beacon_listeners = awake
             self.mac.start_superframe(sf_index, self.now, awake)
         else:
             self.maybe_sleep(self.bnc)
         next_t = (sf_index + 1) * self.sf.beacon_interval_us
         if next_t < self.horizon_us:
-            self.schedule(Event(next_t, EventKind.BEACON_DUE, BNC_ID, sf_index + 1))
+            self.schedule(Event(next_t, EventKind.BEACON_DUE, BNC_ID,
+                                self._on_beacon_due, (sf_index + 1,)))
 
-    def _on_slot_boundary(self, ev: Event) -> None:
-        dev = self.devices[ev.node]
-        tag = ev.data[0]
-        if tag == "tx_start":
-            self._tx_started(dev, ev.data[1])
-        elif tag == "emg_window":
-            self._start_emergency_window(dev, ev.data[1])
-        else:
-            self.mac.on_slot_boundary(dev, ev.data)
+    def on_beacon_tx_end(self, tx) -> None:
+        bnc = self.bnc
+        self.wake_device(bnc)
+        self.set_state(bnc, self.IDLE)  # the coordinator listens through the active part
+        for node_id in self._beacon_listeners:
+            dev = self.devices[node_id]
+            if not dev.awake:
+                continue
+            self.set_state(dev, self.IDLE)
+            outcome = self.channel.deliver(tx, dev.placement, self.rngs.channel, dst_id=node_id)
+            if outcome is None:
+                self.schedule(Event(self.now, EventKind.RX_END, node_id,
+                                    self.mac.on_beacon_received, (dev, tx.frame)))
+            else:
+                self.ledger.loss_reasons[f"beacon_{outcome.value}"] += 1
+        self.mac.try_start(bnc)  # under CSMA the coordinator contends for its own frames
 
     # -- transmissions -------------------------------------------------------------------
 
@@ -325,8 +323,9 @@ class Simulation:
         if start <= self.now:
             self._tx_started(dev, tx)
         else:
-            self.schedule(Event(start, EventKind.SLOT_BOUNDARY, dev.id, ("tx_start", tx)))
-        self.schedule(Event(tx.end, EventKind.TX_END, frame.src, tx))
+            self.schedule(Event(start, EventKind.SLOT_BOUNDARY, dev.id,
+                                self._tx_started, (dev, tx)))
+        self.schedule(Event(tx.end, EventKind.TX_END, frame.src, self._on_tx_end, (tx,)))
         return tx
 
     def _tx_started(self, dev: Device, tx) -> None:
@@ -349,8 +348,7 @@ class Simulation:
         else:
             self._listening[tx] = True
 
-    def _on_tx_end(self, ev: Event) -> None:
-        tx = ev.data
+    def _on_tx_end(self, tx) -> None:
         frame = tx.frame
         self.channel.end_tx(tx)
         src = self.devices[frame.src]
@@ -371,7 +369,7 @@ class Simulation:
             self._on_wakeup_signal_end(tx)
             return
         if frame.kind is FrameKind.BEACON:
-            self.mac.on_tx_end(tx, True)
+            self.on_beacon_tx_end(tx)
             return
         if not listening:
             self.ledger.loss_reasons["destination_not_listening"] += 1
@@ -383,14 +381,10 @@ class Simulation:
             delivered = outcome is None
             if outcome is not None:
                 self.ledger.loss_reasons[outcome.value] += 1
-        self.mac.on_tx_end(tx, delivered)
-
-    def _on_rx_end(self, ev: Event) -> None:
-        dev = self.devices[ev.node]
-        self.mac.on_rx_end(dev, ev.data)
-        tag, frame = ev.data
-        if tag == "data" and frame.kind is FrameKind.COMMAND:
-            self.apply_command(dev, frame)
+        if frame.kind is FrameKind.ACK:
+            self.mac.on_ack_tx_end(tx, delivered)
+        else:
+            self.mac.on_data_tx_end(src, tx, delivered)
 
     def apply_command(self, dev: Device, frame: Frame) -> None:
         if frame.payload == ("stop",) and dev.stream is not None:
@@ -409,30 +403,23 @@ class Simulation:
         self.mac.try_start(dev)
         return frame
 
-    def _on_traffic_arrival(self, ev: Event) -> None:
-        if ev.node == BNC_ID:
-            tag, arg = ev.data
-            if tag == "query":
-                self._start_query(arg)
-            else:
-                self._enqueue_stop(arg)
-            return
-        dev = self.devices[ev.node]
-        if ev.data is not None and ev.data[0] == "stream":
-            st = dev.stream
-            if st is None or st.stopped or self.now >= st.until:
-                return
-            self._offer_frame(dev, TrafficClass.ON_DEMAND_CONTINUOUS)
-            nxt = self.now + st.interval_us
-            if nxt < st.until:
-                self.schedule(Event(nxt, EventKind.TRAFFIC_ARRIVAL, dev.id, ("stream",)))
-            return
+    def _on_arrival(self, dev: Device) -> None:
         frame = self._offer_frame(dev, dev.gen.traffic_class)
         if frame.traffic_class.is_emergency:
             self._start_emergency(dev, frame)
         nxt = traffic_mod.next_arrival(dev.gen, self.now, dev.rng)
         if nxt <= self.horizon_us:
-            self.schedule(Event(nxt, EventKind.TRAFFIC_ARRIVAL, dev.id))
+            self.schedule(Event(nxt, EventKind.TRAFFIC_ARRIVAL, dev.id, self._on_arrival, (dev,)))
+
+    def _on_stream_arrival(self, dev: Device) -> None:
+        st = dev.stream
+        if st.stopped or self.now >= st.until:
+            return
+        self._offer_frame(dev, TrafficClass.ON_DEMAND_CONTINUOUS)
+        nxt = self.now + st.interval_us
+        if nxt < st.until:
+            self.schedule(Event(nxt, EventKind.TRAFFIC_ARRIVAL, dev.id,
+                                self._on_stream_arrival, (dev,)))
 
     def on_frame_resolved(self, dev: Device, frame: Frame) -> None:
         """Called once a queued frame leaves the MAC (delivered or dropped)."""
@@ -446,8 +433,6 @@ class Simulation:
             dev.grant_active = False
 
     def record_delivery(self, frame: Frame) -> None:
-        if isinstance(frame.payload, EmergencyFlow):
-            frame.payload.record.delivered_at = self.now
         if frame.kind is FrameKind.DATA:
             self.ledger.add_delivered(
                 frame.src, frame.traffic_class, frame.rx_end - frame.created_at
@@ -459,7 +444,8 @@ class Simulation:
 
     # -- wakeup-radio paths ------------------------------------------------------------------
 
-    def _send_signal(self, dev: Device, signal: WakeupSignal, ctx: tuple, dst: int) -> None:
+    def _send_signal(self, dev: Device, signal: WakeupSignal, ctx, dst: int) -> None:
+        """`ctx` is the emergency flow or the on-demand entry the signal serves."""
         self.ledger.wakeup_signals_sent[dev.id] += 1
         sig = Frame(
             kind=FrameKind.WAKEUP_SIGNAL, src=dev.id, dst=dst,
@@ -471,11 +457,7 @@ class Simulation:
                       duration=self.wc.signal_airtime_us)
 
     def _start_emergency(self, dev: Device, frame: Frame) -> None:
-        record = EmergencyRecord(dev.id, self.now, None)
-        self.ledger.emergency_records.append(record)
-        flow = EmergencyFlow(node=dev.id, frame=frame, record=record)
-        frame.payload = flow
-        self._send_emergency_signal(flow)
+        self._send_emergency_signal(EmergencyFlow(node=dev.id, frame=frame))
 
     def _send_emergency_signal(self, flow: EmergencyFlow) -> None:
         dev = self.devices[flow.node]
@@ -483,9 +465,13 @@ class Simulation:
             addressing=self.wc.mode, direction=Direction.TO_BNC,
             purpose=Purpose.EMERGENCY, sender=dev.id,
         )
-        self._send_signal(dev, signal, ("emergency", flow), BNC_ID)
+        self._send_signal(dev, signal, flow, BNC_ID)
         self.schedule(Event(self.now + EMERGENCY_RETRY_US, EventKind.WAKEUP_DUE,
-                            dev.id, ("emg_retry", flow)))
+                            dev.id, self._retry_emergency, (flow,)))
+
+    def _retry_emergency(self, flow: EmergencyFlow) -> None:
+        if not flow.granted:
+            self._send_emergency_signal(flow)
 
     def _start_query(self, entry: OnDemandEntry) -> None:
         bnc = self.bnc
@@ -495,7 +481,7 @@ class Simulation:
             addressing=self.wc.mode, direction=Direction.TO_NODE,
             purpose=Purpose.ON_DEMAND, sender=BNC_ID, target=entry.target,
         )
-        self._send_signal(bnc, signal, ("query", entry), entry.target)
+        self._send_signal(bnc, signal, entry, entry.target)
 
     def _enqueue_stop(self, target: int) -> None:
         cmd = Frame(
@@ -518,64 +504,56 @@ class Simulation:
                 self.ledger.loss_reasons["wakeup_signal_lost"] += 1
                 continue
             delay = 0 if dev.awake else self.wc.latency_us
-            if ctx[0] == "emergency":
-                data = ("bnc_wake", ctx[1])
-            elif device_id == ctx[1].target:
-                data = ("node_wake", ctx[1])
+            if signal.purpose is Purpose.EMERGENCY:
+                fn, args = self._grant_emergency, (dev, ctx)
+            elif device_id == ctx.target:
+                fn, args = self._answer_query, (dev, ctx)
             else:
-                data = ("spurious", ctx[1])
-            self.schedule(Event(self.now + delay, EventKind.WAKEUP_DUE, device_id, data))
+                fn, args = self._spurious_wake, (dev,)
+            self.schedule(Event(self.now + delay, EventKind.WAKEUP_DUE, device_id, fn, args))
 
     def _next_boundary(self) -> SimTime:
         return (self.now // self.sf.beacon_interval_us + 1) * self.sf.beacon_interval_us
 
-    def _on_wakeup_due(self, ev: Event) -> None:
-        dev = self.devices[ev.node]
-        tag, arg = ev.data
-        if tag == "emg_retry":
-            if not arg.granted:
-                self._send_emergency_signal(arg)
+    def _grant_emergency(self, bnc: Device, flow: EmergencyFlow) -> None:
+        if flow.granted:
             return
-        if tag == "bnc_wake":
-            flow: EmergencyFlow = arg
-            if flow.granted:
-                return
-            flow.granted = True
-            self.wake_to_idle(dev)
-            node = self.devices[flow.node]
-            if self.mac.name == "csma":
-                # Channel access is granted at the next beacon, top priority.
-                node.grant_active = True
-                dev.hold_awake_until = max(dev.hold_awake_until, self._next_boundary())
-            else:
-                # Dedicated response window as soon as the data radio frees up.
-                start = max(self.now, self.channel.busy_until(Radio.DATA, self.now))
-                air = self.air_us(flow.frame.size_bits)
-                dev.hold_awake_until = max(dev.hold_awake_until, start + air)
-                self.schedule(Event(start, EventKind.SLOT_BOUNDARY, flow.node,
-                                    ("emg_window", flow)))
-            self.maybe_sleep(dev)
-            return
-        entry: OnDemandEntry = arg
-        if tag == "spurious":
-            self.ledger.spurious_wakeups[dev.id] += 1
-            self.wake_to_idle(dev)
-            dev.spurious_until = self.now + self.sf.active_duration_us
-            self.schedule(Event(dev.spurious_until, EventKind.SLOT_BOUNDARY, dev.id,
-                                ("spurious_end",)))
-            return
-        # the queried node itself
+        flow.granted = True
+        self.wake_to_idle(bnc)
+        node = self.devices[flow.node]
+        if self.mac.name == "csma":
+            # Channel access is granted at the next beacon, top priority.
+            node.grant_active = True
+            bnc.hold_awake_until = max(bnc.hold_awake_until, self._next_boundary())
+        else:
+            # Dedicated response window as soon as the data radio frees up.
+            start = max(self.now, self.channel.busy_until(Radio.DATA, self.now))
+            air = self.air_us(flow.frame.size_bits)
+            bnc.hold_awake_until = max(bnc.hold_awake_until, start + air)
+            self.schedule(Event(start, EventKind.SLOT_BOUNDARY, flow.node,
+                                self._start_emergency_window, (node, flow)))
+        self.maybe_sleep(bnc)
+
+    def _spurious_wake(self, dev: Device) -> None:
+        self.ledger.spurious_wakeups[dev.id] += 1
+        self.wake_to_idle(dev)
+        dev.spurious_until = self.now + self.sf.active_duration_us
+        self.schedule(Event(dev.spurious_until, EventKind.SLOT_BOUNDARY, dev.id,
+                            self.end_spurious, (dev,)))
+
+    def _answer_query(self, dev: Device, entry: OnDemandEntry) -> None:
         self.wake_to_idle(dev)
         dev.grant_active = True
         dev.hold_awake_until = max(dev.hold_awake_until, self._next_boundary())
         if entry.continuous:
             dev.stream = StreamState(
                 until=self.now + entry.duration_us,
-                interval_us=round(1_000_000 / entry.rate_per_s),
+                interval_us=entry.interval_us,
             )
-            self.schedule(Event(self.now, EventKind.TRAFFIC_ARRIVAL, dev.id, ("stream",)))
+            self.schedule(Event(self.now, EventKind.TRAFFIC_ARRIVAL, dev.id,
+                                self._on_stream_arrival, (dev,)))
             self.schedule(Event(dev.stream.until, EventKind.TRAFFIC_ARRIVAL, BNC_ID,
-                                ("stop", dev.id)))
+                                self._enqueue_stop, (dev.id,)))
         else:
             self._offer_frame(dev, TrafficClass.ON_DEMAND_NON_CONTINUOUS)
 
@@ -584,6 +562,10 @@ class Simulation:
             return  # already resolved through the regular slot
         dev.slot_end = self.now + self.air_us(flow.frame.size_bits)
         self.begin_tx(dev, flow.frame, self.now)
+
+
+def _horizon_mark() -> None:
+    """The horizon's MeasurementTick only marks the end of the run in the trace."""
 
 
 def run_simulation(scenario: Scenario, seed: int | None = None, trace_sink=None) -> MetricsLedger:

@@ -51,6 +51,8 @@ class GeneratorSpec:
             raise ValueError(f"rate_per_hour must be > 0, got {self.rate_per_hour}")
         if self.payload_bits <= 0:
             raise ValueError(f"payload_bits must be positive, got {self.payload_bits}")
+        if self.arrival is ArrivalProcess.PERIODIC and self.period_us < 1:
+            raise ValueError(f"rate_per_hour {self.rate_per_hour} gives a period under 1 us")
 
     @property
     def period_us(self) -> SimTime:
@@ -73,6 +75,15 @@ class OnDemandEntry:
                 raise ValueError("continuous query needs rate_per_s > 0")
             if self.duration_us <= 0:
                 raise ValueError("continuous query needs duration_us > 0")
+            if self.interval_us < 1:
+                raise ValueError(
+                    f"rate_per_s {self.rate_per_s} gives a stream interval under 1 us"
+                )
+
+    @property
+    def interval_us(self) -> SimTime:
+        """Time between frames of a continuous stream."""
+        return round(1_000_000 / self.rate_per_s)
 
 
 def first_arrival(spec: GeneratorSpec, rng: random.Random) -> SimTime:

@@ -67,7 +67,7 @@ class WakeupConfig:
 
 
 class WakeupTable:
-    """Node id -> wakeup multiplier, with derived contention groups.
+    """Node id -> wakeup multiplier.
 
     The table is owned by the BNC; every modification bumps the version, and
     lookups happen at superframe boundaries, so a change takes effect on the
@@ -78,18 +78,11 @@ class WakeupTable:
         self.version = version
         self._entries: dict[int, int] = dict(entries)
 
-    @property
-    def entries(self) -> dict[int, int]:
-        return dict(self._entries)
-
     def multiplier(self, node: int) -> int:
         try:
             return self._entries[node]
         except KeyError:
             raise WakeupTableError(f"node {node} has no wakeup-table entry") from None
-
-    def node_ids(self) -> list[int]:
-        return sorted(self._entries)
 
     def update(self, node: int, multiplier: int) -> None:
         if node not in self._entries:
@@ -98,13 +91,6 @@ class WakeupTable:
             raise WakeupTableError(f"node {node}: multiplier must be >= 1, got {multiplier}")
         self._entries[node] = multiplier
         self.version += 1
-
-    def contention_groups(self) -> dict[int, set[int]]:
-        """Multiplier -> nodes sharing it; equal patterns contend for the channel."""
-        groups: dict[int, set[int]] = {}
-        for node, k in self._entries.items():
-            groups.setdefault(k, set()).add(node)
-        return groups
 
 
 def build_table(profiles: list[NodeProfile]) -> WakeupTable:

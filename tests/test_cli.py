@@ -38,6 +38,14 @@ class TestExitCodes:
         assert main(["--scenario", str(bad)]) == 2
         assert "duplicate node id" in capsys.readouterr().err
 
+    def test_non_finite_number_is_two_with_key_path(self, tmp_path, capsys):
+        bad = tmp_path / "nan.yaml"
+        raw = base_scenario_dict()
+        bad.write_text(yaml.safe_dump(raw).replace("horizon_s: 10.0", "horizon_s: .nan"),
+                       encoding="utf-8")
+        assert main(["--scenario", str(bad), "--out", str(tmp_path / "out")]) == 2
+        assert "nan.horizon_s: must be finite" in capsys.readouterr().err
+
     def test_missing_file_is_two(self, tmp_path):
         assert main(["--scenario", str(tmp_path / "nope.yaml")]) == 2
 

@@ -1,38 +1,48 @@
 import pytest
 
-from wbansim.engine import Event, EventKind, RngStreams, RunAborted, Scheduler, SchedulingError
+from wbansim.engine import (
+    Event,
+    EventKind,
+    RngStreams,
+    RunAborted,
+    Scheduler,
+    SchedulingError,
+    fire,
+)
+
+TICK = EventKind.MEASUREMENT_TICK
 
 
-def make_scheduler(record):
+def make_scheduler():
     s = Scheduler()
-    s.register(EventKind.MEASUREMENT_TICK, lambda ev: record.append(ev.data))
+    s.register(TICK, fire)
     return s
 
 
 def test_fires_in_time_order():
     seen = []
-    s = make_scheduler(seen)
-    s.schedule(Event(30, EventKind.MEASUREMENT_TICK, data="c"))
-    s.schedule(Event(10, EventKind.MEASUREMENT_TICK, data="a"))
-    s.schedule(Event(20, EventKind.MEASUREMENT_TICK, data="b"))
+    s = make_scheduler()
+    s.schedule(Event(30, TICK, None, seen.append, ("c",)))
+    s.schedule(Event(10, TICK, None, seen.append, ("a",)))
+    s.schedule(Event(20, TICK, None, seen.append, ("b",)))
     s.run_until(100)
     assert seen == ["a", "b", "c"]
 
 
 def test_ties_break_by_insertion_order():
     seen = []
-    s = make_scheduler(seen)
+    s = make_scheduler()
     for label in "abcd":
-        s.schedule(Event(5, EventKind.MEASUREMENT_TICK, data=label))
+        s.schedule(Event(5, TICK, None, seen.append, (label,)))
     s.run_until(5)
     assert seen == ["a", "b", "c", "d"]
 
 
 def test_cancelled_event_never_dispatched():
     seen = []
-    s = make_scheduler(seen)
-    keep = s.schedule(Event(5, EventKind.MEASUREMENT_TICK, data="keep"))
-    drop = s.schedule(Event(5, EventKind.MEASUREMENT_TICK, data="drop"))
+    s = make_scheduler()
+    keep = s.schedule(Event(5, TICK, None, seen.append, ("keep",)))
+    drop = s.schedule(Event(5, TICK, None, seen.append, ("drop",)))
     s.cancel(drop)
     s.run_until(10)
     assert seen == ["keep"]
@@ -41,23 +51,23 @@ def test_cancelled_event_never_dispatched():
 
 def test_scheduling_in_past_is_fatal():
     seen = []
-    s = make_scheduler(seen)
-    s.schedule(Event(10, EventKind.MEASUREMENT_TICK, data="x"))
+    s = make_scheduler()
+    s.schedule(Event(10, TICK, None, seen.append, ("x",)))
     s.run_until(10)
     with pytest.raises(SchedulingError):
-        s.schedule(Event(5, EventKind.MEASUREMENT_TICK))
+        s.schedule(Event(5, TICK))
 
 
 def test_empty_queue_returns_t_end():
-    s = make_scheduler([])
+    s = make_scheduler()
     assert s.run_until(1234) == 1234
     assert s.now == 1234
 
 
 def test_clock_never_decreases_and_event_fires_once():
     seen = []
-    s = make_scheduler(seen)
-    s.schedule(Event(5, EventKind.MEASUREMENT_TICK, data="once"))
+    s = make_scheduler()
+    s.schedule(Event(5, TICK, None, seen.append, ("once",)))
     end = s.run_until(10)
     assert end == 10
     s.run_until(20)
@@ -65,15 +75,14 @@ def test_clock_never_decreases_and_event_fires_once():
 
 
 def test_dispatcher_failure_aborts_with_trace_tail():
-    s = Scheduler()
-    s.register(EventKind.MEASUREMENT_TICK, lambda ev: None)
+    s = make_scheduler()
+    s.register(EventKind.BEACON_DUE, fire)
 
-    def boom(ev):
+    def boom():
         raise ValueError("broken handler")
 
-    s.register(EventKind.BEACON_DUE, boom)
-    s.schedule(Event(1, EventKind.MEASUREMENT_TICK, data="fine"))
-    s.schedule(Event(2, EventKind.BEACON_DUE, node=0))
+    s.schedule(Event(1, TICK, None, lambda: None))
+    s.schedule(Event(2, EventKind.BEACON_DUE, 0, boom))
     with pytest.raises(RunAborted) as err:
         s.run_until(10)
     message = str(err.value)
@@ -84,16 +93,15 @@ def test_dispatcher_failure_aborts_with_trace_tail():
 
 def test_events_scheduled_during_dispatch_run_in_order():
     seen = []
-    s = Scheduler()
+    s = make_scheduler()
 
-    def handler(ev):
-        seen.append((s.now, ev.data))
-        if ev.data == "first":
-            s.schedule(Event(s.now, EventKind.MEASUREMENT_TICK, data="chained"))
+    def handler(label):
+        seen.append((s.now, label))
+        if label == "first":
+            s.schedule(Event(s.now, TICK, None, handler, ("chained",)))
 
-    s.register(EventKind.MEASUREMENT_TICK, handler)
-    s.schedule(Event(5, EventKind.MEASUREMENT_TICK, data="first"))
-    s.schedule(Event(7, EventKind.MEASUREMENT_TICK, data="later"))
+    s.schedule(Event(5, TICK, None, handler, ("first",)))
+    s.schedule(Event(7, TICK, None, handler, ("later",)))
     s.run_until(10)
     assert seen == [(5, "first"), (5, "chained"), (7, "later")]
 

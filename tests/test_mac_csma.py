@@ -3,15 +3,8 @@ import random
 
 import pytest
 
-from wbansim.core import Criticality
-from wbansim.mac_csma import (
-    BackoffPolicy,
-    CsmaAction,
-    CsmaBackoffFsm,
-    SuperframeConfig,
-    backoff_draw,
-    make_beacon,
-)
+from wbansim.core import Criticality, SuperframeConfig, make_beacon
+from wbansim.mac_csma import BackoffPolicy, CsmaAction, CsmaBackoffFsm, backoff_draw
 
 
 class TestSuperframeConfig:

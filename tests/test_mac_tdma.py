@@ -1,26 +1,6 @@
 import pytest
 
-from wbansim.mac_tdma import TdmaSchedule, slot_active
-from wbansim.wakeup import WakeupTable
-
-
-class TestSlotActive:
-    def test_first_superframe_is_active(self):
-        table = WakeupTable({1: 10})
-        assert slot_active(table, 1, 0)
-
-    def test_inactive_between_multiples(self):
-        table = WakeupTable({1: 10})
-        assert not slot_active(table, 1, 25)  # 25 mod 10 = 5
-
-    def test_k43_at_86(self):
-        table = WakeupTable({3: 43})
-        assert slot_active(table, 3, 86)
-
-    def test_matches_wakeup_pattern_everywhere(self):
-        table = WakeupTable({1: 7})
-        active = [i for i in range(70) if slot_active(table, 1, i)]
-        assert active == list(range(0, 70, 7))
+from wbansim.mac_tdma import TdmaSchedule
 
 
 class TestTdmaSchedule:

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from wbansim.channel import LinkClass
@@ -10,6 +12,39 @@ from conftest import base_scenario_dict
 
 def minimal():
     return {"mac": "csma", "horizon_s": 10.0, "nodes": [{"id": 1}]}
+
+
+def with_rate(rate_per_hour):
+    raw = minimal()
+    raw["nodes"][0]["traffic"] = {"rate_per_hour": rate_per_hour}
+    return raw
+
+
+def with_stream(rate_per_s):
+    raw = minimal()
+    raw["nodes"][0]["class"] = "on_demand_continuous"
+    raw["on_demand"] = [{"time_s": 1.0, "target": 1, "mode": "continuous",
+                         "rate_per_s": rate_per_s, "duration_s": 2.0}]
+    return raw
+
+
+# Each of these hung the run, crashed it, or failed without a key path.
+NUMERIC_TRAPS = [
+    pytest.param({**minimal(), "horizon_s": math.nan},
+                 r"scenario\.horizon_s: must be finite", id="horizon-nan"),
+    pytest.param({**minimal(), "horizon_s": math.inf},
+                 r"scenario\.horizon_s: must be finite", id="horizon-inf"),
+    pytest.param(with_rate(math.nan),
+                 r"nodes\[0\]\.traffic\.rate_per_hour: must be finite", id="rate-nan"),
+    pytest.param(with_rate(math.inf),
+                 r"nodes\[0\]\.traffic\.rate_per_hour: must be finite", id="rate-inf"),
+    pytest.param(with_rate(10_000_000_000),  # 0.36 us period
+                 r"nodes\[0\]\.traffic: .* period under 1 us", id="rate-period-0us"),
+    pytest.param(with_stream(5_000_000),  # 0.2 us interval
+                 r"on_demand\[0\]: .* interval under 1 us", id="stream-interval-0us"),
+    pytest.param(with_stream(math.inf),
+                 r"on_demand\[0\]\.rate_per_s: must be finite", id="stream-inf"),
+]
 
 
 class TestDefaults:
@@ -114,6 +149,11 @@ class TestRejections:
     def test_horizon_required(self):
         raw = {"mac": "csma", "nodes": [{"id": 1}]}
         with pytest.raises(ScenarioError, match="horizon"):
+            parse_scenario(raw)
+
+    @pytest.mark.parametrize("raw, match", NUMERIC_TRAPS)
+    def test_numbers_that_would_hang_or_crash_a_run(self, raw, match):
+        with pytest.raises(ScenarioError, match=match):
             parse_scenario(raw)
 
 

@@ -49,15 +49,6 @@ def brute_force_schedule(entries: dict[int, int], horizon: int) -> set[int]:
 
 
 class TestBuildTable:
-    def test_distinct_patterns_form_singleton_groups(self):
-        table = build_table([profile(1, 10), profile(3, 43)])
-        groups = table.contention_groups()
-        assert groups == {10: {1}, 43: {3}}
-
-    def test_equal_patterns_contend(self):
-        table = build_table([profile(1, 10), profile(2, 10)])
-        assert table.contention_groups() == {10: {1, 2}}
-
     def test_empty_list_rejected(self):
         with pytest.raises(WakeupTableError):
             build_table([])
@@ -65,15 +56,6 @@ class TestBuildTable:
     def test_duplicate_id_rejected_naming_node(self):
         with pytest.raises(WakeupTableError, match="1"):
             build_table([profile(1, 10), profile(1, 20)])
-
-    def test_groups_partition_the_node_set(self):
-        table = build_table([profile(i, k) for i, k in enumerate([1, 2, 2, 5, 10, 10], start=1)])
-        groups = table.contention_groups()
-        all_nodes = set()
-        for members in groups.values():
-            assert not (all_nodes & members)
-            all_nodes |= members
-        assert all_nodes == set(table.node_ids())
 
 
 class TestIsAwake:
