@@ -1,0 +1,88 @@
+"""Micro-benchmarks of the hot paths, one per layer the event loop leans on.
+
+Run with `python -m pytest bench -q --benchmark-only` (pytest-benchmark).
+They sit outside `tests/`, so the test suite does not collect them.  Each
+benchmark times the steady state: memoised link budgets are already filled
+by the first round, as they are after the first few events of a run.
+"""
+
+import random
+
+import pytest
+
+from wbansim.channel import ChannelModel, LossReason
+from wbansim.core import Criticality, Frame, FrameKind, Placement, PlacementKind, TrafficClass
+from wbansim.mac_csma import BackoffPolicy, CsmaAction, CsmaBackoffFsm
+from wbansim.metrics import MetricsLedger, RadioState
+from wbansim.simulation import PendingQueue
+
+BNC = Placement(PlacementKind.ON_BODY)
+
+
+def data_frame(src, seq=1, cls=TrafficClass.NORMAL_HIGH, created=0):
+    return Frame(FrameKind.DATA, src, 0, 800, cls, created, seq)
+
+
+def channel_with(n_active):
+    """A channel carrying n overlapping on-body transmissions around the BNC."""
+    ch = ChannelModel()
+    txs = [
+        ch.register_tx(data_frame(src=i + 1, seq=i + 1),
+                       Placement(PlacementKind.ON_BODY, 0.1 * (i + 1), 0.2, 0.0), 0, 3200)
+        for i in range(n_active)
+    ]
+    return ch, txs
+
+
+@pytest.mark.parametrize("n_active", [1, 4, 10])
+def test_cca_energy_detect(benchmark, n_active):
+    ch, _ = channel_with(n_active)
+    listener = Placement(PlacementKind.ON_BODY, -0.3, 0.1, 0.0)
+    benchmark(ch.cca_energy_detect, listener, -85.0, 1600)
+
+
+def test_channel_deliver(benchmark):
+    ch, txs = channel_with(4)  # a frame with three interferers, lost to collision
+    rng = random.Random(1)
+    assert benchmark(ch.deliver, txs[0], BNC, rng) is LossReason.COLLISION
+
+
+def test_csma_backoff_fsm_on_cca(benchmark):
+    policy = BackoffPolicy()
+
+    def attempt():
+        # One busy CCA, then the two idle ones that clear the frame to send.
+        fsm = CsmaBackoffFsm(policy, Criticality.CRITICAL)
+        fsm.on_cca(True)
+        fsm.on_cca(False)
+        return fsm.on_cca(False)
+
+    assert benchmark(attempt) is CsmaAction.TRANSMIT
+
+
+def test_pending_queue_push_remove(benchmark):
+    q = PendingQueue()
+    classes = list(TrafficClass)
+    for seq in range(8):
+        q.push(data_frame(1, seq, classes[seq % len(classes)], created=seq))
+    frame = data_frame(1, 100, TrafficClass.NORMAL_MEDIUM, created=50)
+
+    def push_remove():
+        q.push(frame)
+        q.remove(frame)
+
+    benchmark(push_remove)
+    assert len(q) == 8
+
+
+def test_metrics_ledger_set_state(benchmark):
+    ledger = MetricsLedger({1: TrafficClass.NORMAL_HIGH})
+    ledger.init_state(1, RadioState.SLEEP, 0)
+    cycle = [RadioState.IDLE_LISTEN, RadioState.TX, RadioState.RX, RadioState.SLEEP]
+    clock = iter(range(1, 10**9))
+
+    def four_changes():
+        for state in cycle:
+            ledger.set_state(1, state, next(clock))
+
+    benchmark(four_changes)

@@ -8,6 +8,15 @@ linear milliwatts, never in dB.
 
 The wakeup radio is a separate always-listening channel: no collisions, no
 sensitivity floor, only an optional Bernoulli loss probability.
+
+Placements and path-loss parameters are fixed for the life of a
+`ChannelModel`, so the link budget of a (tx power, source, listener) triple
+never changes.  The model fills a memo of it (received dBm and mW) the first
+time a triple is seen; CCA sums and reception decisions read the memo and
+get the same floats the formulas return.
+
+The model keeps only the transmissions on the air, so its memory does not
+grow with the number of transmissions in a run.
 """
 
 from __future__ import annotations
@@ -139,9 +148,28 @@ def mw_to_dbm(mw: float) -> float:
     return 10.0 * math.log10(mw)
 
 
+class LinkBudgets(dict):
+    """(tx dBm, source, listener) -> (received dBm, received mW), filled on first use."""
+
+    def __init__(self, path_loss: dict[LinkClass, PathLossParams]) -> None:
+        super().__init__()
+        self.path_loss = path_loss
+
+    def __missing__(self, key: tuple[float, Placement, Placement]) -> tuple[float, float]:
+        rx = rx_power_dbm(key[0], key[1], key[2], self.path_loss)
+        link = self[key] = (rx, dbm_to_mw(rx))
+        return link
+
+
 @dataclass(eq=False)
 class ActiveTx:
-    """A transmission registered on a radio for [start, end)."""
+    """A transmission registered on a radio for [start, end).
+
+    `interferers` lists the (tx dBm, source placement) of each overlapping
+    transmission on the same radio: all that a reception decision needs.
+    Holding no reference to the other `ActiveTx` keeps an ended transmission
+    from being kept alive by a chain of overlaps.
+    """
 
     frame: Frame
     tx_power_dbm: float
@@ -149,7 +177,7 @@ class ActiveTx:
     start: SimTime
     end: SimTime
     radio: Radio
-    interferers: list["ActiveTx"] = field(default_factory=list)
+    interferers: list[tuple[float, Placement]] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         if self.end <= self.start:
@@ -167,7 +195,7 @@ class ChannelModel:
         self.params = params or ChannelParams()
         self.link_errors = link_errors or LinkErrorTable()
         self._active: list[ActiveTx] = []
-        self.tx_log: list[ActiveTx] = []
+        self._budget = LinkBudgets(self.params.path_loss)
 
     def register_tx(
         self,
@@ -187,10 +215,9 @@ class ChannelModel:
         # interference links require a genuine interval overlap.
         for other in self._active:
             if other.radio is radio and other.end > tx.start and tx.end > other.start:
-                other.interferers.append(tx)
-                tx.interferers.append(other)
+                other.interferers.append((tx_power_dbm, src_placement))
+                tx.interferers.append((other.tx_power_dbm, other.src_placement))
         self._active.append(tx)
-        self.tx_log.append(tx)
         return tx
 
     def end_tx(self, tx: ActiveTx) -> None:
@@ -203,15 +230,14 @@ class ChannelModel:
 
     def received_power_dbm(self, listener: Placement, now: SimTime) -> float:
         """Linear-milliwatt sum over active data-radio transmissions, in dBm."""
+        budget = self._budget
         total_mw = 0.0
-        for tx in self._active:
+        for tx in self._active:  # summed in registration order, as the verdicts assume
             if tx.radio is not Radio.DATA:
                 continue
             if not tx.start <= now < tx.end:
                 continue
-            total_mw += dbm_to_mw(
-                rx_power_dbm(tx.tx_power_dbm, tx.src_placement, listener, self.params.path_loss)
-            )
+            total_mw += budget[tx.tx_power_dbm, tx.src_placement, listener][1]
         return mw_to_dbm(total_mw)
 
     def cca_energy_detect(
@@ -239,13 +265,11 @@ class ChannelModel:
             if self.params.wakeup_loss_p > 0.0 and rng.random() < self.params.wakeup_loss_p:
                 return LossReason.RANDOM_ERROR
             return None
-        own_rx = rx_power_dbm(tx.tx_power_dbm, tx.src_placement, dst_placement, self.params.path_loss)
+        budget = self._budget
+        own_rx = budget[tx.tx_power_dbm, tx.src_placement, dst_placement][0]
         capture_floor = own_rx - self.params.capture_margin_db
-        for other in tx.interferers:
-            other_rx = rx_power_dbm(
-                other.tx_power_dbm, other.src_placement, dst_placement, self.params.path_loss
-            )
-            if other_rx >= capture_floor:
+        for power, src in tx.interferers:
+            if budget[power, src, dst_placement][0] >= capture_floor:
                 return LossReason.COLLISION
         if own_rx < self.params.sensitivity_dbm:
             return LossReason.BELOW_SENSITIVITY

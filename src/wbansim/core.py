@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 SimTime = int  # microseconds since simulation start
 
@@ -26,6 +27,8 @@ class TrafficClass(Enum):
     ON_DEMAND_CONTINUOUS = "on_demand_continuous"
     ON_DEMAND_NON_CONTINUOUS = "on_demand_non_continuous"
     EMERGENCY = "emergency"
+
+    __hash__ = object.__hash__  # identity hash; see engine.EventKind
 
     @property
     def is_normal(self) -> bool:
@@ -73,6 +76,8 @@ class Criticality(Enum):
 class PlacementKind(Enum):
     ON_BODY = "on_body"
     IN_BODY = "in_body"
+
+    __hash__ = object.__hash__  # identity hash; see engine.EventKind
 
 
 @dataclass(frozen=True)
@@ -181,7 +186,11 @@ ACK_WAIT_SYMBOLS = 54
 
 @dataclass(frozen=True)
 class SuperframeConfig:
-    """Beacon-interval / active-duration arithmetic, exact in microseconds."""
+    """Beacon-interval / active-duration arithmetic, exact in microseconds.
+
+    The timing values are computed once per config and then read as plain
+    attributes (the hot CSMA paths read them per backoff slot).
+    """
 
     beacon_order: int = 6
     superframe_order: int = 6
@@ -197,31 +206,31 @@ class SuperframeConfig:
                 f"symbol rate must divide 1e6 for exact microsecond timing, got {self.symbol_rate_sps}"
             )
 
-    @property
+    @cached_property
     def us_per_symbol(self) -> int:
         return 1_000_000 // self.symbol_rate_sps
 
-    @property
+    @cached_property
     def beacon_interval_us(self) -> SimTime:
         return BASE_SLOT_SYMBOLS * SLOTS_PER_SUPERFRAME * (1 << self.beacon_order) * self.us_per_symbol
 
-    @property
+    @cached_property
     def active_duration_us(self) -> SimTime:
         return BASE_SLOT_SYMBOLS * SLOTS_PER_SUPERFRAME * (1 << self.superframe_order) * self.us_per_symbol
 
-    @property
+    @cached_property
     def unit_backoff_us(self) -> SimTime:
         return UNIT_BACKOFF_SYMBOLS * self.us_per_symbol
 
-    @property
+    @cached_property
     def turnaround_us(self) -> SimTime:
         return TURNAROUND_SYMBOLS * self.us_per_symbol
 
-    @property
+    @cached_property
     def ack_wait_us(self) -> SimTime:
         return ACK_WAIT_SYMBOLS * self.us_per_symbol
 
-    @property
+    @cached_property
     def default_bitrate_bps(self) -> int:
         return self.symbol_rate_sps * 4  # 4 bits/symbol
 

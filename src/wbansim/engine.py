@@ -9,6 +9,10 @@ firing it means calling `ev.fn(*ev.args)` (see `fire`).  Its `EventKind` and
 `node` do not steer anything; they label the event in the trace, and the
 kind is the key a handler is registered under, so dispatches can be counted
 and timed per kind.
+
+The scheduler remembers the last 32 dispatched events and formats them as
+`<fire_at> <kind> <node or ->` lines only when a handler raises, so the
+trace tail costs one deque append per event.
 """
 
 from __future__ import annotations
@@ -43,6 +47,10 @@ class EventKind(Enum):
     ACK_TIMEOUT = "AckTimeout"
     MEASUREMENT_TICK = "MeasurementTick"
 
+    # Members are singletons: hash by identity, not by the Python-level
+    # `Enum.__hash__` (name hash), which no output depends on.
+    __hash__ = object.__hash__
+
 
 @dataclass
 class Event:
@@ -68,7 +76,7 @@ class Scheduler:
         self._heap: list[tuple[SimTime, int, Event]] = []
         self._counter = 0
         self._handlers: dict[EventKind, Callable[[Event], None]] = {}
-        self._trace_tail: deque[str] = deque(maxlen=32)
+        self._trace_tail: deque[Event] = deque(maxlen=32)
         self.trace_sink: Callable[[Event], None] | None = None
 
     def register(self, kind: EventKind, handler: Callable[[Event], None]) -> None:
@@ -99,9 +107,7 @@ class Scheduler:
             if ev.cancelled:
                 continue
             self.now = ev.fire_at
-            self._trace_tail.append(
-                f"{ev.fire_at} {ev.kind.value} {'-' if ev.node is None else ev.node}"
-            )
+            self._trace_tail.append(ev)
             if self.trace_sink is not None:
                 self.trace_sink(ev)
             handler = self._handlers.get(ev.kind)
@@ -110,7 +116,10 @@ class Scheduler:
             try:
                 handler(ev)
             except Exception as exc:
-                tail = "\n".join(self._trace_tail)
+                tail = "\n".join(
+                    f"{e.fire_at} {e.kind.value} {'-' if e.node is None else e.node}"
+                    for e in self._trace_tail
+                )
                 raise RunAborted(
                     f"dispatcher for {ev.kind.value} failed at t={ev.fire_at} us: "
                     f"{exc}\nevent trace tail:\n{tail}"

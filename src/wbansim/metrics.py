@@ -30,6 +30,8 @@ class RadioState(Enum):
     SLEEP = "sleep"              # everything off
     WAKEUP_RX = "wakeup_rx"      # main radio off, wakeup receiver listening
 
+    __hash__ = object.__hash__  # identity hash; see engine.EventKind
+
 
 @dataclass(frozen=True)
 class EnergyModel:

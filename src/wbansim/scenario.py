@@ -215,7 +215,7 @@ def parse_scenario(raw: object, name: str = "scenario") -> Scenario:
     if mac != "tdma" and top.get("tdma") is not None:
         ck.err(f"{name}.tdma", "tdma section present but mac is not 'tdma'")
 
-    _cross_checks(ck, name, mac, nodes, on_demand, tdma, wakeup, superframe, frames, horizon_us)
+    _cross_checks(ck, name, mac, nodes, on_demand, tdma, wakeup, superframe, frames)
 
     if ck.errors:
         raise ScenarioError(ck.errors)
@@ -246,10 +246,14 @@ def _horizon(ck: _Check, top: dict, name: str, sf: SuperframeConfig) -> SimTime:
         ck.err(name, "give only one of horizon_s / horizon_superframes")
     if horizon_sfs is not None:
         return horizon_sfs * sf.beacon_interval_us
-    if horizon_s is not None and horizon_s <= 0:
+    if horizon_s <= 0:
         ck.err(f"{name}.horizon_s", "must be positive")
         return 0
-    return round((horizon_s or 0) * 1_000_000)
+    horizon_us = round(horizon_s * 1_000_000)
+    if horizon_us < sf.beacon_interval_us:  # includes one that rounds to 0 us
+        ck.err(f"{name}.horizon_s", f"horizon shorter than one beacon interval "
+                                    f"({horizon_us} us < {sf.beacon_interval_us} us)")
+    return horizon_us
 
 
 def _channel(ck: _Check, raw: object, path: str) -> tuple[ChannelParams, LinkErrorTable]:
@@ -487,7 +491,7 @@ def _tdma(ck: _Check, raw: object, path: str) -> TdmaSchedule | None:
 
 
 def _cross_checks(ck, name, mac, nodes, on_demand, tdma, wakeup, superframe,
-                  frames, horizon_us) -> None:
+                  frames) -> None:
     ids = {n.profile.id for n in nodes}
     by_id = {n.profile.id: n for n in nodes}
     resolved: list[OnDemandEntry] = []
@@ -528,6 +532,3 @@ def _cross_checks(ck, name, mac, nodes, on_demand, tdma, wakeup, superframe,
             if air > tdma.slot_duration_us:
                 ck.err(f"{name}.nodes", f"node {node.profile.id}: frame airtime {air} us "
                                         f"exceeds slot duration {tdma.slot_duration_us} us")
-
-    if horizon_us > 0 and horizon_us < superframe.beacon_interval_us:
-        ck.err(name, "horizon shorter than one beacon interval")

@@ -165,10 +165,13 @@ def test_criterion_6_tdma_isolation_and_deferral():
     """No overlapping data frames over 1e4 superframes; mean wait ~ k*SF/2."""
     scn = load_scenario(SCENARIOS / "tdma_three_links.yaml")
     sim = Simulation(scn, seed=2)
+    txs = []
+    register = sim.channel.register_tx
+    sim.channel.register_tx = lambda *a, **k: txs.append(register(*a, **k)) or txs[-1]
     ledger = sim.run()
     assert ledger.total_superframes >= 10_000
     data = sorted(
-        (tx.start, tx.end) for tx in sim.channel.tx_log
+        (tx.start, tx.end) for tx in txs
         if tx.frame.kind is FrameKind.DATA
     )
     assert len(data) > 20_000

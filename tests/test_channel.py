@@ -12,8 +12,10 @@ from wbansim.channel import (
     LinkErrorTable,
     LossReason,
     Radio,
+    dbm_to_mw,
     default_path_loss,
     link_class,
+    mw_to_dbm,
     path_loss_db,
     rx_power_dbm,
 )
@@ -199,6 +201,73 @@ class TestDeliver:
                 ch.end_tx(tx)
             outcomes.append(run)
         assert outcomes[0] == outcomes[1]
+
+
+COORD = st.floats(min_value=-2.0, max_value=2.0)
+PLACEMENTS = st.one_of(
+    st.builds(lambda x, y, z: Placement(PlacementKind.ON_BODY, x, y, z), COORD, COORD, COORD),
+    st.builds(lambda x, y, z, depth: Placement(PlacementKind.IN_BODY, x, y, z, depth),
+              COORD, COORD, COORD, st.floats(min_value=0.001, max_value=0.2)),
+)
+POWERS = st.one_of(st.sampled_from([-16.0, 0.0]), st.floats(min_value=-30.0, max_value=10.0))
+
+
+class TestLinkBudgetMemo:
+    """The memoised link budget returns exactly what the formulas return."""
+
+    @staticmethod
+    def uncached_power_dbm(txs, listener, now):
+        total_mw = 0.0
+        for tx in txs:
+            if tx.start <= now < tx.end:
+                total_mw += dbm_to_mw(
+                    rx_power_dbm(tx.tx_power_dbm, tx.src_placement, listener, default_path_loss())
+                )
+        return mw_to_dbm(total_mw)
+
+    @staticmethod
+    def uncached_outcome(txs, tx, dst):
+        params = ChannelParams()
+        own = rx_power_dbm(tx.tx_power_dbm, tx.src_placement, dst, params.path_loss)
+        for other in txs:
+            if other is not tx and other.end > tx.start and tx.end > other.start:
+                rx = rx_power_dbm(other.tx_power_dbm, other.src_placement, dst, params.path_loss)
+                if rx >= own - params.capture_margin_db:
+                    return LossReason.COLLISION
+        if own < params.sensitivity_dbm:
+            return LossReason.BELOW_SENSITIVITY
+        return None
+
+    @given(
+        sources=st.lists(st.tuples(PLACEMENTS, POWERS, st.integers(0, 3)), min_size=1, max_size=8),
+        second_power=POWERS,
+        listeners=st.lists(PLACEMENTS, min_size=1, max_size=3),
+    )
+    def test_equals_uncached_formula(self, sources, second_power, listeners):
+        # The first source also transmits at a second power, so a memo entry
+        # keyed without the power would be stale for one of the two.
+        first_place, first_power, first_slot = sources[0]
+        if second_power == first_power:
+            second_power -= 7.5
+        sources = sources + [(first_place, second_power, first_slot + 1)]
+        ch = ChannelModel()
+        txs = [
+            ch.register_tx(data_frame(src=i + 1, seq=i + 1), place, slot * 500, 1000,
+                           tx_power_dbm=power)
+            for i, (place, power, slot) in enumerate(sources)
+        ]
+        listeners = [ORIGIN, first_place] + listeners
+        for now in range(0, 3000, 250):
+            for listener in listeners:
+                assert ch.received_power_dbm(listener, now) == \
+                    self.uncached_power_dbm(txs, listener, now)
+        for tx in txs:
+            for dst in listeners:
+                assert ch.deliver(tx, dst, random.Random(1)) == \
+                    self.uncached_outcome(txs, tx, dst)
+        for (power, src, dst), (rx_dbm, rx_mw) in ch._budget.items():
+            assert rx_dbm == rx_power_dbm(power, src, dst, default_path_loss())
+            assert rx_mw == dbm_to_mw(rx_dbm)
 
 
 class TestWakeupRadio:

@@ -46,6 +46,16 @@ class TestExitCodes:
         assert main(["--scenario", str(bad), "--out", str(tmp_path / "out")]) == 2
         assert "nan.horizon_s: must be finite" in capsys.readouterr().err
 
+    def test_horizon_rounding_to_zero_is_two_with_key_path(self, tmp_path, capsys):
+        bad = tmp_path / "tiny.yaml"
+        raw = base_scenario_dict(horizon_s=0.0000004)
+        bad.write_text(yaml.safe_dump(raw), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["--scenario", str(bad), "--out", str(out)]) == 2
+        assert "tiny.horizon_s: horizon shorter than one beacon interval" \
+            in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_file_is_two(self, tmp_path):
         assert main(["--scenario", str(tmp_path / "nope.yaml")]) == 2
 

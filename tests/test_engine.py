@@ -88,7 +88,29 @@ def test_dispatcher_failure_aborts_with_trace_tail():
     message = str(err.value)
     assert "broken handler" in message
     assert "event trace tail" in message
-    assert "1 MeasurementTick" in message  # the preceding dispatch is visible
+    lines = message.split("\n")
+    assert lines[-3:] == ["event trace tail:", "1 MeasurementTick -", "2 BeaconDue 0"]
+
+
+def test_trace_tail_holds_exactly_the_last_32_dispatches():
+    s = make_scheduler()
+    s.register(EventKind.BEACON_DUE, fire)
+
+    def boom():
+        raise ValueError("broken handler")
+
+    for t in range(1, 41):
+        s.schedule(Event(t, TICK, t % 3 or None, lambda: None))
+    s.schedule(Event(41, EventKind.BEACON_DUE, 0, boom))
+    with pytest.raises(RunAborted) as err:
+        s.run_until(50)
+    message = str(err.value)
+    assert message.startswith(
+        "dispatcher for BeaconDue failed at t=41 us: broken handler\nevent trace tail:\n"
+    )
+    tail = message.split("event trace tail:\n")[1].split("\n")
+    expected = [f"{t} MeasurementTick {t % 3 or '-'}" for t in range(10, 41)]
+    assert tail == expected + ["41 BeaconDue 0"]
 
 
 def test_events_scheduled_during_dispatch_run_in_order():

@@ -156,6 +156,23 @@ class TestRejections:
         with pytest.raises(ScenarioError, match=match):
             parse_scenario(raw)
 
+    @pytest.mark.parametrize("horizon_s, horizon_us", [
+        (0.0000004, 0),      # rounds to 0 us: used to run a zero-length simulation
+        (0.0000006, 1),
+        (0.5, 500_000),      # under the default 983 040 us beacon interval
+    ])
+    def test_horizon_below_one_beacon_interval_names_the_key(self, horizon_s, horizon_us):
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario({**minimal(), "horizon_s": horizon_s})
+        assert err.value.violations == [
+            f"scenario.horizon_s: horizon shorter than one beacon interval "
+            f"({horizon_us} us < 983040 us)"
+        ]
+
+    def test_horizon_of_exactly_one_beacon_interval_is_accepted(self):
+        scn = parse_scenario({**minimal(), "horizon_s": 0.98304})
+        assert scn.horizon_us == scn.superframe.beacon_interval_us
+
 
 class TestLoadFromFile(object):
     def test_round_trip_through_yaml(self, tmp_path):

@@ -1,5 +1,9 @@
+import gc
 import io
 
+import pytest
+
+from wbansim.channel import ActiveTx
 from wbansim.core import Frame, FrameKind, TrafficClass
 from wbansim.engine import EventKind
 from wbansim.metrics import EnergyModel, RadioState, write_node_csv
@@ -12,6 +16,15 @@ from conftest import make_scenario
 def run(scn, seed=1, trace_sink=None):
     sim = Simulation(scn, seed=seed, trace_sink=trace_sink)
     return sim, sim.run()
+
+
+def run_observed(scn, seed=1):
+    """Run and also return every transmission registered on the channel."""
+    sim = Simulation(scn, seed=seed)
+    txs = []
+    register = sim.channel.register_tx
+    sim.channel.register_tx = lambda *a, **k: txs.append(register(*a, **k)) or txs[-1]
+    return sim, sim.run(), txs
 
 
 def node_csv_text(scn, ledger, seed=1):
@@ -97,10 +110,10 @@ class TestSleepDiscipline:
 
     def test_node_never_transmits_while_pattern_says_asleep(self):
         scn = self.make_sleepy()
-        sim, ledger = run(scn)
+        sim, ledger, txs = run_observed(scn)
         bi = scn.superframe.beacon_interval_us
         sd = scn.superframe.active_duration_us
-        data_txs = [t for t in sim.channel.tx_log if t.frame.kind is FrameKind.DATA]
+        data_txs = [t for t in txs if t.frame.kind is FrameKind.DATA]
         assert data_txs
         for tx in data_txs:
             sf_index = tx.start // bi
@@ -315,22 +328,22 @@ class TestTdmaRun:
 
     def test_frames_flow_and_none_collide(self):
         scn = self.scenario()
-        sim, ledger = run(scn)
+        _, ledger, txs = run_observed(scn)
         assert sum(ledger.delivered.values()) > 0
         assert ledger.loss_reasons.get("collision", 0) == 0
         data = sorted(
-            (t.start, t.end) for t in sim.channel.tx_log if t.frame.kind is FrameKind.DATA
+            (t.start, t.end) for t in txs if t.frame.kind is FrameKind.DATA
         )
         for (s1, e1), (s2, e2) in zip(data, data[1:]):
             assert e1 <= s2, "overlapping TDMA data transmissions"
 
     def test_transmissions_stay_inside_owned_slots(self):
         scn = self.scenario()
-        sim, _ = run(scn)
+        sim, _, txs = run_observed(scn)
         bi = scn.superframe.beacon_interval_us
         beacon_air = sim.air_us(scn.frames.beacon_bits)
         slot = scn.tdma.slot_duration_us
-        for tx in sim.channel.tx_log:
+        for tx in txs:
             if tx.frame.kind is not FrameKind.DATA:
                 continue
             offset = tx.start % bi
@@ -346,9 +359,9 @@ class TestTdmaRun:
 
     def test_deferred_frames_wait_for_active_superframe(self):
         scn = self.scenario()
-        sim, ledger = run(scn)
+        _, _, txs = run_observed(scn)
         bi = scn.superframe.beacon_interval_us
-        for tx in sim.channel.tx_log:
+        for tx in txs:
             if tx.frame.kind is FrameKind.DATA and tx.frame.src == 3:
                 assert (tx.start // bi) % 5 == 0
 
@@ -394,7 +407,7 @@ class TestInactivePortion:
             nodes=[{"id": 1, "class": "normal_high",
                     "traffic": {"rate_per_hour": 3600.0, "phase_s": 0.01}}],
         )
-        sim, ledger = run(scn)
+        _, ledger, txs = run_observed(scn)
         sf = scn.superframe
         assert sf.active_duration_us * 4 == sf.beacon_interval_us
         # even an always-on-pattern node spends most of the run asleep
@@ -402,7 +415,7 @@ class TestInactivePortion:
         assert inactive > scn.horizon_us // 2
         assert ledger.delivered[(1, TrafficClass.NORMAL_HIGH)] > 0
         # no transmission may cross the end of the active portion
-        for tx in sim.channel.tx_log:
+        for tx in txs:
             offset = tx.start % sf.beacon_interval_us
             assert offset < sf.active_duration_us
             assert (tx.end - 1) % sf.beacon_interval_us < sf.active_duration_us
@@ -479,3 +492,45 @@ class TestLinkErrors:
         pdrs = [pooled_pdr(p) for p in (0.5, 0.7, 0.9, 1.0)]
         assert pdrs == sorted(pdrs)
         assert pdrs[-1] == 1.0
+
+
+class TestBoundedMemory:
+    ON_BODY = [{"kind": "on_body", "x_m": 0.1 * i} for i in range(1, 7)]
+    # Implants 3.8 m apart cannot hear each other's energy, so their
+    # transmissions overlap in long chains.
+    HIDDEN = [{"kind": "in_body", "x_m": x, "depth_m": 0.05} for x in (1.9, -1.9, 0.0, 0.1)]
+
+    @staticmethod
+    def saturated(horizon_s, placements):
+        return make_scenario(
+            horizon_s=horizon_s,
+            superframe={"beacon_order": 6, "superframe_order": 6},
+            nodes=[{"id": i, "class": "normal_high",
+                    "criticality": "critical" if i % 2 else "non_critical",
+                    "placement": placement,
+                    "traffic": {"arrival": "saturated"}}
+                   for i, placement in enumerate(placements, start=1)],
+        )
+
+    @staticmethod
+    def live_transmissions():
+        gc.collect()
+        return sum(1 for obj in gc.get_objects() if type(obj) is ActiveTx)
+
+    @pytest.mark.parametrize("placements", [ON_BODY, HIDDEN], ids=["on_body", "hidden"])
+    def test_only_transmissions_on_the_air_stay_alive(self, placements):
+        # How many frames are on the air at the horizon varies with the
+        # horizon; that no ended one is kept alive must not.
+        for horizon_s in (2.0, 8.0):
+            before = self.live_transmissions()
+            sim, ledger = run(self.saturated(horizon_s, placements))
+            assert sum(ledger.delivered.values()) > 100 * horizon_s
+            # The trace tail keeps the last 32 dispatched events, and so their
+            # arguments, by design; what could grow with the run is the rest.
+            sim.scheduler._trace_tail.clear()
+            n_devices = len(sim.devices)
+            on_air = len(sim.channel._active)
+            assert on_air <= n_devices
+            assert len(sim._listening) <= n_devices
+            assert self.live_transmissions() - before == on_air
+            del sim
