@@ -12,6 +12,7 @@ import pytest
 
 from wbansim.channel import ChannelModel, LossReason
 from wbansim.core import Criticality, Frame, FrameKind, Placement, PlacementKind, TrafficClass
+from wbansim.engine import Event, EventKind, Scheduler, fire
 from wbansim.mac_csma import BackoffPolicy, CsmaAction, CsmaBackoffFsm
 from wbansim.metrics import MetricsLedger, RadioState
 from wbansim.simulation import PendingQueue
@@ -32,6 +33,24 @@ def channel_with(n_active):
         for i in range(n_active)
     ]
     return ch, txs
+
+
+def test_scheduler_run_until(benchmark):
+    """Schedule 1 000 events in scattered time order, then dispatch them all
+    through `run_until` with `fire` registered, as a simulation does."""
+    n = 1000
+    times = [(7919 * i) % n for i in range(n)]  # a fixed permutation of 0..n-1
+
+    def schedule_and_dispatch():
+        s = Scheduler()
+        s.register(EventKind.CCA_DUE, fire)
+        fired = []
+        for t in times:
+            s.schedule(Event(t, EventKind.CCA_DUE, 1, fired.append, (t,)))
+        s.run_until(n)
+        return fired
+
+    assert benchmark(schedule_and_dispatch) == list(range(n))
 
 
 @pytest.mark.parametrize("n_active", [1, 4, 10])

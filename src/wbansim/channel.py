@@ -238,7 +238,8 @@ class ChannelModel:
             if not tx.start <= now < tx.end:
                 continue
             total_mw += budget[tx.tx_power_dbm, tx.src_placement, listener][1]
-        return mw_to_dbm(total_mw)
+        # mw_to_dbm, inlined: this runs on every CCA
+        return 10.0 * math.log10(total_mw) if total_mw > 0.0 else -math.inf
 
     def cca_energy_detect(
         self, listener: Placement, threshold_dbm: float, now: SimTime

@@ -80,9 +80,13 @@ class PlacementKind(Enum):
     __hash__ = object.__hash__  # identity hash; see engine.EventKind
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Placement:
-    """Node position in meters relative to the BNC; implants carry a tissue depth."""
+    """Node position in meters relative to the BNC; implants carry a tissue depth.
+
+    A placement compares and hashes by identity, so the channel's link-budget
+    memo key hashes in C; nothing compares placements by value.
+    """
 
     kind: PlacementKind
     x_m: float = 0.0

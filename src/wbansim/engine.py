@@ -52,7 +52,7 @@ class EventKind(Enum):
     __hash__ = object.__hash__
 
 
-@dataclass
+@dataclass(slots=True)
 class Event:
     fire_at: SimTime
     kind: EventKind
@@ -102,15 +102,20 @@ class Scheduler:
         """Dispatch all events with fire_at <= t_end in order; clock ends at t_end."""
         if t_end < self.now:
             raise SchedulingError(f"t_end {t_end} behind clock {self.now}")
-        while self._heap and self._heap[0][0] <= t_end:
-            _, _, ev = heapq.heappop(self._heap)
+        heap = self._heap
+        pop = heapq.heappop
+        handlers = self._handlers
+        remember = self._trace_tail.append
+        sink = self.trace_sink
+        while heap and heap[0][0] <= t_end:
+            _, _, ev = pop(heap)
             if ev.cancelled:
                 continue
             self.now = ev.fire_at
-            self._trace_tail.append(ev)
-            if self.trace_sink is not None:
-                self.trace_sink(ev)
-            handler = self._handlers.get(ev.kind)
+            remember(ev)
+            if sink is not None:
+                sink(ev)
+            handler = handlers.get(ev.kind)
             if handler is None:
                 raise RunAborted(f"no dispatcher for event kind {ev.kind.value}")
             try:

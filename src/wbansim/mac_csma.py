@@ -127,13 +127,14 @@ class CsmaMac:
         bnc.cap_anchor, bnc.cap_end = anchor, cap_end
         bnc.in_cap = True
         sim.begin_tx(bnc, beacon, t_b)
+        schedule = sim.scheduler.schedule
         for node_id in awake_nodes:
             dev = sim.devices[node_id]
             sim.wake_device(dev)
-            sim.set_state(dev, sim.RX)
+            sim.ledger.set_state(node_id, sim.RX, t_b)
             dev.cap_anchor, dev.cap_end = anchor, cap_end
-            sim.schedule(Event(cap_end, EventKind.SLOT_BOUNDARY, node_id, self.on_cap_end, (dev,)))
-        sim.schedule(Event(cap_end, EventKind.SLOT_BOUNDARY, BNC_ID, self.on_cap_end, (bnc,)))
+            schedule(Event(cap_end, EventKind.SLOT_BOUNDARY, node_id, self.on_cap_end, (dev,)))
+        schedule(Event(cap_end, EventKind.SLOT_BOUNDARY, BNC_ID, self.on_cap_end, (bnc,)))
 
     def on_beacon_received(self, dev, beacon: Frame) -> None:
         info: BeaconInfo = beacon.payload
@@ -147,7 +148,7 @@ class CsmaMac:
         if dev.backoff_ev is not None:
             # Pause the countdown; leftover periods resume in the next CAP.
             sim.scheduler.cancel(dev.backoff_ev)
-            left = -(-(dev.backoff_expiry - sim.now) // sim.sf.unit_backoff_us)
+            left = -(-(dev.backoff_expiry - sim.scheduler.now) // sim.sf.unit_backoff_us)
             dev.backoff_remaining = max(0, left)
             dev.backoff_ev = None
         if dev.cca_ev is not None:
@@ -181,7 +182,7 @@ class CsmaMac:
             dev.backoff_remaining = None
         else:
             periods = backoff_draw(self.sim.policy, dev.criticality, dev.fsm.be, dev.rng)
-        self._schedule_countdown(dev, periods, self.sim.now)
+        self._schedule_countdown(dev, periods, self.sim.scheduler.now)
 
     def _schedule_countdown(self, dev, periods: int, from_t: SimTime) -> None:
         sim = self.sim
@@ -196,7 +197,7 @@ class CsmaMac:
             dev.backoff_remaining = periods - consumed
             return  # countdown resumes in the next CAP this device joins
         dev.backoff_expiry = expiry
-        dev.backoff_ev = sim.schedule(
+        dev.backoff_ev = sim.scheduler.schedule(
             Event(expiry, EventKind.BACKOFF_EXPIRED, dev.id, self.on_backoff_expired, (dev,))
         )
 
@@ -211,36 +212,38 @@ class CsmaMac:
 
     def on_backoff_expired(self, dev) -> None:
         sim = self.sim
+        now = sim.scheduler.now
         dev.backoff_ev = None
         # Both CCA slots plus the full acked transaction must fit in the CAP.
         needed = 2 * sim.sf.unit_backoff_us + self.transaction_us(dev)
-        if sim.now + needed > dev.cap_end:
+        if now + needed > dev.cap_end:
             dev.backoff_remaining = 0
             return
-        dev.cca_ev = sim.schedule(
-            Event(sim.now, EventKind.CCA_DUE, dev.id, self.on_cca_due, (dev,))
+        dev.cca_ev = sim.scheduler.schedule(
+            Event(now, EventKind.CCA_DUE, dev.id, self.on_cca_due, (dev,))
         )
 
     def on_cca_due(self, dev) -> None:
         sim = self.sim
+        now = sim.scheduler.now
         dev.cca_ev = None
         busy = (
             sim.channel.cca_energy_detect(
-                dev.placement, sim.channel.params.cca_threshold_dbm, sim.now
+                dev.placement, sim.channel.params.cca_threshold_dbm, now
             )
             is CcaResult.BUSY
         )
         action = dev.fsm.on_cca(busy)
         ubp = sim.sf.unit_backoff_us
         if action is CsmaAction.SECOND_CCA:
-            dev.cca_ev = sim.schedule(
-                Event(sim.now + ubp, EventKind.CCA_DUE, dev.id, self.on_cca_due, (dev,))
+            dev.cca_ev = sim.scheduler.schedule(
+                Event(now + ubp, EventKind.CCA_DUE, dev.id, self.on_cca_due, (dev,))
             )
         elif action is CsmaAction.TRANSMIT:
-            self._start_transaction(dev, sim.now + ubp)
+            self._start_transaction(dev, now + ubp)
         elif action is CsmaAction.NEW_BACKOFF:
             periods = backoff_draw(sim.policy, dev.criticality, dev.fsm.be, dev.rng)
-            self._schedule_countdown(dev, periods, sim.now + ubp)
+            self._schedule_countdown(dev, periods, now + ubp)
         else:  # channel access failure: the frame never made it onto the air
             sim.ledger.loss_reasons["channel_access_failure"] += 1
             if dev.attempt_frame.traffic_class is TrafficClass.EMERGENCY:
@@ -257,7 +260,7 @@ class CsmaMac:
             return
         dev.active_frame = frame
         tx = sim.begin_tx(dev, frame, tx_start)
-        dev.ack_ev = sim.schedule(
+        dev.ack_ev = sim.scheduler.schedule(
             Event(tx.end + sim.sf.ack_wait_us, EventKind.ACK_TIMEOUT, dev.id,
                   self.on_ack_timeout, (dev, frame))
         )
@@ -268,21 +271,23 @@ class CsmaMac:
         sim = self.sim
         frame = tx.frame
         if delivered:
-            frame.rx_end = sim.now
+            now = sim.scheduler.now
+            frame.rx_end = now
             dst = sim.devices[frame.dst]
-            sim.schedule(Event(sim.now, EventKind.RX_END, dst.id,
-                               self.on_data_received, (dst, frame)))
+            sim.scheduler.schedule(Event(now, EventKind.RX_END, dst.id,
+                                         self.on_data_received, (dst, frame)))
 
     def on_ack_tx_end(self, tx, delivered: bool) -> None:
         sim = self.sim
         if delivered:
             dst = sim.devices[tx.frame.dst]
-            sim.schedule(Event(sim.now, EventKind.RX_END, dst.id,
-                               self.on_ack_received, (dst, tx.frame)))
+            sim.scheduler.schedule(Event(sim.scheduler.now, EventKind.RX_END, dst.id,
+                                         self.on_ack_received, (dst, tx.frame)))
 
     def on_data_received(self, dev, frame: Frame) -> None:
         """Destination side: record first delivery, always acknowledge."""
         sim = self.sim
+        now = sim.scheduler.now
         if not frame.delivered:
             frame.delivered = True
             sim.record_delivery(frame)
@@ -292,10 +297,10 @@ class CsmaMac:
             dst=frame.src,
             size_bits=sim.fp.ack_bits,
             traffic_class=None,
-            created_at=sim.now,
+            created_at=now,
             sequence=frame.sequence,
         )
-        sim.begin_tx(dev, ack, sim.now + sim.sf.turnaround_us)
+        sim.begin_tx(dev, ack, now + sim.sf.turnaround_us)
         if frame.kind is FrameKind.COMMAND:
             sim.apply_command(dev, frame)
 

@@ -79,9 +79,9 @@ class TdmaMac:
         for node_id in awake_nodes:
             dev = sim.devices[node_id]
             sim.wake_device(dev)
-            sim.set_state(dev, sim.RX)
-        sim.schedule(Event(region_end, EventKind.SLOT_BOUNDARY, BNC_ID,
-                           sim.maybe_sleep, (sim.bnc,)))
+            sim.ledger.set_state(node_id, sim.RX, t_b)
+        sim.scheduler.schedule(Event(region_end, EventKind.SLOT_BOUNDARY, BNC_ID,
+                                     sim.maybe_sleep, (sim.bnc,)))
 
     def on_beacon_received(self, dev, beacon) -> None:
         sim = self.sim
@@ -92,24 +92,26 @@ class TdmaMac:
         if not dev.queue:
             sim.maybe_sleep(dev)
             return
-        slot_start = max(sim.now, info.cap_anchor + self.schedule.slot_offset_us(dev.id))
+        now = sim.scheduler.now
+        slot_start = max(now, info.cap_anchor + self.schedule.slot_offset_us(dev.id))
         slot_end = info.cap_anchor + self.schedule.slot_offset_us(dev.id) + self.schedule.slot_duration_us
-        if slot_start > sim.now:
+        if slot_start > now:
             sim.micro_sleep(dev)  # doze between beacon and the owned slot
-        sim.schedule(Event(slot_start, EventKind.SLOT_BOUNDARY, dev.id,
-                           self.on_slot_start, (dev, slot_end)))
+        sim.scheduler.schedule(Event(slot_start, EventKind.SLOT_BOUNDARY, dev.id,
+                                     self.on_slot_start, (dev, slot_end)))
 
     # -- slot transmissions -----------------------------------------------------
 
     def on_slot_start(self, dev, slot_end: SimTime) -> None:
         sim = self.sim
+        now = sim.scheduler.now
         dev.slot_end = slot_end
         sim.wake_device(dev)
-        sim.set_state(dev, sim.IDLE)
+        sim.ledger.set_state(dev.id, sim.IDLE, now)
         # An emergency window may own the channel; yield the whole slot then.
         busy = (
             sim.channel.cca_energy_detect(
-                dev.placement, sim.channel.params.cca_threshold_dbm, sim.now
+                dev.placement, sim.channel.params.cca_threshold_dbm, now
             )
             is CcaResult.BUSY
         )
@@ -122,19 +124,21 @@ class TdmaMac:
 
     def _tx_next(self, dev) -> None:
         sim = self.sim
+        now = sim.scheduler.now
         while dev.queue:
             frame = dev.queue[0]
-            if sim.now + sim.air_us(frame.size_bits) > dev.slot_end:
+            if now + sim.air_us(frame.size_bits) > dev.slot_end:
                 break  # queue head waits for the next active superframe
-            sim.begin_tx(dev, frame, sim.now)
+            sim.begin_tx(dev, frame, now)
             return
         dev.slot_end = None
         sim.maybe_sleep(dev)
 
     def on_data_tx_end(self, dev, tx, delivered: bool) -> None:
         sim = self.sim
+        now = sim.scheduler.now
         frame = tx.frame
-        frame.rx_end = sim.now
+        frame.rx_end = now
         if delivered:
             frame.delivered = True
             sim.record_delivery(frame)
@@ -142,7 +146,7 @@ class TdmaMac:
             sim.record_drop(frame)
         dev.queue.remove(frame)
         sim.on_frame_resolved(dev, frame)
-        if dev.slot_end is not None and sim.now < dev.slot_end and dev.queue:
+        if dev.slot_end is not None and now < dev.slot_end and dev.queue:
             self._tx_next(dev)
         else:
             dev.slot_end = None

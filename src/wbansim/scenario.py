@@ -200,7 +200,7 @@ def parse_scenario(raw: object, name: str = "scenario") -> Scenario:
                      max_frame_retries=ck.integer(bo_raw, "max_frame_retries", f"{name}.mac_params", 3))
     backoff = backoff or BackoffPolicy()
 
-    channel_params, link_errors = _channel(ck, top.get("channel"), f"{name}.channel")
+    channel_params, raw_links = _channel(ck, top.get("channel"), f"{name}.channel")
     energy = _energy(ck, top.get("energy"), f"{name}.energy")
     wakeup = _wakeup(ck, top.get("wakeup"), f"{name}.wakeup")
     frames = _frames(ck, top.get("frames"), f"{name}.frames", superframe)
@@ -210,6 +210,8 @@ def parse_scenario(raw: object, name: str = "scenario") -> Scenario:
         if bnc_raw.get("placement") is not None else Placement(PlacementKind.ON_BODY)
 
     nodes = _nodes(ck, top.get("nodes"), f"{name}.nodes", frames)
+    link_errors = _link_errors(ck, raw_links, f"{name}.channel.link_errors",
+                               {n.profile.id for n in nodes})
     on_demand = _on_demand(ck, top.get("on_demand"), f"{name}.on_demand", horizon_us)
     tdma = _tdma(ck, top.get("tdma"), f"{name}.tdma") if mac == "tdma" else None
     if mac != "tdma" and top.get("tdma") is not None:
@@ -256,7 +258,8 @@ def _horizon(ck: _Check, top: dict, name: str, sf: SuperframeConfig) -> SimTime:
     return horizon_us
 
 
-def _channel(ck: _Check, raw: object, path: str) -> tuple[ChannelParams, LinkErrorTable]:
+def _channel(ck: _Check, raw: object, path: str) -> tuple[ChannelParams, object]:
+    """Channel parameters, and the raw link_errors list for `_link_errors`."""
     sec = ck.section(raw, path, {"path_loss", "tx_power_dbm", "sensitivity_dbm",
                                  "cca_threshold_dbm", "capture_margin_db",
                                  "wakeup_loss_p", "link_errors"})
@@ -285,13 +288,18 @@ def _channel(ck: _Check, raw: object, path: str) -> tuple[ChannelParams, LinkErr
         capture_margin_db=ck.num(sec, "capture_margin_db", path, defaults.capture_margin_db, minimum=0),
         wakeup_loss_p=ck.num(sec, "wakeup_loss_p", path, 0.0, minimum=0.0, maximum=1.0),
     )
+    return params, sec.get("link_errors", [])
+
+
+def _link_errors(ck: _Check, raw: object, path: str, node_ids: set[int]) -> LinkErrorTable:
+    """Each link joins the BNC (0) or scenario nodes and appears at most once."""
     table = LinkErrorTable()
-    raw_links = sec.get("link_errors", [])
-    if not isinstance(raw_links, list):
-        ck.err(f"{path}.link_errors", "expected a list")
-        raw_links = []
-    for i, item in enumerate(raw_links):
-        p = f"{path}.link_errors[{i}]"
+    if not isinstance(raw, list):
+        ck.err(path, "expected a list")
+        return table
+    first_at: dict[tuple[int, int], int] = {}
+    for i, item in enumerate(raw):
+        p = f"{path}[{i}]"
         entry = ck.section(item, p, {"src", "dst", "p_success"})
         src = ck.integer(entry, "src", p, None, minimum=0)
         dst = ck.integer(entry, "dst", p, None, minimum=0)
@@ -299,8 +307,18 @@ def _channel(ck: _Check, raw: object, path: str) -> tuple[ChannelParams, LinkErr
         if src is None or dst is None or prob is None:
             ck.err(p, "needs src, dst and p_success")
             continue
+        unknown = [(end, v) for end, v in (("src", src), ("dst", dst))
+                   if v != 0 and v not in node_ids]
+        for end, v in unknown:
+            ck.err(p, f"{end} {v} is neither 0 (the BNC) nor a scenario node")
+        if unknown:
+            continue
+        if (src, dst) in first_at:
+            ck.err(p, f"link {src} -> {dst} repeats {path}[{first_at[src, dst]}]")
+            continue
+        first_at[src, dst] = i
         table.set(src, dst, prob)
-    return params, table
+    return table
 
 
 def _energy(ck: _Check, raw: object, path: str) -> EnergyModel:
@@ -532,3 +550,16 @@ def _cross_checks(ck, name, mac, nodes, on_demand, tdma, wakeup, superframe,
             if air > tdma.slot_duration_us:
                 ck.err(f"{name}.nodes", f"node {node.profile.id}: frame airtime {air} us "
                                         f"exceeds slot duration {tdma.slot_duration_us} us")
+        return
+    # CSMA: the fit rule of CsmaMac.on_backoff_expired, applied at the earliest
+    # backoff boundary after the beacon.  A frame that fails it would queue forever.
+    ubp = superframe.unit_backoff_us
+    beacon_air = airtime(frames.beacon_bits, frames.bitrate_bps)
+    cap_us = superframe.active_duration_us - -(-beacon_air // ubp) * ubp
+    overhead = 2 * ubp + superframe.turnaround_us + airtime(frames.ack_bits, frames.bitrate_bps)
+    for node in nodes:
+        needed = overhead + airtime(node.profile.payload_bits, frames.bitrate_bps)
+        if needed > cap_us:
+            ck.err(f"{name}.nodes", f"node {node.profile.id}: acked transaction "
+                                    f"({needed} us with both CCAs) exceeds the CAP after "
+                                    f"the beacon ({cap_us} us)")

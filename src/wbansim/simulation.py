@@ -14,10 +14,15 @@ gets a reception outcome, and the MAC decides what a received beacon means.
 A device's low-power state is `wakeup_rx` when it carries an always-on wakeup
 receiver and plain `sleep` otherwise; together with tx/rx/idle_listen this
 partitions every microsecond of the run, per device.
+
+Handlers here and in the MACs read the clock once from `scheduler.now` and
+call `scheduler.schedule` and `ledger.set_state(dev.id, state, now)`
+directly: these run on nearly every event, so no wrapper stands in between.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 from dataclasses import dataclass, field
 
@@ -162,6 +167,9 @@ class Simulation:
         self.table = build_table(scenario.profiles())
         self.ledger = MetricsLedger({n.profile.id: n.profile.traffic_class for n in scenario.nodes})
         self._seq = 0
+        # Airtime in us of a frame size, memoised on first use: a run sees a
+        # handful of sizes and asks for them on every backoff expiry.
+        self.air_us = functools.cache(functools.partial(airtime, bitrate_bps=self.fp.bitrate_bps))
 
         self.devices: dict[int, Device] = {}
         self.bnc = Device(
@@ -198,7 +206,8 @@ class Simulation:
     def _schedule_initial(self) -> None:
         for dev in self.devices.values():
             self.ledger.init_state(dev.id, dev.sleep_state, 0)
-        self.schedule(Event(0, EventKind.BEACON_DUE, BNC_ID, self._on_beacon_due, (0,)))
+        schedule = self.scheduler.schedule
+        schedule(Event(0, EventKind.BEACON_DUE, BNC_ID, self._on_beacon_due, (0,)))
         for node_id in self.node_ids:
             dev = self.devices[node_id]
             if dev.gen is None:
@@ -208,12 +217,12 @@ class Simulation:
             else:
                 t0 = traffic_mod.first_arrival(dev.gen, dev.rng)
                 if t0 <= self.horizon_us:
-                    self.schedule(Event(t0, EventKind.TRAFFIC_ARRIVAL, node_id,
-                                        self._on_arrival, (dev,)))
+                    schedule(Event(t0, EventKind.TRAFFIC_ARRIVAL, node_id,
+                                   self._on_arrival, (dev,)))
         for entry in self.scn.on_demand:
-            self.schedule(Event(entry.time_us, EventKind.TRAFFIC_ARRIVAL, BNC_ID,
-                                self._start_query, (entry,)))
-        self.schedule(Event(self.horizon_us, EventKind.MEASUREMENT_TICK, None, _horizon_mark))
+            schedule(Event(entry.time_us, EventKind.TRAFFIC_ARRIVAL, BNC_ID,
+                           self._start_query, (entry,)))
+        schedule(Event(self.horizon_us, EventKind.MEASUREMENT_TICK, None, _horizon_mark))
 
     def run(self) -> MetricsLedger:
         self.scheduler.run_until(self.horizon_us)
@@ -222,22 +231,9 @@ class Simulation:
 
     # -- small helpers -------------------------------------------------------------
 
-    @property
-    def now(self) -> SimTime:
-        return self.scheduler.now
-
-    def schedule(self, ev: Event) -> Event:
-        return self.scheduler.schedule(ev)
-
     def next_seq(self) -> int:
         self._seq += 1
         return self._seq
-
-    def air_us(self, size_bits: int) -> SimTime:
-        return airtime(size_bits, self.fp.bitrate_bps)
-
-    def set_state(self, dev: Device, state: RadioState) -> None:
-        self.ledger.set_state(dev.id, state, self.now)
 
     def wake_device(self, dev: Device) -> None:
         dev.awake = True
@@ -245,18 +241,19 @@ class Simulation:
     def wake_to_idle(self, dev: Device) -> None:
         """Turn the main radio on without clobbering an ongoing tx/rx."""
         self.wake_device(dev)
-        if dev.tx_until is not None and dev.tx_until > self.now:
+        now = self.scheduler.now
+        if dev.tx_until is not None and dev.tx_until > now:
             return
         if dev.incoming > 0:
             return
-        self.set_state(dev, self.IDLE)
+        self.ledger.set_state(dev.id, self.IDLE, now)
 
     def micro_sleep(self, dev: Device) -> None:
         dev.awake = False
-        self.set_state(dev, dev.sleep_state)
+        self.ledger.set_state(dev.id, dev.sleep_state, self.scheduler.now)
 
     def maybe_sleep(self, dev: Device) -> None:
-        now = self.now
+        now = self.scheduler.now
         if dev.in_cap or dev.incoming > 0:
             return
         if dev.tx_until is not None and dev.tx_until > now:
@@ -264,7 +261,7 @@ class Simulation:
         if dev.slot_end is not None and now < dev.slot_end:
             return
         if now < dev.spurious_until or now < dev.hold_awake_until:
-            self.set_state(dev, self.IDLE)
+            self.ledger.set_state(dev.id, self.IDLE, now)
             return
         self.micro_sleep(dev)
 
@@ -288,27 +285,29 @@ class Simulation:
         if awake:
             self.ledger.bnc_awake_superframes += 1
             self._beacon_listeners = awake
-            self.mac.start_superframe(sf_index, self.now, awake)
+            self.mac.start_superframe(sf_index, self.scheduler.now, awake)
         else:
             self.maybe_sleep(self.bnc)
         next_t = (sf_index + 1) * self.sf.beacon_interval_us
         if next_t < self.horizon_us:
-            self.schedule(Event(next_t, EventKind.BEACON_DUE, BNC_ID,
-                                self._on_beacon_due, (sf_index + 1,)))
+            self.scheduler.schedule(Event(next_t, EventKind.BEACON_DUE, BNC_ID,
+                                          self._on_beacon_due, (sf_index + 1,)))
 
     def on_beacon_tx_end(self, tx) -> None:
+        now = self.scheduler.now
+        ledger = self.ledger
         bnc = self.bnc
         self.wake_device(bnc)
-        self.set_state(bnc, self.IDLE)  # the coordinator listens through the active part
+        ledger.set_state(bnc.id, self.IDLE, now)  # the coordinator listens through the active part
         for node_id in self._beacon_listeners:
             dev = self.devices[node_id]
             if not dev.awake:
                 continue
-            self.set_state(dev, self.IDLE)
+            ledger.set_state(node_id, self.IDLE, now)
             outcome = self.channel.deliver(tx, dev.placement, self.rngs.channel, dst_id=node_id)
             if outcome is None:
-                self.schedule(Event(self.now, EventKind.RX_END, node_id,
-                                    self.mac.on_beacon_received, (dev, tx.frame)))
+                self.scheduler.schedule(Event(now, EventKind.RX_END, node_id,
+                                              self.mac.on_beacon_received, (dev, tx.frame)))
             else:
                 self.ledger.loss_reasons[f"beacon_{outcome.value}"] += 1
         self.mac.try_start(bnc)  # under CSMA the coordinator contends for its own frames
@@ -320,41 +319,43 @@ class Simulation:
         if duration is None:
             duration = self.air_us(frame.size_bits)
         tx = self.channel.register_tx(frame, dev.placement, start, duration, radio)
-        if start <= self.now:
+        schedule = self.scheduler.schedule
+        if start <= self.scheduler.now:
             self._tx_started(dev, tx)
         else:
-            self.schedule(Event(start, EventKind.SLOT_BOUNDARY, dev.id,
-                                self._tx_started, (dev, tx)))
-        self.schedule(Event(tx.end, EventKind.TX_END, frame.src, self._on_tx_end, (tx,)))
+            schedule(Event(start, EventKind.SLOT_BOUNDARY, dev.id, self._tx_started, (dev, tx)))
+        schedule(Event(tx.end, EventKind.TX_END, frame.src, self._on_tx_end, (tx,)))
         return tx
 
     def _tx_started(self, dev: Device, tx) -> None:
+        now = self.scheduler.now
         self.wake_device(dev)
         dev.tx_until = max(dev.tx_until or 0, tx.end)
-        self.set_state(dev, self.TX)
+        self.ledger.set_state(dev.id, self.TX, now)
         frame = tx.frame
         if tx.radio is Radio.DATA and frame.dst >= 0:
             ddev = self.devices.get(frame.dst)
             listening = (
                 ddev is not None
                 and ddev.awake
-                and (ddev.tx_until is None or ddev.tx_until <= self.now)
+                and (ddev.tx_until is None or ddev.tx_until <= now)
             )
             self._listening[tx] = listening
             if listening:
                 ddev.incoming += 1
-                if ddev.tx_until is None or ddev.tx_until <= self.now:
-                    self.set_state(ddev, self.RX)
+                if ddev.tx_until is None or ddev.tx_until <= now:
+                    self.ledger.set_state(ddev.id, self.RX, now)
         else:
             self._listening[tx] = True
 
     def _on_tx_end(self, tx) -> None:
+        now = self.scheduler.now
         frame = tx.frame
         self.channel.end_tx(tx)
         src = self.devices[frame.src]
-        if src.tx_until is not None and src.tx_until <= self.now:
+        if src.tx_until is not None and src.tx_until <= now:
             src.tx_until = None
-            self.set_state(src, self.IDLE)
+            self.ledger.set_state(src.id, self.IDLE, now)
             self.maybe_sleep(src)
         listening = self._listening.pop(tx, True)
         if tx.radio is Radio.DATA and frame.dst >= 0 and listening:
@@ -362,9 +363,9 @@ class Simulation:
             if ddev is not None:
                 ddev.incoming -= 1
                 if ddev.incoming == 0 and ddev.awake and (
-                    ddev.tx_until is None or ddev.tx_until <= self.now
+                    ddev.tx_until is None or ddev.tx_until <= now
                 ):
-                    self.set_state(ddev, self.IDLE)
+                    self.ledger.set_state(ddev.id, self.IDLE, now)
         if frame.kind is FrameKind.WAKEUP_SIGNAL:
             self._on_wakeup_signal_end(tx)
             return
@@ -396,7 +397,7 @@ class Simulation:
         frame = Frame(
             kind=FrameKind.DATA, src=dev.id, dst=BNC_ID,
             size_bits=dev.profile.payload_bits, traffic_class=cls,
-            created_at=self.now, sequence=self.next_seq(),
+            created_at=self.scheduler.now, sequence=self.next_seq(),
         )
         self.ledger.add_offered(dev.id, cls)
         dev.queue.push(frame)
@@ -407,19 +408,21 @@ class Simulation:
         frame = self._offer_frame(dev, dev.gen.traffic_class)
         if frame.traffic_class.is_emergency:
             self._start_emergency(dev, frame)
-        nxt = traffic_mod.next_arrival(dev.gen, self.now, dev.rng)
+        nxt = traffic_mod.next_arrival(dev.gen, self.scheduler.now, dev.rng)
         if nxt <= self.horizon_us:
-            self.schedule(Event(nxt, EventKind.TRAFFIC_ARRIVAL, dev.id, self._on_arrival, (dev,)))
+            self.scheduler.schedule(Event(nxt, EventKind.TRAFFIC_ARRIVAL, dev.id,
+                                          self._on_arrival, (dev,)))
 
     def _on_stream_arrival(self, dev: Device) -> None:
         st = dev.stream
-        if st.stopped or self.now >= st.until:
+        now = self.scheduler.now
+        if st.stopped or now >= st.until:
             return
         self._offer_frame(dev, TrafficClass.ON_DEMAND_CONTINUOUS)
-        nxt = self.now + st.interval_us
+        nxt = now + st.interval_us
         if nxt < st.until:
-            self.schedule(Event(nxt, EventKind.TRAFFIC_ARRIVAL, dev.id,
-                                self._on_stream_arrival, (dev,)))
+            self.scheduler.schedule(Event(nxt, EventKind.TRAFFIC_ARRIVAL, dev.id,
+                                          self._on_stream_arrival, (dev,)))
 
     def on_frame_resolved(self, dev: Device, frame: Frame) -> None:
         """Called once a queued frame leaves the MAC (delivered or dropped)."""
@@ -446,14 +449,15 @@ class Simulation:
 
     def _send_signal(self, dev: Device, signal: WakeupSignal, ctx, dst: int) -> None:
         """`ctx` is the emergency flow or the on-demand entry the signal serves."""
+        now = self.scheduler.now
         self.ledger.wakeup_signals_sent[dev.id] += 1
         sig = Frame(
             kind=FrameKind.WAKEUP_SIGNAL, src=dev.id, dst=dst,
             size_bits=WAKEUP_SIGNAL_BITS, traffic_class=None,
-            created_at=self.now, sequence=self.next_seq(),
+            created_at=now, sequence=self.next_seq(),
             payload=(signal, ctx),
         )
-        self.begin_tx(dev, sig, self.now, radio=Radio.WAKEUP,
+        self.begin_tx(dev, sig, now, radio=Radio.WAKEUP,
                       duration=self.wc.signal_airtime_us)
 
     def _start_emergency(self, dev: Device, frame: Frame) -> None:
@@ -466,8 +470,9 @@ class Simulation:
             purpose=Purpose.EMERGENCY, sender=dev.id,
         )
         self._send_signal(dev, signal, flow, BNC_ID)
-        self.schedule(Event(self.now + EMERGENCY_RETRY_US, EventKind.WAKEUP_DUE,
-                            dev.id, self._retry_emergency, (flow,)))
+        retry_at = self.scheduler.now + EMERGENCY_RETRY_US
+        self.scheduler.schedule(Event(retry_at, EventKind.WAKEUP_DUE, dev.id,
+                                      self._retry_emergency, (flow,)))
 
     def _retry_emergency(self, flow: EmergencyFlow) -> None:
         if not flow.granted:
@@ -488,12 +493,13 @@ class Simulation:
             kind=FrameKind.COMMAND, src=BNC_ID, dst=target,
             size_bits=self.fp.command_bits,
             traffic_class=TrafficClass.ON_DEMAND_NON_CONTINUOUS,
-            created_at=self.now, sequence=self.next_seq(), payload=("stop",),
+            created_at=self.scheduler.now, sequence=self.next_seq(), payload=("stop",),
         )
         self.bnc.queue.push(cmd)
         self.mac.try_start(self.bnc)
 
     def _on_wakeup_signal_end(self, tx) -> None:
+        now = self.scheduler.now
         signal, ctx = tx.frame.payload
         targets = resolve_wakeup_targets(signal, self._receiver_nodes, self.wc)
         for device_id in targets:
@@ -510,10 +516,10 @@ class Simulation:
                 fn, args = self._answer_query, (dev, ctx)
             else:
                 fn, args = self._spurious_wake, (dev,)
-            self.schedule(Event(self.now + delay, EventKind.WAKEUP_DUE, device_id, fn, args))
+            self.scheduler.schedule(Event(now + delay, EventKind.WAKEUP_DUE, device_id, fn, args))
 
     def _next_boundary(self) -> SimTime:
-        return (self.now // self.sf.beacon_interval_us + 1) * self.sf.beacon_interval_us
+        return (self.scheduler.now // self.sf.beacon_interval_us + 1) * self.sf.beacon_interval_us
 
     def _grant_emergency(self, bnc: Device, flow: EmergencyFlow) -> None:
         if flow.granted:
@@ -527,41 +533,41 @@ class Simulation:
             bnc.hold_awake_until = max(bnc.hold_awake_until, self._next_boundary())
         else:
             # Dedicated response window as soon as the data radio frees up.
-            start = max(self.now, self.channel.busy_until(Radio.DATA, self.now))
+            now = self.scheduler.now
+            start = max(now, self.channel.busy_until(Radio.DATA, now))
             air = self.air_us(flow.frame.size_bits)
             bnc.hold_awake_until = max(bnc.hold_awake_until, start + air)
-            self.schedule(Event(start, EventKind.SLOT_BOUNDARY, flow.node,
-                                self._start_emergency_window, (node, flow)))
+            self.scheduler.schedule(Event(start, EventKind.SLOT_BOUNDARY, flow.node,
+                                          self._start_emergency_window, (node, flow)))
         self.maybe_sleep(bnc)
 
     def _spurious_wake(self, dev: Device) -> None:
         self.ledger.spurious_wakeups[dev.id] += 1
         self.wake_to_idle(dev)
-        dev.spurious_until = self.now + self.sf.active_duration_us
-        self.schedule(Event(dev.spurious_until, EventKind.SLOT_BOUNDARY, dev.id,
-                            self.end_spurious, (dev,)))
+        dev.spurious_until = self.scheduler.now + self.sf.active_duration_us
+        self.scheduler.schedule(Event(dev.spurious_until, EventKind.SLOT_BOUNDARY, dev.id,
+                                      self.end_spurious, (dev,)))
 
     def _answer_query(self, dev: Device, entry: OnDemandEntry) -> None:
         self.wake_to_idle(dev)
         dev.grant_active = True
         dev.hold_awake_until = max(dev.hold_awake_until, self._next_boundary())
         if entry.continuous:
-            dev.stream = StreamState(
-                until=self.now + entry.duration_us,
-                interval_us=entry.interval_us,
-            )
-            self.schedule(Event(self.now, EventKind.TRAFFIC_ARRIVAL, dev.id,
-                                self._on_stream_arrival, (dev,)))
-            self.schedule(Event(dev.stream.until, EventKind.TRAFFIC_ARRIVAL, BNC_ID,
-                                self._enqueue_stop, (dev.id,)))
+            now = self.scheduler.now
+            dev.stream = StreamState(until=now + entry.duration_us, interval_us=entry.interval_us)
+            self.scheduler.schedule(Event(now, EventKind.TRAFFIC_ARRIVAL, dev.id,
+                                          self._on_stream_arrival, (dev,)))
+            self.scheduler.schedule(Event(dev.stream.until, EventKind.TRAFFIC_ARRIVAL, BNC_ID,
+                                          self._enqueue_stop, (dev.id,)))
         else:
             self._offer_frame(dev, TrafficClass.ON_DEMAND_NON_CONTINUOUS)
 
     def _start_emergency_window(self, dev: Device, flow: EmergencyFlow) -> None:
         if flow.frame not in dev.queue:
             return  # already resolved through the regular slot
-        dev.slot_end = self.now + self.air_us(flow.frame.size_bits)
-        self.begin_tx(dev, flow.frame, self.now)
+        now = self.scheduler.now
+        dev.slot_end = now + self.air_us(flow.frame.size_bits)
+        self.begin_tx(dev, flow.frame, now)
 
 
 def _horizon_mark() -> None:

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import yaml
 
 import pytest
@@ -5,6 +7,8 @@ import pytest
 from wbansim.cli import main, parse_seed_range
 
 from conftest import base_scenario_dict
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 @pytest.fixture
@@ -55,6 +59,26 @@ class TestExitCodes:
         assert "tiny.horizon_s: horizon shorter than one beacon interval" \
             in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("shipped, edit, message", [
+        # Link 3 -> 0 would silently become lossless.
+        ("tdma_three_links", ("src: 3,", "src: 33,"),
+         "channel.link_errors[1]: src 33 is neither 0 (the BNC) nor a scenario node"),
+        ("tdma_three_links", ("src: 3,", "src: 2,"),
+         "channel.link_errors[1]: link 2 -> 0 repeats"),
+        # Node 3's frame would stay queued forever while the run exits 0.
+        ("wakeup_patterns_10_43", ("wakeup_multiplier: 43\n",
+                                   "wakeup_multiplier: 43\n    payload_bits: 4000000\n"),
+         "nodes: node 3: acked transaction (16001184 us with both CCAs) exceeds the CAP "
+         "after the beacon (981760 us)"),
+    ], ids=["link-unknown-src", "link-repeated", "csma-frame-never-fits"])
+    def test_shipped_scenario_with_bad_edit_is_two(self, tmp_path, capsys, shipped, edit, message):
+        text = (SCENARIOS / f"{shipped}.yaml").read_text(encoding="utf-8")
+        assert text.count(edit[0]) == 1
+        bad = tmp_path / f"{shipped}.yaml"
+        bad.write_text(text.replace(*edit), encoding="utf-8")
+        assert main(["--scenario", str(bad), "--validate-only"]) == 2
+        assert f"{shipped}.{message}" in capsys.readouterr().err
 
     def test_missing_file_is_two(self, tmp_path):
         assert main(["--scenario", str(tmp_path / "nope.yaml")]) == 2

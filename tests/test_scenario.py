@@ -173,6 +173,43 @@ class TestRejections:
         scn = parse_scenario({**minimal(), "horizon_s": 0.98304})
         assert scn.horizon_us == scn.superframe.beacon_interval_us
 
+    @pytest.mark.parametrize("links, messages", [
+        ([{"src": 33, "dst": 0, "p_success": 0.8}],
+         ["src 33 is neither 0 (the BNC) nor a scenario node"]),
+        ([{"src": 0, "dst": 9, "p_success": 0.8}],
+         ["dst 9 is neither 0 (the BNC) nor a scenario node"]),
+        ([{"src": 7, "dst": 8, "p_success": 0.8}],
+         ["src 7 is neither 0 (the BNC) nor a scenario node",
+          "dst 8 is neither 0 (the BNC) nor a scenario node"]),
+        ([{"src": 1, "dst": 0, "p_success": 0.9}, {"src": 1, "dst": 0, "p_success": 0.5}],
+         ["link 1 -> 0 repeats scenario.channel.link_errors[0]"]),
+    ], ids=["unknown-src", "unknown-dst", "unknown-both", "repeated-pair"])
+    def test_link_error_entry_names_its_index(self, links, messages):
+        raw = minimal()
+        raw["channel"] = {"link_errors": links}
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(raw)
+        index = len(links) - 1
+        assert err.value.violations == [
+            f"scenario.channel.link_errors[{index}]: {m}" for m in messages
+        ]
+
+    def test_csma_transaction_longer_than_cap_cites_both_values(self):
+        # BO = SO = 0: a 15 360 us active period, of which 14 080 us follow the
+        # first backoff boundary after the 1 216 us beacon.  Two CCAs (640 us),
+        # turnaround (192 us) and the ack (352 us) leave 12 896 us of data,
+        # which is 3 224 bits at 250 kbps.
+        raw = base_scenario_dict(superframe={"beacon_order": 0, "superframe_order": 0})
+        raw["nodes"][0]["payload_bits"] = 3225
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(raw)
+        assert err.value.violations == [
+            "scenario.nodes: node 1: acked transaction (14084 us with both CCAs) "
+            "exceeds the CAP after the beacon (14080 us)"
+        ]
+        raw["nodes"][0]["payload_bits"] = 3224
+        parse_scenario(raw)
+
 
 class TestLoadFromFile(object):
     def test_round_trip_through_yaml(self, tmp_path):
