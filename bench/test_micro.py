@@ -7,15 +7,17 @@ by the first round, as they are after the first few events of a run.
 """
 
 import random
+from pathlib import Path
 
 import pytest
 
 from wbansim.channel import ChannelModel, LossReason
 from wbansim.core import Criticality, Frame, FrameKind, Placement, PlacementKind, TrafficClass
-from wbansim.engine import Event, EventKind, Scheduler, fire
+from wbansim.engine import EventKind, Scheduler, fire
 from wbansim.mac_csma import BackoffPolicy, CsmaAction, CsmaBackoffFsm
 from wbansim.metrics import MetricsLedger, RadioState
-from wbansim.simulation import PendingQueue
+from wbansim.scenario import load_scenario
+from wbansim.simulation import PendingQueue, Simulation
 
 BNC = Placement(PlacementKind.ON_BODY)
 
@@ -46,11 +48,35 @@ def test_scheduler_run_until(benchmark):
         s.register(EventKind.CCA_DUE, fire)
         fired = []
         for t in times:
-            s.schedule(Event(t, EventKind.CCA_DUE, 1, fired.append, (t,)))
+            s.schedule(t, EventKind.CCA_DUE, 1, fired.append, (t,))
         s.run_until(n)
         return fired
 
     assert benchmark(schedule_and_dispatch) == list(range(n))
+
+
+def test_tdma_data_frame_round_trip(benchmark):
+    """One slot transmission of `tdma_three_links` node 1 to the coordinator:
+    `begin_tx` starts it at once (`_tx_started`), then `run_until` dispatches
+    its TxEnd to `_on_tx_end`, which delivers it and resolves the frame."""
+    scenario = load_scenario(Path(__file__).resolve().parents[1] / "scenarios"
+                             / "tdma_three_links.yaml")
+    sim = Simulation(scenario, seed=1)
+    sim.scheduler._heap.clear()  # no beacons or arrivals: only the round trips run
+    sim.bnc.awake = True         # listening, as in the slot region
+    dev = sim.devices[1]
+    frame = Frame(FrameKind.DATA, 1, 0, dev.profile.payload_bits,
+                  TrafficClass.NORMAL_HIGH, 0, 1)
+
+    def round_trip():
+        dev.queue.push(frame)
+        tx = sim.begin_tx(dev, frame, sim.scheduler.now)
+        sim.scheduler.run_until(tx.end)
+
+    benchmark(round_trip)
+    assert not dev.queue and not sim.scheduler._heap
+    assert sim.ledger.delivered[(1, TrafficClass.NORMAL_HIGH)] > 0
+    assert sim.ledger.loss_reasons["destination_not_listening"] == 0
 
 
 @pytest.mark.parametrize("n_active", [1, 4, 10])

@@ -53,6 +53,12 @@ class LossReason(Enum):
     RANDOM_ERROR = "random_error"
 
 
+# Enum members read on the per-event paths, bound once (see simulation.py).
+DATA_RADIO, WAKEUP_RADIO = Radio.DATA, Radio.WAKEUP
+BUSY, IDLE = CcaResult.BUSY, CcaResult.IDLE
+IN_BODY = PlacementKind.IN_BODY
+
+
 @dataclass(frozen=True)
 class PathLossParams:
     ref_loss_db: float
@@ -89,7 +95,7 @@ class ChannelParams:
     wakeup_loss_p: float = 0.0
 
     def tx_power_for(self, placement: Placement) -> float:
-        if placement.kind is PlacementKind.IN_BODY:
+        if placement.kind is IN_BODY:
             return self.tx_power_in_body_dbm
         return self.tx_power_on_body_dbm
 
@@ -168,7 +174,10 @@ class ActiveTx:
     `interferers` lists the (tx dBm, source placement) of each overlapping
     transmission on the same radio: all that a reception decision needs.
     Holding no reference to the other `ActiveTx` keeps an ended transmission
-    from being kept alive by a chain of overlaps.
+    from being kept alive by a chain of overlaps.  `listening` is set when the
+    transmission starts: whether its addressed destination was awake and not
+    itself transmitting (always True for beacons, broadcasts and wakeup
+    signals).
     """
 
     frame: Frame
@@ -178,6 +187,7 @@ class ActiveTx:
     end: SimTime
     radio: Radio
     interferers: list[tuple[float, Placement]] = field(default_factory=list)
+    listening: bool = True
 
     def __post_init__(self) -> None:
         if self.end <= self.start:
@@ -206,7 +216,7 @@ class ChannelModel:
         radio: Radio = Radio.DATA,
         tx_power_dbm: float | None = None,
     ) -> ActiveTx:
-        if frame.kind is FrameKind.WAKEUP_SIGNAL and radio is not Radio.WAKEUP:
+        if frame.kind is FrameKind.WAKEUP_SIGNAL and radio is not WAKEUP_RADIO:
             raise ValueError("wakeup signals travel only on the wakeup radio")
         if tx_power_dbm is None:
             tx_power_dbm = self.params.tx_power_for(src_placement)
@@ -233,7 +243,7 @@ class ChannelModel:
         budget = self._budget
         total_mw = 0.0
         for tx in self._active:  # summed in registration order, as the verdicts assume
-            if tx.radio is not Radio.DATA:
+            if tx.radio is not DATA_RADIO:
                 continue
             if not tx.start <= now < tx.end:
                 continue
@@ -245,7 +255,7 @@ class ChannelModel:
         self, listener: Placement, threshold_dbm: float, now: SimTime
     ) -> CcaResult:
         power = self.received_power_dbm(listener, now)
-        return CcaResult.BUSY if power >= threshold_dbm else CcaResult.IDLE
+        return BUSY if power >= threshold_dbm else IDLE
 
     def deliver(
         self,
@@ -261,7 +271,7 @@ class ChannelModel:
         """
         frame = tx.frame
         dst = frame.dst if dst_id is None else dst_id
-        if tx.radio is Radio.WAKEUP:
+        if tx.radio is WAKEUP_RADIO:
             # Ideal out-of-band channel apart from an optional loss draw.
             if self.params.wakeup_loss_p > 0.0 and rng.random() < self.params.wakeup_loss_p:
                 return LossReason.RANDOM_ERROR

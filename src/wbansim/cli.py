@@ -9,6 +9,7 @@ import argparse
 import sys
 from pathlib import Path
 
+from .engine import FIRE_AT, KIND, NODE
 from .metrics import merge_ledgers, write_node_csv, write_summary_csv
 from .scenario import ScenarioError, load_scenario
 from .simulation import Simulation
@@ -45,9 +46,9 @@ def run_one(scenario, seed: int, out_dir: Path, trace: bool):
     trace_sink = None
     if trace:
         trace_fh = open(out_dir / f"{scenario.name}_seed{seed}_trace.log", "w", encoding="utf-8")
-        def trace_sink(ev, _fh=trace_fh):
-            node = "-" if ev.node is None else ev.node
-            _fh.write(f"{ev.fire_at} {ev.kind.value} {node}\n")
+        def trace_sink(entry, _fh=trace_fh):
+            node = entry[NODE]
+            _fh.write(f"{entry[FIRE_AT]} {entry[KIND].value} {'-' if node is None else node}\n")
     try:
         sim = Simulation(scenario, seed=seed, trace_sink=trace_sink)
         ledger = sim.run()

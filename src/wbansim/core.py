@@ -46,10 +46,6 @@ class TrafficClass(Enum):
         )
 
     @property
-    def is_emergency(self) -> bool:
-        return self is TrafficClass.EMERGENCY
-
-    @property
     def queue_priority(self) -> int:
         """Pending-queue rank; lower transmits first, ties broken FIFO."""
         return _QUEUE_PRIORITY[self]

@@ -4,13 +4,23 @@ Events fire in (fire_at, insertion order) order; ties at the same instant are
 resolved strictly by insertion, so a run's event trace is a pure function of
 (scenario, seed).  Scheduling into the past is a fatal logic error.
 
-Dispatch contract: an event carries its own callback and arguments, and
-firing it means calling `ev.fn(*ev.args)` (see `fire`).  Its `EventKind` and
-`node` do not steer anything; they label the event in the trace, and the
-kind is the key a handler is registered under, so dispatches can be counted
-and timed per kind.
+An event is one flat list, the entry `schedule()` pushes on the heap:
 
-The scheduler remembers the last 32 dispatched events and formats them as
+    [fire_at, seq, kind, node, fn, args]
+
+`seq` is the scheduler's insertion counter.  It is unique, so two entries
+compare by `(fire_at, seq)` alone and the heap never looks past it.  The
+entry is also the event's handle: `cancel()` clears `fn` in place, and the
+loop skips an entry whose `fn` is None when it pops it.
+
+Dispatch contract: an entry carries its own callback and arguments, and
+firing it means calling `fn(*args)` (see `fire`).  Its `EventKind` and `node`
+do not steer anything; they label the event in the trace, and the kind is
+the key a handler is registered under, so dispatches can be counted and
+timed per kind.  Each dispatched entry, as it is, goes to the `trace_sink`
+(when one is set) and then to the handler registered for its kind.
+
+The scheduler remembers the last 32 dispatched entries and formats them as
 `<fire_at> <kind> <node or ->` lines only when a handler raises, so the
 trace tail costs one deque append per event.
 """
@@ -20,7 +30,6 @@ from __future__ import annotations
 import heapq
 import random
 from collections import deque
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
 
@@ -52,20 +61,14 @@ class EventKind(Enum):
     __hash__ = object.__hash__
 
 
-@dataclass(slots=True)
-class Event:
-    fire_at: SimTime
-    kind: EventKind
-    node: int | None = None  # acting device id, None for run-level events
-    fn: Callable[..., None] | None = None  # what firing the event does
-    args: tuple = ()
-    seq: int = field(default=-1, init=False)  # insertion counter, set by schedule()
-    cancelled: bool = field(default=False, init=False)
+# Positions in an event entry.  The per-event code in this module indexes
+# with the literal positions, which saves a global read each.
+FIRE_AT, SEQ, KIND, NODE, FN, ARGS = range(6)
 
 
-def fire(ev: Event) -> None:
-    """The handler for every kind: run the event's own callback."""
-    ev.fn(*ev.args)
+def fire(entry: list) -> None:
+    """The handler for every kind: run the entry's own callback."""
+    entry[4](*entry[5])  # FN, ARGS
 
 
 class Scheduler:
@@ -73,30 +76,33 @@ class Scheduler:
 
     def __init__(self) -> None:
         self.now: SimTime = 0
-        self._heap: list[tuple[SimTime, int, Event]] = []
+        self._heap: list[list] = []
         self._counter = 0
-        self._handlers: dict[EventKind, Callable[[Event], None]] = {}
-        self._trace_tail: deque[Event] = deque(maxlen=32)
-        self.trace_sink: Callable[[Event], None] | None = None
+        self._handlers: dict[EventKind, Callable[[list], None]] = {}
+        self._trace_tail: deque[list] = deque(maxlen=32)
+        self.trace_sink: Callable[[list], None] | None = None
 
-    def register(self, kind: EventKind, handler: Callable[[Event], None]) -> None:
+    def register(self, kind: EventKind, handler: Callable[[list], None]) -> None:
         if kind in self._handlers:
             raise ValueError(f"handler for {kind} already registered")
         self._handlers[kind] = handler
 
-    def schedule(self, ev: Event) -> Event:
-        """Enqueue an event; the returned handle can be passed to cancel()."""
-        if ev.fire_at < self.now:
+    def schedule(self, fire_at: SimTime, kind: EventKind, node: int | None,
+                 fn: Callable[..., None], args: tuple = ()) -> list:
+        """Enqueue `fn(*args)` at `fire_at`; the returned entry is the handle
+        for cancel().  `node` is the acting device id, None for run-level
+        events."""
+        if fire_at < self.now:
             raise SchedulingError(
-                f"cannot schedule {ev.kind.value} at {ev.fire_at} us; clock is {self.now} us"
+                f"cannot schedule {kind.value} at {fire_at} us; clock is {self.now} us"
             )
-        ev.seq = self._counter
+        entry = [fire_at, self._counter, kind, node, fn, args]
         self._counter += 1
-        heapq.heappush(self._heap, (ev.fire_at, ev.seq, ev))
-        return ev
+        heapq.heappush(self._heap, entry)
+        return entry
 
-    def cancel(self, handle: Event) -> None:
-        handle.cancelled = True
+    def cancel(self, entry: list) -> None:
+        entry[FN] = None
 
     def run_until(self, t_end: SimTime) -> SimTime:
         """Dispatch all events with fire_at <= t_end in order; clock ends at t_end."""
@@ -108,25 +114,26 @@ class Scheduler:
         remember = self._trace_tail.append
         sink = self.trace_sink
         while heap and heap[0][0] <= t_end:
-            _, _, ev = pop(heap)
-            if ev.cancelled:
+            entry = pop(heap)
+            if entry[4] is None:  # cancelled
                 continue
-            self.now = ev.fire_at
-            remember(ev)
+            self.now = fire_at = entry[0]
+            remember(entry)
             if sink is not None:
-                sink(ev)
-            handler = handlers.get(ev.kind)
+                sink(entry)
+            kind = entry[2]
+            handler = handlers.get(kind)
             if handler is None:
-                raise RunAborted(f"no dispatcher for event kind {ev.kind.value}")
+                raise RunAborted(f"no dispatcher for event kind {kind.value}")
             try:
-                handler(ev)
+                handler(entry)
             except Exception as exc:
                 tail = "\n".join(
-                    f"{e.fire_at} {e.kind.value} {'-' if e.node is None else e.node}"
+                    f"{e[FIRE_AT]} {e[KIND].value} {'-' if e[NODE] is None else e[NODE]}"
                     for e in self._trace_tail
                 )
                 raise RunAborted(
-                    f"dispatcher for {ev.kind.value} failed at t={ev.fire_at} us: "
+                    f"dispatcher for {kind.value} failed at t={fire_at} us: "
                     f"{exc}\nevent trace tail:\n{tail}"
                 ) from exc
         self.now = t_end

@@ -29,7 +29,14 @@ from .core import (
     make_beacon,
 )
 from .channel import CcaResult
-from .engine import Event, EventKind
+from .engine import EventKind
+
+# Enum members read on the per-event paths, bound once (see simulation.py).
+ACK_TIMEOUT, BACKOFF_EXPIRED, CCA_DUE = (
+    EventKind.ACK_TIMEOUT, EventKind.BACKOFF_EXPIRED, EventKind.CCA_DUE)
+RX_END, SLOT_BOUNDARY = EventKind.RX_END, EventKind.SLOT_BOUNDARY
+BUSY, CRITICAL, EMERGENCY = CcaResult.BUSY, Criticality.CRITICAL, TrafficClass.EMERGENCY
+ACK, COMMAND = FrameKind.ACK, FrameKind.COMMAND
 
 
 @dataclass(frozen=True)
@@ -50,7 +57,7 @@ class BackoffPolicy:
             raise ValueError("retry limits must be non-negative")
 
     def min_be(self, criticality: Criticality) -> int:
-        if criticality is Criticality.CRITICAL:
+        if criticality is CRITICAL:
             return self.min_be_critical
         return self.min_be_noncritical
 
@@ -70,6 +77,9 @@ class CsmaAction(Enum):
     NEW_BACKOFF = "new_backoff"
     FAILURE = "failure"
 
+
+SECOND_CCA, TRANSMIT, NEW_BACKOFF, FAILURE = (
+    CsmaAction.SECOND_CCA, CsmaAction.TRANSMIT, CsmaAction.NEW_BACKOFF, CsmaAction.FAILURE)
 
 class CsmaBackoffFsm:
     """NB/BE/CW core of the slotted algorithm, one instance per frame attempt.
@@ -94,12 +104,12 @@ class CsmaBackoffFsm:
             self.nb += 1
             self.be = min(self.be + 1, self.policy.max_be)
             if self.nb > self.policy.max_csma_backoffs:
-                return CsmaAction.FAILURE
-            return CsmaAction.NEW_BACKOFF
+                return FAILURE
+            return NEW_BACKOFF
         self.cw -= 1
         if self.cw == 0:
-            return CsmaAction.TRANSMIT
-        return CsmaAction.SECOND_CCA
+            return TRANSMIT
+        return SECOND_CCA
 
 
 class CsmaMac:
@@ -130,11 +140,11 @@ class CsmaMac:
         schedule = sim.scheduler.schedule
         for node_id in awake_nodes:
             dev = sim.devices[node_id]
-            sim.wake_device(dev)
+            dev.awake = True
             sim.ledger.set_state(node_id, sim.RX, t_b)
             dev.cap_anchor, dev.cap_end = anchor, cap_end
-            schedule(Event(cap_end, EventKind.SLOT_BOUNDARY, node_id, self.on_cap_end, (dev,)))
-        schedule(Event(cap_end, EventKind.SLOT_BOUNDARY, BNC_ID, self.on_cap_end, (bnc,)))
+            schedule(cap_end, SLOT_BOUNDARY, node_id, self.on_cap_end, (dev,))
+        schedule(cap_end, SLOT_BOUNDARY, BNC_ID, self.on_cap_end, (bnc,))
 
     def on_beacon_received(self, dev, beacon: Frame) -> None:
         info: BeaconInfo = beacon.payload
@@ -174,7 +184,10 @@ class CsmaMac:
         if dev.attempt_frame is None:
             # One frame is bound to the transceiver for the whole attempt;
             # higher-priority arrivals wait for it to resolve.
-            dev.attempt_frame = dev.queue[0]
+            frame = dev.attempt_frame = dev.queue[0][1]
+            sim = self.sim
+            dev.attempt_us = (sim.air_us(frame.size_bits) + sim.sf.turnaround_us
+                              + sim.air_us(sim.fp.ack_bits))
         if dev.fsm is None:
             dev.fsm = CsmaBackoffFsm(self.sim.policy, dev.criticality)
         if dev.backoff_remaining is not None:
@@ -198,30 +211,18 @@ class CsmaMac:
             return  # countdown resumes in the next CAP this device joins
         dev.backoff_expiry = expiry
         dev.backoff_ev = sim.scheduler.schedule(
-            Event(expiry, EventKind.BACKOFF_EXPIRED, dev.id, self.on_backoff_expired, (dev,))
-        )
-
-    def transaction_us(self, dev) -> SimTime:
-        sim = self.sim
-        frame = dev.attempt_frame
-        return (
-            sim.air_us(frame.size_bits)
-            + sim.sf.turnaround_us
-            + sim.air_us(sim.fp.ack_bits)
-        )
+            expiry, BACKOFF_EXPIRED, dev.id, self.on_backoff_expired, (dev,))
 
     def on_backoff_expired(self, dev) -> None:
         sim = self.sim
         now = sim.scheduler.now
         dev.backoff_ev = None
         # Both CCA slots plus the full acked transaction must fit in the CAP.
-        needed = 2 * sim.sf.unit_backoff_us + self.transaction_us(dev)
+        needed = 2 * sim.sf.unit_backoff_us + dev.attempt_us
         if now + needed > dev.cap_end:
             dev.backoff_remaining = 0
             return
-        dev.cca_ev = sim.scheduler.schedule(
-            Event(now, EventKind.CCA_DUE, dev.id, self.on_cca_due, (dev,))
-        )
+        dev.cca_ev = sim.scheduler.schedule(now, CCA_DUE, dev.id, self.on_cca_due, (dev,))
 
     def on_cca_due(self, dev) -> None:
         sim = self.sim
@@ -231,22 +232,21 @@ class CsmaMac:
             sim.channel.cca_energy_detect(
                 dev.placement, sim.channel.params.cca_threshold_dbm, now
             )
-            is CcaResult.BUSY
+            is BUSY
         )
         action = dev.fsm.on_cca(busy)
         ubp = sim.sf.unit_backoff_us
-        if action is CsmaAction.SECOND_CCA:
-            dev.cca_ev = sim.scheduler.schedule(
-                Event(now + ubp, EventKind.CCA_DUE, dev.id, self.on_cca_due, (dev,))
-            )
-        elif action is CsmaAction.TRANSMIT:
+        if action is SECOND_CCA:
+            dev.cca_ev = sim.scheduler.schedule(now + ubp, CCA_DUE, dev.id,
+                                                self.on_cca_due, (dev,))
+        elif action is TRANSMIT:
             self._start_transaction(dev, now + ubp)
-        elif action is CsmaAction.NEW_BACKOFF:
+        elif action is NEW_BACKOFF:
             periods = backoff_draw(sim.policy, dev.criticality, dev.fsm.be, dev.rng)
             self._schedule_countdown(dev, periods, now + ubp)
         else:  # channel access failure: the frame never made it onto the air
             sim.ledger.loss_reasons["channel_access_failure"] += 1
-            if dev.attempt_frame.traffic_class is TrafficClass.EMERGENCY:
+            if dev.attempt_frame.traffic_class is EMERGENCY:
                 self._persist_emergency(dev)
             else:
                 self._finish_frame(dev, dev.attempt_frame, delivered=False)
@@ -255,15 +255,13 @@ class CsmaMac:
         sim = self.sim
         frame = dev.attempt_frame
         # re-verify the fit; the CAP may have less room than at backoff expiry
-        if tx_start + self.transaction_us(dev) > dev.cap_end:
+        if tx_start + dev.attempt_us > dev.cap_end:
             dev.backoff_remaining = 0
             return
         dev.active_frame = frame
         tx = sim.begin_tx(dev, frame, tx_start)
-        dev.ack_ev = sim.scheduler.schedule(
-            Event(tx.end + sim.sf.ack_wait_us, EventKind.ACK_TIMEOUT, dev.id,
-                  self.on_ack_timeout, (dev, frame))
-        )
+        dev.ack_ev = sim.scheduler.schedule(tx.end + sim.sf.ack_wait_us, ACK_TIMEOUT,
+                                            dev.id, self.on_ack_timeout, (dev, frame))
 
     # -- transaction completion ------------------------------------------------
 
@@ -274,15 +272,14 @@ class CsmaMac:
             now = sim.scheduler.now
             frame.rx_end = now
             dst = sim.devices[frame.dst]
-            sim.scheduler.schedule(Event(now, EventKind.RX_END, dst.id,
-                                         self.on_data_received, (dst, frame)))
+            sim.scheduler.schedule(now, RX_END, dst.id, self.on_data_received, (dst, frame))
 
     def on_ack_tx_end(self, tx, delivered: bool) -> None:
         sim = self.sim
         if delivered:
             dst = sim.devices[tx.frame.dst]
-            sim.scheduler.schedule(Event(sim.scheduler.now, EventKind.RX_END, dst.id,
-                                         self.on_ack_received, (dst, tx.frame)))
+            sim.scheduler.schedule(sim.scheduler.now, RX_END, dst.id,
+                                   self.on_ack_received, (dst, tx.frame))
 
     def on_data_received(self, dev, frame: Frame) -> None:
         """Destination side: record first delivery, always acknowledge."""
@@ -292,7 +289,7 @@ class CsmaMac:
             frame.delivered = True
             sim.record_delivery(frame)
         ack = Frame(
-            kind=FrameKind.ACK,
+            kind=ACK,
             src=dev.id,
             dst=frame.src,
             size_bits=sim.fp.ack_bits,
@@ -301,7 +298,7 @@ class CsmaMac:
             sequence=frame.sequence,
         )
         sim.begin_tx(dev, ack, now + sim.sf.turnaround_us)
-        if frame.kind is FrameKind.COMMAND:
+        if frame.kind is COMMAND:
             sim.apply_command(dev, frame)
 
     def on_ack_received(self, dev, ack: Frame) -> None:
@@ -318,7 +315,7 @@ class CsmaMac:
         dev.active_frame = None
         frame.retries += 1
         if frame.retries > self.sim.policy.max_frame_retries:
-            if frame.traffic_class is TrafficClass.EMERGENCY and not frame.delivered:
+            if frame.traffic_class is EMERGENCY and not frame.delivered:
                 self._persist_emergency(dev)
                 return
             self._finish_frame(dev, frame, delivered=frame.delivered)

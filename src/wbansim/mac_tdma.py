@@ -24,7 +24,10 @@ from dataclasses import dataclass
 
 from .core import BNC_ID, SimTime, make_beacon
 from .channel import CcaResult
-from .engine import Event, EventKind
+from .engine import EventKind
+
+# Enum members read on the per-event paths, bound once (see simulation.py).
+SLOT_BOUNDARY, BUSY = EventKind.SLOT_BOUNDARY, CcaResult.BUSY
 
 
 @dataclass(frozen=True)
@@ -78,10 +81,9 @@ class TdmaMac:
         sim.begin_tx(sim.bnc, beacon, t_b)
         for node_id in awake_nodes:
             dev = sim.devices[node_id]
-            sim.wake_device(dev)
+            dev.awake = True
             sim.ledger.set_state(node_id, sim.RX, t_b)
-        sim.scheduler.schedule(Event(region_end, EventKind.SLOT_BOUNDARY, BNC_ID,
-                                     sim.maybe_sleep, (sim.bnc,)))
+        sim.scheduler.schedule(region_end, SLOT_BOUNDARY, BNC_ID, sim.maybe_sleep, (sim.bnc,))
 
     def on_beacon_received(self, dev, beacon) -> None:
         sim = self.sim
@@ -93,12 +95,13 @@ class TdmaMac:
             sim.maybe_sleep(dev)
             return
         now = sim.scheduler.now
-        slot_start = max(now, info.cap_anchor + self.schedule.slot_offset_us(dev.id))
-        slot_end = info.cap_anchor + self.schedule.slot_offset_us(dev.id) + self.schedule.slot_duration_us
+        own_start = info.cap_anchor + self.schedule.slot_offset_us(dev.id)
+        slot_end = own_start + self.schedule.slot_duration_us
+        slot_start = max(now, own_start)
         if slot_start > now:
             sim.micro_sleep(dev)  # doze between beacon and the owned slot
-        sim.scheduler.schedule(Event(slot_start, EventKind.SLOT_BOUNDARY, dev.id,
-                                     self.on_slot_start, (dev, slot_end)))
+        sim.scheduler.schedule(slot_start, SLOT_BOUNDARY, dev.id,
+                               self.on_slot_start, (dev, slot_end))
 
     # -- slot transmissions -----------------------------------------------------
 
@@ -106,14 +109,14 @@ class TdmaMac:
         sim = self.sim
         now = sim.scheduler.now
         dev.slot_end = slot_end
-        sim.wake_device(dev)
+        dev.awake = True
         sim.ledger.set_state(dev.id, sim.IDLE, now)
         # An emergency window may own the channel; yield the whole slot then.
         busy = (
             sim.channel.cca_energy_detect(
                 dev.placement, sim.channel.params.cca_threshold_dbm, now
             )
-            is CcaResult.BUSY
+            is BUSY
         )
         if busy:
             sim.ledger.loss_reasons["slot_yielded"] += 1
@@ -126,7 +129,7 @@ class TdmaMac:
         sim = self.sim
         now = sim.scheduler.now
         while dev.queue:
-            frame = dev.queue[0]
+            frame = dev.queue[0][1]
             if now + sim.air_us(frame.size_bits) > dev.slot_end:
                 break  # queue head waits for the next active superframe
             sim.begin_tx(dev, frame, now)

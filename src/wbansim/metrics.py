@@ -14,6 +14,7 @@ horizon ends belong to neither.
 from __future__ import annotations
 
 import math
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
@@ -78,7 +79,9 @@ class MetricsLedger:
         self.offered: Counter[tuple[int, TrafficClass]] = Counter()
         self.delivered: Counter[tuple[int, TrafficClass]] = Counter()
         self.dropped: Counter[tuple[int, TrafficClass]] = Counter()
-        self.latency: dict[tuple[int, TrafficClass], list[SimTime]] = {}
+        # Latency samples per (node, class) as exact int64 arrays: 8 bytes a
+        # sample, where a list holds a pointer to a Python int of 28 bytes.
+        self.latency: dict[tuple[int, TrafficClass], array] = {}
         self.state_us: dict[int, Counter[RadioState]] = {}
         self.spurious_wakeups: Counter[int] = Counter()
         self.node_awake_superframes: Counter[int] = Counter()
@@ -96,8 +99,12 @@ class MetricsLedger:
         self.offered[(node, cls)] += 1
 
     def add_delivered(self, node: int, cls: TrafficClass, latency_us: SimTime) -> None:
-        self.delivered[(node, cls)] += 1
-        self.latency.setdefault((node, cls), []).append(latency_us)
+        key = (node, cls)
+        self.delivered[key] += 1
+        samples = self.latency.get(key)
+        if samples is None:
+            samples = self.latency[key] = array("q")
+        samples.append(latency_us)
 
     def add_dropped(self, node: int, cls: TrafficClass) -> None:
         self.dropped[(node, cls)] += 1
@@ -162,7 +169,7 @@ class MetricsLedger:
         self.delivered.update(other.delivered)
         self.dropped.update(other.dropped)
         for key, samples in other.latency.items():
-            self.latency.setdefault(key, []).extend(samples)
+            self.latency.setdefault(key, array("q")).extend(samples)
         for node, states in other.state_us.items():
             self.state_us.setdefault(node, Counter()).update(states)
         self.spurious_wakeups.update(other.spurious_wakeups)

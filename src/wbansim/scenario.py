@@ -563,3 +563,12 @@ def _cross_checks(ck, name, mac, nodes, on_demand, tdma, wakeup, superframe,
             ck.err(f"{name}.nodes", f"node {node.profile.id}: acked transaction "
                                     f"({needed} us with both CCAs) exceeds the CAP after "
                                     f"the beacon ({cap_us} us)")
+    # A continuous query ends with the coordinator's stop command, which
+    # contends like any data frame.
+    if any(entry.continuous for entry in on_demand):
+        needed = overhead + airtime(frames.command_bits, frames.bitrate_bps)
+        if needed > cap_us:
+            ck.err(f"{name}.frames.command_bits",
+                   f"{frames.command_bits} bits: the stop command's acked transaction "
+                   f"({needed} us with both CCAs) exceeds the CAP after the beacon "
+                   f"({cap_us} us)")

@@ -39,7 +39,7 @@ from .core import (
     TrafficClass,
     airtime,
 )
-from .engine import Event, EventKind, RngStreams, Scheduler, fire
+from .engine import EventKind, RngStreams, Scheduler, fire
 from .mac_csma import CsmaMac
 from .mac_tdma import TdmaMac
 from .metrics import MetricsLedger, RadioState
@@ -54,49 +54,52 @@ from .wakeup import (
     resolve_wakeup_targets,
 )
 
+# Enum members read on the per-event paths, bound once as module names: on
+# Python 3.11 every read off an Enum class runs `EnumType.__getattr__`'s
+# slot hook, which costs about ten global reads.
+BEACON_DUE, RX_END, SLOT_BOUNDARY = EventKind.BEACON_DUE, EventKind.RX_END, EventKind.SLOT_BOUNDARY
+TRAFFIC_ARRIVAL, TX_END = EventKind.TRAFFIC_ARRIVAL, EventKind.TX_END
+DATA_RADIO = Radio.DATA
+ACK, BEACON, DATA = FrameKind.ACK, FrameKind.BEACON, FrameKind.DATA
+WAKEUP_SIGNAL = FrameKind.WAKEUP_SIGNAL
+EMERGENCY, SATURATED = TrafficClass.EMERGENCY, ArrivalProcess.SATURATED
+
 EMERGENCY_RETRY_US = 10_000  # resend a lost emergency wakeup after this long
 WAKEUP_SIGNAL_BITS = 8       # nominal; the signal airtime is configured directly
 
 
-class PendingQueue:
-    """Frame queue ordered by (class priority, created_at, sequence)."""
+class PendingQueue(list):
+    """Frame queue ordered by (class priority, created_at, sequence).
 
-    def __init__(self) -> None:
-        self._heap: list[tuple[tuple[int, SimTime, int], Frame]] = []
+    The list itself is a heap of `(queue_key, frame)` entries, so `bool` and
+    `len` are the list's own and `queue[0][1]` is the head frame.  Frames are
+    found by identity.
+    """
+
+    __slots__ = ()
 
     def push(self, frame: Frame) -> None:
-        heapq.heappush(self._heap, (frame.queue_key(), frame))
-
-    def __getitem__(self, idx: int) -> Frame:
-        if idx != 0:
-            raise IndexError("only the queue head is addressable")
-        return self._heap[0][1]
+        heapq.heappush(self, (frame.queue_key(), frame))
 
     def remove(self, frame: Frame) -> None:
-        for i, (_, f) in enumerate(self._heap):
+        for i, (_, f) in enumerate(self):
             if f is frame:
-                self._heap[i] = self._heap[-1]
-                self._heap.pop()
-                heapq.heapify(self._heap)
+                self[i] = self[-1]
+                self.pop()
+                heapq.heapify(self)
                 return
         raise ValueError("frame not queued")
 
     def drain(self) -> list[Frame]:
-        out = [f for _, f in sorted(self._heap)]
-        self._heap.clear()
+        out = [f for _, f in sorted(self)]
+        self.clear()
         return out
 
     def __contains__(self, frame: Frame) -> bool:
-        return any(f is frame for _, f in self._heap)
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def __bool__(self) -> bool:
-        return bool(self._heap)
+        return any(f is frame for _, f in self)
 
     def has_priority_le(self, priority: int) -> bool:
-        return any(key[0] <= priority for key, _ in self._heap)
+        return any(key[0] <= priority for key, _ in self)
 
 
 @dataclass
@@ -135,12 +138,13 @@ class Device:
     cap_anchor: SimTime = 0
     cap_end: SimTime = 0
     fsm: object = None
-    backoff_ev: Event | None = None
+    backoff_ev: list | None = None  # scheduler entries, kept to cancel them
     backoff_expiry: SimTime = 0
     backoff_remaining: int | None = None
-    cca_ev: Event | None = None
-    ack_ev: Event | None = None
+    cca_ev: list | None = None
+    ack_ev: list | None = None
     attempt_frame: Frame | None = None  # frame bound to the ongoing attempt
+    attempt_us: SimTime = 0             # its acked transaction: data, turnaround, ack
     active_frame: Frame | None = None   # frame currently on the air / awaiting ack
     # TDMA slot state
     slot_end: SimTime | None = None
@@ -195,7 +199,6 @@ class Simulation:
         else:
             self.mac = CsmaMac(self)
 
-        self._listening: dict[object, bool] = {}
         self._beacon_listeners: list[int] = []
         for kind in EventKind:
             self.scheduler.register(kind, fire)
@@ -207,22 +210,20 @@ class Simulation:
         for dev in self.devices.values():
             self.ledger.init_state(dev.id, dev.sleep_state, 0)
         schedule = self.scheduler.schedule
-        schedule(Event(0, EventKind.BEACON_DUE, BNC_ID, self._on_beacon_due, (0,)))
+        schedule(0, BEACON_DUE, BNC_ID, self._on_beacon_due, (0,))
         for node_id in self.node_ids:
             dev = self.devices[node_id]
             if dev.gen is None:
                 continue
-            if dev.gen.arrival is ArrivalProcess.SATURATED:
+            if dev.gen.arrival is SATURATED:
                 self._offer_frame(dev, dev.gen.traffic_class)
             else:
                 t0 = traffic_mod.first_arrival(dev.gen, dev.rng)
                 if t0 <= self.horizon_us:
-                    schedule(Event(t0, EventKind.TRAFFIC_ARRIVAL, node_id,
-                                   self._on_arrival, (dev,)))
+                    schedule(t0, TRAFFIC_ARRIVAL, node_id, self._on_arrival, (dev,))
         for entry in self.scn.on_demand:
-            schedule(Event(entry.time_us, EventKind.TRAFFIC_ARRIVAL, BNC_ID,
-                           self._start_query, (entry,)))
-        schedule(Event(self.horizon_us, EventKind.MEASUREMENT_TICK, None, _horizon_mark))
+            schedule(entry.time_us, TRAFFIC_ARRIVAL, BNC_ID, self._start_query, (entry,))
+        schedule(self.horizon_us, EventKind.MEASUREMENT_TICK, None, _horizon_mark)
 
     def run(self) -> MetricsLedger:
         self.scheduler.run_until(self.horizon_us)
@@ -235,12 +236,9 @@ class Simulation:
         self._seq += 1
         return self._seq
 
-    def wake_device(self, dev: Device) -> None:
-        dev.awake = True
-
     def wake_to_idle(self, dev: Device) -> None:
         """Turn the main radio on without clobbering an ongoing tx/rx."""
-        self.wake_device(dev)
+        dev.awake = True
         now = self.scheduler.now
         if dev.tx_until is not None and dev.tx_until > now:
             return
@@ -271,33 +269,32 @@ class Simulation:
 
     # -- superframe loop --------------------------------------------------------------
 
-    def _node_awake(self, node_id: int, sf_index: int) -> bool:
-        dev = self.devices[node_id]
-        return is_awake(self.table, node_id, sf_index) or dev.grant_active
-
     def _on_beacon_due(self, sf_index: int) -> None:
-        self.ledger.total_superframes += 1
+        ledger = self.ledger
+        ledger.total_superframes += 1
+        devices, table = self.devices, self.table
         awake = []
         for node_id in self.node_ids:
-            if self._node_awake(node_id, sf_index):
+            # The pattern is asked for every node, granted or not.
+            if is_awake(table, node_id, sf_index) or devices[node_id].grant_active:
                 awake.append(node_id)
-                self.ledger.node_awake_superframes[node_id] += 1
+                ledger.node_awake_superframes[node_id] += 1
         if awake:
-            self.ledger.bnc_awake_superframes += 1
+            ledger.bnc_awake_superframes += 1
             self._beacon_listeners = awake
             self.mac.start_superframe(sf_index, self.scheduler.now, awake)
         else:
             self.maybe_sleep(self.bnc)
         next_t = (sf_index + 1) * self.sf.beacon_interval_us
         if next_t < self.horizon_us:
-            self.scheduler.schedule(Event(next_t, EventKind.BEACON_DUE, BNC_ID,
-                                          self._on_beacon_due, (sf_index + 1,)))
+            self.scheduler.schedule(next_t, BEACON_DUE, BNC_ID,
+                                    self._on_beacon_due, (sf_index + 1,))
 
     def on_beacon_tx_end(self, tx) -> None:
         now = self.scheduler.now
         ledger = self.ledger
         bnc = self.bnc
-        self.wake_device(bnc)
+        bnc.awake = True
         ledger.set_state(bnc.id, self.IDLE, now)  # the coordinator listens through the active part
         for node_id in self._beacon_listeners:
             dev = self.devices[node_id]
@@ -306,8 +303,8 @@ class Simulation:
             ledger.set_state(node_id, self.IDLE, now)
             outcome = self.channel.deliver(tx, dev.placement, self.rngs.channel, dst_id=node_id)
             if outcome is None:
-                self.scheduler.schedule(Event(now, EventKind.RX_END, node_id,
-                                              self.mac.on_beacon_received, (dev, tx.frame)))
+                self.scheduler.schedule(now, RX_END, node_id,
+                                        self.mac.on_beacon_received, (dev, tx.frame))
             else:
                 self.ledger.loss_reasons[f"beacon_{outcome.value}"] += 1
         self.mac.try_start(bnc)  # under CSMA the coordinator contends for its own frames
@@ -323,30 +320,27 @@ class Simulation:
         if start <= self.scheduler.now:
             self._tx_started(dev, tx)
         else:
-            schedule(Event(start, EventKind.SLOT_BOUNDARY, dev.id, self._tx_started, (dev, tx)))
-        schedule(Event(tx.end, EventKind.TX_END, frame.src, self._on_tx_end, (tx,)))
+            schedule(start, SLOT_BOUNDARY, dev.id, self._tx_started, (dev, tx))
+        schedule(tx.end, TX_END, frame.src, self._on_tx_end, (tx,))
         return tx
 
     def _tx_started(self, dev: Device, tx) -> None:
         now = self.scheduler.now
-        self.wake_device(dev)
+        dev.awake = True
         dev.tx_until = max(dev.tx_until or 0, tx.end)
         self.ledger.set_state(dev.id, self.TX, now)
         frame = tx.frame
-        if tx.radio is Radio.DATA and frame.dst >= 0:
+        if tx.radio is DATA_RADIO and frame.dst >= 0:
             ddev = self.devices.get(frame.dst)
-            listening = (
+            listening = tx.listening = (
                 ddev is not None
                 and ddev.awake
                 and (ddev.tx_until is None or ddev.tx_until <= now)
             )
-            self._listening[tx] = listening
             if listening:
                 ddev.incoming += 1
                 if ddev.tx_until is None or ddev.tx_until <= now:
                     self.ledger.set_state(ddev.id, self.RX, now)
-        else:
-            self._listening[tx] = True
 
     def _on_tx_end(self, tx) -> None:
         now = self.scheduler.now
@@ -357,8 +351,8 @@ class Simulation:
             src.tx_until = None
             self.ledger.set_state(src.id, self.IDLE, now)
             self.maybe_sleep(src)
-        listening = self._listening.pop(tx, True)
-        if tx.radio is Radio.DATA and frame.dst >= 0 and listening:
+        listening = tx.listening
+        if tx.radio is DATA_RADIO and frame.dst >= 0 and listening:
             ddev = self.devices.get(frame.dst)
             if ddev is not None:
                 ddev.incoming -= 1
@@ -366,10 +360,10 @@ class Simulation:
                     ddev.tx_until is None or ddev.tx_until <= now
                 ):
                     self.ledger.set_state(ddev.id, self.IDLE, now)
-        if frame.kind is FrameKind.WAKEUP_SIGNAL:
+        if frame.kind is WAKEUP_SIGNAL:
             self._on_wakeup_signal_end(tx)
             return
-        if frame.kind is FrameKind.BEACON:
+        if frame.kind is BEACON:
             self.on_beacon_tx_end(tx)
             return
         if not listening:
@@ -382,7 +376,7 @@ class Simulation:
             delivered = outcome is None
             if outcome is not None:
                 self.ledger.loss_reasons[outcome.value] += 1
-        if frame.kind is FrameKind.ACK:
+        if frame.kind is ACK:
             self.mac.on_ack_tx_end(tx, delivered)
         else:
             self.mac.on_data_tx_end(src, tx, delivered)
@@ -395,7 +389,7 @@ class Simulation:
 
     def _offer_frame(self, dev: Device, cls: TrafficClass) -> Frame:
         frame = Frame(
-            kind=FrameKind.DATA, src=dev.id, dst=BNC_ID,
+            kind=DATA, src=dev.id, dst=BNC_ID,
             size_bits=dev.profile.payload_bits, traffic_class=cls,
             created_at=self.scheduler.now, sequence=self.next_seq(),
         )
@@ -406,12 +400,11 @@ class Simulation:
 
     def _on_arrival(self, dev: Device) -> None:
         frame = self._offer_frame(dev, dev.gen.traffic_class)
-        if frame.traffic_class.is_emergency:
+        if frame.traffic_class is EMERGENCY:
             self._start_emergency(dev, frame)
         nxt = traffic_mod.next_arrival(dev.gen, self.scheduler.now, dev.rng)
         if nxt <= self.horizon_us:
-            self.scheduler.schedule(Event(nxt, EventKind.TRAFFIC_ARRIVAL, dev.id,
-                                          self._on_arrival, (dev,)))
+            self.scheduler.schedule(nxt, TRAFFIC_ARRIVAL, dev.id, self._on_arrival, (dev,))
 
     def _on_stream_arrival(self, dev: Device) -> None:
         st = dev.stream
@@ -421,14 +414,13 @@ class Simulation:
         self._offer_frame(dev, TrafficClass.ON_DEMAND_CONTINUOUS)
         nxt = now + st.interval_us
         if nxt < st.until:
-            self.scheduler.schedule(Event(nxt, EventKind.TRAFFIC_ARRIVAL, dev.id,
-                                          self._on_stream_arrival, (dev,)))
+            self.scheduler.schedule(nxt, TRAFFIC_ARRIVAL, dev.id, self._on_stream_arrival, (dev,))
 
     def on_frame_resolved(self, dev: Device, frame: Frame) -> None:
         """Called once a queued frame leaves the MAC (delivered or dropped)."""
         if (
             dev.gen is not None
-            and dev.gen.arrival is ArrivalProcess.SATURATED
+            and dev.gen.arrival is SATURATED
             and frame.traffic_class is dev.gen.traffic_class
         ):
             self._offer_frame(dev, dev.gen.traffic_class)
@@ -436,13 +428,13 @@ class Simulation:
             dev.grant_active = False
 
     def record_delivery(self, frame: Frame) -> None:
-        if frame.kind is FrameKind.DATA:
+        if frame.kind is DATA:
             self.ledger.add_delivered(
                 frame.src, frame.traffic_class, frame.rx_end - frame.created_at
             )
 
     def record_drop(self, frame: Frame) -> None:
-        if frame.kind is FrameKind.DATA:
+        if frame.kind is DATA:
             self.ledger.add_dropped(frame.src, frame.traffic_class)
 
     # -- wakeup-radio paths ------------------------------------------------------------------
@@ -452,7 +444,7 @@ class Simulation:
         now = self.scheduler.now
         self.ledger.wakeup_signals_sent[dev.id] += 1
         sig = Frame(
-            kind=FrameKind.WAKEUP_SIGNAL, src=dev.id, dst=dst,
+            kind=WAKEUP_SIGNAL, src=dev.id, dst=dst,
             size_bits=WAKEUP_SIGNAL_BITS, traffic_class=None,
             created_at=now, sequence=self.next_seq(),
             payload=(signal, ctx),
@@ -471,8 +463,8 @@ class Simulation:
         )
         self._send_signal(dev, signal, flow, BNC_ID)
         retry_at = self.scheduler.now + EMERGENCY_RETRY_US
-        self.scheduler.schedule(Event(retry_at, EventKind.WAKEUP_DUE, dev.id,
-                                      self._retry_emergency, (flow,)))
+        self.scheduler.schedule(retry_at, EventKind.WAKEUP_DUE, dev.id,
+                                self._retry_emergency, (flow,))
 
     def _retry_emergency(self, flow: EmergencyFlow) -> None:
         if not flow.granted:
@@ -516,7 +508,7 @@ class Simulation:
                 fn, args = self._answer_query, (dev, ctx)
             else:
                 fn, args = self._spurious_wake, (dev,)
-            self.scheduler.schedule(Event(now + delay, EventKind.WAKEUP_DUE, device_id, fn, args))
+            self.scheduler.schedule(now + delay, EventKind.WAKEUP_DUE, device_id, fn, args)
 
     def _next_boundary(self) -> SimTime:
         return (self.scheduler.now // self.sf.beacon_interval_us + 1) * self.sf.beacon_interval_us
@@ -534,19 +526,19 @@ class Simulation:
         else:
             # Dedicated response window as soon as the data radio frees up.
             now = self.scheduler.now
-            start = max(now, self.channel.busy_until(Radio.DATA, now))
+            start = max(now, self.channel.busy_until(DATA_RADIO, now))
             air = self.air_us(flow.frame.size_bits)
             bnc.hold_awake_until = max(bnc.hold_awake_until, start + air)
-            self.scheduler.schedule(Event(start, EventKind.SLOT_BOUNDARY, flow.node,
-                                          self._start_emergency_window, (node, flow)))
+            self.scheduler.schedule(start, SLOT_BOUNDARY, flow.node,
+                                    self._start_emergency_window, (node, flow))
         self.maybe_sleep(bnc)
 
     def _spurious_wake(self, dev: Device) -> None:
         self.ledger.spurious_wakeups[dev.id] += 1
         self.wake_to_idle(dev)
         dev.spurious_until = self.scheduler.now + self.sf.active_duration_us
-        self.scheduler.schedule(Event(dev.spurious_until, EventKind.SLOT_BOUNDARY, dev.id,
-                                      self.end_spurious, (dev,)))
+        self.scheduler.schedule(dev.spurious_until, SLOT_BOUNDARY, dev.id,
+                                self.end_spurious, (dev,))
 
     def _answer_query(self, dev: Device, entry: OnDemandEntry) -> None:
         self.wake_to_idle(dev)
@@ -555,10 +547,9 @@ class Simulation:
         if entry.continuous:
             now = self.scheduler.now
             dev.stream = StreamState(until=now + entry.duration_us, interval_us=entry.interval_us)
-            self.scheduler.schedule(Event(now, EventKind.TRAFFIC_ARRIVAL, dev.id,
-                                          self._on_stream_arrival, (dev,)))
-            self.scheduler.schedule(Event(dev.stream.until, EventKind.TRAFFIC_ARRIVAL, BNC_ID,
-                                          self._enqueue_stop, (dev.id,)))
+            self.scheduler.schedule(now, TRAFFIC_ARRIVAL, dev.id, self._on_stream_arrival, (dev,))
+            self.scheduler.schedule(dev.stream.until, TRAFFIC_ARRIVAL, BNC_ID,
+                                    self._enqueue_stop, (dev.id,))
         else:
             self._offer_frame(dev, TrafficClass.ON_DEMAND_NON_CONTINUOUS)
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 from .core import SimTime, TrafficClass
 
@@ -54,8 +55,9 @@ class GeneratorSpec:
         if self.arrival is ArrivalProcess.PERIODIC and self.period_us < 1:
             raise ValueError(f"rate_per_hour {self.rate_per_hour} gives a period under 1 us")
 
-    @property
+    @cached_property
     def period_us(self) -> SimTime:
+        """Time between periodic arrivals, computed once per spec."""
         return round(US_PER_HOUR / self.rate_per_hour)
 
 
@@ -86,6 +88,10 @@ class OnDemandEntry:
         return round(1_000_000 / self.rate_per_s)
 
 
+# Enum members read on every arrival, bound once (see simulation.py).
+PERIODIC, POISSON = ArrivalProcess.PERIODIC, ArrivalProcess.POISSON
+
+
 def first_arrival(spec: GeneratorSpec, rng: random.Random) -> SimTime:
     if spec.arrival is ArrivalProcess.PERIODIC:
         return spec.phase_us
@@ -96,9 +102,9 @@ def first_arrival(spec: GeneratorSpec, rng: random.Random) -> SimTime:
 
 def next_arrival(spec: GeneratorSpec, now: SimTime, rng: random.Random) -> SimTime:
     """Time of the arrival following one at `now`."""
-    if spec.arrival is ArrivalProcess.PERIODIC:
+    if spec.arrival is PERIODIC:
         return now + spec.period_us
-    if spec.arrival is ArrivalProcess.POISSON:
+    if spec.arrival is POISSON:
         return now + _exponential_us(spec, rng)
     raise ValueError("saturated generators do not produce timed arrivals")
 

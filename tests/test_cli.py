@@ -80,6 +80,24 @@ class TestExitCodes:
         assert main(["--scenario", str(bad), "--validate-only"]) == 2
         assert f"{shipped}.{message}" in capsys.readouterr().err
 
+    def test_csma_stop_command_that_never_fits_is_two(self, tmp_path, capsys):
+        # It used to load and run to exit 0 with the stop command stuck in
+        # the coordinator's queue and the stream never stopped.
+        raw = base_scenario_dict(superframe={"beacon_order": 0, "superframe_order": 0},
+                                 frames={"command_bits": 40000})
+        raw["nodes"][0]["class"] = "on_demand_continuous"
+        del raw["nodes"][0]["traffic"]
+        raw["on_demand"] = [{"time_s": 0.5, "target": 1, "mode": "continuous",
+                             "rate_per_s": 10.0, "duration_s": 0.5}]
+        bad = tmp_path / "stop.yaml"
+        bad.write_text(yaml.safe_dump(raw), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["--scenario", str(bad), "--out", str(out)]) == 2
+        assert ("stop.frames.command_bits: 40000 bits: the stop command's acked transaction "
+                "(161184 us with both CCAs) exceeds the CAP after the beacon (14080 us)"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_missing_file_is_two(self, tmp_path):
         assert main(["--scenario", str(tmp_path / "nope.yaml")]) == 2
 

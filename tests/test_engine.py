@@ -1,7 +1,10 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wbansim.engine import (
-    Event,
+    FN,
+    SEQ,
     EventKind,
     RngStreams,
     RunAborted,
@@ -22,9 +25,9 @@ def make_scheduler():
 def test_fires_in_time_order():
     seen = []
     s = make_scheduler()
-    s.schedule(Event(30, TICK, None, seen.append, ("c",)))
-    s.schedule(Event(10, TICK, None, seen.append, ("a",)))
-    s.schedule(Event(20, TICK, None, seen.append, ("b",)))
+    s.schedule(30, TICK, None, seen.append, ("c",))
+    s.schedule(10, TICK, None, seen.append, ("a",))
+    s.schedule(20, TICK, None, seen.append, ("b",))
     s.run_until(100)
     assert seen == ["a", "b", "c"]
 
@@ -33,7 +36,7 @@ def test_ties_break_by_insertion_order():
     seen = []
     s = make_scheduler()
     for label in "abcd":
-        s.schedule(Event(5, TICK, None, seen.append, (label,)))
+        s.schedule(5, TICK, None, seen.append, (label,))
     s.run_until(5)
     assert seen == ["a", "b", "c", "d"]
 
@@ -41,21 +44,23 @@ def test_ties_break_by_insertion_order():
 def test_cancelled_event_never_dispatched():
     seen = []
     s = make_scheduler()
-    keep = s.schedule(Event(5, TICK, None, seen.append, ("keep",)))
-    drop = s.schedule(Event(5, TICK, None, seen.append, ("drop",)))
+    keep = s.schedule(5, TICK, None, seen.append, ("keep",))
+    drop = s.schedule(5, TICK, None, seen.append, ("drop",))
     s.cancel(drop)
     s.run_until(10)
     assert seen == ["keep"]
-    assert keep.seq < drop.seq
+    assert keep[SEQ] < drop[SEQ]
 
 
 def test_scheduling_in_past_is_fatal():
     seen = []
     s = make_scheduler()
-    s.schedule(Event(10, TICK, None, seen.append, ("x",)))
+    s.schedule(10, TICK, None, seen.append, ("x",))
     s.run_until(10)
     with pytest.raises(SchedulingError):
-        s.schedule(Event(5, TICK))
+        s.schedule(5, TICK, None, seen.append, ("late",))
+    s.run_until(20)
+    assert seen == ["x"]
 
 
 def test_empty_queue_returns_t_end():
@@ -67,7 +72,7 @@ def test_empty_queue_returns_t_end():
 def test_clock_never_decreases_and_event_fires_once():
     seen = []
     s = make_scheduler()
-    s.schedule(Event(5, TICK, None, seen.append, ("once",)))
+    s.schedule(5, TICK, None, seen.append, ("once",))
     end = s.run_until(10)
     assert end == 10
     s.run_until(20)
@@ -81,8 +86,8 @@ def test_dispatcher_failure_aborts_with_trace_tail():
     def boom():
         raise ValueError("broken handler")
 
-    s.schedule(Event(1, TICK, None, lambda: None))
-    s.schedule(Event(2, EventKind.BEACON_DUE, 0, boom))
+    s.schedule(1, TICK, None, lambda: None)
+    s.schedule(2, EventKind.BEACON_DUE, 0, boom)
     with pytest.raises(RunAborted) as err:
         s.run_until(10)
     message = str(err.value)
@@ -100,8 +105,8 @@ def test_trace_tail_holds_exactly_the_last_32_dispatches():
         raise ValueError("broken handler")
 
     for t in range(1, 41):
-        s.schedule(Event(t, TICK, t % 3 or None, lambda: None))
-    s.schedule(Event(41, EventKind.BEACON_DUE, 0, boom))
+        s.schedule(t, TICK, t % 3 or None, lambda: None)
+    s.schedule(41, EventKind.BEACON_DUE, 0, boom)
     with pytest.raises(RunAborted) as err:
         s.run_until(50)
     message = str(err.value)
@@ -120,12 +125,74 @@ def test_events_scheduled_during_dispatch_run_in_order():
     def handler(label):
         seen.append((s.now, label))
         if label == "first":
-            s.schedule(Event(s.now, TICK, None, handler, ("chained",)))
+            s.schedule(s.now, TICK, None, handler, ("chained",))
 
-    s.schedule(Event(5, TICK, None, handler, ("first",)))
-    s.schedule(Event(7, TICK, None, handler, ("later",)))
+    s.schedule(5, TICK, None, handler, ("first",))
+    s.schedule(7, TICK, None, handler, ("later",))
     s.run_until(10)
     assert seen == [(5, "first"), (5, "chained"), (7, "later")]
+
+
+def test_entry_is_the_flat_handle_the_sink_receives():
+    s = make_scheduler()
+    sunk = []
+    s.trace_sink = sunk.append
+    args = ("x",)
+    entry = s.schedule(3, TICK, 7, print, args)
+    assert entry == [3, 0, TICK, 7, print, args]
+    s.cancel(entry)
+    assert entry[FN] is None
+    live = s.schedule(4, TICK, None, lambda: None)
+    s.run_until(5)
+    assert len(sunk) == 1 and sunk[0] is live
+
+
+# One operation on the scheduler: ("schedule", delay), ("cancel", handle
+# index) or ("run", advance).  run_until(now + advance) must dispatch exactly
+# the scheduled, not cancelled, not yet dispatched entries due by then, in
+# (fire_at, insertion) order.
+OPERATIONS = st.lists(st.one_of(
+    st.tuples(st.just("schedule"), st.integers(0, 20)),
+    st.tuples(st.just("cancel"), st.integers(0, 10**6)),
+    st.tuples(st.just("run"), st.integers(0, 30)),
+), max_size=150)
+
+
+@settings(max_examples=200, deadline=None)
+@given(OPERATIONS)
+def test_dispatch_order_matches_a_sorted_model(operations):
+    s = make_scheduler()
+    fired, sunk = [], []
+    s.trace_sink = sunk.append
+    handles: list[list] = []
+    pending: dict[int, int] = {}  # insertion index -> fire_at
+    expected: list[int] = []
+    for op, arg in operations + [("run", 10**6)]:
+        if op == "schedule":
+            label = len(handles)
+            handles.append(s.schedule(s.now + arg, TICK, label % 3 or None,
+                                      fired.append, (label,)))
+            pending[label] = s.now + arg
+        elif op == "cancel" and handles:
+            label = arg % len(handles)
+            s.cancel(handles[label])
+            pending.pop(label, None)
+        elif op == "run":
+            t_end = s.now + arg
+            due = sorted((at, label) for label, at in pending.items() if at <= t_end)
+            for _, label in due:
+                expected.append(label)
+                del pending[label]
+            assert s.run_until(t_end) == t_end == s.now
+            assert fired == expected
+    assert not pending
+    # The sink saw each dispatched entry itself, and the trace tail holds
+    # exactly the last 32 of them.
+    assert len(sunk) == len(expected)
+    assert all(entry is handles[label] for entry, label in zip(sunk, expected))
+    tail = list(s._trace_tail)
+    assert len(tail) == min(32, len(sunk))
+    assert all(a is b for a, b in zip(tail, sunk[len(sunk) - len(tail):]))
 
 
 class TestRngStreams:

@@ -210,6 +210,29 @@ class TestRejections:
         raw["nodes"][0]["payload_bits"] = 3224
         parse_scenario(raw)
 
+    def test_csma_stop_command_longer_than_cap_cites_both_values(self):
+        # The same CAP as above: a continuous query's stop command obeys the
+        # data frame's fit rule, so 3 224 bits fit and 3 225 do not.
+        raw = base_scenario_dict(superframe={"beacon_order": 0, "superframe_order": 0})
+        raw["nodes"][0]["class"] = "on_demand_continuous"
+        del raw["nodes"][0]["traffic"]
+        raw["on_demand"] = [{"time_s": 0.5, "target": 1, "mode": "continuous",
+                             "rate_per_s": 10.0, "duration_s": 0.5}]
+        raw["frames"] = {"command_bits": 3225}
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(raw)
+        assert err.value.violations == [
+            "scenario.frames.command_bits: 3225 bits: the stop command's acked transaction "
+            "(14084 us with both CCAs) exceeds the CAP after the beacon (14080 us)"
+        ]
+        raw["frames"]["command_bits"] = 3224
+        parse_scenario(raw)
+        # Without a continuous query no stop command is ever sent.
+        raw["frames"]["command_bits"] = 40000
+        raw["on_demand"][0]["mode"] = "non_continuous"
+        raw["nodes"][0]["class"] = "on_demand_non_continuous"
+        parse_scenario(raw)
+
 
 class TestLoadFromFile(object):
     def test_round_trip_through_yaml(self, tmp_path):

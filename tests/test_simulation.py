@@ -7,7 +7,7 @@ import pytest
 
 from wbansim.channel import ActiveTx
 from wbansim.core import Frame, FrameKind, TrafficClass
-from wbansim.engine import EventKind
+from wbansim.engine import KIND, EventKind
 from wbansim.metrics import EnergyModel, RadioState, write_node_csv
 from wbansim.scenario import load_scenario
 from wbansim.simulation import PendingQueue, Simulation
@@ -45,7 +45,7 @@ class TestPendingQueue:
         q.push(self.frame(TrafficClass.NORMAL_LOW, 0, 1))
         q.push(self.frame(TrafficClass.NORMAL_HIGH, 1, 2))
         q.push(self.frame(TrafficClass.EMERGENCY, 2, 3))
-        assert q[0].traffic_class is TrafficClass.EMERGENCY
+        assert q[0][1].traffic_class is TrafficClass.EMERGENCY
 
     def test_fifo_within_class(self):
         q = PendingQueue()
@@ -53,7 +53,7 @@ class TestPendingQueue:
         b = self.frame(TrafficClass.NORMAL_HIGH, 0, 2)
         q.push(b)
         q.push(a)
-        assert q[0] is a
+        assert q[0][1] is a
 
     def test_remove_and_contains(self):
         q = PendingQueue()
@@ -97,7 +97,7 @@ class TestBasicCsmaRun:
 
     def test_trace_sink_sees_dispatches(self, tiny_scenario):
         seen = []
-        run(tiny_scenario, trace_sink=lambda ev: seen.append(ev.kind))
+        run(tiny_scenario, trace_sink=lambda entry: seen.append(entry[KIND]))
         assert EventKind.BEACON_DUE in seen
         assert EventKind.TX_END in seen
         assert EventKind.CCA_DUE in seen
@@ -534,7 +534,6 @@ class TestBoundedMemory:
             n_devices = len(sim.devices)
             on_air = len(sim.channel._active)
             assert on_air <= n_devices
-            assert len(sim._listening) <= n_devices
             assert self.live_transmissions() - before == on_air
             del sim
 
