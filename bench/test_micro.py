@@ -15,11 +15,12 @@ from wbansim.channel import ChannelModel, LossReason
 from wbansim.core import Criticality, Frame, FrameKind, Placement, PlacementKind, TrafficClass
 from wbansim.engine import EventKind, Scheduler, fire
 from wbansim.mac_csma import BackoffPolicy, CsmaAction, CsmaBackoffFsm
-from wbansim.metrics import MetricsLedger, RadioState
+from wbansim.metrics import RadioState
 from wbansim.scenario import load_scenario
 from wbansim.simulation import PendingQueue, Simulation
 
 BNC = Placement(PlacementKind.ON_BODY)
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 def data_frame(src, seq=1, cls=TrafficClass.NORMAL_HIGH, created=0):
@@ -59,8 +60,7 @@ def test_tdma_data_frame_round_trip(benchmark):
     """One slot transmission of `tdma_three_links` node 1 to the coordinator:
     `begin_tx` starts it at once (`_tx_started`), then `run_until` dispatches
     its TxEnd to `_on_tx_end`, which delivers it and resolves the frame."""
-    scenario = load_scenario(Path(__file__).resolve().parents[1] / "scenarios"
-                             / "tdma_three_links.yaml")
+    scenario = load_scenario(SCENARIOS / "tdma_three_links.yaml")
     sim = Simulation(scenario, seed=1)
     sim.scheduler._heap.clear()  # no beacons or arrivals: only the round trips run
     sim.bnc.awake = True         # listening, as in the slot region
@@ -120,14 +120,16 @@ def test_pending_queue_push_remove(benchmark):
     assert len(q) == 8
 
 
-def test_metrics_ledger_set_state(benchmark):
-    ledger = MetricsLedger({1: TrafficClass.NORMAL_HIGH})
-    ledger.init_state(1, RadioState.SLEEP, 0)
+def test_simulation_set_state(benchmark):
+    """Four radio-state transitions of one device through `Simulation.set_state`."""
+    sim = Simulation(load_scenario(SCENARIOS / "tdma_three_links.yaml"), seed=1)
+    dev = sim.devices[1]
     cycle = [RadioState.IDLE_LISTEN, RadioState.TX, RadioState.RX, RadioState.SLEEP]
     clock = iter(range(1, 10**9))
 
     def four_changes():
         for state in cycle:
-            ledger.set_state(1, state, next(clock))
+            sim.set_state(dev, state, next(clock))
 
     benchmark(four_changes)
+    assert sum(dev.state_us.values()) == dev.since

@@ -13,6 +13,6 @@ from .core import (
 )
 from .metrics import EnergyModel, MetricsLedger, RadioState, merge_ledgers
 from .scenario import Scenario, ScenarioError, load_scenario, parse_scenario
-from .simulation import Simulation, run_simulation
+from .simulation import Simulation
 
 __version__ = "0.1.0"

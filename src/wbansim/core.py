@@ -31,14 +31,6 @@ class TrafficClass(Enum):
     __hash__ = object.__hash__  # identity hash; see engine.EventKind
 
     @property
-    def is_normal(self) -> bool:
-        return self in (
-            TrafficClass.NORMAL_HIGH,
-            TrafficClass.NORMAL_MEDIUM,
-            TrafficClass.NORMAL_LOW,
-        )
-
-    @property
     def is_on_demand(self) -> bool:
         return self in (
             TrafficClass.ON_DEMAND_CONTINUOUS,

@@ -140,8 +140,6 @@ class CsmaMac:
         schedule = sim.scheduler.schedule
         for node_id in awake_nodes:
             dev = sim.devices[node_id]
-            dev.awake = True
-            sim.ledger.set_state(node_id, sim.RX, t_b)
             dev.cap_anchor, dev.cap_end = anchor, cap_end
             schedule(cap_end, SLOT_BOUNDARY, node_id, self.on_cap_end, (dev,))
         schedule(cap_end, SLOT_BOUNDARY, BNC_ID, self.on_cap_end, (bnc,))

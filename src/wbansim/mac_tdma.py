@@ -25,9 +25,11 @@ from dataclasses import dataclass
 from .core import BNC_ID, SimTime, make_beacon
 from .channel import CcaResult
 from .engine import EventKind
+from .metrics import RadioState
 
 # Enum members read on the per-event paths, bound once (see simulation.py).
 SLOT_BOUNDARY, BUSY = EventKind.SLOT_BOUNDARY, CcaResult.BUSY
+IDLE = RadioState.IDLE_LISTEN
 
 
 @dataclass(frozen=True)
@@ -79,10 +81,6 @@ class TdmaMac:
         )
         sim.bnc.hold_awake_until = max(sim.bnc.hold_awake_until, region_end)
         sim.begin_tx(sim.bnc, beacon, t_b)
-        for node_id in awake_nodes:
-            dev = sim.devices[node_id]
-            dev.awake = True
-            sim.ledger.set_state(node_id, sim.RX, t_b)
         sim.scheduler.schedule(region_end, SLOT_BOUNDARY, BNC_ID, sim.maybe_sleep, (sim.bnc,))
 
     def on_beacon_received(self, dev, beacon) -> None:
@@ -98,8 +96,9 @@ class TdmaMac:
         own_start = info.cap_anchor + self.schedule.slot_offset_us(dev.id)
         slot_end = own_start + self.schedule.slot_duration_us
         slot_start = max(now, own_start)
-        if slot_start > now:
-            sim.micro_sleep(dev)  # doze between beacon and the owned slot
+        if slot_start > now:  # doze between beacon and the owned slot
+            dev.awake = False
+            sim.set_state(dev, dev.sleep_state, now)
         sim.scheduler.schedule(slot_start, SLOT_BOUNDARY, dev.id,
                                self.on_slot_start, (dev, slot_end))
 
@@ -110,7 +109,7 @@ class TdmaMac:
         now = sim.scheduler.now
         dev.slot_end = slot_end
         dev.awake = True
-        sim.ledger.set_state(dev.id, sim.IDLE, now)
+        sim.set_state(dev, IDLE, now)
         # An emergency window may own the channel; yield the whole slot then.
         busy = (
             sim.channel.cca_energy_detect(

@@ -3,7 +3,10 @@
 Latency is measured from frame creation to the successful end of the data
 frame at its receiver; acknowledgements are excluded.  Radio-state time
 integrals partition the whole run per device, which makes the energy figures
-conservative by construction (they always cover the full horizon).
+conservative by construction (they always cover the full horizon).  The
+ledger holds only their totals, `state_us`: each device tracks its own live
+radio state during the run, and the simulation fills `state_us` at the
+horizon.
 
 `delivered` counts frames the destination actually received (duplicates from
 a lost acknowledgement are not double-counted); `dropped` counts frames
@@ -89,9 +92,6 @@ class MetricsLedger:
         self.loss_reasons: Counter[str] = Counter()
         self.bnc_awake_superframes = 0
         self.total_superframes = 0
-        # live state-tracking bookkeeping
-        self._state_now: dict[int, RadioState] = {}
-        self._state_since: dict[int, SimTime] = {}
 
     # -- counting -----------------------------------------------------------
 
@@ -108,26 +108,6 @@ class MetricsLedger:
 
     def add_dropped(self, node: int, cls: TrafficClass) -> None:
         self.dropped[(node, cls)] += 1
-
-    # -- radio-state integrals ----------------------------------------------
-
-    def init_state(self, node: int, state: RadioState, now: SimTime = 0) -> None:
-        self.state_us.setdefault(node, Counter())
-        self._state_now[node] = state
-        self._state_since[node] = now
-
-    def set_state(self, node: int, state: RadioState, now: SimTime) -> None:
-        prev = self._state_now[node]
-        if state is prev:
-            return
-        self.state_us[node][prev] += now - self._state_since[node]
-        self._state_now[node] = state
-        self._state_since[node] = now
-
-    def finalize_states(self, horizon: SimTime) -> None:
-        for node, state in self._state_now.items():
-            self.state_us[node][state] += horizon - self._state_since[node]
-            self._state_since[node] = horizon
 
     # -- derived figures ------------------------------------------------------
 

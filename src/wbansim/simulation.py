@@ -7,23 +7,28 @@ module owns everything around it: who is awake on which superframe, traffic
 generation, the emergency and on-demand wakeup paths, and radio-state
 bookkeeping for the energy figures.
 
-Every event names the method it runs (see `engine.fire`).  The beacon's end
-of transmission is shared by both MACs and handled here: each awake listener
-gets a reception outcome, and the MAC decides what a received beacon means.
+Every event names the method it runs (see `engine.fire`).  The beacon's
+start and end are shared by both MACs and handled here: its listeners switch
+to rx when it is due, at its end each awake listener gets a reception
+outcome, and the MAC decides what a received beacon means.
 
 A device's low-power state is `wakeup_rx` when it carries an always-on wakeup
 receiver and plain `sleep` otherwise; together with tx/rx/idle_listen this
-partitions every microsecond of the run, per device.
+partitions every microsecond of the run, per device.  Each `Device` holds its
+own radio state, the time it entered it and the closed time per state;
+`Simulation.set_state(dev, state, now)` is the one transition, and `run`
+closes the last interval at the horizon and hands the totals to the ledger.
 
 Handlers here and in the MACs read the clock once from `scheduler.now` and
-call `scheduler.schedule` and `ledger.set_state(dev.id, state, now)`
-directly: these run on nearly every event, so no wrapper stands in between.
+call `scheduler.schedule` and `set_state` directly: these run on nearly every
+event, so no further wrapper stands in between.
 """
 
 from __future__ import annotations
 
 import functools
 import heapq
+from collections import Counter
 from dataclasses import dataclass, field
 
 from . import traffic as traffic_mod
@@ -63,6 +68,7 @@ DATA_RADIO = Radio.DATA
 ACK, BEACON, DATA = FrameKind.ACK, FrameKind.BEACON, FrameKind.DATA
 WAKEUP_SIGNAL = FrameKind.WAKEUP_SIGNAL
 EMERGENCY, SATURATED = TrafficClass.EMERGENCY, ArrivalProcess.SATURATED
+IDLE, RX, TX = RadioState.IDLE_LISTEN, RadioState.RX, RadioState.TX
 
 EMERGENCY_RETRY_US = 10_000  # resend a lost emergency wakeup after this long
 WAKEUP_SIGNAL_BITS = 8       # nominal; the signal airtime is configured directly
@@ -126,6 +132,8 @@ class Device:
     profile: NodeProfile | None = None
     gen: GeneratorSpec | None = None
     queue: PendingQueue = field(default_factory=PendingQueue)
+    # Main radio on: as a rule `state is not sleep_state`, but maybe_sleep's
+    # hold branch can move a dozing TDMA node to idle_listen with this False.
     awake: bool = False
     incoming: int = 0
     tx_until: SimTime | None = None
@@ -148,13 +156,17 @@ class Device:
     active_frame: Frame | None = None   # frame currently on the air / awaiting ack
     # TDMA slot state
     slot_end: SimTime | None = None
+    # Radio state: the current one, since when, and the closed time in us per
+    # state, keyed in first-entry order (see Simulation.set_state).
+    state: RadioState = field(init=False)
+    since: SimTime = 0
+    state_us: dict[RadioState, SimTime] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        self.state = self.sleep_state  # every device starts the run asleep
 
 
 class Simulation:
-    RX = RadioState.RX
-    TX = RadioState.TX
-    IDLE = RadioState.IDLE_LISTEN
-
     def __init__(self, scenario: Scenario, seed: int | None = None, trace_sink=None):
         self.scn = scenario
         self.seed = scenario.seed if seed is None else seed
@@ -207,8 +219,6 @@ class Simulation:
     # -- setup ------------------------------------------------------------------
 
     def _schedule_initial(self) -> None:
-        for dev in self.devices.values():
-            self.ledger.init_state(dev.id, dev.sleep_state, 0)
         schedule = self.scheduler.schedule
         schedule(0, BEACON_DUE, BNC_ID, self._on_beacon_due, (0,))
         for node_id in self.node_ids:
@@ -226,8 +236,13 @@ class Simulation:
         schedule(self.horizon_us, EventKind.MEASUREMENT_TICK, None, _horizon_mark)
 
     def run(self) -> MetricsLedger:
-        self.scheduler.run_until(self.horizon_us)
-        self.ledger.finalize_states(self.horizon_us)
+        horizon = self.horizon_us
+        self.scheduler.run_until(horizon)
+        for dev in self.devices.values():  # close each last interval
+            us = dev.state_us
+            us[dev.state] = us.get(dev.state, 0) + horizon - dev.since
+            dev.since = horizon
+            self.ledger.state_us[dev.id] = Counter(us)
         return self.ledger
 
     # -- small helpers -------------------------------------------------------------
@@ -235,6 +250,19 @@ class Simulation:
     def next_seq(self) -> int:
         self._seq += 1
         return self._seq
+
+    def set_state(self, dev: Device, state: RadioState, now: SimTime) -> None:
+        """The one radio-state transition: close the device's current interval
+        at `now` and open one in `state`.  A state's key enters `state_us`
+        when its first interval closes, so the keys keep first-entry order,
+        which is the order `energy_mj` sums them in."""
+        prev = dev.state
+        if state is prev:
+            return
+        us = dev.state_us
+        us[prev] = us.get(prev, 0) + now - dev.since
+        dev.state = state
+        dev.since = now
 
     def wake_to_idle(self, dev: Device) -> None:
         """Turn the main radio on without clobbering an ongoing tx/rx."""
@@ -244,11 +272,7 @@ class Simulation:
             return
         if dev.incoming > 0:
             return
-        self.ledger.set_state(dev.id, self.IDLE, now)
-
-    def micro_sleep(self, dev: Device) -> None:
-        dev.awake = False
-        self.ledger.set_state(dev.id, dev.sleep_state, self.scheduler.now)
+        self.set_state(dev, IDLE, now)
 
     def maybe_sleep(self, dev: Device) -> None:
         now = self.scheduler.now
@@ -259,9 +283,10 @@ class Simulation:
         if dev.slot_end is not None and now < dev.slot_end:
             return
         if now < dev.spurious_until or now < dev.hold_awake_until:
-            self.ledger.set_state(dev.id, self.IDLE, now)
+            self.set_state(dev, IDLE, now)
             return
-        self.micro_sleep(dev)
+        dev.awake = False
+        self.set_state(dev, dev.sleep_state, now)
 
     def end_spurious(self, dev: Device) -> None:
         dev.spurious_until = 0
@@ -273,16 +298,20 @@ class Simulation:
         ledger = self.ledger
         ledger.total_superframes += 1
         devices, table = self.devices, self.table
+        now = self.scheduler.now
         awake = []
         for node_id in self.node_ids:
+            dev = devices[node_id]
             # The pattern is asked for every node, granted or not.
-            if is_awake(table, node_id, sf_index) or devices[node_id].grant_active:
+            if is_awake(table, node_id, sf_index) or dev.grant_active:
                 awake.append(node_id)
                 ledger.node_awake_superframes[node_id] += 1
+                dev.awake = True
+                self.set_state(dev, RX, now)  # listen for the beacon
         if awake:
             ledger.bnc_awake_superframes += 1
             self._beacon_listeners = awake
-            self.mac.start_superframe(sf_index, self.scheduler.now, awake)
+            self.mac.start_superframe(sf_index, now, awake)
         else:
             self.maybe_sleep(self.bnc)
         next_t = (sf_index + 1) * self.sf.beacon_interval_us
@@ -292,15 +321,15 @@ class Simulation:
 
     def on_beacon_tx_end(self, tx) -> None:
         now = self.scheduler.now
-        ledger = self.ledger
+        set_state = self.set_state
         bnc = self.bnc
         bnc.awake = True
-        ledger.set_state(bnc.id, self.IDLE, now)  # the coordinator listens through the active part
+        set_state(bnc, IDLE, now)  # the coordinator listens through the active part
         for node_id in self._beacon_listeners:
             dev = self.devices[node_id]
             if not dev.awake:
                 continue
-            ledger.set_state(node_id, self.IDLE, now)
+            set_state(dev, IDLE, now)
             outcome = self.channel.deliver(tx, dev.placement, self.rngs.channel, dst_id=node_id)
             if outcome is None:
                 self.scheduler.schedule(now, RX_END, node_id,
@@ -328,7 +357,7 @@ class Simulation:
         now = self.scheduler.now
         dev.awake = True
         dev.tx_until = max(dev.tx_until or 0, tx.end)
-        self.ledger.set_state(dev.id, self.TX, now)
+        self.set_state(dev, TX, now)
         frame = tx.frame
         if tx.radio is DATA_RADIO and frame.dst >= 0:
             ddev = self.devices.get(frame.dst)
@@ -340,7 +369,7 @@ class Simulation:
             if listening:
                 ddev.incoming += 1
                 if ddev.tx_until is None or ddev.tx_until <= now:
-                    self.ledger.set_state(ddev.id, self.RX, now)
+                    self.set_state(ddev, RX, now)
 
     def _on_tx_end(self, tx) -> None:
         now = self.scheduler.now
@@ -349,7 +378,7 @@ class Simulation:
         src = self.devices[frame.src]
         if src.tx_until is not None and src.tx_until <= now:
             src.tx_until = None
-            self.ledger.set_state(src.id, self.IDLE, now)
+            self.set_state(src, IDLE, now)
             self.maybe_sleep(src)
         listening = tx.listening
         if tx.radio is DATA_RADIO and frame.dst >= 0 and listening:
@@ -359,7 +388,7 @@ class Simulation:
                 if ddev.incoming == 0 and ddev.awake and (
                     ddev.tx_until is None or ddev.tx_until <= now
                 ):
-                    self.ledger.set_state(ddev.id, self.IDLE, now)
+                    self.set_state(ddev, IDLE, now)
         if frame.kind is WAKEUP_SIGNAL:
             self._on_wakeup_signal_end(tx)
             return
@@ -563,7 +592,3 @@ class Simulation:
 
 def _horizon_mark() -> None:
     """The horizon's MeasurementTick only marks the end of the run in the trace."""
-
-
-def run_simulation(scenario: Scenario, seed: int | None = None, trace_sink=None) -> MetricsLedger:
-    return Simulation(scenario, seed=seed, trace_sink=trace_sink).run()

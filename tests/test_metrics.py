@@ -1,4 +1,5 @@
 import io
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -16,8 +17,20 @@ from wbansim.metrics import (
     write_node_csv,
     write_summary_csv,
 )
+from wbansim.simulation import Simulation
+
+from conftest import make_scenario
 
 NH = TrafficClass.NORMAL_HIGH
+
+
+def idle_simulation(horizon_us):
+    """A one-node run with nothing scheduled, so only the test moves the radio
+    states; `run` then closes every last interval at `horizon_us`."""
+    sim = Simulation(make_scenario(), seed=1)
+    sim.scheduler._heap.clear()
+    sim.horizon_us = horizon_us
+    return sim, sim.devices[1]
 
 
 class TestPdr:
@@ -41,33 +54,50 @@ class TestPdr:
 
 class TestEnergy:
     def test_pure_sleep_one_second(self):
-        ledger = MetricsLedger()
-        ledger.init_state(1, RadioState.SLEEP, 0)
-        ledger.finalize_states(1_000_000)
+        sim, dev = idle_simulation(1_000_000)
+        sim.set_state(dev, RadioState.SLEEP, 0)
+        ledger = sim.run()
         assert ledger.energy_mj(1, EnergyModel()) == pytest.approx(0.06)
 
     def test_mixed_states_hand_arithmetic(self):
         # 10 ms tx at 52.2 mW + 990 ms sleep at 0.06 mW = 0.5814 mJ
-        ledger = MetricsLedger()
-        ledger.init_state(1, RadioState.TX, 0)
-        ledger.set_state(1, RadioState.SLEEP, 10_000)
-        ledger.finalize_states(1_000_000)
+        sim, dev = idle_simulation(1_000_000)
+        sim.set_state(dev, RadioState.TX, 0)
+        sim.set_state(dev, RadioState.SLEEP, 10_000)
+        ledger = sim.run()
         assert ledger.energy_mj(1, EnergyModel()) == pytest.approx(0.5814)
 
     def test_zero_duration_run(self):
-        ledger = MetricsLedger()
-        ledger.init_state(1, RadioState.SLEEP, 0)
-        ledger.finalize_states(0)
+        sim, dev = idle_simulation(0)
+        ledger = sim.run()
+        assert ledger.state_us[1] == {dev.sleep_state: 0}
         assert ledger.energy_mj(1, EnergyModel()) == 0.0
 
     def test_state_durations_partition_the_run(self):
-        ledger = MetricsLedger()
-        ledger.init_state(1, RadioState.SLEEP, 0)
-        ledger.set_state(1, RadioState.RX, 100)
-        ledger.set_state(1, RadioState.TX, 250)
-        ledger.set_state(1, RadioState.SLEEP, 400)
-        ledger.finalize_states(1000)
+        sim, dev = idle_simulation(1000)
+        sim.set_state(dev, RadioState.RX, 100)
+        sim.set_state(dev, RadioState.TX, 250)
+        sim.set_state(dev, RadioState.SLEEP, 400)
+        ledger = sim.run()
         assert sum(ledger.state_us[1].values()) == 1000
+        assert ledger.state_us[1][RadioState.IDLE_LISTEN] == 0  # never entered
+
+    def test_repeated_state_is_no_transition(self):
+        sim, dev = idle_simulation(1000)
+        sim.set_state(dev, RadioState.RX, 100)
+        sim.set_state(dev, RadioState.RX, 300)
+        assert (dev.state, dev.since) == (RadioState.RX, 100)
+        assert sim.run().state_us[1][RadioState.RX] == 900
+
+    def test_states_keep_first_entry_order(self):
+        # energy_mj sums in this order, so it is part of the CSV bytes
+        sim, dev = idle_simulation(1000)
+        for t, state in enumerate((RadioState.TX, RadioState.IDLE_LISTEN, RadioState.RX,
+                                   RadioState.TX, RadioState.SLEEP), start=1):
+            sim.set_state(dev, state, 100 * t)
+        assert list(sim.run().state_us[1]) == [
+            dev.sleep_state, RadioState.TX, RadioState.IDLE_LISTEN, RadioState.RX,
+            RadioState.SLEEP]
 
     def test_power_ordering_enforced(self):
         with pytest.raises(ValueError):
@@ -106,8 +136,7 @@ def sample_ledger(node=1, offered=10, delivered=8, dropped=1, latency_base=1000)
         ledger.add_delivered(node, NH, latency_base + i)
     for _ in range(dropped):
         ledger.add_dropped(node, NH)
-    ledger.init_state(node, RadioState.SLEEP, 0)
-    ledger.finalize_states(1_000_000)
+    ledger.state_us[node] = Counter({RadioState.SLEEP: 1_000_000})
     ledger.total_superframes = 10
     ledger.bnc_awake_superframes = 4
     return ledger
@@ -158,8 +187,7 @@ class TestCsv:
 
     def test_zero_offered_gives_empty_pdr_cell(self):
         ledger = MetricsLedger({2: TrafficClass.EMERGENCY})
-        ledger.init_state(2, RadioState.SLEEP, 0)
-        ledger.finalize_states(1000)
+        ledger.state_us[2] = Counter({RadioState.SLEEP: 1000})
         row = node_csv_rows(ledger, "r", 1, "csma", EnergyModel())[0]
         fields = row.split(",")
         assert fields[5] == "0"  # offered

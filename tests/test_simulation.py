@@ -162,8 +162,7 @@ class TestSleepDiscipline:
         version_before = sim.table.version
         sim.table.update(1, 5)
         assert sim.table.version == version_before + 1
-        sim.scheduler.run_until(scn.horizon_us)
-        sim.ledger.finalize_states(scn.horizon_us)
+        sim.run()  # resumes from the current clock to the horizon
         total = sim.ledger.total_superframes
         expected_after = len([i for i in range(10, total) if i % 5 == 0])
         assert sim.ledger.node_awake_superframes[1] == 10 + expected_after
@@ -561,3 +560,45 @@ class TestFrameConservation:
             assert ledger.offered[key] == (
                 ledger.delivered[key] + ledger.dropped[key] + in_flight[key]
             ), key
+
+
+class TestRadioStateInvariants:
+    """After every dispatch, each device's `incoming` count and `tx_until`
+    agree with its radio state.  Nothing here asserts that rx implies
+    something incoming: listening for a beacon is rx with nothing incoming."""
+
+    # Horizon caps that keep the busy scenarios to about 15 000 dispatches a
+    # seed; the other two run their full horizon.
+    HORIZON_US = {"priority_saturated": 2_000_000, "tdma_three_links": 30_000_000}
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("path", TestFrameConservation.SHIPPED, ids=lambda p: p.stem)
+    def test_incoming_and_tx_until_agree_with_the_state(self, path, seed):
+        sim = Simulation(load_scenario(path), seed=seed)
+        devices = list(sim.devices.values())
+        rx_or_tx = (RadioState.RX, RadioState.TX)
+        violations = []
+        checks = 0
+        last = 0  # time of the dispatch that just finished
+
+        def check():
+            nonlocal checks
+            checks += 1
+            for dev in devices:
+                if (dev.incoming < 0
+                        or (dev.incoming > 0 and dev.state not in rx_or_tx)
+                        or (dev.tx_until is not None and dev.tx_until > last
+                            and dev.state is not RadioState.TX)):
+                    violations.append((last, dev.id, dev.state.value, dev.incoming,
+                                       dev.tx_until))
+
+        def after_previous_dispatch(entry):
+            nonlocal last
+            check()
+            last = entry[0]
+
+        sim.scheduler.trace_sink = after_previous_dispatch
+        sim.scheduler.run_until(self.HORIZON_US.get(path.stem, sim.horizon_us))
+        check()
+        assert checks > 500
+        assert not violations, violations[:5]
