@@ -63,7 +63,7 @@ def test_tdma_data_frame_round_trip(benchmark):
     scenario = load_scenario(SCENARIOS / "tdma_three_links.yaml")
     sim = Simulation(scenario, seed=1)
     sim.scheduler._heap.clear()  # no beacons or arrivals: only the round trips run
-    sim.bnc.awake = True         # listening, as in the slot region
+    sim.set_state(sim.bnc, RadioState.IDLE_LISTEN, 0)  # listening, as in the slot region
     dev = sim.devices[1]
     frame = Frame(FrameKind.DATA, 1, 0, dev.profile.payload_bits,
                   TrafficClass.NORMAL_HIGH, 0, 1)

@@ -25,11 +25,9 @@ from dataclasses import dataclass
 from .core import BNC_ID, SimTime, make_beacon
 from .channel import CcaResult
 from .engine import EventKind
-from .metrics import RadioState
 
 # Enum members read on the per-event paths, bound once (see simulation.py).
 SLOT_BOUNDARY, BUSY = EventKind.SLOT_BOUNDARY, CcaResult.BUSY
-IDLE = RadioState.IDLE_LISTEN
 
 
 @dataclass(frozen=True)
@@ -97,8 +95,7 @@ class TdmaMac:
         slot_end = own_start + self.schedule.slot_duration_us
         slot_start = max(now, own_start)
         if slot_start > now:  # doze between beacon and the owned slot
-            dev.awake = False
-            sim.set_state(dev, dev.sleep_state, now)
+            sim.maybe_sleep(dev)
         sim.scheduler.schedule(slot_start, SLOT_BOUNDARY, dev.id,
                                self.on_slot_start, (dev, slot_end))
 
@@ -108,8 +105,7 @@ class TdmaMac:
         sim = self.sim
         now = sim.scheduler.now
         dev.slot_end = slot_end
-        dev.awake = True
-        sim.set_state(dev, IDLE, now)
+        sim.wake_to_idle(dev)
         # An emergency window may own the channel; yield the whole slot then.
         busy = (
             sim.channel.cca_energy_detect(

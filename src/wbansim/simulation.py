@@ -8,9 +8,10 @@ generation, the emergency and on-demand wakeup paths, and radio-state
 bookkeeping for the energy figures.
 
 Every event names the method it runs (see `engine.fire`).  The beacon's
-start and end are shared by both MACs and handled here: its listeners switch
-to rx when it is due, at its end each awake listener gets a reception
-outcome, and the MAC decides what a received beacon means.
+start and end are shared by both MACs and handled here: each listener counts
+it as an incoming frame from the moment it is due to its end, when every
+listener gets a reception outcome, and the MAC decides what a received beacon
+means.
 
 A device's low-power state is `wakeup_rx` when it carries an always-on wakeup
 receiver and plain `sleep` otherwise; together with tx/rx/idle_listen this
@@ -18,6 +19,10 @@ partitions every microsecond of the run, per device.  Each `Device` holds its
 own radio state, the time it entered it and the closed time per state;
 `Simulation.set_state(dev, state, now)` is the one transition, and `run`
 closes the last interval at the horizon and hands the totals to the ledger.
+One rule decides the state after every handler: tx while `tx_until > now`,
+otherwise rx while `incoming > 0`, otherwise idle_listen or the sleep state,
+which only `maybe_sleep` enters.  The main radio is on exactly when the state
+is not the sleep state.
 
 Handlers here and in the MACs read the clock once from `scheduler.now` and
 call `scheduler.schedule` and `set_state` directly: these run on nearly every
@@ -51,7 +56,6 @@ from .metrics import MetricsLedger, RadioState
 from .scenario import Scenario
 from .traffic import ArrivalProcess, GeneratorSpec, OnDemandEntry
 from .wakeup import (
-    Direction,
     Purpose,
     WakeupSignal,
     build_table,
@@ -122,7 +126,7 @@ class EmergencyFlow:
     granted: bool = False
 
 
-@dataclass
+@dataclass(slots=True)
 class Device:
     id: int
     placement: Placement
@@ -132,11 +136,8 @@ class Device:
     profile: NodeProfile | None = None
     gen: GeneratorSpec | None = None
     queue: PendingQueue = field(default_factory=PendingQueue)
-    # Main radio on: as a rule `state is not sleep_state`, but maybe_sleep's
-    # hold branch can move a dozing TDMA node to idle_listen with this False.
-    awake: bool = False
-    incoming: int = 0
-    tx_until: SimTime | None = None
+    incoming: int = 0   # frames on the air for this device, the beacon included
+    tx_until: SimTime = 0  # end of its own transmissions; 0 once their TxEnd ran
     hold_awake_until: SimTime = 0
     spurious_until: SimTime = 0
     grant_active: bool = False
@@ -266,26 +267,19 @@ class Simulation:
 
     def wake_to_idle(self, dev: Device) -> None:
         """Turn the main radio on without clobbering an ongoing tx/rx."""
-        dev.awake = True
         now = self.scheduler.now
-        if dev.tx_until is not None and dev.tx_until > now:
-            return
-        if dev.incoming > 0:
-            return
-        self.set_state(dev, IDLE, now)
+        if dev.tx_until <= now and not dev.incoming:
+            self.set_state(dev, IDLE, now)
 
     def maybe_sleep(self, dev: Device) -> None:
         now = self.scheduler.now
-        if dev.in_cap or dev.incoming > 0:
-            return
-        if dev.tx_until is not None and dev.tx_until > now:
+        if dev.in_cap or dev.incoming > 0 or dev.tx_until > now:
             return
         if dev.slot_end is not None and now < dev.slot_end:
             return
         if now < dev.spurious_until or now < dev.hold_awake_until:
             self.set_state(dev, IDLE, now)
             return
-        dev.awake = False
         self.set_state(dev, dev.sleep_state, now)
 
     def end_spurious(self, dev: Device) -> None:
@@ -299,19 +293,20 @@ class Simulation:
         ledger.total_superframes += 1
         devices, table = self.devices, self.table
         now = self.scheduler.now
-        awake = []
+        listeners = []
         for node_id in self.node_ids:
             dev = devices[node_id]
             # The pattern is asked for every node, granted or not.
             if is_awake(table, node_id, sf_index) or dev.grant_active:
-                awake.append(node_id)
+                listeners.append(node_id)
                 ledger.node_awake_superframes[node_id] += 1
-                dev.awake = True
-                self.set_state(dev, RX, now)  # listen for the beacon
-        if awake:
+                dev.incoming += 1  # the beacon, until on_beacon_tx_end
+                if dev.tx_until <= now:
+                    self.set_state(dev, RX, now)
+        if listeners:
             ledger.bnc_awake_superframes += 1
-            self._beacon_listeners = awake
-            self.mac.start_superframe(sf_index, now, awake)
+            self._beacon_listeners = listeners
+            self.mac.start_superframe(sf_index, now, listeners)
         else:
             self.maybe_sleep(self.bnc)
         next_t = (sf_index + 1) * self.sf.beacon_interval_us
@@ -320,23 +315,22 @@ class Simulation:
                                     self._on_beacon_due, (sf_index + 1,))
 
     def on_beacon_tx_end(self, tx) -> None:
+        """Each listener gets a reception outcome.  `_on_tx_end` has already
+        taken the coordinator out of tx, and its CAP (CSMA) or slot-region
+        hold (TDMA) keeps it listening through the active part."""
         now = self.scheduler.now
-        set_state = self.set_state
-        bnc = self.bnc
-        bnc.awake = True
-        set_state(bnc, IDLE, now)  # the coordinator listens through the active part
         for node_id in self._beacon_listeners:
             dev = self.devices[node_id]
-            if not dev.awake:
-                continue
-            set_state(dev, IDLE, now)
+            dev.incoming -= 1
+            if dev.incoming == 0 and dev.tx_until <= now:
+                self.set_state(dev, IDLE, now)
             outcome = self.channel.deliver(tx, dev.placement, self.rngs.channel, dst_id=node_id)
             if outcome is None:
                 self.scheduler.schedule(now, RX_END, node_id,
                                         self.mac.on_beacon_received, (dev, tx.frame))
             else:
                 self.ledger.loss_reasons[f"beacon_{outcome.value}"] += 1
-        self.mac.try_start(bnc)  # under CSMA the coordinator contends for its own frames
+        self.mac.try_start(self.bnc)  # under CSMA the coordinator contends for its own frames
 
     # -- transmissions -------------------------------------------------------------------
 
@@ -355,39 +349,35 @@ class Simulation:
 
     def _tx_started(self, dev: Device, tx) -> None:
         now = self.scheduler.now
-        dev.awake = True
-        dev.tx_until = max(dev.tx_until or 0, tx.end)
+        dev.tx_until = max(dev.tx_until, tx.end)
         self.set_state(dev, TX, now)
         frame = tx.frame
         if tx.radio is DATA_RADIO and frame.dst >= 0:
             ddev = self.devices.get(frame.dst)
             listening = tx.listening = (
                 ddev is not None
-                and ddev.awake
-                and (ddev.tx_until is None or ddev.tx_until <= now)
+                and ddev.state is not ddev.sleep_state
+                and ddev.tx_until <= now
             )
             if listening:
                 ddev.incoming += 1
-                if ddev.tx_until is None or ddev.tx_until <= now:
-                    self.set_state(ddev, RX, now)
+                self.set_state(ddev, RX, now)
 
     def _on_tx_end(self, tx) -> None:
         now = self.scheduler.now
         frame = tx.frame
         self.channel.end_tx(tx)
         src = self.devices[frame.src]
-        if src.tx_until is not None and src.tx_until <= now:
-            src.tx_until = None
-            self.set_state(src, IDLE, now)
+        if 0 < src.tx_until <= now:  # the first TxEnd at its last transmission's end
+            src.tx_until = 0
+            self.set_state(src, RX if src.incoming else IDLE, now)
             self.maybe_sleep(src)
         listening = tx.listening
         if tx.radio is DATA_RADIO and frame.dst >= 0 and listening:
             ddev = self.devices.get(frame.dst)
             if ddev is not None:
                 ddev.incoming -= 1
-                if ddev.incoming == 0 and ddev.awake and (
-                    ddev.tx_until is None or ddev.tx_until <= now
-                ):
+                if ddev.incoming == 0 and ddev.tx_until <= now:
                     self.set_state(ddev, IDLE, now)
         if frame.kind is WAKEUP_SIGNAL:
             self._on_wakeup_signal_end(tx)
@@ -487,8 +477,7 @@ class Simulation:
     def _send_emergency_signal(self, flow: EmergencyFlow) -> None:
         dev = self.devices[flow.node]
         signal = WakeupSignal(
-            addressing=self.wc.mode, direction=Direction.TO_BNC,
-            purpose=Purpose.EMERGENCY, sender=dev.id,
+            addressing=self.wc.mode, purpose=Purpose.EMERGENCY, sender=dev.id,
         )
         self._send_signal(dev, signal, flow, BNC_ID)
         retry_at = self.scheduler.now + EMERGENCY_RETRY_US
@@ -504,8 +493,8 @@ class Simulation:
         self.wake_to_idle(bnc)
         bnc.hold_awake_until = max(bnc.hold_awake_until, self._next_boundary())
         signal = WakeupSignal(
-            addressing=self.wc.mode, direction=Direction.TO_NODE,
-            purpose=Purpose.ON_DEMAND, sender=BNC_ID, target=entry.target,
+            addressing=self.wc.mode, purpose=Purpose.ON_DEMAND, sender=BNC_ID,
+            target=entry.target,
         )
         self._send_signal(bnc, signal, entry, entry.target)
 
@@ -530,7 +519,7 @@ class Simulation:
             if outcome is not None:
                 self.ledger.loss_reasons["wakeup_signal_lost"] += 1
                 continue
-            delay = 0 if dev.awake else self.wc.latency_us
+            delay = 0 if dev.state is not dev.sleep_state else self.wc.latency_us
             if signal.purpose is Purpose.EMERGENCY:
                 fn, args = self._grant_emergency, (dev, ctx)
             elif device_id == ctx.target:

@@ -31,11 +31,6 @@ class Addressing(Enum):
     FREQUENCY_ADDRESSED = "frequency_addressed"
 
 
-class Direction(Enum):
-    TO_BNC = "to_bnc"
-    TO_NODE = "to_node"
-
-
 class Purpose(Enum):
     EMERGENCY = "emergency"
     ON_DEMAND = "on_demand"
@@ -43,19 +38,13 @@ class Purpose(Enum):
 
 @dataclass(frozen=True)
 class WakeupSignal:
-    """One wakeup-radio signal; emergencies go to the BNC, queries to nodes."""
+    """One wakeup-radio signal; its purpose fixes its direction: emergencies
+    go to the BNC, on-demand queries to nodes."""
 
     addressing: Addressing
-    direction: Direction
     purpose: Purpose
     sender: int
-    target: int | None = None  # required for FREQUENCY_ADDRESSED ToNode
-
-    def __post_init__(self) -> None:
-        if self.purpose is Purpose.EMERGENCY and self.direction is not Direction.TO_BNC:
-            raise ValueError("emergency signals are always addressed to the BNC")
-        if self.purpose is Purpose.ON_DEMAND and self.direction is not Direction.TO_NODE:
-            raise ValueError("on-demand signals are always addressed to nodes")
+    target: int | None = None  # required for a FREQUENCY_ADDRESSED query
 
 
 @dataclass
@@ -143,7 +132,7 @@ def resolve_wakeup_targets(
     Broadcast node-bound signals hit every BN with a wakeup receiver; the
     frequency-addressed mode narrows that to the single matching node.
     """
-    if signal.direction is Direction.TO_BNC:
+    if signal.purpose is Purpose.EMERGENCY:
         return [BNC_ID]
     if signal.addressing is Addressing.FREQUENCY_ADDRESSED:
         if signal.target is None:

@@ -7,7 +7,7 @@ import pytest
 
 from wbansim.channel import ActiveTx
 from wbansim.core import Frame, FrameKind, TrafficClass
-from wbansim.engine import KIND, EventKind
+from wbansim.engine import ARGS, FIRE_AT, FN, KIND, EventKind
 from wbansim.metrics import EnergyModel, RadioState, write_node_csv
 from wbansim.scenario import load_scenario
 from wbansim.simulation import PendingQueue, Simulation
@@ -562,22 +562,61 @@ class TestFrameConservation:
             ), key
 
 
+def on_demand_node(node_id, x_m):
+    return {"id": node_id, "class": "on_demand_non_continuous", "criticality": "non_critical",
+            "placement": {"kind": "on_body", "x_m": x_m}, "wakeup_multiplier": 1}
+
+
+def tdma_query_pair(to_2_s, to_1_s):
+    """TDMA, BO = SO = 3: nodes 1 (slot 2) and 2 (slot 0), both on-demand
+    with multiplier 1; broadcast queries reach both, first to node 2, then to
+    node 1."""
+    return make_scenario(
+        name="tdma_query_pair", mac="tdma", horizon_s=1.0,
+        tdma={"slot_duration_ms": 3.4, "slots": {1: 2, 2: 0}},
+        nodes=[on_demand_node(1, 0.1), on_demand_node(2, 0.2)],
+        on_demand=[{"time_s": to_2_s, "target": 2}, {"time_s": to_1_s, "target": 1}],
+    )
+
+
+# Runs that once broke the rule, each through a different path:
+REPRODUCERS = {
+    # node 1 answers its query during the beacon, so a hold covers its doze
+    # before its slot: it stays in idle_listen.
+    "tdma_doze_under_hold": lambda: tdma_query_pair(0.241226, 0.367640),
+    # node 1's spurious window ends inside the beacon (368 640-369 856 us):
+    # it keeps listening and gets the beacon.
+    "tdma_spurious_ends_in_beacon": lambda: tdma_query_pair(0.244976, 0.368248),
+    # the emergency node's wakeup signal is on the air until 246 260 us, past
+    # the beacon due at 245 760 us: tx until then, rx for the rest of the beacon.
+    "csma_signal_over_beacon": lambda: make_scenario(
+        name="csma_signal_over_beacon", horizon_s=1.0,
+        nodes=[{"id": 1, "class": "emergency", "criticality": "critical",
+                "placement": {"kind": "on_body", "x_m": 0.1}, "wakeup_multiplier": 1,
+                "traffic": {"arrival": "periodic", "rate_per_hour": 3600.0,
+                            "phase_s": 0.24526}}],
+    ),
+}
+
+
 class TestRadioStateInvariants:
-    """After every dispatch, each device's `incoming` count and `tx_until`
-    agree with its radio state.  Nothing here asserts that rx implies
-    something incoming: listening for a beacon is rx with nothing incoming."""
+    """After every dispatch, each device's radio state follows the one rule:
+    tx exactly while `tx_until > now`, otherwise rx exactly while `incoming >
+    0`, otherwise idle_listen or the sleep state, and never the sleep state
+    inside a hold or spurious window.  A beacon counts as incoming to each of
+    its listeners from the moment it is due to its end."""
 
     # Horizon caps that keep the busy scenarios to about 15 000 dispatches a
     # seed; the other two run their full horizon.
     HORIZON_US = {"priority_saturated": 2_000_000, "tdma_three_links": 30_000_000}
 
-    @pytest.mark.parametrize("seed", [1, 2, 3])
-    @pytest.mark.parametrize("path", TestFrameConservation.SHIPPED, ids=lambda p: p.stem)
-    def test_incoming_and_tx_until_agree_with_the_state(self, path, seed):
-        sim = Simulation(load_scenario(path), seed=seed)
+    @staticmethod
+    def run_checked(sim, horizon_us):
+        """Run to `horizon_us`, checking the rule after every dispatch.
+        Returns the number of checks, the violations and the (time, node) of
+        each beacon received."""
         devices = list(sim.devices.values())
-        rx_or_tx = (RadioState.RX, RadioState.TX)
-        violations = []
+        violations, received = [], []
         checks = 0
         last = 0  # time of the dispatch that just finished
 
@@ -585,20 +624,47 @@ class TestRadioStateInvariants:
             nonlocal checks
             checks += 1
             for dev in devices:
+                tx = dev.state is RadioState.TX
+                # A transmission that ends now may still await its TxEnd.
+                ending = 0 < dev.tx_until == last
                 if (dev.incoming < 0
-                        or (dev.incoming > 0 and dev.state not in rx_or_tx)
-                        or (dev.tx_until is not None and dev.tx_until > last
-                            and dev.state is not RadioState.TX)):
+                        or (tx != (dev.tx_until > last) and not ending)
+                        or (not tx and (dev.incoming > 0) != (dev.state is RadioState.RX))
+                        or (dev.state is dev.sleep_state
+                            and last < max(dev.hold_awake_until, dev.spurious_until))):
                     violations.append((last, dev.id, dev.state.value, dev.incoming,
                                        dev.tx_until))
 
         def after_previous_dispatch(entry):
             nonlocal last
             check()
-            last = entry[0]
+            last = entry[FIRE_AT]
+            if entry[FN].__name__ == "on_beacon_received":
+                received.append((last, entry[ARGS][0].id))
 
         sim.scheduler.trace_sink = after_previous_dispatch
-        sim.scheduler.run_until(self.HORIZON_US.get(path.stem, sim.horizon_us))
+        sim.scheduler.run_until(horizon_us)
         check()
+        return checks, violations, received
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("path", TestFrameConservation.SHIPPED, ids=lambda p: p.stem)
+    def test_incoming_and_tx_until_agree_with_the_state(self, path, seed):
+        sim = Simulation(load_scenario(path), seed=seed)
+        checks, violations, _ = self.run_checked(
+            sim, self.HORIZON_US.get(path.stem, sim.horizon_us))
         assert checks > 500
         assert not violations, violations[:5]
+
+    @pytest.mark.parametrize("name", REPRODUCERS)
+    def test_reproducer_keeps_the_rule(self, name):
+        sim = Simulation(REPRODUCERS[name]())
+        checks, violations, received = self.run_checked(sim, sim.horizon_us)
+        assert checks > 50
+        assert not violations, violations[:5]
+        # Every node wakes on each of the run's 9 superframes and hears every
+        # beacon, which ends 1 216 us after it is due (superframe 3's at
+        # 369 856 us).
+        beacon_ends = [k * 122_880 + 1_216 for k in range(9)]
+        for node in sim.node_ids:
+            assert [t for t, n in received if n == node] == beacon_ends, node

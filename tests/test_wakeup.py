@@ -15,7 +15,6 @@ from wbansim.core import (
 )
 from wbansim.wakeup import (
     Addressing,
-    Direction,
     Purpose,
     WakeupConfig,
     WakeupSignal,
@@ -162,33 +161,24 @@ class TestTableUpdates:
 
 
 class TestSignals:
-    def test_emergency_must_target_bnc(self):
-        with pytest.raises(ValueError):
-            WakeupSignal(Addressing.BROADCAST, Direction.TO_NODE, Purpose.EMERGENCY, sender=1)
-
-    def test_on_demand_must_target_nodes(self):
-        with pytest.raises(ValueError):
-            WakeupSignal(Addressing.BROADCAST, Direction.TO_BNC, Purpose.ON_DEMAND, sender=0)
-
     def test_broadcast_wakes_every_receiver(self):
-        sig = WakeupSignal(Addressing.BROADCAST, Direction.TO_NODE, Purpose.ON_DEMAND,
-                           sender=BNC_ID, target=3)
+        sig = WakeupSignal(Addressing.BROADCAST, Purpose.ON_DEMAND, sender=BNC_ID, target=3)
         woken = resolve_wakeup_targets(sig, [1, 2, 3, 4, 5, 6, 7, 8], WakeupConfig())
         assert woken == [1, 2, 3, 4, 5, 6, 7, 8]
 
     def test_frequency_addressed_wakes_only_target(self):
         cfg = WakeupConfig(mode=Addressing.FREQUENCY_ADDRESSED, frequencies={3: 1})
-        sig = WakeupSignal(Addressing.FREQUENCY_ADDRESSED, Direction.TO_NODE,
-                           Purpose.ON_DEMAND, sender=BNC_ID, target=3)
+        sig = WakeupSignal(Addressing.FREQUENCY_ADDRESSED, Purpose.ON_DEMAND,
+                           sender=BNC_ID, target=3)
         assert resolve_wakeup_targets(sig, [1, 2, 3, 4], cfg) == [3]
 
     def test_frequency_addressed_without_assignment_errors(self):
         cfg = WakeupConfig(mode=Addressing.FREQUENCY_ADDRESSED, frequencies={2: 1})
-        sig = WakeupSignal(Addressing.FREQUENCY_ADDRESSED, Direction.TO_NODE,
-                           Purpose.ON_DEMAND, sender=BNC_ID, target=3)
+        sig = WakeupSignal(Addressing.FREQUENCY_ADDRESSED, Purpose.ON_DEMAND,
+                           sender=BNC_ID, target=3)
         with pytest.raises(WakeupTableError):
             resolve_wakeup_targets(sig, [1, 2, 3], cfg)
 
     def test_to_bnc_wakes_the_bnc(self):
-        sig = WakeupSignal(Addressing.BROADCAST, Direction.TO_BNC, Purpose.EMERGENCY, sender=4)
+        sig = WakeupSignal(Addressing.BROADCAST, Purpose.EMERGENCY, sender=4)
         assert resolve_wakeup_targets(sig, [1, 2, 3, 4], WakeupConfig()) == [BNC_ID]
