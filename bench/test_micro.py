@@ -63,7 +63,10 @@ def test_tdma_data_frame_round_trip(benchmark):
     scenario = load_scenario(SCENARIOS / "tdma_three_links.yaml")
     sim = Simulation(scenario, seed=1)
     sim.scheduler._heap.clear()  # no beacons or arrivals: only the round trips run
-    sim.set_state(sim.bnc, RadioState.IDLE_LISTEN, 0)  # listening, as in the slot region
+    # Listening and held awake, as in the slot region: without the hold the
+    # coordinator dozes once the first frame ends.
+    sim.set_state(sim.bnc, RadioState.IDLE_LISTEN, 0)
+    sim.bnc.hold_awake_until = 2**62
     dev = sim.devices[1]
     frame = Frame(FrameKind.DATA, 1, 0, dev.profile.payload_bits,
                   TrafficClass.NORMAL_HIGH, 0, 1)

@@ -6,8 +6,10 @@ exponents are much steeper, which is what makes energy-detection CCA blind
 to implants beyond a few meters.  Power sums for CCA are always done in
 linear milliwatts, never in dB.
 
-The wakeup radio is a separate always-listening channel: no collisions, no
-sensitivity floor, only an optional Bernoulli loss probability.
+The model covers the data radio only.  Wakeup signals travel out of band:
+they never occupy this channel, so CCA and collisions do not see them; the
+simulation resolves their receivers and draws their optional loss
+(`ChannelParams.wakeup_loss_p`) itself.
 
 Placements and path-loss parameters are fixed for the life of a
 `ChannelModel`, so the link budget of a (tx power, source, listener) triple
@@ -26,14 +28,9 @@ import random
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .core import Frame, FrameKind, Placement, PlacementKind, SimTime
+from .core import Frame, Placement, PlacementKind, SimTime
 
 MIN_DISTANCE_M = 0.001  # log-singularity guard
-
-
-class Radio(Enum):
-    DATA = "data"
-    WAKEUP = "wakeup"
 
 
 class LinkClass(Enum):
@@ -54,7 +51,6 @@ class LossReason(Enum):
 
 
 # Enum members read on the per-event paths, bound once (see simulation.py).
-DATA_RADIO, WAKEUP_RADIO = Radio.DATA, Radio.WAKEUP
 BUSY, IDLE = CcaResult.BUSY, CcaResult.IDLE
 IN_BODY = PlacementKind.IN_BODY
 
@@ -169,15 +165,14 @@ class LinkBudgets(dict):
 
 @dataclass(eq=False)
 class ActiveTx:
-    """A transmission registered on a radio for [start, end).
+    """A data-radio transmission registered for [start, end).
 
     `interferers` lists the (tx dBm, source placement) of each overlapping
-    transmission on the same radio: all that a reception decision needs.
+    transmission: all that a reception decision needs.
     Holding no reference to the other `ActiveTx` keeps an ended transmission
     from being kept alive by a chain of overlaps.  `listening` is set when the
     transmission starts: whether its addressed destination was awake and not
-    itself transmitting (always True for beacons, broadcasts and wakeup
-    signals).
+    itself transmitting (always True for beacons and broadcasts).
     """
 
     frame: Frame
@@ -185,7 +180,6 @@ class ActiveTx:
     src_placement: Placement
     start: SimTime
     end: SimTime
-    radio: Radio
     interferers: list[tuple[float, Placement]] = field(default_factory=list)
     listening: bool = True
 
@@ -213,18 +207,15 @@ class ChannelModel:
         src_placement: Placement,
         start: SimTime,
         duration: SimTime,
-        radio: Radio = Radio.DATA,
         tx_power_dbm: float | None = None,
     ) -> ActiveTx:
-        if frame.kind is FrameKind.WAKEUP_SIGNAL and radio is not WAKEUP_RADIO:
-            raise ValueError("wakeup signals travel only on the wakeup radio")
         if tx_power_dbm is None:
             tx_power_dbm = self.params.tx_power_for(src_placement)
-        tx = ActiveTx(frame, tx_power_dbm, src_placement, start, start + duration, radio)
+        tx = ActiveTx(frame, tx_power_dbm, src_placement, start, start + duration)
         # A transmission may be registered ahead of its start instant, so
         # interference links require a genuine interval overlap.
         for other in self._active:
-            if other.radio is radio and other.end > tx.start and tx.end > other.start:
+            if other.end > tx.start and tx.end > other.start:
                 other.interferers.append((tx_power_dbm, src_placement))
                 tx.interferers.append((other.tx_power_dbm, other.src_placement))
         self._active.append(tx)
@@ -233,18 +224,16 @@ class ChannelModel:
     def end_tx(self, tx: ActiveTx) -> None:
         self._active.remove(tx)
 
-    def busy_until(self, radio: Radio, now: SimTime) -> SimTime:
-        """Earliest instant at or after now when the radio carries nothing."""
-        ends = [tx.end for tx in self._active if tx.radio is radio and tx.end > now]
+    def busy_until(self, now: SimTime) -> SimTime:
+        """Earliest instant at or after now when the channel carries nothing."""
+        ends = [tx.end for tx in self._active if tx.end > now]
         return max(ends, default=now)
 
     def received_power_dbm(self, listener: Placement, now: SimTime) -> float:
-        """Linear-milliwatt sum over active data-radio transmissions, in dBm."""
+        """Linear-milliwatt sum over the transmissions on the air, in dBm."""
         budget = self._budget
         total_mw = 0.0
         for tx in self._active:  # summed in registration order, as the verdicts assume
-            if tx.radio is not DATA_RADIO:
-                continue
             if not tx.start <= now < tx.end:
                 continue
             total_mw += budget[tx.tx_power_dbm, tx.src_placement, listener][1]
@@ -271,11 +260,6 @@ class ChannelModel:
         """
         frame = tx.frame
         dst = frame.dst if dst_id is None else dst_id
-        if tx.radio is WAKEUP_RADIO:
-            # Ideal out-of-band channel apart from an optional loss draw.
-            if self.params.wakeup_loss_p > 0.0 and rng.random() < self.params.wakeup_loss_p:
-                return LossReason.RANDOM_ERROR
-            return None
         budget = self._budget
         own_rx = budget[tx.tx_power_dbm, tx.src_placement, dst_placement][0]
         capture_floor = own_rx - self.params.capture_margin_db

@@ -134,7 +134,8 @@ class Frame:
     """One over-the-air unit with the timestamps needed for latency accounting.
 
     created_at marks generation, rx_end the last bit at the receiver.  Control
-    frames (beacon, ack, wakeup signal) carry no traffic class.  Wakeup signals travel only on the wakeup radio.
+    frames (beacon, ack, wakeup signal) carry no traffic class.  Wakeup signals
+    travel out of band and never enter the data channel.
     """
 
     kind: FrameKind

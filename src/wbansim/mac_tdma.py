@@ -149,6 +149,7 @@ class TdmaMac:
         else:
             dev.slot_end = None
             sim.maybe_sleep(dev)
+        sim.maybe_sleep(sim.bnc)  # its receiver dozes unless a hold, e.g. the slot region, is on
 
     def try_start(self, dev) -> None:
         """Mid-superframe arrivals wait for the node's next active slot."""

@@ -124,6 +124,16 @@ class _Check:
             self.err(f"{path}.{key}", f"must be <= {maximum}, got {v}")
         return v
 
+    def micros(self, value: float, unit_us: int, path: str) -> SimTime | None:
+        """A finite `value` in units of `unit_us` microseconds, rounded to whole
+        microseconds; None, with an error at `path`, if it is too large to
+        convert."""
+        us = value * unit_us
+        if math.isinf(us):
+            self.err(path, f"{value} is too large to convert to microseconds")
+            return None
+        return round(us)
+
     def integer(self, d: dict, key: str, path: str, default, minimum=None, maximum=None):
         v = self.num(d, key, path, default, minimum, maximum)
         if v is None:
@@ -251,7 +261,9 @@ def _horizon(ck: _Check, top: dict, name: str, sf: SuperframeConfig) -> SimTime:
     if horizon_s <= 0:
         ck.err(f"{name}.horizon_s", "must be positive")
         return 0
-    horizon_us = round(horizon_s * 1_000_000)
+    horizon_us = ck.micros(horizon_s, 1_000_000, f"{name}.horizon_s")
+    if horizon_us is None:
+        return 0
     if horizon_us < sf.beacon_interval_us:  # includes one that rounds to 0 us
         ck.err(f"{name}.horizon_s", f"horizon shorter than one beacon interval "
                                     f"({horizon_us} us < {sf.beacon_interval_us} us)")
@@ -307,6 +319,8 @@ def _link_errors(ck: _Check, raw: object, path: str, node_ids: set[int]) -> Link
         if src is None or dst is None or prob is None:
             ck.err(p, "needs src, dst and p_success")
             continue
+        if not 0.0 <= prob <= 1.0:
+            continue  # already reported with its key path
         unknown = [(end, v) for end, v in (("src", src), ("dst", dst))
                    if v != 0 and v not in node_ids]
         for end, v in unknown:
@@ -342,6 +356,9 @@ def _wakeup(ck: _Check, raw: object, path: str) -> WakeupConfig:
     if airtime_ms is not None and airtime_ms <= 0:
         ck.err(f"{path}.signal_airtime_ms", "must be positive")
         airtime_ms = 1.0
+    airtime_us = ck.micros(airtime_ms or 1, 1000, f"{path}.signal_airtime_ms")
+    if airtime_us == 0:
+        ck.err(f"{path}.signal_airtime_ms", f"{airtime_ms} ms rounds to 0 us")
     freqs = None
     if "frequencies" in sec:
         raw_f = sec["frequencies"]
@@ -356,8 +373,8 @@ def _wakeup(ck: _Check, raw: object, path: str) -> WakeupConfig:
                 freqs[k] = v
     return WakeupConfig(
         mode=Addressing(mode_txt),
-        latency_us=round((latency_ms or 0) * 1000),
-        signal_airtime_us=round((airtime_ms or 1) * 1000),
+        latency_us=ck.micros(latency_ms or 0, 1000, f"{path}.latency_ms") or 0,
+        signal_airtime_us=airtime_us or 1000,
         frequencies=freqs,
     )
 
@@ -446,10 +463,13 @@ def _generator(ck: _Check, raw: object, path: str, profile: NodeProfile) -> Gene
     # normal traffic staggers by node id to avoid pathological phase alignment
     default_phase_s = float(profile.id) if arrival is ArrivalProcess.PERIODIC else 0.0
     phase_s = ck.num(sec, "phase_s", path, default_phase_s, minimum=0)
+    phase_us = ck.micros(phase_s or 0, 1_000_000, f"{path}.phase_s")
+    if phase_us is None:
+        return None
     return _build(ck, path, GeneratorSpec,
                   traffic_class=cls, payload_bits=profile.payload_bits,
                   rate_per_hour=rate if arrival is not ArrivalProcess.SATURATED else 0.0,
-                  arrival=arrival, phase_us=round((phase_s or 0) * 1_000_000))
+                  arrival=arrival, phase_us=phase_us)
 
 
 def _on_demand(
@@ -471,14 +491,18 @@ def _on_demand(
         if time_s is None or target is None:
             ck.err(p, "needs time_s and target")
             continue
-        time_us = round(time_s * 1_000_000)
+        time_us = ck.micros(time_s, 1_000_000, f"{p}.time_s")
+        duration_us = ck.micros(ck.num(sec, "duration_s", p, 0.0) or 0, 1_000_000,
+                                f"{p}.duration_s")
+        if time_us is None or duration_us is None:
+            continue
         if time_us > horizon_us:
             ck.err(p, f"time_s {time_s} is beyond the run horizon")
         continuous = mode == "continuous"
         entry = _build(ck, p, OnDemandEntry,
                        time_us=time_us, target=target, continuous=continuous,
                        rate_per_s=ck.num(sec, "rate_per_s", p, 0.0),
-                       duration_us=round((ck.num(sec, "duration_s", p, 0.0) or 0) * 1_000_000))
+                       duration_us=duration_us)
         if entry is not None:
             entries.append((entry, mode))
     return entries
@@ -502,9 +526,12 @@ def _tdma(ck: _Check, raw: object, path: str) -> TdmaSchedule | None:
         slots[k] = v
     n_slots = ck.integer(sec, "slots_per_superframe", path,
                          max(slots.values(), default=0) + 1, minimum=1)
+    slot_us = ck.micros(duration_ms or 4.0, 1000, f"{path}.slot_duration_ms")
+    if slot_us is None:
+        return None
     return _build(ck, path, TdmaSchedule,
                   slots=slots,
-                  slot_duration_us=round((duration_ms or 4.0) * 1000),
+                  slot_duration_us=slot_us,
                   slots_per_superframe=n_slots)
 
 

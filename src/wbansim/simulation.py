@@ -22,7 +22,15 @@ closes the last interval at the horizon and hands the totals to the ledger.
 One rule decides the state after every handler: tx while `tx_until > now`,
 otherwise rx while `incoming > 0`, otherwise idle_listen or the sleep state,
 which only `maybe_sleep` enters.  The main radio is on exactly when the state
-is not the sleep state.
+is not the sleep state, and `hold_awake_until` is the one hold that keeps it
+on: a query, an emergency grant and a spurious wake each raise it with `max`.
+
+The wakeup radio is out of band and ideal apart from an optional loss draw.
+A wakeup signal is a `WAKEUP_SIGNAL` frame that never enters the channel: its
+sender is in tx for the signal's airtime, and at its TxEnd the simulation
+resolves the devices it reaches (a signal for the coordinator is an
+emergency) and draws each one's loss on the channel stream.  The frame's
+payload is the emergency flow or on-demand entry the signal serves.
 
 Handlers here and in the MACs read the clock once from `scheduler.now` and
 call `scheduler.schedule` and `set_state` directly: these run on nearly every
@@ -37,7 +45,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from . import traffic as traffic_mod
-from .channel import ChannelModel, Radio
+from .channel import ChannelModel
 from .core import (
     BNC_ID,
     Criticality,
@@ -55,20 +63,13 @@ from .mac_tdma import TdmaMac
 from .metrics import MetricsLedger, RadioState
 from .scenario import Scenario
 from .traffic import ArrivalProcess, GeneratorSpec, OnDemandEntry
-from .wakeup import (
-    Purpose,
-    WakeupSignal,
-    build_table,
-    is_awake,
-    resolve_wakeup_targets,
-)
+from .wakeup import build_table, is_awake, resolve_wakeup_targets
 
 # Enum members read on the per-event paths, bound once as module names: on
 # Python 3.11 every read off an Enum class runs `EnumType.__getattr__`'s
 # slot hook, which costs about ten global reads.
 BEACON_DUE, RX_END, SLOT_BOUNDARY = EventKind.BEACON_DUE, EventKind.RX_END, EventKind.SLOT_BOUNDARY
 TRAFFIC_ARRIVAL, TX_END = EventKind.TRAFFIC_ARRIVAL, EventKind.TX_END
-DATA_RADIO = Radio.DATA
 ACK, BEACON, DATA = FrameKind.ACK, FrameKind.BEACON, FrameKind.DATA
 WAKEUP_SIGNAL = FrameKind.WAKEUP_SIGNAL
 EMERGENCY, SATURATED = TrafficClass.EMERGENCY, ArrivalProcess.SATURATED
@@ -121,8 +122,7 @@ class StreamState:
 
 @dataclass
 class EmergencyFlow:
-    node: int
-    frame: Frame
+    frame: Frame  # its source is the emergency node
     granted: bool = False
 
 
@@ -138,8 +138,7 @@ class Device:
     queue: PendingQueue = field(default_factory=PendingQueue)
     incoming: int = 0   # frames on the air for this device, the beacon included
     tx_until: SimTime = 0  # end of its own transmissions; 0 once their TxEnd ran
-    hold_awake_until: SimTime = 0
-    spurious_until: SimTime = 0
+    hold_awake_until: SimTime = 0  # main radio on until then (query, grant, spurious wake)
     grant_active: bool = False
     stream: StreamState | None = None
     # CSMA attempt state
@@ -277,14 +276,10 @@ class Simulation:
             return
         if dev.slot_end is not None and now < dev.slot_end:
             return
-        if now < dev.spurious_until or now < dev.hold_awake_until:
+        if now < dev.hold_awake_until:
             self.set_state(dev, IDLE, now)
             return
         self.set_state(dev, dev.sleep_state, now)
-
-    def end_spurious(self, dev: Device) -> None:
-        dev.spurious_until = 0
-        self.maybe_sleep(dev)
 
     # -- superframe loop --------------------------------------------------------------
 
@@ -334,11 +329,8 @@ class Simulation:
 
     # -- transmissions -------------------------------------------------------------------
 
-    def begin_tx(self, dev: Device, frame: Frame, start: SimTime,
-                 radio: Radio = Radio.DATA, duration: SimTime | None = None):
-        if duration is None:
-            duration = self.air_us(frame.size_bits)
-        tx = self.channel.register_tx(frame, dev.placement, start, duration, radio)
+    def begin_tx(self, dev: Device, frame: Frame, start: SimTime):
+        tx = self.channel.register_tx(frame, dev.placement, start, self.air_us(frame.size_bits))
         schedule = self.scheduler.schedule
         if start <= self.scheduler.now:
             self._tx_started(dev, tx)
@@ -352,7 +344,7 @@ class Simulation:
         dev.tx_until = max(dev.tx_until, tx.end)
         self.set_state(dev, TX, now)
         frame = tx.frame
-        if tx.radio is DATA_RADIO and frame.dst >= 0:
+        if frame.dst >= 0:
             ddev = self.devices.get(frame.dst)
             listening = tx.listening = (
                 ddev is not None
@@ -368,20 +360,14 @@ class Simulation:
         frame = tx.frame
         self.channel.end_tx(tx)
         src = self.devices[frame.src]
-        if 0 < src.tx_until <= now:  # the first TxEnd at its last transmission's end
-            src.tx_until = 0
-            self.set_state(src, RX if src.incoming else IDLE, now)
-            self.maybe_sleep(src)
+        self._tx_done(src, now)
         listening = tx.listening
-        if tx.radio is DATA_RADIO and frame.dst >= 0 and listening:
+        if frame.dst >= 0 and listening:
             ddev = self.devices.get(frame.dst)
             if ddev is not None:
                 ddev.incoming -= 1
                 if ddev.incoming == 0 and ddev.tx_until <= now:
                     self.set_state(ddev, IDLE, now)
-        if frame.kind is WAKEUP_SIGNAL:
-            self._on_wakeup_signal_end(tx)
-            return
         if frame.kind is BEACON:
             self.on_beacon_tx_end(tx)
             return
@@ -399,6 +385,14 @@ class Simulation:
             self.mac.on_ack_tx_end(tx, delivered)
         else:
             self.mac.on_data_tx_end(src, tx, delivered)
+
+    def _tx_done(self, dev: Device, now: SimTime) -> None:
+        """One of `dev`'s transmissions (data or wakeup signal) ended: the first
+        TxEnd at its last transmission's end takes it out of tx."""
+        if 0 < dev.tx_until <= now:
+            dev.tx_until = 0
+            self.set_state(dev, RX if dev.incoming else IDLE, now)
+            self.maybe_sleep(dev)
 
     def apply_command(self, dev: Device, frame: Frame) -> None:
         if frame.payload == ("stop",) and dev.stream is not None:
@@ -420,7 +414,7 @@ class Simulation:
     def _on_arrival(self, dev: Device) -> None:
         frame = self._offer_frame(dev, dev.gen.traffic_class)
         if frame.traffic_class is EMERGENCY:
-            self._start_emergency(dev, frame)
+            self._send_emergency_signal(EmergencyFlow(frame))
         nxt = traffic_mod.next_arrival(dev.gen, self.scheduler.now, dev.rng)
         if nxt <= self.horizon_us:
             self.scheduler.schedule(nxt, TRAFFIC_ARRIVAL, dev.id, self._on_arrival, (dev,))
@@ -458,30 +452,26 @@ class Simulation:
 
     # -- wakeup-radio paths ------------------------------------------------------------------
 
-    def _send_signal(self, dev: Device, signal: WakeupSignal, ctx, dst: int) -> None:
-        """`ctx` is the emergency flow or the on-demand entry the signal serves."""
+    def _send_signal(self, dev: Device, dst: int, ctx) -> None:
+        """Send a wakeup signal for `dst`; its frame's payload `ctx` is the
+        emergency flow or the on-demand entry it serves."""
         now = self.scheduler.now
         self.ledger.wakeup_signals_sent[dev.id] += 1
         sig = Frame(
             kind=WAKEUP_SIGNAL, src=dev.id, dst=dst,
             size_bits=WAKEUP_SIGNAL_BITS, traffic_class=None,
-            created_at=now, sequence=self.next_seq(),
-            payload=(signal, ctx),
+            created_at=now, sequence=self.next_seq(), payload=ctx,
         )
-        self.begin_tx(dev, sig, now, radio=Radio.WAKEUP,
-                      duration=self.wc.signal_airtime_us)
-
-    def _start_emergency(self, dev: Device, frame: Frame) -> None:
-        self._send_emergency_signal(EmergencyFlow(node=dev.id, frame=frame))
+        end = now + self.wc.signal_airtime_us
+        dev.tx_until = max(dev.tx_until, end)
+        self.set_state(dev, TX, now)
+        self.scheduler.schedule(end, TX_END, dev.id, self._on_wakeup_signal_end, (sig,))
 
     def _send_emergency_signal(self, flow: EmergencyFlow) -> None:
-        dev = self.devices[flow.node]
-        signal = WakeupSignal(
-            addressing=self.wc.mode, purpose=Purpose.EMERGENCY, sender=dev.id,
-        )
-        self._send_signal(dev, signal, flow, BNC_ID)
+        node_id = flow.frame.src
+        self._send_signal(self.devices[node_id], BNC_ID, flow)
         retry_at = self.scheduler.now + EMERGENCY_RETRY_US
-        self.scheduler.schedule(retry_at, EventKind.WAKEUP_DUE, dev.id,
+        self.scheduler.schedule(retry_at, EventKind.WAKEUP_DUE, node_id,
                                 self._retry_emergency, (flow,))
 
     def _retry_emergency(self, flow: EmergencyFlow) -> None:
@@ -492,11 +482,7 @@ class Simulation:
         bnc = self.bnc
         self.wake_to_idle(bnc)
         bnc.hold_awake_until = max(bnc.hold_awake_until, self._next_boundary())
-        signal = WakeupSignal(
-            addressing=self.wc.mode, purpose=Purpose.ON_DEMAND, sender=BNC_ID,
-            target=entry.target,
-        )
-        self._send_signal(bnc, signal, entry, entry.target)
+        self._send_signal(bnc, entry.target, entry)
 
     def _enqueue_stop(self, target: int) -> None:
         cmd = Frame(
@@ -508,24 +494,26 @@ class Simulation:
         self.bnc.queue.push(cmd)
         self.mac.try_start(self.bnc)
 
-    def _on_wakeup_signal_end(self, tx) -> None:
+    def _on_wakeup_signal_end(self, sig: Frame) -> None:
+        """Each device the signal reaches survives the optional loss draw or
+        not, in target order; a survivor acts after its wakeup latency if its
+        main radio was off."""
         now = self.scheduler.now
-        signal, ctx = tx.frame.payload
-        targets = resolve_wakeup_targets(signal, self._receiver_nodes, self.wc)
-        for device_id in targets:
-            dev = self.devices[device_id]
-            outcome = self.channel.deliver(tx, dev.placement, self.rngs.channel,
-                                           dst_id=device_id)
-            if outcome is not None:
+        self._tx_done(self.devices[sig.src], now)
+        ctx, dst = sig.payload, sig.dst
+        loss_p = self.channel.params.wakeup_loss_p
+        for device_id in resolve_wakeup_targets(dst, self._receiver_nodes, self.wc):
+            if loss_p > 0.0 and self.rngs.channel.random() < loss_p:
                 self.ledger.loss_reasons["wakeup_signal_lost"] += 1
                 continue
+            dev = self.devices[device_id]
             delay = 0 if dev.state is not dev.sleep_state else self.wc.latency_us
-            if signal.purpose is Purpose.EMERGENCY:
-                fn, args = self._grant_emergency, (dev, ctx)
-            elif device_id == ctx.target:
-                fn, args = self._answer_query, (dev, ctx)
-            else:
+            if device_id != dst:
                 fn, args = self._spurious_wake, (dev,)
+            elif dst == BNC_ID:
+                fn, args = self._grant_emergency, (dev, ctx)
+            else:
+                fn, args = self._answer_query, (dev, ctx)
             self.scheduler.schedule(now + delay, EventKind.WAKEUP_DUE, device_id, fn, args)
 
     def _next_boundary(self) -> SimTime:
@@ -536,7 +524,7 @@ class Simulation:
             return
         flow.granted = True
         self.wake_to_idle(bnc)
-        node = self.devices[flow.node]
+        node = self.devices[flow.frame.src]
         if self.mac.name == "csma":
             # Channel access is granted at the next beacon, top priority.
             node.grant_active = True
@@ -544,19 +532,19 @@ class Simulation:
         else:
             # Dedicated response window as soon as the data radio frees up.
             now = self.scheduler.now
-            start = max(now, self.channel.busy_until(DATA_RADIO, now))
+            start = max(now, self.channel.busy_until(now))
             air = self.air_us(flow.frame.size_bits)
             bnc.hold_awake_until = max(bnc.hold_awake_until, start + air)
-            self.scheduler.schedule(start, SLOT_BOUNDARY, flow.node,
+            self.scheduler.schedule(start, SLOT_BOUNDARY, node.id,
                                     self._start_emergency_window, (node, flow))
         self.maybe_sleep(bnc)
 
     def _spurious_wake(self, dev: Device) -> None:
         self.ledger.spurious_wakeups[dev.id] += 1
         self.wake_to_idle(dev)
-        dev.spurious_until = self.scheduler.now + self.sf.active_duration_us
-        self.scheduler.schedule(dev.spurious_until, SLOT_BOUNDARY, dev.id,
-                                self.end_spurious, (dev,))
+        until = self.scheduler.now + self.sf.active_duration_us
+        dev.hold_awake_until = max(dev.hold_awake_until, until)
+        self.scheduler.schedule(until, SLOT_BOUNDARY, dev.id, self.maybe_sleep, (dev,))
 
     def _answer_query(self, dev: Device, entry: OnDemandEntry) -> None:
         self.wake_to_idle(dev)

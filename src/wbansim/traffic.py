@@ -16,6 +16,7 @@ from functools import cached_property
 from .core import SimTime, TrafficClass
 
 US_PER_HOUR = 3_600_000_000
+MAX_INTERVAL_US = 2**63  # longest mean interval a rate may give: an int64 of microseconds
 
 
 class ArrivalProcess(Enum):
@@ -52,6 +53,10 @@ class GeneratorSpec:
             raise ValueError(f"rate_per_hour must be > 0, got {self.rate_per_hour}")
         if self.payload_bits <= 0:
             raise ValueError(f"payload_bits must be positive, got {self.payload_bits}")
+        if self.arrival is not ArrivalProcess.SATURATED \
+                and US_PER_HOUR / self.rate_per_hour > MAX_INTERVAL_US:
+            raise ValueError(f"rate_per_hour {self.rate_per_hour} gives a mean interval "
+                             f"over {MAX_INTERVAL_US} us")
         if self.arrival is ArrivalProcess.PERIODIC and self.period_us < 1:
             raise ValueError(f"rate_per_hour {self.rate_per_hour} gives a period under 1 us")
 
@@ -77,6 +82,9 @@ class OnDemandEntry:
                 raise ValueError("continuous query needs rate_per_s > 0")
             if self.duration_us <= 0:
                 raise ValueError("continuous query needs duration_us > 0")
+            if 1_000_000 / self.rate_per_s > MAX_INTERVAL_US:
+                raise ValueError(f"rate_per_s {self.rate_per_s} gives a stream interval "
+                                 f"over {MAX_INTERVAL_US} us")
             if self.interval_us < 1:
                 raise ValueError(
                     f"rate_per_s {self.rate_per_s} gives a stream interval under 1 us"

@@ -7,8 +7,10 @@ the union of the node schedules, and sleeps whenever no node is due.  Nodes
 sharing a multiplier wake together and contend for the channel.
 
 The wakeup radio carries short out-of-band signals: node-to-coordinator for
-emergencies, coordinator-to-node for on-demand queries.  Broadcast signaling
-wakes every receiver-equipped node (the classic wakeup-radio limitation);
+emergencies, coordinator-to-node for on-demand queries.  A signal is a
+`WAKEUP_SIGNAL` frame whose destination says which of the two it is: the
+coordinator means an emergency.  Broadcast signaling wakes every
+receiver-equipped node (the classic wakeup-radio limitation);
 frequency-addressed signaling wakes exactly the intended target.
 """
 
@@ -29,22 +31,6 @@ class WakeupTableError(ValueError):
 class Addressing(Enum):
     BROADCAST = "broadcast"
     FREQUENCY_ADDRESSED = "frequency_addressed"
-
-
-class Purpose(Enum):
-    EMERGENCY = "emergency"
-    ON_DEMAND = "on_demand"
-
-
-@dataclass(frozen=True)
-class WakeupSignal:
-    """One wakeup-radio signal; its purpose fixes its direction: emergencies
-    go to the BNC, on-demand queries to nodes."""
-
-    addressing: Addressing
-    purpose: Purpose
-    sender: int
-    target: int | None = None  # required for a FREQUENCY_ADDRESSED query
 
 
 @dataclass
@@ -123,23 +109,20 @@ def bnc_awake_fraction(table: WakeupTable) -> Fraction:
 
 
 def resolve_wakeup_targets(
-    signal: WakeupSignal,
+    dst: int,
     receiver_nodes: list[int],
     config: WakeupConfig,
 ) -> list[int]:
-    """Device ids a signal reaches, before any loss draw.
+    """Device ids a signal for `dst` reaches, before any loss draw.
 
-    Broadcast node-bound signals hit every BN with a wakeup receiver; the
+    A signal for the BNC (an emergency) reaches the BNC.  Broadcast
+    node-bound signals hit every BN with a wakeup receiver; the
     frequency-addressed mode narrows that to the single matching node.
     """
-    if signal.purpose is Purpose.EMERGENCY:
+    if dst == BNC_ID:
         return [BNC_ID]
-    if signal.addressing is Addressing.FREQUENCY_ADDRESSED:
-        if signal.target is None:
-            raise ValueError("frequency-addressed signal needs a target")
-        if config.frequencies is None or signal.target not in config.frequencies:
-            raise WakeupTableError(
-                f"node {signal.target} has no wakeup frequency assignment"
-            )
-        return [signal.target] if signal.target in receiver_nodes else []
+    if config.mode is Addressing.FREQUENCY_ADDRESSED:
+        if config.frequencies is None or dst not in config.frequencies:
+            raise WakeupTableError(f"node {dst} has no wakeup frequency assignment")
+        return [dst] if dst in receiver_nodes else []
     return sorted(receiver_nodes)

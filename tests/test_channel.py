@@ -11,7 +11,6 @@ from wbansim.channel import (
     LinkClass,
     LinkErrorTable,
     LossReason,
-    Radio,
     dbm_to_mw,
     default_path_loss,
     link_class,
@@ -269,29 +268,3 @@ class TestLinkBudgetMemo:
             assert rx_dbm == rx_power_dbm(power, src, dst, default_path_loss())
             assert rx_mw == dbm_to_mw(rx_dbm)
 
-
-class TestWakeupRadio:
-    def test_wakeup_signal_must_use_wakeup_radio(self):
-        ch = ChannelModel()
-        sig = Frame(FrameKind.WAKEUP_SIGNAL, 1, 0, 8, None, 0, 1)
-        with pytest.raises(ValueError):
-            ch.register_tx(sig, ORIGIN, 0, 1000, radio=Radio.DATA)
-
-    def test_ideal_by_default(self):
-        ch = ChannelModel()
-        sig = Frame(FrameKind.WAKEUP_SIGNAL, 1, 0, 8, None, 0, 1)
-        tx = ch.register_tx(sig, in_body(3.0), 0, 1000, radio=Radio.WAKEUP)
-        assert ch.deliver(tx, ORIGIN, random.Random(1)) is None
-
-    def test_optional_loss_probability(self):
-        params = ChannelParams(wakeup_loss_p=1.0)
-        ch = ChannelModel(params)
-        sig = Frame(FrameKind.WAKEUP_SIGNAL, 1, 0, 8, None, 0, 1)
-        tx = ch.register_tx(sig, ORIGIN, 0, 1000, radio=Radio.WAKEUP)
-        assert ch.deliver(tx, ORIGIN, random.Random(1)) is LossReason.RANDOM_ERROR
-
-    def test_wakeup_and_data_radios_are_separate(self):
-        ch = ChannelModel()
-        sig = Frame(FrameKind.WAKEUP_SIGNAL, 1, 0, 8, None, 0, 1)
-        ch.register_tx(sig, on_body(0.5), 0, 1000, radio=Radio.WAKEUP)
-        assert ch.cca_energy_detect(ORIGIN, -120.0, 500) is CcaResult.IDLE

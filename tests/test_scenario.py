@@ -1,6 +1,11 @@
+import copy
 import math
+from pathlib import Path
 
 import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wbansim.channel import LinkClass
 from wbansim.core import Criticality, PlacementKind, TrafficClass
@@ -17,6 +22,17 @@ def minimal():
 def with_rate(rate_per_hour):
     raw = minimal()
     raw["nodes"][0]["traffic"] = {"rate_per_hour": rate_per_hour}
+    return raw
+
+
+def with_key(path, value, raw=None):
+    """`raw` (default: `minimal()`) with `value` set at `path`."""
+    raw = raw or minimal()
+    *up, key = path
+    d = raw
+    for step in up:
+        d = d.setdefault(step, {}) if isinstance(step, str) else d[step]
+    d[key] = value
     return raw
 
 
@@ -44,6 +60,32 @@ NUMERIC_TRAPS = [
                  r"on_demand\[0\]: .* interval under 1 us", id="stream-interval-0us"),
     pytest.param(with_stream(math.inf),
                  r"on_demand\[0\]\.rate_per_s: must be finite", id="stream-inf"),
+    pytest.param(with_rate(1e-300),
+                 r"nodes\[0\]\.traffic: .* mean interval over", id="rate-period-inf"),
+    pytest.param(with_stream(1e-300),
+                 r"on_demand\[0\]: .* stream interval over", id="stream-interval-inf"),
+    # Times whose conversion to microseconds overflows a float.
+    pytest.param(with_key(("horizon_s",), 1e303), r"scenario\.horizon_s: 1e\+303 is too large",
+                 id="horizon_s"),
+    pytest.param(with_key(("on_demand", 0, "time_s"), 1e303, with_stream(5)),
+                 r"scenario\.on_demand\[0\]\.time_s: 1e\+303 is too large", id="time_s"),
+    pytest.param(with_key(("on_demand", 0, "duration_s"), 1e303, with_stream(5)),
+                 r"scenario\.on_demand\[0\]\.duration_s: 1e\+303 is too large", id="duration_s"),
+    pytest.param(with_key(("nodes", 0, "traffic"), {"phase_s": 1e303}),
+                 r"scenario\.nodes\[0\]\.traffic\.phase_s: 1e\+303 is too large", id="phase_s"),
+    pytest.param(with_key(("wakeup", "latency_ms"), 1.7e308),
+                 r"scenario\.wakeup\.latency_ms: 1\.7e\+308 is too large", id="latency_ms"),
+    pytest.param(with_key(("wakeup", "signal_airtime_ms"), 1.7e308),
+                 r"scenario\.wakeup\.signal_airtime_ms: 1\.7e\+308 is too large",
+                 id="signal_airtime_ms"),
+    pytest.param(with_key(("tdma",), {"slot_duration_ms": 1.7e308, "slots": {1: 0}},
+                          {**minimal(), "mac": "tdma"}),
+                 r"scenario\.tdma\.slot_duration_ms: 1\.7e\+308 is too large",
+                 id="slot_duration_ms"),
+    pytest.param(with_key(("wakeup", "signal_airtime_ms"), 0.0001),
+                 r"signal_airtime_ms: 0\.0001 ms rounds to 0 us", id="signal-airtime-0us"),
+    pytest.param(with_key(("channel",), {"link_errors": [{"src": 1, "dst": 0, "p_success": -1}]}),
+                 r"link_errors\[0\]\.p_success: must be >= 0", id="link-p-negative"),
 ]
 
 
@@ -257,3 +299,67 @@ class TestLoadFromFile(object):
         raw["horizon_superframes"] = 430
         scn = parse_scenario(raw)
         assert scn.horizon_us == 430 * scn.superframe.beacon_interval_us
+
+
+SHIPPED = {p.stem: yaml.safe_load(p.read_text())
+           for p in sorted((Path(__file__).resolve().parent.parent / "scenarios").glob("*.yaml"))}
+
+
+def positions(tree, prefix=()):
+    """The key path of every value in a parsed YAML tree, the root excluded."""
+    if isinstance(tree, dict):
+        items = tree.items()
+    elif isinstance(tree, list):
+        items = enumerate(tree)
+    else:
+        return
+    for key, child in items:
+        yield prefix + (key,)
+        yield from positions(child, prefix + (key,))
+
+
+# Boundary values next to the ones `st.floats()` favours: a time at 1e303 s
+# no longer fits a float in microseconds, a rate at 5e-324 gives an infinite
+# period.
+EXTREMES = [0, -1, 0.5, 1e-9, 5e-324, 1e9, 1e303, 1.7976931348623157e308, 2**63]
+NUMBERS = st.one_of(st.integers(), st.floats(), st.sampled_from(EXTREMES))
+ANY_VALUE = st.one_of(
+    st.none(), st.booleans(), NUMBERS, st.text(max_size=4),
+    st.lists(st.integers(), max_size=2),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+)
+
+
+@st.composite
+def mutated_shipped_scenarios(draw):
+    """A shipped scenario in which each value is, with probability 1/8,
+    deleted or replaced: a number mostly by another number, anything else by
+    a value of any type.  Positions are visited children first and last
+    sibling first, so every path stays valid while the tree changes."""
+    name = draw(st.sampled_from(sorted(SHIPPED)))
+    raw = copy.deepcopy(SHIPPED[name])
+    for *up, key in reversed(list(positions(raw))):
+        if draw(st.integers(0, 7)) < 7:
+            continue
+        parent = raw
+        for step in up:
+            parent = parent[step]
+        old = parent[key]
+        how = draw(st.integers(0, 3))
+        if how == 0:
+            del parent[key]
+        elif isinstance(old, (int, float)) and not isinstance(old, bool) and how < 3:
+            parent[key] = draw(NUMBERS)
+        else:
+            parent[key] = draw(ANY_VALUE)
+    return name, raw
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(mutated_shipped_scenarios())
+def test_mutated_shipped_scenarios_parse_or_raise_scenario_error(case):
+    name, raw = case
+    try:
+        parse_scenario(raw, name=name)
+    except ScenarioError:
+        pass

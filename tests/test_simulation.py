@@ -5,8 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from wbansim.channel import ActiveTx
-from wbansim.core import Frame, FrameKind, TrafficClass
+from wbansim.channel import ActiveTx, CcaResult
+from wbansim.core import BNC_ID, Frame, FrameKind, TrafficClass
 from wbansim.engine import ARGS, FIRE_AT, FN, KIND, EventKind
 from wbansim.metrics import EnergyModel, RadioState, write_node_csv
 from wbansim.scenario import load_scenario
@@ -310,6 +310,75 @@ class TestOnDemandPath:
         addressed_energy = sum(la.energy_mj(n, model) for n in others)
         assert broadcast_energy > addressed_energy
 
+    def test_overlapping_spurious_windows_keep_the_node_awake(self):
+        # Both broadcast queries are for node 1, so node 2 wakes spuriously
+        # twice, at 501 000 us and at 901 000 us.  The later window runs one
+        # active portion (983 040 us) from its wake: the end of the earlier
+        # one must not send node 2 to sleep inside it.
+        scn = make_scenario(
+            horizon_s=3.0, superframe={"beacon_order": 6, "superframe_order": 6},
+            nodes=[on_demand_node(1, 0.1, 8), on_demand_node(2, 0.2, 8)],
+            on_demand=[{"time_s": 0.5, "target": 1}, {"time_s": 0.9, "target": 1}],
+        )
+        sim = Simulation(scn)
+        node = sim.devices[2]
+        sim.scheduler.run_until(1_884_039)
+        assert node.state is RadioState.IDLE_LISTEN
+        sim.scheduler.run_until(1_884_040)
+        assert node.state is node.sleep_state
+        ledger = sim.run()
+        assert ledger.spurious_wakeups[2] == 2
+        assert ledger.state_us[2][RadioState.IDLE_LISTEN] == 1_882_824
+
+
+class TestWakeupRadio:
+    """The wakeup radio is out of band: ideal apart from an optional loss
+    draw per reached device, and never on the data channel."""
+
+    @staticmethod
+    def scenario(loss_p):
+        # Node 1 raises an emergency at 0.505 s of every second; a broadcast
+        # query for node 3 at 1.2 s reaches all three nodes.
+        return make_scenario(
+            horizon_s=5.0,
+            channel={"wakeup_loss_p": loss_p},
+            nodes=[
+                {"id": 1, "class": "emergency", "criticality": "critical",
+                 "placement": {"kind": "on_body", "x_m": 0.1}, "wakeup_multiplier": 8,
+                 "traffic": {"arrival": "periodic", "rate_per_hour": 3600.0,
+                             "phase_s": 0.505}},
+                on_demand_node(2, 0.2), on_demand_node(3, 0.3),
+            ],
+            on_demand=[{"time_s": 1.2, "target": 3}],
+        )
+
+    def test_cca_reads_idle_while_a_signal_is_on_the_air(self):
+        sim = Simulation(self.scenario(0.0))
+        sim.scheduler.run_until(505_000)  # node 1's first signal has just started
+        sender = sim.devices[1]
+        assert sender.state is RadioState.TX and sender.tx_until == 506_000
+        assert not sim.channel._active
+        for dev in sim.devices.values():
+            assert sim.channel.cca_energy_detect(dev.placement, -200.0, 505_000) \
+                is CcaResult.IDLE
+
+    def test_certain_loss_loses_every_signal(self):
+        _, ledger = run(self.scenario(1.0))
+        emergency_signals = ledger.wakeup_signals_sent[1]
+        assert emergency_signals > 5  # every lost emergency is resent
+        assert ledger.wakeup_signals_sent[BNC_ID] == 1
+        assert ledger.loss_reasons["wakeup_signal_lost"] == emergency_signals + 3
+        assert not ledger.spurious_wakeups
+        assert ledger.offered[(3, TrafficClass.ON_DEMAND_NON_CONTINUOUS)] == 0
+
+    def test_no_loss_loses_no_signal(self):
+        _, ledger = run(self.scenario(0.0))
+        assert "wakeup_signal_lost" not in ledger.loss_reasons
+        assert ledger.wakeup_signals_sent[1] == 5  # one per emergency, no resend
+        assert ledger.delivered[(1, TrafficClass.EMERGENCY)] == 5
+        assert ledger.delivered[(3, TrafficClass.ON_DEMAND_NON_CONTINUOUS)] == 1
+        assert dict(ledger.spurious_wakeups) == {1: 1, 2: 1}
+
 
 class TestTdmaRun:
     def scenario(self, horizon=20.0):
@@ -398,6 +467,25 @@ class TestTdmaRun:
         resolved = ledger.latency_samples(cls=TrafficClass.EMERGENCY)
         assert resolved
         assert max(resolved) < 100_000  # wakeup handshake + airtime, not 50 SFs
+
+    def test_coordinator_dozes_after_an_emergency_window(self):
+        # BO = 6, SO = 2: each emergency, at 0.5 s of every second, falls long
+        # after the 4 ms slot region, and its window holds the coordinator
+        # awake only until the frame ends.
+        scn = make_scenario(
+            mac="tdma",
+            horizon_s=20.0,
+            superframe={"beacon_order": 6, "superframe_order": 2},
+            tdma={"slot_duration_ms": 4.0, "slots": {1: 0}},
+            nodes=[{"id": 1, "class": "emergency", "criticality": "critical",
+                    "traffic": {"arrival": "periodic", "rate_per_hour": 3600.0,
+                                "phase_s": 0.5}}],
+        )
+        _, ledger = run(scn)
+        assert ledger.delivered[(1, TrafficClass.EMERGENCY)] == 20
+        assert ledger.total_superframes == 21
+        # The coordinator idles only in the slot region after each beacon.
+        assert ledger.state_us[BNC_ID][RadioState.IDLE_LISTEN] == 21 * 4_000
 
 
 class TestInactivePortion:
@@ -562,9 +650,9 @@ class TestFrameConservation:
             ), key
 
 
-def on_demand_node(node_id, x_m):
+def on_demand_node(node_id, x_m, multiplier=1):
     return {"id": node_id, "class": "on_demand_non_continuous", "criticality": "non_critical",
-            "placement": {"kind": "on_body", "x_m": x_m}, "wakeup_multiplier": 1}
+            "placement": {"kind": "on_body", "x_m": x_m}, "wakeup_multiplier": multiplier}
 
 
 def tdma_query_pair(to_2_s, to_1_s):
@@ -603,7 +691,7 @@ class TestRadioStateInvariants:
     """After every dispatch, each device's radio state follows the one rule:
     tx exactly while `tx_until > now`, otherwise rx exactly while `incoming >
     0`, otherwise idle_listen or the sleep state, and never the sleep state
-    inside a hold or spurious window.  A beacon counts as incoming to each of
+    inside a hold.  A beacon counts as incoming to each of
     its listeners from the moment it is due to its end."""
 
     # Horizon caps that keep the busy scenarios to about 15 000 dispatches a
@@ -631,7 +719,7 @@ class TestRadioStateInvariants:
                         or (tx != (dev.tx_until > last) and not ending)
                         or (not tx and (dev.incoming > 0) != (dev.state is RadioState.RX))
                         or (dev.state is dev.sleep_state
-                            and last < max(dev.hold_awake_until, dev.spurious_until))):
+                            and last < dev.hold_awake_until)):
                     violations.append((last, dev.id, dev.state.value, dev.incoming,
                                        dev.tx_until))
 

@@ -15,9 +15,7 @@ from wbansim.core import (
 )
 from wbansim.wakeup import (
     Addressing,
-    Purpose,
     WakeupConfig,
-    WakeupSignal,
     WakeupTable,
     WakeupTableError,
     bnc_awake_fraction,
@@ -162,23 +160,23 @@ class TestTableUpdates:
 
 class TestSignals:
     def test_broadcast_wakes_every_receiver(self):
-        sig = WakeupSignal(Addressing.BROADCAST, Purpose.ON_DEMAND, sender=BNC_ID, target=3)
-        woken = resolve_wakeup_targets(sig, [1, 2, 3, 4, 5, 6, 7, 8], WakeupConfig())
+        woken = resolve_wakeup_targets(3, [8, 1, 2, 3, 4, 5, 6, 7], WakeupConfig())
         assert woken == [1, 2, 3, 4, 5, 6, 7, 8]
 
     def test_frequency_addressed_wakes_only_target(self):
         cfg = WakeupConfig(mode=Addressing.FREQUENCY_ADDRESSED, frequencies={3: 1})
-        sig = WakeupSignal(Addressing.FREQUENCY_ADDRESSED, Purpose.ON_DEMAND,
-                           sender=BNC_ID, target=3)
-        assert resolve_wakeup_targets(sig, [1, 2, 3, 4], cfg) == [3]
+        assert resolve_wakeup_targets(3, [1, 2, 3, 4], cfg) == [3]
+
+    def test_frequency_addressed_target_without_receiver_wakes_nobody(self):
+        cfg = WakeupConfig(mode=Addressing.FREQUENCY_ADDRESSED, frequencies={3: 1})
+        assert resolve_wakeup_targets(3, [1, 2, 4], cfg) == []
 
     def test_frequency_addressed_without_assignment_errors(self):
         cfg = WakeupConfig(mode=Addressing.FREQUENCY_ADDRESSED, frequencies={2: 1})
-        sig = WakeupSignal(Addressing.FREQUENCY_ADDRESSED, Purpose.ON_DEMAND,
-                           sender=BNC_ID, target=3)
-        with pytest.raises(WakeupTableError):
-            resolve_wakeup_targets(sig, [1, 2, 3], cfg)
+        with pytest.raises(WakeupTableError, match="node 3 has no wakeup frequency"):
+            resolve_wakeup_targets(3, [1, 2, 3], cfg)
 
-    def test_to_bnc_wakes_the_bnc(self):
-        sig = WakeupSignal(Addressing.BROADCAST, Purpose.EMERGENCY, sender=4)
-        assert resolve_wakeup_targets(sig, [1, 2, 3, 4], WakeupConfig()) == [BNC_ID]
+    @pytest.mark.parametrize("mode", list(Addressing))
+    def test_to_bnc_wakes_the_bnc(self, mode):
+        cfg = WakeupConfig(mode=mode, frequencies={})
+        assert resolve_wakeup_targets(BNC_ID, [1, 2, 3, 4], cfg) == [BNC_ID]
