@@ -1,40 +1,126 @@
-"""Golden gate: every CSV and trace byte of the shipped scenarios is pinned.
+"""Golden gate: every CSV and trace byte and every RNG draw of the shipped
+scenarios is pinned.
 
 For each scenario under `scenarios/`, a three-seed sweep with `--trace`
 writes per-seed node and summary CSVs, per-seed trace logs and the aggregate
 CSVs.  Their sha256 digests must equal the ones in `golden_digests.json`.
-A change that alters any of them changes what the simulator computes and
-must say why, together with a regenerated digest file:
+The same sweep records every draw of every random stream (`RecordingRandom`),
+so a change that keeps the outputs but draws differently fails too; each
+seed's entry `<scenario>_seed<N>_rng` holds its draw count and the digest of
+its streams.  `emergency_8bn_lossy` is `emergency_8bn` with a lossy wakeup
+radio and four lossy beacon links: the channel draws of the wakeup loss and
+of a beacon reception run on no shipped scenario.  A change that alters
+any digest changes what the simulator computes and must say why, together
+with a regenerated digest file:
 
     PYTHONPATH=src python tests/test_golden.py --write
 """
 
 import hashlib
 import json
+import random
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
+import yaml
 
+import wbansim.engine
 from wbansim.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
-SCENARIOS = sorted((ROOT / "scenarios").glob("*.yaml"))
+SCENARIOS = ROOT / "scenarios"
 DIGEST_FILE = Path(__file__).with_name("golden_digests.json")
 SEEDS = "1..3"
+# name -> (shipped scenario, top-level sections it replaces)
+VARIANTS = {
+    "emergency_8bn_lossy": ("emergency_8bn", {"channel": {
+        "wakeup_loss_p": 0.3,
+        "link_errors": [{"src": 0, "dst": n, "p_success": p}
+                        for n, p in ((1, 0.7), (2, 0.7), (3, 0.9), (4, 0.9))],
+    }}),
+}
+NAMES = sorted([p.stem for p in SCENARIOS.glob("*.yaml")] + list(VARIANTS))
 
 
-def sweep_digests(scenario: Path, out: Path) -> dict[str, str]:
-    assert main(["--scenario", str(scenario), f"--seeds={SEEDS}", "--trace",
-                 "--out", str(out)]) == 0
-    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-            for p in sorted(out.iterdir())}
+def recording_random(streams: dict[str, list]) -> type:
+    """A `random.Random` whose instances log each draw under their seed text.
+
+    `randrange` draws through `getrandbits` and `expovariate` through
+    `random`, so the two overrides see every draw the simulator makes.
+    """
+
+    class RecordingRandom(random.Random):
+        def __init__(self, x=None):
+            self._log = streams.setdefault(str(x), [hashlib.sha256(), 0])
+            super().__init__(x)
+
+        def random(self):
+            value = super().random()
+            self._log[0].update(value.hex().encode() + b";")
+            self._log[1] += 1
+            return value
+
+        def getrandbits(self, k):
+            value = super().getrandbits(k)
+            self._log[0].update(f"{k}:{value};".encode())
+            self._log[1] += 1
+            return value
+
+    return RecordingRandom
 
 
-@pytest.mark.parametrize("scenario", SCENARIOS, ids=lambda p: p.stem)
-def test_outputs_match_golden_digests(scenario, tmp_path):
-    golden = json.loads(DIGEST_FILE.read_text(encoding="utf-8"))[scenario.stem]
-    assert sweep_digests(scenario, tmp_path) == golden
+def rng_digests(name: str, streams: dict[str, list]) -> dict[str, str]:
+    """One entry per seed: its total draw count and a digest of its streams.
+    A stream's seed text is `<seed>/channel` or `<seed>/node/<id>`."""
+    by_seed: dict[str, list[str]] = {}
+    for text, (digest, count) in sorted(streams.items()):
+        seed = text.split("/", 1)[0]
+        by_seed.setdefault(seed, []).append(f"{text} {count} {digest.hexdigest()}")
+    out = {}
+    for seed, lines in by_seed.items():
+        draws = sum(int(line.split()[1]) for line in lines)
+        joined = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        out[f"{name}_seed{seed}_rng"] = f"{draws} draws {joined}"
+    return out
+
+
+def scenario_file(name: str, tmp: Path) -> Path:
+    if name not in VARIANTS:
+        return SCENARIOS / f"{name}.yaml"
+    base, sections = VARIANTS[name]
+    raw = yaml.safe_load((SCENARIOS / f"{base}.yaml").read_text(encoding="utf-8"))
+    raw.update(sections)
+    path = tmp / f"{name}.yaml"
+    path.write_text(yaml.safe_dump(raw), encoding="utf-8")
+    return path
+
+
+def sweep_digests(name: str, tmp: Path) -> dict[str, str]:
+    out = tmp / "out"
+    streams: dict[str, list] = {}
+    with mock.patch.object(wbansim.engine.random, "Random", recording_random(streams)):
+        assert main(["--scenario", str(scenario_file(name, tmp)), f"--seeds={SEEDS}",
+                     "--trace", "--out", str(out)]) == 0
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in sorted(out.iterdir())}
+    digests.update(rng_digests(name, streams))
+    return dict(sorted(digests.items()))
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_outputs_match_golden_digests(name, tmp_path):
+    golden = json.loads(DIGEST_FILE.read_text(encoding="utf-8"))[name]
+    assert sweep_digests(name, tmp_path) == golden
+
+
+def test_recorder_leaves_the_draws_unchanged():
+    """The recording subclass returns exactly what `random.Random` returns."""
+    def draws(rng):
+        return [rng.randrange(32) for _ in range(50)] + [rng.expovariate(1e-6)]
+
+    assert draws(recording_random({})("7/node/1")) == draws(random.Random("7/node/1"))
 
 
 if __name__ == "__main__":
@@ -43,8 +129,8 @@ if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         raise SystemExit("usage: test_golden.py --write")
     digests = {}
-    for scenario in SCENARIOS:
+    for name in NAMES:
         with tempfile.TemporaryDirectory() as tmp:
-            digests[scenario.stem] = sweep_digests(scenario, Path(tmp))
+            digests[name] = sweep_digests(name, Path(tmp))
     DIGEST_FILE.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n",
                            encoding="utf-8")
