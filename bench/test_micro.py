@@ -6,7 +6,10 @@ benchmark times the steady state: memoised link budgets are already filled
 by the first round, as they are after the first few events of a run.
 """
 
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -20,7 +23,8 @@ from wbansim.scenario import load_scenario
 from wbansim.simulation import PendingQueue, Simulation
 
 BNC = Placement(PlacementKind.ON_BODY)
-SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+ROOT = Path(__file__).resolve().parents[1]
+SCENARIOS = ROOT / "scenarios"
 
 
 def data_frame(src, seq=1, cls=TrafficClass.NORMAL_HIGH, created=0):
@@ -136,3 +140,18 @@ def test_simulation_set_state(benchmark):
 
     benchmark(four_changes)
     assert sum(dev.state_us.values()) == dev.since
+
+
+def test_cold_start(benchmark):
+    """What a `wbansim` process does before its first event, in a fresh
+    interpreter per round: import `wbansim.cli`, load `emergency_8bn` and
+    build its `Simulation`.  The interpreter's own start-up is included."""
+    code = ("import wbansim.cli\n"
+            "from wbansim import Simulation, load_scenario\n"
+            f"Simulation(load_scenario({str(SCENARIOS / 'emergency_8bn.yaml')!r}), seed=1)\n")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+
+    def cold_start():
+        subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+
+    benchmark.pedantic(cold_start, rounds=10, iterations=1)

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
 from enum import Enum
 
 from .core import Frame, Placement, PlacementKind, SimTime
@@ -55,19 +54,19 @@ BUSY, IDLE = CcaResult.BUSY, CcaResult.IDLE
 IN_BODY = PlacementKind.IN_BODY
 
 
-@dataclass(frozen=True)
 class PathLossParams:
-    ref_loss_db: float
-    ref_dist_m: float
-    exponent: float
+    __slots__ = ("ref_loss_db", "ref_dist_m", "exponent")
 
-    def __post_init__(self) -> None:
-        if self.ref_loss_db <= 0:
-            raise ValueError(f"ref_loss_db must be > 0, got {self.ref_loss_db}")
-        if self.ref_dist_m <= 0:
-            raise ValueError(f"ref_dist_m must be > 0, got {self.ref_dist_m}")
-        if self.exponent < 1.5:
-            raise ValueError(f"exponent must be >= 1.5, got {self.exponent}")
+    def __init__(self, ref_loss_db: float, ref_dist_m: float, exponent: float) -> None:
+        if ref_loss_db <= 0:
+            raise ValueError(f"ref_loss_db must be > 0, got {ref_loss_db}")
+        if ref_dist_m <= 0:
+            raise ValueError(f"ref_dist_m must be > 0, got {ref_dist_m}")
+        if exponent < 1.5:
+            raise ValueError(f"exponent must be >= 1.5, got {exponent}")
+        self.ref_loss_db = ref_loss_db
+        self.ref_dist_m = ref_dist_m
+        self.exponent = exponent
 
 
 def default_path_loss() -> dict[LinkClass, PathLossParams]:
@@ -80,15 +79,24 @@ def default_path_loss() -> dict[LinkClass, PathLossParams]:
     }
 
 
-@dataclass
 class ChannelParams:
-    path_loss: dict[LinkClass, PathLossParams] = field(default_factory=default_path_loss)
-    tx_power_on_body_dbm: float = 0.0
-    tx_power_in_body_dbm: float = -16.0
-    sensitivity_dbm: float = -95.0
-    cca_threshold_dbm: float = -85.0
-    capture_margin_db: float = 10.0
-    wakeup_loss_p: float = 0.0
+    """Radio and propagation settings; `path_loss` defaults to a fresh
+    `default_path_loss()`."""
+
+    __slots__ = ("path_loss", "tx_power_on_body_dbm", "tx_power_in_body_dbm",
+                 "sensitivity_dbm", "cca_threshold_dbm", "capture_margin_db", "wakeup_loss_p")
+
+    def __init__(self, path_loss: dict[LinkClass, PathLossParams] | None = None,
+                 tx_power_on_body_dbm: float = 0.0, tx_power_in_body_dbm: float = -16.0,
+                 sensitivity_dbm: float = -95.0, cca_threshold_dbm: float = -85.0,
+                 capture_margin_db: float = 10.0, wakeup_loss_p: float = 0.0) -> None:
+        self.path_loss = default_path_loss() if path_loss is None else path_loss
+        self.tx_power_on_body_dbm = tx_power_on_body_dbm
+        self.tx_power_in_body_dbm = tx_power_in_body_dbm
+        self.sensitivity_dbm = sensitivity_dbm
+        self.cca_threshold_dbm = cca_threshold_dbm
+        self.capture_margin_db = capture_margin_db
+        self.wakeup_loss_p = wakeup_loss_p
 
     def tx_power_for(self, placement: Placement) -> float:
         if placement.kind is IN_BODY:
@@ -163,7 +171,6 @@ class LinkBudgets(dict):
         return link
 
 
-@dataclass(eq=False)
 class ActiveTx:
     """A data-radio transmission registered for [start, end).
 
@@ -175,17 +182,22 @@ class ActiveTx:
     itself transmitting (always True for beacons and broadcasts).
     """
 
-    frame: Frame
-    tx_power_dbm: float
-    src_placement: Placement
-    start: SimTime
-    end: SimTime
-    interferers: list[tuple[float, Placement]] = field(default_factory=list)
-    listening: bool = True
+    __slots__ = ("frame", "tx_power_dbm", "src_placement", "start", "end",
+                 "interferers", "listening")
 
-    def __post_init__(self) -> None:
-        if self.end <= self.start:
+    def __init__(self, frame: Frame, tx_power_dbm: float, src_placement: Placement,
+                 start: SimTime, end: SimTime,
+                 interferers: list[tuple[float, Placement]] | None = None,
+                 listening: bool = True) -> None:
+        if end <= start:
             raise ValueError("transmission must have positive duration")
+        self.frame = frame
+        self.tx_power_dbm = tx_power_dbm
+        self.src_placement = src_placement
+        self.start = start
+        self.end = end
+        self.interferers = [] if interferers is None else interferers
+        self.listening = listening
 
 
 class ChannelModel:

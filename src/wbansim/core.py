@@ -9,9 +9,7 @@ addressed by the reserved id 0; sensor nodes (BNs) use ids >= 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 
 SimTime = int  # microseconds since simulation start
 
@@ -68,7 +66,6 @@ class PlacementKind(Enum):
     __hash__ = object.__hash__  # identity hash; see engine.EventKind
 
 
-@dataclass(frozen=True, eq=False)
 class Placement:
     """Node position in meters relative to the BNC; implants carry a tissue depth.
 
@@ -76,20 +73,22 @@ class Placement:
     memo key hashes in C; nothing compares placements by value.
     """
 
-    kind: PlacementKind
-    x_m: float = 0.0
-    y_m: float = 0.0
-    z_m: float = 0.0
-    depth_m: float | None = None
+    __slots__ = ("kind", "x_m", "y_m", "z_m", "depth_m")
 
-    def __post_init__(self) -> None:
-        if self.kind is PlacementKind.IN_BODY:
-            if self.depth_m is None:
+    def __init__(self, kind: PlacementKind, x_m: float = 0.0, y_m: float = 0.0,
+                 z_m: float = 0.0, depth_m: float | None = None) -> None:
+        if kind is PlacementKind.IN_BODY:
+            if depth_m is None:
                 raise ValueError("in-body placement requires depth_m")
-            if not 0.0 < self.depth_m <= 0.2:
-                raise ValueError(f"depth_m must be in (0, 0.2], got {self.depth_m}")
-        elif self.depth_m is not None:
+            if not 0.0 < depth_m <= 0.2:
+                raise ValueError(f"depth_m must be in (0, 0.2], got {depth_m}")
+        elif depth_m is not None:
             raise ValueError("depth_m only valid for in-body placement")
+        self.kind = kind
+        self.x_m = x_m
+        self.y_m = y_m
+        self.z_m = z_m
+        self.depth_m = depth_m
 
     def distance_to(self, other: "Placement") -> float:
         return math.dist(
@@ -97,25 +96,28 @@ class Placement:
         )
 
 
-@dataclass(frozen=True)
 class NodeProfile:
     """A BN's identity, placement, traffic class and wakeup pattern."""
 
-    id: int
-    placement: Placement
-    traffic_class: TrafficClass
-    criticality: Criticality
-    wakeup_multiplier: int  # node wakes every k-th superframe
-    payload_bits: int
-    wakeup_receiver: bool = True
+    __slots__ = ("id", "placement", "traffic_class", "criticality", "wakeup_multiplier",
+                 "payload_bits", "wakeup_receiver")
 
-    def __post_init__(self) -> None:
-        if self.id < 1:
-            raise ValueError(f"node id must be >= 1 (0 is the BNC), got {self.id}")
-        if self.wakeup_multiplier < 1:
-            raise ValueError(f"wakeup_multiplier must be >= 1, got {self.wakeup_multiplier}")
-        if self.payload_bits <= 0:
-            raise ValueError(f"payload_bits must be positive, got {self.payload_bits}")
+    def __init__(self, id: int, placement: Placement, traffic_class: TrafficClass,
+                 criticality: Criticality, wakeup_multiplier: int, payload_bits: int,
+                 wakeup_receiver: bool = True) -> None:
+        if id < 1:
+            raise ValueError(f"node id must be >= 1 (0 is the BNC), got {id}")
+        if wakeup_multiplier < 1:
+            raise ValueError(f"wakeup_multiplier must be >= 1, got {wakeup_multiplier}")
+        if payload_bits <= 0:
+            raise ValueError(f"payload_bits must be positive, got {payload_bits}")
+        self.id = id
+        self.placement = placement
+        self.traffic_class = traffic_class
+        self.criticality = criticality
+        self.wakeup_multiplier = wakeup_multiplier  # node wakes every k-th superframe
+        self.payload_bits = payload_bits
+        self.wakeup_receiver = wakeup_receiver
 
 
 class FrameKind(Enum):
@@ -129,7 +131,6 @@ class FrameKind(Enum):
 BROADCAST_ID = -1
 
 
-@dataclass
 class Frame:
     """One over-the-air unit with the timestamps needed for latency accounting.
 
@@ -138,22 +139,27 @@ class Frame:
     travel out of band and never enter the data channel.
     """
 
-    kind: FrameKind
-    src: int
-    dst: int
-    size_bits: int
-    traffic_class: TrafficClass | None
-    created_at: SimTime
-    sequence: int
-    rx_end: SimTime | None = None
-    payload: object = None
-    # Runtime bookkeeping, not part of the wire format.
-    retries: int = 0
-    delivered: bool = False
+    __slots__ = ("kind", "src", "dst", "size_bits", "traffic_class", "created_at",
+                 "sequence", "rx_end", "payload", "retries", "delivered")
 
-    def __post_init__(self) -> None:
-        if self.size_bits <= 0:
-            raise ValueError(f"size_bits must be positive, got {self.size_bits}")
+    def __init__(self, kind: FrameKind, src: int, dst: int, size_bits: int,
+                 traffic_class: TrafficClass | None, created_at: SimTime, sequence: int,
+                 rx_end: SimTime | None = None, payload: object = None,
+                 retries: int = 0, delivered: bool = False) -> None:
+        if size_bits <= 0:
+            raise ValueError(f"size_bits must be positive, got {size_bits}")
+        self.kind = kind
+        self.src = src
+        self.dst = dst
+        self.size_bits = size_bits
+        self.traffic_class = traffic_class
+        self.created_at = created_at
+        self.sequence = sequence
+        self.rx_end = rx_end
+        self.payload = payload
+        # Runtime bookkeeping, not part of the wire format.
+        self.retries = retries
+        self.delivered = delivered
 
     def queue_key(self) -> tuple[int, SimTime, int]:
         if self.traffic_class is None:
@@ -177,7 +183,6 @@ TURNAROUND_SYMBOLS = 12
 ACK_WAIT_SYMBOLS = 54
 
 
-@dataclass(frozen=True)
 class SuperframeConfig:
     """Beacon-interval / active-duration arithmetic, exact in microseconds.
 
@@ -185,56 +190,43 @@ class SuperframeConfig:
     attributes (the hot CSMA paths read them per backoff slot).
     """
 
-    beacon_order: int = 6
-    superframe_order: int = 6
-    symbol_rate_sps: int = 62_500
+    __slots__ = ("beacon_order", "superframe_order", "symbol_rate_sps", "us_per_symbol",
+                 "beacon_interval_us", "active_duration_us", "unit_backoff_us",
+                 "turnaround_us", "ack_wait_us", "default_bitrate_bps")
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.superframe_order <= self.beacon_order <= 14:
+    def __init__(self, beacon_order: int = 6, superframe_order: int = 6,
+                 symbol_rate_sps: int = 62_500) -> None:
+        if not 0 <= superframe_order <= beacon_order <= 14:
             raise ValueError(
-                f"need 0 <= SO <= BO <= 14, got SO={self.superframe_order} BO={self.beacon_order}"
+                f"need 0 <= SO <= BO <= 14, got SO={superframe_order} BO={beacon_order}"
             )
-        if self.symbol_rate_sps <= 0 or 1_000_000 % self.symbol_rate_sps != 0:
+        if symbol_rate_sps <= 0 or 1_000_000 % symbol_rate_sps != 0:
             raise ValueError(
-                f"symbol rate must divide 1e6 for exact microsecond timing, got {self.symbol_rate_sps}"
+                f"symbol rate must divide 1e6 for exact microsecond timing, got {symbol_rate_sps}"
             )
-
-    @cached_property
-    def us_per_symbol(self) -> int:
-        return 1_000_000 // self.symbol_rate_sps
-
-    @cached_property
-    def beacon_interval_us(self) -> SimTime:
-        return BASE_SLOT_SYMBOLS * SLOTS_PER_SUPERFRAME * (1 << self.beacon_order) * self.us_per_symbol
-
-    @cached_property
-    def active_duration_us(self) -> SimTime:
-        return BASE_SLOT_SYMBOLS * SLOTS_PER_SUPERFRAME * (1 << self.superframe_order) * self.us_per_symbol
-
-    @cached_property
-    def unit_backoff_us(self) -> SimTime:
-        return UNIT_BACKOFF_SYMBOLS * self.us_per_symbol
-
-    @cached_property
-    def turnaround_us(self) -> SimTime:
-        return TURNAROUND_SYMBOLS * self.us_per_symbol
-
-    @cached_property
-    def ack_wait_us(self) -> SimTime:
-        return ACK_WAIT_SYMBOLS * self.us_per_symbol
-
-    @cached_property
-    def default_bitrate_bps(self) -> int:
-        return self.symbol_rate_sps * 4  # 4 bits/symbol
+        self.beacon_order = beacon_order
+        self.superframe_order = superframe_order
+        self.symbol_rate_sps = symbol_rate_sps
+        us = self.us_per_symbol = 1_000_000 // symbol_rate_sps
+        base_us = BASE_SLOT_SYMBOLS * SLOTS_PER_SUPERFRAME * us  # aBaseSuperframeDuration
+        self.beacon_interval_us = base_us * (1 << beacon_order)
+        self.active_duration_us = base_us * (1 << superframe_order)
+        self.unit_backoff_us = UNIT_BACKOFF_SYMBOLS * us
+        self.turnaround_us = TURNAROUND_SYMBOLS * us
+        self.ack_wait_us = ACK_WAIT_SYMBOLS * us
+        self.default_bitrate_bps = symbol_rate_sps * 4  # 4 bits/symbol
 
 
-@dataclass(frozen=True)
 class BeaconInfo:
-    superframe_index: int
-    cap_anchor: SimTime  # first usable backoff boundary / slot-region start
-    cap_end: SimTime
-    table_version: int
-    commands: tuple = ()  # coordinator frames piggybacked under TDMA
+    __slots__ = ("superframe_index", "cap_anchor", "cap_end", "table_version", "commands")
+
+    def __init__(self, superframe_index: int, cap_anchor: SimTime, cap_end: SimTime,
+                 table_version: int, commands: tuple = ()) -> None:
+        self.superframe_index = superframe_index
+        self.cap_anchor = cap_anchor  # first usable backoff boundary / slot-region start
+        self.cap_end = cap_end
+        self.table_version = table_version
+        self.commands = commands  # coordinator frames piggybacked under TDMA
 
 
 def make_beacon(

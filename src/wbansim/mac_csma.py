@@ -15,7 +15,6 @@ fresh backoff state, up to max_frame_retries, after which the frame drops.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from enum import Enum
 
 from .core import (
@@ -39,22 +38,25 @@ BUSY, CRITICAL, EMERGENCY = CcaResult.BUSY, Criticality.CRITICAL, TrafficClass.E
 ACK, COMMAND = FrameKind.ACK, FrameKind.COMMAND
 
 
-@dataclass(frozen=True)
 class BackoffPolicy:
-    min_be_critical: int = 2
-    min_be_noncritical: int = 4
-    max_be: int = 5
-    max_csma_backoffs: int = 4
-    max_frame_retries: int = 3
+    __slots__ = ("min_be_critical", "min_be_noncritical", "max_be", "max_csma_backoffs",
+                 "max_frame_retries")
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.min_be_critical <= self.min_be_noncritical <= self.max_be:
+    def __init__(self, min_be_critical: int = 2, min_be_noncritical: int = 4,
+                 max_be: int = 5, max_csma_backoffs: int = 4,
+                 max_frame_retries: int = 3) -> None:
+        if not 0 <= min_be_critical <= min_be_noncritical <= max_be:
             raise ValueError(
                 "need 0 <= min_be_critical <= min_be_noncritical <= max_be, got "
-                f"{self.min_be_critical}/{self.min_be_noncritical}/{self.max_be}"
+                f"{min_be_critical}/{min_be_noncritical}/{max_be}"
             )
-        if self.max_csma_backoffs < 0 or self.max_frame_retries < 0:
+        if max_csma_backoffs < 0 or max_frame_retries < 0:
             raise ValueError("retry limits must be non-negative")
+        self.min_be_critical = min_be_critical
+        self.min_be_noncritical = min_be_noncritical
+        self.max_be = max_be
+        self.max_csma_backoffs = max_csma_backoffs
+        self.max_frame_retries = max_frame_retries
 
     def min_be(self, criticality: Criticality) -> int:
         if criticality is CRITICAL:

@@ -20,8 +20,6 @@ and arrivals between slots just queue, so `try_start` does nothing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .core import BNC_ID, SimTime, make_beacon
 from .channel import CcaResult
 from .engine import EventKind
@@ -30,26 +28,27 @@ from .engine import EventKind
 SLOT_BOUNDARY, BUSY = EventKind.SLOT_BOUNDARY, CcaResult.BUSY
 
 
-@dataclass(frozen=True)
 class TdmaSchedule:
     """Static slot assignment from the scenario; no dynamic slot trading."""
 
-    slots: dict[int, int]  # node id -> slot index
-    slot_duration_us: SimTime
-    slots_per_superframe: int
+    __slots__ = ("slots", "slot_duration_us", "slots_per_superframe")
 
-    def __post_init__(self) -> None:
-        if self.slot_duration_us <= 0:
+    def __init__(self, slots: dict[int, int], slot_duration_us: SimTime,
+                 slots_per_superframe: int) -> None:
+        if slot_duration_us <= 0:
             raise ValueError("slot_duration_us must be positive")
-        if self.slots_per_superframe < 1:
+        if slots_per_superframe < 1:
             raise ValueError("slots_per_superframe must be >= 1")
         seen: dict[int, int] = {}
-        for node, idx in self.slots.items():
-            if not 0 <= idx < self.slots_per_superframe:
+        for node, idx in slots.items():
+            if not 0 <= idx < slots_per_superframe:
                 raise ValueError(f"node {node}: slot index {idx} out of range")
             if idx in seen:
                 raise ValueError(f"slot {idx} assigned to both node {seen[idx]} and node {node}")
             seen[idx] = node
+        self.slots = slots  # node id -> slot index
+        self.slot_duration_us = slot_duration_us
+        self.slots_per_superframe = slots_per_superframe
 
     def slot_offset_us(self, node: int) -> SimTime:
         return self.slots[node] * self.slot_duration_us

@@ -19,12 +19,13 @@ from __future__ import annotations
 import math
 from array import array
 from collections import Counter
-from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
-from typing import IO, Iterable
+from typing import IO, TYPE_CHECKING, Iterable
 
 from .core import SimTime, TrafficClass
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class RadioState(Enum):
@@ -37,22 +38,24 @@ class RadioState(Enum):
     __hash__ = object.__hash__  # identity hash; see engine.EventKind
 
 
-@dataclass(frozen=True)
 class EnergyModel:
-    tx_mw: float = 52.2
-    rx_mw: float = 56.4
-    idle_listen_mw: float = 1.28
-    sleep_mw: float = 0.06
-    wakeup_rx_mw: float = 0.01
+    __slots__ = ("tx_mw", "rx_mw", "idle_listen_mw", "sleep_mw", "wakeup_rx_mw")
 
-    def __post_init__(self) -> None:
-        values = (self.tx_mw, self.rx_mw, self.idle_listen_mw, self.sleep_mw, self.wakeup_rx_mw)
+    def __init__(self, tx_mw: float = 52.2, rx_mw: float = 56.4,
+                 idle_listen_mw: float = 1.28, sleep_mw: float = 0.06,
+                 wakeup_rx_mw: float = 0.01) -> None:
+        values = (tx_mw, rx_mw, idle_listen_mw, sleep_mw, wakeup_rx_mw)
         if not all(math.isfinite(v) for v in values):
             raise ValueError("all power levels must be finite")
-        if not (self.tx_mw > self.idle_listen_mw and self.rx_mw > self.idle_listen_mw):
+        if not (tx_mw > idle_listen_mw and rx_mw > idle_listen_mw):
             raise ValueError("tx and rx power must exceed idle_listen power")
-        if not self.idle_listen_mw > self.sleep_mw >= 0:
+        if not idle_listen_mw > sleep_mw >= 0:
             raise ValueError("idle_listen power must exceed sleep power, sleep >= 0")
+        self.tx_mw = tx_mw
+        self.rx_mw = rx_mw
+        self.idle_listen_mw = idle_listen_mw
+        self.sleep_mw = sleep_mw
+        self.wakeup_rx_mw = wakeup_rx_mw
 
     def power_mw(self, state: RadioState) -> float:
         return {
@@ -131,6 +134,8 @@ class MetricsLedger:
         return out
 
     def bnc_awake_fraction(self) -> Fraction | None:
+        from fractions import Fraction  # imported here: no run needs it
+
         if self.total_superframes == 0:
             return None
         return Fraction(self.bnc_awake_superframes, self.total_superframes)
@@ -243,8 +248,10 @@ def write_summary_csv(
     energy_model: EnergyModel,
     bnc_id: int = 0,
 ) -> None:
-    fraction = ledger.bnc_awake_fraction()
-    frac_txt = "" if fraction is None else f"{float(fraction):.6f}"
+    # Int true division is correctly rounded, so this equals
+    # float(ledger.bnc_awake_fraction()).
+    total = ledger.total_superframes
+    frac_txt = "" if total == 0 else f"{ledger.bnc_awake_superframes / total:.6f}"
     bnc_energy = f"{ledger.energy_mj(bnc_id, energy_model):.6f}"
     signals = sum(ledger.wakeup_signals_sent.values())
     fh.write(SUMMARY_CSV_COLUMNS + "\n")

@@ -9,7 +9,6 @@ just a MAC choice, a horizon and a node list.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import yaml
@@ -46,40 +45,58 @@ class ScenarioError(Exception):
         super().__init__("invalid scenario:\n" + "\n".join(f"  - {v}" for v in violations))
 
 
-@dataclass(frozen=True)
 class FrameParams:
-    beacon_bits: int = 304
-    ack_bits: int = 88
-    command_bits: int = 184
-    default_payload_bits: int = 800
-    bitrate_bps: int = 250_000
+    __slots__ = ("beacon_bits", "ack_bits", "command_bits", "default_payload_bits",
+                 "bitrate_bps")
+
+    def __init__(self, beacon_bits: int = 304, ack_bits: int = 88, command_bits: int = 184,
+                 default_payload_bits: int = 800, bitrate_bps: int = 250_000) -> None:
+        self.beacon_bits = beacon_bits
+        self.ack_bits = ack_bits
+        self.command_bits = command_bits
+        self.default_payload_bits = default_payload_bits
+        self.bitrate_bps = bitrate_bps
 
 
-@dataclass
 class NodeConfig:
-    profile: NodeProfile
-    generator: GeneratorSpec | None  # None for purely reactive (on-demand) nodes
+    __slots__ = ("profile", "generator")
+
+    def __init__(self, profile: NodeProfile, generator: GeneratorSpec | None) -> None:
+        self.profile = profile
+        self.generator = generator  # None for purely reactive (on-demand) nodes
 
 
-@dataclass
 class Scenario:
-    name: str
-    mac: str
-    horizon_us: SimTime
-    seed: int
-    superframe: SuperframeConfig
-    backoff: BackoffPolicy
-    channel_params: ChannelParams
-    link_errors: LinkErrorTable
-    energy: EnergyModel
-    wakeup: WakeupConfig
-    frames: FrameParams
-    nodes: list[NodeConfig]
-    on_demand: list[OnDemandEntry] = field(default_factory=list)
-    tdma: TdmaSchedule | None = None
-    bnc_placement: Placement = field(
-        default_factory=lambda: Placement(PlacementKind.ON_BODY)
-    )
+    """A validated scenario.  `on_demand` defaults to a fresh empty list and
+    `bnc_placement` to a fresh on-body placement at the origin."""
+
+    __slots__ = ("name", "mac", "horizon_us", "seed", "superframe", "backoff",
+                 "channel_params", "link_errors", "energy", "wakeup", "frames", "nodes",
+                 "on_demand", "tdma", "bnc_placement")
+
+    def __init__(self, name: str, mac: str, horizon_us: SimTime, seed: int,
+                 superframe: SuperframeConfig, backoff: BackoffPolicy,
+                 channel_params: ChannelParams, link_errors: LinkErrorTable,
+                 energy: EnergyModel, wakeup: WakeupConfig, frames: FrameParams,
+                 nodes: list[NodeConfig], on_demand: list[OnDemandEntry] | None = None,
+                 tdma: TdmaSchedule | None = None,
+                 bnc_placement: Placement | None = None) -> None:
+        self.name = name
+        self.mac = mac
+        self.horizon_us = horizon_us
+        self.seed = seed
+        self.superframe = superframe
+        self.backoff = backoff
+        self.channel_params = channel_params
+        self.link_errors = link_errors
+        self.energy = energy
+        self.wakeup = wakeup
+        self.frames = frames
+        self.nodes = nodes
+        self.on_demand = [] if on_demand is None else on_demand
+        self.tdma = tdma
+        self.bnc_placement = (Placement(PlacementKind.ON_BODY) if bnc_placement is None
+                              else bnc_placement)
 
     def node_ids(self) -> list[int]:
         return sorted(n.profile.id for n in self.nodes)
@@ -173,10 +190,33 @@ _TOP_KEYS = {
 }
 
 
+class ScenarioLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+    """PyYAML's safe loader, on libyaml's parser when PyYAML has it, that
+    also rejects a key repeated in one mapping, which YAML forbids and
+    PyYAML would resolve silently to the last value."""
+
+    def construct_mapping(self, node, deep=False):
+        keys = set()
+        for key_node, _ in node.value:
+            if key_node.tag == "tag:yaml.org,2002:merge":
+                continue  # `<<` merges; the base class resolves it
+            key = self.construct_object(key_node, deep=deep)
+            try:
+                repeated = key in keys
+            except TypeError:
+                continue  # unhashable; the base class reports it
+            if repeated:
+                raise yaml.constructor.ConstructorError(
+                    "while constructing a mapping", node.start_mark,
+                    f"found duplicate key {key!r}", key_node.start_mark)
+            keys.add(key)
+        return super().construct_mapping(node, deep=deep)
+
+
 def load_scenario(path: str | Path) -> Scenario:
     path = Path(path)
     with open(path, "r", encoding="utf-8") as fh:
-        raw = yaml.safe_load(fh)
+        raw = yaml.load(fh, Loader=ScenarioLoader)
     return parse_scenario(raw, name=path.stem)
 
 

@@ -9,9 +9,7 @@ On-demand traffic is scripted: the BNC issues queries at fixed times.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 
 from .core import SimTime, TrafficClass
 
@@ -40,54 +38,61 @@ DEFAULT_ARRIVAL = {
 }
 
 
-@dataclass
 class GeneratorSpec:
-    traffic_class: TrafficClass
-    payload_bits: int
-    rate_per_hour: float = 0.0
-    arrival: ArrivalProcess = ArrivalProcess.PERIODIC
-    phase_us: SimTime = 0
+    """A node's arrival process.  `period_us`, the time between periodic
+    arrivals, is computed once per spec; it is None for other processes."""
 
-    def __post_init__(self) -> None:
-        if self.arrival is not ArrivalProcess.SATURATED and self.rate_per_hour <= 0:
-            raise ValueError(f"rate_per_hour must be > 0, got {self.rate_per_hour}")
-        if self.payload_bits <= 0:
-            raise ValueError(f"payload_bits must be positive, got {self.payload_bits}")
-        if self.arrival is not ArrivalProcess.SATURATED \
-                and US_PER_HOUR / self.rate_per_hour > MAX_INTERVAL_US:
-            raise ValueError(f"rate_per_hour {self.rate_per_hour} gives a mean interval "
+    __slots__ = ("traffic_class", "payload_bits", "rate_per_hour", "arrival", "phase_us",
+                 "period_us")
+
+    def __init__(self, traffic_class: TrafficClass, payload_bits: int,
+                 rate_per_hour: float = 0.0,
+                 arrival: ArrivalProcess = ArrivalProcess.PERIODIC,
+                 phase_us: SimTime = 0) -> None:
+        if arrival is not ArrivalProcess.SATURATED and rate_per_hour <= 0:
+            raise ValueError(f"rate_per_hour must be > 0, got {rate_per_hour}")
+        if payload_bits <= 0:
+            raise ValueError(f"payload_bits must be positive, got {payload_bits}")
+        if arrival is not ArrivalProcess.SATURATED \
+                and US_PER_HOUR / rate_per_hour > MAX_INTERVAL_US:
+            raise ValueError(f"rate_per_hour {rate_per_hour} gives a mean interval "
                              f"over {MAX_INTERVAL_US} us")
-        if self.arrival is ArrivalProcess.PERIODIC and self.period_us < 1:
-            raise ValueError(f"rate_per_hour {self.rate_per_hour} gives a period under 1 us")
+        period_us = None
+        if arrival is ArrivalProcess.PERIODIC:
+            period_us = round(US_PER_HOUR / rate_per_hour)
+            if period_us < 1:
+                raise ValueError(f"rate_per_hour {rate_per_hour} gives a period under 1 us")
+        self.traffic_class = traffic_class
+        self.payload_bits = payload_bits
+        self.rate_per_hour = rate_per_hour
+        self.arrival = arrival
+        self.phase_us = phase_us
+        self.period_us = period_us
 
-    @cached_property
-    def period_us(self) -> SimTime:
-        """Time between periodic arrivals, computed once per spec."""
-        return round(US_PER_HOUR / self.rate_per_hour)
 
-
-@dataclass(frozen=True)
 class OnDemandEntry:
     """One scripted BNC query: wake the target and collect its response."""
 
-    time_us: SimTime
-    target: int
-    continuous: bool
-    rate_per_s: float = 0.0        # continuous streams only
-    duration_us: SimTime = 0
+    __slots__ = ("time_us", "target", "continuous", "rate_per_s", "duration_us")
 
-    def __post_init__(self) -> None:
-        if self.continuous:
-            if self.rate_per_s <= 0:
+    def __init__(self, time_us: SimTime, target: int, continuous: bool,
+                 rate_per_s: float = 0.0, duration_us: SimTime = 0) -> None:
+        self.time_us = time_us
+        self.target = target
+        self.continuous = continuous
+        self.rate_per_s = rate_per_s        # continuous streams only
+        self.duration_us = duration_us
+        if continuous:
+            if rate_per_s <= 0:
                 raise ValueError("continuous query needs rate_per_s > 0")
-            if self.duration_us <= 0:
+            if duration_us <= 0:
                 raise ValueError("continuous query needs duration_us > 0")
-            if 1_000_000 / self.rate_per_s > MAX_INTERVAL_US:
-                raise ValueError(f"rate_per_s {self.rate_per_s} gives a stream interval "
+            if 1_000_000 / rate_per_s > MAX_INTERVAL_US:
+                raise ValueError(f"rate_per_s {rate_per_s} gives a stream interval "
                                  f"over {MAX_INTERVAL_US} us")
             if self.interval_us < 1:
                 raise ValueError(
-                    f"rate_per_s {self.rate_per_s} gives a stream interval under 1 us"
+                    f"rate_per_s {rate_per_s} gives a stream interval under 1 us"
                 )
 
     @property

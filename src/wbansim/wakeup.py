@@ -17,11 +17,13 @@ frequency-addressed signaling wakes exactly the intended target.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .core import BNC_ID, NodeProfile
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class WakeupTableError(ValueError):
@@ -33,12 +35,16 @@ class Addressing(Enum):
     FREQUENCY_ADDRESSED = "frequency_addressed"
 
 
-@dataclass
 class WakeupConfig:
-    mode: Addressing = Addressing.BROADCAST
-    latency_us: int = 5_000          # receiver settle + decode
-    signal_airtime_us: int = 1_000
-    frequencies: dict[int, int] | None = None  # node id -> wakeup tone, addressed mode
+    __slots__ = ("mode", "latency_us", "signal_airtime_us", "frequencies")
+
+    def __init__(self, mode: Addressing = Addressing.BROADCAST, latency_us: int = 5_000,
+                 signal_airtime_us: int = 1_000,
+                 frequencies: dict[int, int] | None = None) -> None:
+        self.mode = mode
+        self.latency_us = latency_us            # receiver settle + decode
+        self.signal_airtime_us = signal_airtime_us
+        self.frequencies = frequencies  # node id -> wakeup tone, addressed mode
 
 
 class WakeupTable:
@@ -104,6 +110,8 @@ def bnc_schedule(table: WakeupTable, horizon: int) -> set[int]:
 
 def bnc_awake_fraction(table: WakeupTable) -> Fraction:
     """Exact long-run awake fraction, evaluated over one full pattern period."""
+    from fractions import Fraction  # imported here: no run needs it
+
     period = math.lcm(*table._entries.values())
     return Fraction(len(bnc_schedule(table, period)), period)
 

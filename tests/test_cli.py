@@ -80,6 +80,28 @@ class TestExitCodes:
         assert main(["--scenario", str(bad), "--validate-only"]) == 2
         assert f"{shipped}.{message}" in capsys.readouterr().err
 
+    def test_repeated_key_is_two_with_its_line(self, tmp_path, capsys):
+        # A second `horizon_s` used to win silently: the run lasted 400 s.
+        text = (SCENARIOS / "emergency_8bn.yaml").read_text(encoding="utf-8")
+        bad = tmp_path / "emergency_8bn.yaml"
+        bad.write_text(text + "horizon_s: 400\n", encoding="utf-8")
+        assert main(["--scenario", str(bad), "--validate-only"]) == 2
+        line = text.count("\n") + 1
+        assert (f"found duplicate key 'horizon_s'\n  in \"{bad}\", line {line}, column 1"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("edit", [
+        ("nodes:\n", "nodes: [\n"),            # unclosed flow sequence
+        ("  beacon_order: 6", "\tbeacon_order: 6"),  # tab indent
+    ], ids=["unclosed-bracket", "tab-indent"])
+    def test_malformed_yaml_is_two(self, tmp_path, capsys, edit):
+        text = (SCENARIOS / "emergency_8bn.yaml").read_text(encoding="utf-8")
+        assert text.count(edit[0]) == 1
+        bad = tmp_path / "emergency_8bn.yaml"
+        bad.write_text(text.replace(*edit), encoding="utf-8")
+        assert main(["--scenario", str(bad), "--validate-only"]) == 2
+        assert "error: cannot load scenario:" in capsys.readouterr().err
+
     def test_csma_stop_command_that_never_fits_is_two(self, tmp_path, capsys):
         # It used to load and run to exit 0 with the stop command stuck in
         # the coordinator's queue and the stream never stopped.

@@ -115,14 +115,6 @@ def test_outputs_match_golden_digests(name, tmp_path):
     assert sweep_digests(name, tmp_path) == golden
 
 
-def test_recorder_leaves_the_draws_unchanged():
-    """The recording subclass returns exactly what `random.Random` returns."""
-    def draws(rng):
-        return [rng.randrange(32) for _ in range(50)] + [rng.expovariate(1e-6)]
-
-    assert draws(recording_random({})("7/node/1")) == draws(random.Random("7/node/1"))
-
-
 if __name__ == "__main__":
     import tempfile
 

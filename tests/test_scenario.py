@@ -1,4 +1,5 @@
 import copy
+import importlib.util
 import math
 from pathlib import Path
 
@@ -9,7 +10,8 @@ from hypothesis import strategies as st
 
 from wbansim.channel import LinkClass
 from wbansim.core import Criticality, PlacementKind, TrafficClass
-from wbansim.scenario import ScenarioError, load_scenario, parse_scenario
+import wbansim.scenario
+from wbansim.scenario import ScenarioError, ScenarioLoader, load_scenario, parse_scenario
 from wbansim.traffic import ArrivalProcess
 
 from conftest import base_scenario_dict
@@ -363,3 +365,73 @@ def test_mutated_shipped_scenarios_parse_or_raise_scenario_error(case):
         parse_scenario(raw, name=name)
     except ScenarioError:
         pass
+
+
+# -- YAML loading ---------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def without_libyaml():
+    """`wbansim.scenario` as it loads where PyYAML has no libyaml: a second
+    copy of the module, executed with `yaml.CSafeLoader` hidden."""
+    spec = importlib.util.spec_from_file_location(
+        "wbansim._scenario_without_libyaml", wbansim.scenario.__file__)
+    module = importlib.util.module_from_spec(spec)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.delattr(yaml, "CSafeLoader", raising=False)
+        spec.loader.exec_module(module)
+    return module
+
+
+def both_loaders(text, fallback):
+    """The document as libyaml and as the pure-Python loader build it."""
+    return (yaml.load(text, Loader=ScenarioLoader),
+            yaml.load(text, Loader=fallback.ScenarioLoader))
+
+
+def test_loader_parses_with_libyaml_when_pyyaml_has_it(without_libyaml):
+    assert without_libyaml.ScenarioLoader.__bases__ == (yaml.SafeLoader,)
+    if yaml.__with_libyaml__:
+        assert ScenarioLoader.__bases__ == (yaml.CSafeLoader,)
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED))
+def test_shipped_scenarios_load_equal_without_libyaml(name, without_libyaml):
+    path = Path(__file__).resolve().parent.parent / "scenarios" / f"{name}.yaml"
+    fast, pure = both_loaders(path.read_text(encoding="utf-8"), without_libyaml)
+    assert fast == SHIPPED[name]
+    assert repr(pure) == repr(fast)
+    # The fallback module parses and builds the same scenario.
+    ours = load_scenario(path)
+    theirs = without_libyaml.load_scenario(path)
+    assert (theirs.name, theirs.horizon_us, theirs.node_ids()) == \
+        (ours.name, ours.horizon_us, ours.node_ids())
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(mutated_shipped_scenarios())
+def test_mutated_shipped_scenarios_load_equal_without_libyaml(without_libyaml, case):
+    _, raw = case
+    fast, pure = both_loaders(yaml.safe_dump(raw), without_libyaml)
+    assert repr(pure) == repr(fast)  # repr: NaN compares unequal to itself
+
+
+@pytest.mark.parametrize("text, key, line", [
+    ("mac: csma\nhorizon_s: 600\nhorizon_s: 400\n", "horizon_s", 3),
+    ("superframe:\n  beacon_order: 6\n  beacon_order: 3\n", "beacon_order", 3),
+    ("nodes:\n  - {id: 1,\n     id: 2}\n", "id", 3),
+    ("tdma:\n  slots: {1: 0, 2: 1, 1: 2}\n", 1, 2),
+], ids=["top-level", "nested", "flow-mapping", "integer-key"])
+@pytest.mark.parametrize("libyaml", [True, False], ids=["libyaml", "pure-python"])
+def test_repeated_key_is_rejected_with_its_line(text, key, line, libyaml, without_libyaml):
+    loader = ScenarioLoader if libyaml else without_libyaml.ScenarioLoader
+    with pytest.raises(yaml.constructor.ConstructorError) as err:
+        yaml.load(text, Loader=loader)
+    assert f"found duplicate key {key!r}\n  in \"<unicode string>\", line {line}," \
+        in str(err.value)
+
+
+def test_merge_key_may_be_overridden(without_libyaml):
+    text = "base: &b {x: 1, y: 2}\nuse: {<<: *b, x: 3}\n"
+    fast, pure = both_loaders(text, without_libyaml)
+    assert fast == pure == {"base": {"x": 1, "y": 2}, "use": {"x": 3, "y": 2}}
