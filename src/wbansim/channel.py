@@ -186,9 +186,7 @@ class ActiveTx:
                  "interferers", "listening")
 
     def __init__(self, frame: Frame, tx_power_dbm: float, src_placement: Placement,
-                 start: SimTime, end: SimTime,
-                 interferers: list[tuple[float, Placement]] | None = None,
-                 listening: bool = True) -> None:
+                 start: SimTime, end: SimTime) -> None:
         if end <= start:
             raise ValueError("transmission must have positive duration")
         self.frame = frame
@@ -196,8 +194,8 @@ class ActiveTx:
         self.src_placement = src_placement
         self.start = start
         self.end = end
-        self.interferers = [] if interferers is None else interferers
-        self.listening = listening
+        self.interferers: list[tuple[float, Placement]] = []
+        self.listening = True
 
 
 class ChannelModel:

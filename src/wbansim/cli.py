@@ -9,6 +9,8 @@ import argparse
 import sys
 from pathlib import Path
 
+import yaml
+
 from .engine import FIRE_AT, KIND, NODE
 from .metrics import merge_ledgers, write_node_csv, write_summary_csv
 from .scenario import ScenarioError, load_scenario
@@ -70,9 +72,12 @@ def main(argv=None) -> int:
     except ScenarioError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    except Exception as exc:  # unreadable file, bad YAML
+    except (OSError, UnicodeDecodeError, yaml.YAMLError) as exc:  # unreadable file, bad YAML
         print(f"error: cannot load scenario: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a defect of the loader, not of the file
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 1
     if args.validate_only:
         print(f"{args.scenario}: OK")
         return 0

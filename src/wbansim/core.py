@@ -75,8 +75,8 @@ class Placement:
 
     __slots__ = ("kind", "x_m", "y_m", "z_m", "depth_m")
 
-    def __init__(self, kind: PlacementKind, x_m: float = 0.0, y_m: float = 0.0,
-                 z_m: float = 0.0, depth_m: float | None = None) -> None:
+    def __init__(self, kind: PlacementKind = PlacementKind.ON_BODY, x_m: float = 0.0,
+                 y_m: float = 0.0, z_m: float = 0.0, depth_m: float | None = None) -> None:
         if kind is PlacementKind.IN_BODY:
             if depth_m is None:
                 raise ValueError("in-body placement requires depth_m")
@@ -102,9 +102,10 @@ class NodeProfile:
     __slots__ = ("id", "placement", "traffic_class", "criticality", "wakeup_multiplier",
                  "payload_bits", "wakeup_receiver")
 
-    def __init__(self, id: int, placement: Placement, traffic_class: TrafficClass,
-                 criticality: Criticality, wakeup_multiplier: int, payload_bits: int,
-                 wakeup_receiver: bool = True) -> None:
+    def __init__(self, id: int, placement: Placement, payload_bits: int,
+                 traffic_class: TrafficClass = TrafficClass.NORMAL_MEDIUM,
+                 criticality: Criticality = Criticality.NON_CRITICAL,
+                 wakeup_multiplier: int = 1, wakeup_receiver: bool = True) -> None:
         if id < 1:
             raise ValueError(f"node id must be >= 1 (0 is the BNC), got {id}")
         if wakeup_multiplier < 1:
@@ -144,8 +145,7 @@ class Frame:
 
     def __init__(self, kind: FrameKind, src: int, dst: int, size_bits: int,
                  traffic_class: TrafficClass | None, created_at: SimTime, sequence: int,
-                 rx_end: SimTime | None = None, payload: object = None,
-                 retries: int = 0, delivered: bool = False) -> None:
+                 payload: object = None) -> None:
         if size_bits <= 0:
             raise ValueError(f"size_bits must be positive, got {size_bits}")
         self.kind = kind
@@ -155,11 +155,11 @@ class Frame:
         self.traffic_class = traffic_class
         self.created_at = created_at
         self.sequence = sequence
-        self.rx_end = rx_end
+        self.rx_end = None
         self.payload = payload
         # Runtime bookkeeping, not part of the wire format.
-        self.retries = retries
-        self.delivered = delivered
+        self.retries = 0
+        self.delivered = False
 
     def queue_key(self) -> tuple[int, SimTime, int]:
         if self.traffic_class is None:

@@ -33,8 +33,8 @@ class TdmaSchedule:
 
     __slots__ = ("slots", "slot_duration_us", "slots_per_superframe")
 
-    def __init__(self, slots: dict[int, int], slot_duration_us: SimTime,
-                 slots_per_superframe: int) -> None:
+    def __init__(self, slots: dict[int, int], slots_per_superframe: int,
+                 slot_duration_us: SimTime = 4_000) -> None:
         if slot_duration_us <= 0:
             raise ValueError("slot_duration_us must be positive")
         if slots_per_superframe < 1:
@@ -122,12 +122,13 @@ class TdmaMac:
     def _tx_next(self, dev) -> None:
         sim = self.sim
         now = sim.scheduler.now
-        while dev.queue:
+        # An empty queue, or a head that overruns the slot, waits for the
+        # next active superframe.
+        if dev.queue:
             frame = dev.queue[0][1]
-            if now + sim.air_us(frame.size_bits) > dev.slot_end:
-                break  # queue head waits for the next active superframe
-            sim.begin_tx(dev, frame, now)
-            return
+            if now + sim.air_us(frame.size_bits) <= dev.slot_end:
+                sim.begin_tx(dev, frame, now)
+                return
         dev.slot_end = None
         sim.maybe_sleep(dev)
 

@@ -1,19 +1,23 @@
 """Scenario files: parsing, defaulting and whole-file validation.
 
-Scenarios are YAML with nested sections; unknown keys are rejected and every
-violation is reported with its key path in one pass, so a bad file never
-starts a run.  All tunables carry documented defaults; a minimal scenario is
-just a MAC choice, a horizon and a node list.
+Each section is declared once, in `KEYS`, as a map from key to reader; the
+declaration is also the set of allowed keys.  A null value is a missing key,
+and a missing key takes its record constructor's default, so a minimal
+scenario is just a MAC choice, a horizon and a node list.  A value that fails
+its own key's check is reported once, with its key path, and is then
+unknown: no check that needs it runs.  Every other violation is reported in
+the same pass, so a bad file never starts a run.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from pathlib import Path
 
 import yaml
 
-from .channel import ChannelParams, LinkClass, LinkErrorTable, PathLossParams
+from .channel import ChannelParams, LinkClass, LinkErrorTable, PathLossParams, default_path_loss
 from .core import (
     Criticality,
     NodeProfile,
@@ -74,11 +78,11 @@ class Scenario:
                  "channel_params", "link_errors", "energy", "wakeup", "frames", "nodes",
                  "on_demand", "tdma", "bnc_placement")
 
-    def __init__(self, name: str, mac: str, horizon_us: SimTime, seed: int,
-                 superframe: SuperframeConfig, backoff: BackoffPolicy,
-                 channel_params: ChannelParams, link_errors: LinkErrorTable,
-                 energy: EnergyModel, wakeup: WakeupConfig, frames: FrameParams,
-                 nodes: list[NodeConfig], on_demand: list[OnDemandEntry] | None = None,
+    def __init__(self, name: str, horizon_us: SimTime, superframe: SuperframeConfig,
+                 backoff: BackoffPolicy, channel_params: ChannelParams,
+                 link_errors: LinkErrorTable, energy: EnergyModel, wakeup: WakeupConfig,
+                 frames: FrameParams, nodes: list[NodeConfig], mac: str = "csma",
+                 seed: int = 1, on_demand: list[OnDemandEntry] | None = None,
                  tdma: TdmaSchedule | None = None,
                  bnc_placement: Placement | None = None) -> None:
         self.name = name
@@ -95,8 +99,7 @@ class Scenario:
         self.nodes = nodes
         self.on_demand = [] if on_demand is None else on_demand
         self.tdma = tdma
-        self.bnc_placement = (Placement(PlacementKind.ON_BODY) if bnc_placement is None
-                              else bnc_placement)
+        self.bnc_placement = Placement() if bnc_placement is None else bnc_placement
 
     def node_ids(self) -> list[int]:
         return sorted(n.profile.id for n in self.nodes)
@@ -105,89 +108,220 @@ class Scenario:
         return [n.profile for n in self.nodes]
 
 
-class _Check:
-    """Accumulates violations with their key paths."""
+# -- readers: each returns the accepted value or raises _Bad ----------------------
 
-    def __init__(self) -> None:
-        self.errors: list[str] = []
+
+class _Bad(Exception):
+    """A value that fails its own key's check; the message says why."""
+
+
+def _number(lo=None, hi=None, *, positive=False, integer=False, unit_us=None):
+    """A finite number within its bounds.  With `unit_us` it is a time in
+    units of that many microseconds, read as whole microseconds."""
+    def read(v):
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            raise _Bad(f"expected a number, got {v!r}")
+        if not abs(v) <= sys.float_info.max:  # also an integer beyond the float range
+            raise _Bad(f"must be finite, got {v}")
+        if positive and v <= 0:
+            raise _Bad("must be positive")
+        if lo is not None and v < lo:
+            raise _Bad(f"must be >= {lo}, got {v}")
+        if hi is not None and v > hi:
+            raise _Bad(f"must be <= {hi}, got {v}")
+        if integer:
+            if isinstance(v, float) and not v.is_integer():
+                raise _Bad(f"expected an integer, got {v}")
+            v = int(v)
+        if unit_us is not None:
+            if isinstance(v, float) and math.isinf(v * unit_us):
+                raise _Bad(f"{v} is too large to convert to microseconds")
+            v = round(v * unit_us)
+        return v
+    return read
+
+
+def _integer(lo=None):
+    return _number(lo, integer=True)
+
+
+def _choice(options):
+    """A token of `options`, read as what it names: an Enum's member by its
+    value, a mapping's value by its key, or a set's token as itself."""
+    if isinstance(options, type):
+        options = {m.value: m for m in options}
+    elif not isinstance(options, dict):
+        options = {t: t for t in options}
+
+    def read(v):
+        if not isinstance(v, str):
+            raise _Bad(f"expected a string, got {v!r}")
+        if v not in options:
+            raise _Bad(f"must be one of {sorted(options)}, got '{v}'")
+        return options[v]
+    return read
+
+
+def _flag(v):
+    if not isinstance(v, bool):
+        raise _Bad(f"expected true/false, got {v!r}")
+    return v
+
+
+def _id_map(what: str, required: bool = False):
+    """A mapping of node id -> integer, whose null entries are absent."""
+    def read(v):
+        if not isinstance(v, dict):
+            raise _Bad(what)
+        entries = {k: x for k, x in v.items() if x is not None}
+        for k, x in entries.items():
+            if not isinstance(k, int) or isinstance(x, bool) or not isinstance(x, int):
+                raise _Bad(f"bad entry {k!r}: {x!r}")
+        if required and not entries:
+            raise _Bad(what)
+        return entries
+    return read
+
+
+_positive_ms = _number(positive=True, unit_us=1000)
+
+
+def _airtime_ms(v):
+    us = _positive_ms(v)
+    if us == 0:
+        raise _Bad(f"{v} ms rounds to 0 us")
+    return us
+
+
+# -- declarations: key -> reader, or (record argument, reader) where the two
+# names differ.  A mapping or a one-item list declares a nested section.
+
+_REAL, _INT, _COUNT = _number(), _integer(), _integer(lo=1)
+_SECONDS = _number(lo=0, unit_us=1_000_000)
+_PLACEMENT = {"kind": _choice(PlacementKind), "x_m": _REAL, "y_m": _REAL,
+              "z_m": _REAL, "depth_m": _REAL}
+_PATH_LOSS = {"ref_loss_db": _REAL, "ref_dist_m": _REAL, "exponent": _REAL}
+_LINK = {"src": _integer(lo=0), "dst": _integer(lo=0), "p_success": _number(0.0, 1.0)}
+_TRAFFIC = {"rate_per_hour": _REAL, "arrival": _choice(ArrivalProcess),
+            "phase_s": ("phase_us", _SECONDS)}
+_NODE = {
+    "id": _COUNT,
+    "placement": _PLACEMENT,
+    "class": ("traffic_class", _choice(TrafficClass)),
+    "criticality": _choice(Criticality),
+    "wakeup_multiplier": _COUNT,
+    "payload_bits": _COUNT,
+    "wakeup_receiver": _flag,
+    "traffic": _TRAFFIC,
+}
+_QUERY = {
+    "time_s": ("time_us", _SECONDS),
+    "target": _COUNT,
+    "mode": ("continuous", _choice({"continuous": True, "non_continuous": False})),
+    "rate_per_s": _REAL,
+    "duration_s": ("duration_us", _number(unit_us=1_000_000)),
+}
+
+KEYS = {
+    "mac": _choice({"csma", "tdma"}),
+    "horizon_s": ("horizon_us", _number(positive=True, unit_us=1_000_000)),
+    "horizon_superframes": _COUNT,
+    "seed": _INT,
+    "superframe": {k: _INT for k in ("beacon_order", "superframe_order",
+                                           "symbol_rate_sps")},
+    "mac_params": {k: _INT for k in ("min_be_critical", "min_be_noncritical", "max_be",
+                                           "max_csma_backoffs", "max_frame_retries")},
+    "tdma": {
+        "slot_duration_ms": ("slot_duration_us", _positive_ms),
+        "slots_per_superframe": _COUNT,
+        "slots": _id_map("tdma requires a node id -> slot index mapping", required=True),
+    },
+    "channel": {
+        "path_loss": {lc.value: _PATH_LOSS for lc in LinkClass},
+        "tx_power_dbm": {"on_body": ("tx_power_on_body_dbm", _REAL),
+                         "in_body": ("tx_power_in_body_dbm", _REAL)},
+        "sensitivity_dbm": _REAL,
+        "cca_threshold_dbm": _REAL,
+        "capture_margin_db": _number(lo=0),
+        "wakeup_loss_p": _number(0.0, 1.0),
+        "link_errors": [_LINK],
+    },
+    "energy": {k: _REAL for k in ("tx_mw", "rx_mw", "idle_listen_mw", "sleep_mw",
+                                      "wakeup_rx_mw")},
+    "wakeup": {
+        "mode": _choice(Addressing),
+        "latency_ms": ("latency_us", _number(lo=0, unit_us=1000)),
+        "signal_airtime_ms": ("signal_airtime_us", _airtime_ms),
+        "frequencies": _id_map("expected a mapping of node id -> tone"),
+    },
+    "frames": {k: _COUNT for k in ("beacon_bits", "ack_bits", "command_bits",
+                                           "default_payload_bits", "bitrate_bps")},
+    "bnc": {"placement": _PLACEMENT},
+    "nodes": [_NODE],
+    "on_demand": [_QUERY],
+}
+
+
+class _Check(list):
+    """The violations found so far, each with its key path."""
 
     def err(self, path: str, msg: str) -> None:
-        self.errors.append(f"{path}: {msg}")
-
-    def section(self, raw: object, path: str, allowed: set[str]) -> dict:
-        if raw is None:
-            return {}
-        if not isinstance(raw, dict):
-            self.err(path, f"expected a mapping, got {type(raw).__name__}")
-            return {}
-        for key in raw:
-            if key not in allowed:
-                self.err(path, f"unknown key '{key}'")
-        return raw
-
-    def num(self, d: dict, key: str, path: str, default, minimum=None, maximum=None):
-        v = d.get(key, default)
-        if v is None:
-            return None
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            self.err(f"{path}.{key}", f"expected a number, got {v!r}")
-            return default
-        if not math.isfinite(v):
-            self.err(f"{path}.{key}", f"must be finite, got {v}")
-            return default
-        if minimum is not None and v < minimum:
-            self.err(f"{path}.{key}", f"must be >= {minimum}, got {v}")
-        if maximum is not None and v > maximum:
-            self.err(f"{path}.{key}", f"must be <= {maximum}, got {v}")
-        return v
-
-    def micros(self, value: float, unit_us: int, path: str) -> SimTime | None:
-        """A finite `value` in units of `unit_us` microseconds, rounded to whole
-        microseconds; None, with an error at `path`, if it is too large to
-        convert."""
-        us = value * unit_us
-        if math.isinf(us):
-            self.err(path, f"{value} is too large to convert to microseconds")
-            return None
-        return round(us)
-
-    def integer(self, d: dict, key: str, path: str, default, minimum=None, maximum=None):
-        v = self.num(d, key, path, default, minimum, maximum)
-        if v is None:
-            return None
-        if isinstance(v, float) and not v.is_integer():
-            self.err(f"{path}.{key}", f"expected an integer, got {v}")
-            return default
-        return int(v)
-
-    def text(self, d: dict, key: str, path: str, default, choices=None):
-        v = d.get(key, default)
-        if v is None:
-            return None
-        if not isinstance(v, str):
-            self.err(f"{path}.{key}", f"expected a string, got {v!r}")
-            return default
-        if choices is not None and v not in choices:
-            self.err(f"{path}.{key}", f"must be one of {sorted(choices)}, got '{v}'")
-            return default
-        return v
-
-    def flag(self, d: dict, key: str, path: str, default: bool) -> bool:
-        v = d.get(key, default)
-        if not isinstance(v, bool):
-            self.err(f"{path}.{key}", f"expected true/false, got {v!r}")
-            return default
-        return v
+        self.append(f"{path}: {msg}")
 
 
-_CLASS_TOKENS = {c.value for c in TrafficClass}
-_CRIT_TOKENS = {c.value for c in Criticality}
-_ARRIVAL_TOKENS = {a.value for a in ArrivalProcess}
+def _read(ck: _Check, raw: object, path: str, keys: dict,
+          ids: tuple[str, ...] = ()) -> tuple[dict | None, set[str]]:
+    """The accepted values of the mapping `raw` at `path` by record argument,
+    and the keys whose value was rejected.  A nested section is passed on
+    raw.  The identifying keys `ids` are read first; while one is missing or
+    rejected, no other value is read.  The values are None if `raw` is not a
+    mapping."""
+    if raw is None:
+        return {}, set()
+    if not isinstance(raw, dict):
+        ck.err(path, f"expected a mapping, got {type(raw).__name__}")
+        return None, set()
+    for key in raw:
+        if key not in keys:
+            ck.err(path, f"unknown key '{key}'")
+    kw, bad = {}, set()
+    for key in [k for k in ids if k in raw] + [k for k in raw if k in keys and k not in ids]:
+        if key not in ids and len(kw) < len(ids):
+            break
+        value, spec = raw[key], keys[key]
+        if value is None:
+            continue
+        if isinstance(spec, (dict, list)):
+            kw[key] = value
+            continue
+        arg, reader = spec if isinstance(spec, tuple) else (key, spec)
+        try:
+            kw[arg] = reader(value)
+        except _Bad as exc:
+            ck.err(f"{path}.{key}", str(exc))
+            bad.add(key)
+    return kw, bad
 
-_TOP_KEYS = {
-    "mac", "horizon_s", "horizon_superframes", "seed", "superframe", "mac_params",
-    "tdma", "channel", "energy", "wakeup", "frames", "bnc", "nodes", "on_demand",
-}
+
+def _record(ck: _Check, path: str, cls, kw: dict | None, bad: set[str]):
+    """`cls(**kw)`, which supplies every default, or None while the record is
+    unknown: not a mapping, a value rejected, or its own check failed (that
+    one reported at `path`)."""
+    if kw is None or bad:
+        return None
+    try:
+        return cls(**kw)
+    except ValueError as exc:
+        ck.err(path, str(exc))
+        return None
+
+
+def _section(ck: _Check, name: str, top: dict, key: str, cls, **derived):
+    """The record of the top-level section `key`, taken out of `top`;
+    `derived` holds defaults that are not the constructor's."""
+    path = f"{name}.{key}"
+    kw, bad = _read(ck, top.pop(key, None), path, KEYS[key])
+    return _record(ck, path, cls, None if kw is None else {**derived, **kw}, bad)
 
 
 class ScenarioLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
@@ -221,148 +355,120 @@ def load_scenario(path: str | Path) -> Scenario:
 
 
 def parse_scenario(raw: object, name: str = "scenario") -> Scenario:
-    ck = _Check()
-    top = ck.section(raw, name, _TOP_KEYS)
+    """The scenario of a YAML document.  Each part is None while unknown."""
     if not isinstance(raw, dict):
-        raise ScenarioError(ck.errors or [f"{name}: scenario file is not a mapping"])
+        raise ScenarioError([f"{name}: scenario file is not a mapping"])
+    ck = _Check()
+    top, bad = _read(ck, raw, name, KEYS)
+    is_tdma = None if "mac" in bad else top.get("mac") == "tdma"  # None: the MAC is unknown
 
-    mac = ck.text(top, "mac", name, "csma", choices={"csma", "tdma"}) or "csma"
-    seed = ck.integer(top, "seed", name, 1)
+    superframe = _section(ck, name, top, "superframe", SuperframeConfig)
+    horizon_us = _horizon(ck, name, top, bad, superframe)
+    backoff = _section(ck, name, top, "mac_params", BackoffPolicy)
+    channel_params, raw_links = _channel(ck, top.pop("channel", None), f"{name}.channel")
+    energy = _section(ck, name, top, "energy", EnergyModel)
+    wakeup = _section(ck, name, top, "wakeup", WakeupConfig)
+    # The bitrate derives from the symbol rate.  While that is unknown, the
+    # constructor's stands in: every check that reads it needs the superframe.
+    frames = _section(ck, name, top, "frames", FrameParams, **(
+        {} if superframe is None else {"bitrate_bps": superframe.default_bitrate_bps}))
+    bnc, _ = _read(ck, top.pop("bnc", None), f"{name}.bnc", KEYS["bnc"])
+    bnc_placement = None if bnc is None else \
+        _placement(ck, bnc.get("placement"), f"{name}.bnc.placement")
 
-    sf_raw = ck.section(top.get("superframe"), f"{name}.superframe",
-                        {"beacon_order", "superframe_order", "symbol_rate_sps"})
-    superframe = _build(ck, f"{name}.superframe", SuperframeConfig,
-                        beacon_order=ck.integer(sf_raw, "beacon_order", f"{name}.superframe", 6),
-                        superframe_order=ck.integer(sf_raw, "superframe_order", f"{name}.superframe", 6),
-                        symbol_rate_sps=ck.integer(sf_raw, "symbol_rate_sps", f"{name}.superframe", 62_500))
-    superframe = superframe or SuperframeConfig()
-
-    horizon_us = _horizon(ck, top, name, superframe)
-
-    bo_raw = ck.section(top.get("mac_params"), f"{name}.mac_params",
-                        {"min_be_critical", "min_be_noncritical", "max_be",
-                         "max_csma_backoffs", "max_frame_retries"})
-    backoff = _build(ck, f"{name}.mac_params", BackoffPolicy,
-                     min_be_critical=ck.integer(bo_raw, "min_be_critical", f"{name}.mac_params", 2),
-                     min_be_noncritical=ck.integer(bo_raw, "min_be_noncritical", f"{name}.mac_params", 4),
-                     max_be=ck.integer(bo_raw, "max_be", f"{name}.mac_params", 5),
-                     max_csma_backoffs=ck.integer(bo_raw, "max_csma_backoffs", f"{name}.mac_params", 4),
-                     max_frame_retries=ck.integer(bo_raw, "max_frame_retries", f"{name}.mac_params", 3))
-    backoff = backoff or BackoffPolicy()
-
-    channel_params, raw_links = _channel(ck, top.get("channel"), f"{name}.channel")
-    energy = _energy(ck, top.get("energy"), f"{name}.energy")
-    wakeup = _wakeup(ck, top.get("wakeup"), f"{name}.wakeup")
-    frames = _frames(ck, top.get("frames"), f"{name}.frames", superframe)
-
-    bnc_raw = ck.section(top.get("bnc"), f"{name}.bnc", {"placement"})
-    bnc_placement = _placement(ck, bnc_raw.get("placement"), f"{name}.bnc.placement") \
-        if bnc_raw.get("placement") is not None else Placement(PlacementKind.ON_BODY)
-
-    nodes = _nodes(ck, top.get("nodes"), f"{name}.nodes", frames)
-    link_errors = _link_errors(ck, raw_links, f"{name}.channel.link_errors",
-                               {n.profile.id for n in nodes})
-    on_demand = _on_demand(ck, top.get("on_demand"), f"{name}.on_demand", horizon_us)
-    tdma = _tdma(ck, top.get("tdma"), f"{name}.tdma") if mac == "tdma" else None
-    if mac != "tdma" and top.get("tdma") is not None:
+    nodes = _nodes(ck, top.pop("nodes", None), f"{name}.nodes", frames)
+    link_errors = _link_errors(ck, raw_links, f"{name}.channel.link_errors", nodes)
+    on_demand = _on_demand(ck, top.pop("on_demand", None), f"{name}.on_demand",
+                           horizon_us, nodes, wakeup)
+    raw_tdma, tdma = top.pop("tdma", None), None
+    if is_tdma and raw_tdma is None:
+        ck.err(f"{name}.tdma", "mac 'tdma' requires a tdma section")
+    elif is_tdma:
+        tdma = _tdma(ck, raw_tdma, f"{name}.tdma")
+    elif is_tdma is False and raw_tdma is not None:
         ck.err(f"{name}.tdma", "tdma section present but mac is not 'tdma'")
+    if superframe is not None and frames is not None \
+            and (tdma is not None or is_tdma is False):
+        _fit_checks(ck, name, nodes, on_demand, tdma, superframe, frames)
 
-    _cross_checks(ck, name, mac, nodes, on_demand, tdma, wakeup, superframe, frames)
-
-    if ck.errors:
-        raise ScenarioError(ck.errors)
+    if ck:
+        raise ScenarioError(list(ck))
     return Scenario(
-        name=name, mac=mac, horizon_us=horizon_us, seed=seed,
-        superframe=superframe, backoff=backoff, channel_params=channel_params,
-        link_errors=link_errors, energy=energy, wakeup=wakeup, frames=frames,
-        nodes=nodes, on_demand=on_demand, tdma=tdma, bnc_placement=bnc_placement,
+        name=name, horizon_us=horizon_us, superframe=superframe, backoff=backoff,
+        channel_params=channel_params, link_errors=link_errors, energy=energy,
+        wakeup=wakeup, frames=frames, nodes=list(nodes.values()), on_demand=on_demand,
+        tdma=tdma, bnc_placement=bnc_placement, **top,  # mac and seed, where given
     )
 
 
-def _build(ck: _Check, path: str, cls, **kwargs):
-    try:
-        return cls(**kwargs)
-    except (ValueError, TypeError) as exc:
-        ck.err(path, str(exc))
+def _horizon(ck: _Check, name: str, top: dict, bad: set[str],
+             sf: SuperframeConfig | None) -> SimTime | None:
+    """The run horizon in us, its keys taken out of `top`."""
+    horizon_us, horizon_sfs = top.pop("horizon_us", None), top.pop("horizon_superframes", None)
+    if {"horizon_s", "horizon_superframes"} & bad:
         return None
-
-
-def _horizon(ck: _Check, top: dict, name: str, sf: SuperframeConfig) -> SimTime:
-    horizon_s = ck.num(top, "horizon_s", name, None, minimum=0)
-    horizon_sfs = ck.integer(top, "horizon_superframes", name, None, minimum=1)
-    if horizon_s is None and horizon_sfs is None:
-        if top.get("horizon_s") is None and top.get("horizon_superframes") is None:
-            ck.err(name, "one of horizon_s / horizon_superframes is required")
-        return 0
-    if horizon_s is not None and horizon_sfs is not None:
+    if horizon_us is not None and horizon_sfs is not None:
         ck.err(name, "give only one of horizon_s / horizon_superframes")
+        return None
+    if horizon_us is None and horizon_sfs is None:
+        ck.err(name, "one of horizon_s / horizon_superframes is required")
+        return None
     if horizon_sfs is not None:
-        return horizon_sfs * sf.beacon_interval_us
-    if horizon_s <= 0:
-        ck.err(f"{name}.horizon_s", "must be positive")
-        return 0
-    horizon_us = ck.micros(horizon_s, 1_000_000, f"{name}.horizon_s")
-    if horizon_us is None:
-        return 0
-    if horizon_us < sf.beacon_interval_us:  # includes one that rounds to 0 us
+        return None if sf is None else horizon_sfs * sf.beacon_interval_us
+    if sf is not None and horizon_us < sf.beacon_interval_us:  # includes one rounding to 0 us
         ck.err(f"{name}.horizon_s", f"horizon shorter than one beacon interval "
                                     f"({horizon_us} us < {sf.beacon_interval_us} us)")
     return horizon_us
 
 
-def _channel(ck: _Check, raw: object, path: str) -> tuple[ChannelParams, object]:
+def _channel(ck: _Check, raw: object, path: str) -> tuple[ChannelParams | None, object]:
     """Channel parameters, and the raw link_errors list for `_link_errors`."""
-    sec = ck.section(raw, path, {"path_loss", "tx_power_dbm", "sensitivity_dbm",
-                                 "cca_threshold_dbm", "capture_margin_db",
-                                 "wakeup_loss_p", "link_errors"})
-    defaults = ChannelParams()
-    path_loss = dict(defaults.path_loss)
-    pl_sec = ck.section(sec.get("path_loss"), f"{path}.path_loss",
-                        {lc.value for lc in LinkClass})
+    keys = KEYS["channel"]
+    kw, bad = _read(ck, raw, path, keys)
+    if kw is None:
+        return None, None
+    raw_links = kw.pop("link_errors", None)
+    power, power_bad = _read(ck, kw.pop("tx_power_dbm", None), f"{path}.tx_power_dbm",
+                             keys["tx_power_dbm"])
+    given, _ = _read(ck, kw.pop("path_loss", None), f"{path}.path_loss", keys["path_loss"])
+    if given is None or power is None:
+        return None, raw_links
+    # A link class's missing keys keep that class's defaults.
+    table = kw["path_loss"] = default_path_loss()
     for lc in LinkClass:
-        if lc.value not in pl_sec:
-            continue
-        p = f"{path}.path_loss.{lc.value}"
-        entry = ck.section(pl_sec[lc.value], p, {"ref_loss_db", "ref_dist_m", "exponent"})
-        built = _build(ck, p, PathLossParams,
-                       ref_loss_db=ck.num(entry, "ref_loss_db", p, path_loss[lc].ref_loss_db),
-                       ref_dist_m=ck.num(entry, "ref_dist_m", p, path_loss[lc].ref_dist_m),
-                       exponent=ck.num(entry, "exponent", p, path_loss[lc].exponent))
-        if built is not None:
-            path_loss[lc] = built
-    tp = ck.section(sec.get("tx_power_dbm"), f"{path}.tx_power_dbm", {"on_body", "in_body"})
-    params = ChannelParams(
-        path_loss=path_loss,
-        tx_power_on_body_dbm=ck.num(tp, "on_body", f"{path}.tx_power_dbm", defaults.tx_power_on_body_dbm),
-        tx_power_in_body_dbm=ck.num(tp, "in_body", f"{path}.tx_power_dbm", defaults.tx_power_in_body_dbm),
-        sensitivity_dbm=ck.num(sec, "sensitivity_dbm", path, defaults.sensitivity_dbm),
-        cca_threshold_dbm=ck.num(sec, "cca_threshold_dbm", path, defaults.cca_threshold_dbm),
-        capture_margin_db=ck.num(sec, "capture_margin_db", path, defaults.capture_margin_db, minimum=0),
-        wakeup_loss_p=ck.num(sec, "wakeup_loss_p", path, 0.0, minimum=0.0, maximum=1.0),
-    )
-    return params, sec.get("link_errors", [])
+        if lc.value in given:
+            p = f"{path}.path_loss.{lc.value}"
+            pl, pl_bad = _read(ck, given[lc.value], p, _PATH_LOSS)
+            if pl is not None:
+                pl = {k: getattr(table[lc], k) for k in PathLossParams.__slots__} | pl
+            table[lc] = _record(ck, p, PathLossParams, pl, pl_bad)
+    if None in table.values():
+        return None, raw_links
+    return _record(ck, path, ChannelParams, kw | power, bad | power_bad), raw_links
 
 
-def _link_errors(ck: _Check, raw: object, path: str, node_ids: set[int]) -> LinkErrorTable:
+def _link_errors(ck: _Check, raw: object, path: str, nodes: dict | None) -> LinkErrorTable:
     """Each link joins the BNC (0) or scenario nodes and appears at most once."""
     table = LinkErrorTable()
+    if raw is None:
+        return table
     if not isinstance(raw, list):
         ck.err(path, "expected a list")
         return table
     first_at: dict[tuple[int, int], int] = {}
     for i, item in enumerate(raw):
         p = f"{path}[{i}]"
-        entry = ck.section(item, p, {"src", "dst", "p_success"})
-        src = ck.integer(entry, "src", p, None, minimum=0)
-        dst = ck.integer(entry, "dst", p, None, minimum=0)
-        prob = ck.num(entry, "p_success", p, None, minimum=0.0, maximum=1.0)
-        if src is None or dst is None or prob is None:
+        kw, bad = _read(ck, item, p, _LINK, ids=tuple(_LINK))
+        if kw is None or bad:
+            continue
+        if len(kw) < len(_LINK):
             ck.err(p, "needs src, dst and p_success")
             continue
-        if not 0.0 <= prob <= 1.0:
-            continue  # already reported with its key path
+        if nodes is None:
+            continue
+        src, dst = kw["src"], kw["dst"]
         unknown = [(end, v) for end, v in (("src", src), ("dst", dst))
-                   if v != 0 and v not in node_ids]
+                   if v != 0 and v not in nodes]
         for end, v in unknown:
             ck.err(p, f"{end} {v} is neither 0 (the BNC) nor a scenario node")
         if unknown:
@@ -371,271 +477,159 @@ def _link_errors(ck: _Check, raw: object, path: str, node_ids: set[int]) -> Link
             ck.err(p, f"link {src} -> {dst} repeats {path}[{first_at[src, dst]}]")
             continue
         first_at[src, dst] = i
-        table.set(src, dst, prob)
+        table.set(src, dst, kw["p_success"])
     return table
 
 
-def _energy(ck: _Check, raw: object, path: str) -> EnergyModel:
-    sec = ck.section(raw, path, {"tx_mw", "rx_mw", "idle_listen_mw", "sleep_mw", "wakeup_rx_mw"})
-    d = EnergyModel()
-    built = _build(ck, path, EnergyModel,
-                   tx_mw=ck.num(sec, "tx_mw", path, d.tx_mw),
-                   rx_mw=ck.num(sec, "rx_mw", path, d.rx_mw),
-                   idle_listen_mw=ck.num(sec, "idle_listen_mw", path, d.idle_listen_mw),
-                   sleep_mw=ck.num(sec, "sleep_mw", path, d.sleep_mw),
-                   wakeup_rx_mw=ck.num(sec, "wakeup_rx_mw", path, d.wakeup_rx_mw))
-    return built or d
+def _placement(ck: _Check, raw: object, path: str) -> Placement | None:
+    return _record(ck, path, Placement, *_read(ck, raw, path, _PLACEMENT))
 
 
-def _wakeup(ck: _Check, raw: object, path: str) -> WakeupConfig:
-    sec = ck.section(raw, path, {"mode", "latency_ms", "signal_airtime_ms", "frequencies"})
-    mode_txt = ck.text(sec, "mode", path, "broadcast",
-                       choices={a.value for a in Addressing}) or "broadcast"
-    latency_ms = ck.num(sec, "latency_ms", path, 5.0, minimum=0)
-    airtime_ms = ck.num(sec, "signal_airtime_ms", path, 1.0)
-    if airtime_ms is not None and airtime_ms <= 0:
-        ck.err(f"{path}.signal_airtime_ms", "must be positive")
-        airtime_ms = 1.0
-    airtime_us = ck.micros(airtime_ms or 1, 1000, f"{path}.signal_airtime_ms")
-    if airtime_us == 0:
-        ck.err(f"{path}.signal_airtime_ms", f"{airtime_ms} ms rounds to 0 us")
-    freqs = None
-    if "frequencies" in sec:
-        raw_f = sec["frequencies"]
-        if not isinstance(raw_f, dict):
-            ck.err(f"{path}.frequencies", "expected a mapping of node id -> tone")
-        else:
-            freqs = {}
-            for k, v in raw_f.items():
-                if not isinstance(k, int) or isinstance(v, bool) or not isinstance(v, int):
-                    ck.err(f"{path}.frequencies", f"bad entry {k!r}: {v!r}")
-                    continue
-                freqs[k] = v
-    return WakeupConfig(
-        mode=Addressing(mode_txt),
-        latency_us=ck.micros(latency_ms or 0, 1000, f"{path}.latency_ms") or 0,
-        signal_airtime_us=airtime_us or 1000,
-        frequencies=freqs,
-    )
-
-
-def _frames(ck: _Check, raw: object, path: str, sf: SuperframeConfig) -> FrameParams:
-    sec = ck.section(raw, path, {"beacon_bits", "ack_bits", "command_bits",
-                                 "default_payload_bits", "bitrate_bps"})
-    d = FrameParams()
-    built = _build(ck, path, FrameParams,
-                   beacon_bits=ck.integer(sec, "beacon_bits", path, d.beacon_bits, minimum=1),
-                   ack_bits=ck.integer(sec, "ack_bits", path, d.ack_bits, minimum=1),
-                   command_bits=ck.integer(sec, "command_bits", path, d.command_bits, minimum=1),
-                   default_payload_bits=ck.integer(sec, "default_payload_bits", path,
-                                                   d.default_payload_bits, minimum=1),
-                   bitrate_bps=ck.integer(sec, "bitrate_bps", path,
-                                          sf.default_bitrate_bps, minimum=1))
-    return built or d
-
-
-def _placement(ck: _Check, raw: object, path: str) -> Placement:
-    sec = ck.section(raw, path, {"kind", "x_m", "y_m", "z_m", "depth_m"})
-    kind_txt = ck.text(sec, "kind", path, "on_body",
-                       choices={k.value for k in PlacementKind}) or "on_body"
-    kind = PlacementKind(kind_txt)
-    depth = ck.num(sec, "depth_m", path, None)
-    built = _build(ck, path, Placement, kind=kind,
-                   x_m=ck.num(sec, "x_m", path, 0.0),
-                   y_m=ck.num(sec, "y_m", path, 0.0),
-                   z_m=ck.num(sec, "z_m", path, 0.0),
-                   depth_m=depth)
-    return built or Placement(PlacementKind.ON_BODY)
-
-
-def _nodes(ck: _Check, raw: object, path: str, frames: FrameParams) -> list[NodeConfig]:
+def _nodes(ck: _Check, raw: object, path: str,
+           frames: FrameParams | None) -> dict[int, NodeConfig | None] | None:
+    """Node id -> its config, None while unknown; None while a node's id is."""
     if raw is None:
         ck.err(path, "at least one node is required")
-        return []
+        return None
     if not isinstance(raw, list) or not raw:
         ck.err(path, "expected a non-empty list")
-        return []
-    nodes: list[NodeConfig] = []
-    seen_ids: set[int] = set()
+        return None
+    nodes: dict[int, NodeConfig | None] = {}
+    complete = True
     for i, item in enumerate(raw):
         p = f"{path}[{i}]"
-        sec = ck.section(item, p, {"id", "placement", "class", "criticality",
-                                   "wakeup_multiplier", "payload_bits",
-                                   "wakeup_receiver", "traffic"})
-        node_id = ck.integer(sec, "id", p, None, minimum=1)
-        if node_id is None:
+        kw, bad = _read(ck, item, p, _NODE, ids=("id",))
+        if kw is not None and not bad and "id" not in kw:
             ck.err(p, "node id is required (integers >= 1; 0 is the BNC)")
+        if kw is None or "id" not in kw:
+            complete = False
             continue
-        if node_id in seen_ids:
-            ck.err(p, f"duplicate node id {node_id}")
+        if kw["id"] in nodes:
+            ck.err(p, f"duplicate node id {kw['id']}")
             continue
-        seen_ids.add(node_id)
-        cls_txt = ck.text(sec, "class", p, "normal_medium", choices=_CLASS_TOKENS)
-        cls = TrafficClass(cls_txt or "normal_medium")
-        crit_txt = ck.text(sec, "criticality", p, "non_critical", choices=_CRIT_TOKENS)
-        crit = Criticality(crit_txt or "non_critical")
-        placement = _placement(ck, sec.get("placement"), f"{p}.placement")
-        payload = ck.integer(sec, "payload_bits", p, frames.default_payload_bits, minimum=1)
-        profile = _build(ck, p, NodeProfile,
-                         id=node_id, placement=placement, traffic_class=cls,
-                         criticality=crit,
-                         wakeup_multiplier=ck.integer(sec, "wakeup_multiplier", p, 1, minimum=1),
-                         payload_bits=payload,
-                         wakeup_receiver=ck.flag(sec, "wakeup_receiver", p, True))
-        if profile is None:
-            continue
-        generator = _generator(ck, sec.get("traffic"), f"{p}.traffic", profile)
-        nodes.append(NodeConfig(profile=profile, generator=generator))
-    return nodes
+        raw_traffic = kw.pop("traffic", None)
+        kw["placement"] = _placement(ck, kw.get("placement"), f"{p}.placement")
+        if frames is not None:  # the default payload comes from the frames section
+            kw.setdefault("payload_bits", frames.default_payload_bits)
+        profile = None
+        if kw["placement"] is not None and "payload_bits" in kw:
+            profile = _record(ck, p, NodeProfile, kw, bad)
+        generator = _generator(ck, raw_traffic, f"{p}.traffic", profile)
+        nodes[kw["id"]] = None if profile is None else NodeConfig(profile, generator)
+    return nodes if complete else None
 
 
-def _generator(ck: _Check, raw: object, path: str, profile: NodeProfile) -> GeneratorSpec | None:
-    sec = ck.section(raw, path, {"rate_per_hour", "arrival", "phase_s"})
+def _generator(ck: _Check, raw: object, path: str,
+               profile: NodeProfile | None) -> GeneratorSpec | None:
+    kw, bad = _read(ck, raw, path, _TRAFFIC)
+    if profile is None or kw is None:
+        return None
     cls = profile.traffic_class
     if cls.is_on_demand:
-        if sec:
+        if kw or bad:
             ck.err(path, "on-demand nodes are reactive; they take no traffic section")
         return None
-    arrival_txt = ck.text(sec, "arrival", path, DEFAULT_ARRIVAL[cls].value,
-                          choices=_ARRIVAL_TOKENS)
-    arrival = ArrivalProcess(arrival_txt or DEFAULT_ARRIVAL[cls].value)
-    rate = ck.num(sec, "rate_per_hour", path, DEFAULT_RATE_PER_HOUR[cls])
-    # normal traffic staggers by node id to avoid pathological phase alignment
-    default_phase_s = float(profile.id) if arrival is ArrivalProcess.PERIODIC else 0.0
-    phase_s = ck.num(sec, "phase_s", path, default_phase_s, minimum=0)
-    phase_us = ck.micros(phase_s or 0, 1_000_000, f"{path}.phase_s")
-    if phase_us is None:
-        return None
-    return _build(ck, path, GeneratorSpec,
-                  traffic_class=cls, payload_bits=profile.payload_bits,
-                  rate_per_hour=rate if arrival is not ArrivalProcess.SATURATED else 0.0,
-                  arrival=arrival, phase_us=phase_us)
+    # The arrival process and rate default per class; a saturated node has no rate.
+    arrival = kw.setdefault("arrival", DEFAULT_ARRIVAL[cls])
+    if arrival is ArrivalProcess.SATURATED:
+        kw.pop("rate_per_hour", None)
+    else:
+        kw.setdefault("rate_per_hour", DEFAULT_RATE_PER_HOUR[cls])
+    if arrival is ArrivalProcess.PERIODIC:
+        # normal traffic staggers by node id to avoid pathological phase alignment
+        kw.setdefault("phase_us", profile.id * 1_000_000)
+    return _record(ck, path, GeneratorSpec,
+                   kw | {"traffic_class": cls, "payload_bits": profile.payload_bits}, bad)
 
 
-def _on_demand(
-    ck: _Check, raw: object, path: str, horizon_us: SimTime
-) -> list[tuple[OnDemandEntry, str | None]]:
-    """Entries paired with their raw mode text; resolved in _cross_checks."""
+def _on_demand(ck: _Check, raw: object, path: str, horizon_us: SimTime | None,
+               nodes: dict | None, wakeup: WakeupConfig | None) -> list[OnDemandEntry]:
+    """The entries whose target is a scenario node."""
     if raw is None:
         return []
     if not isinstance(raw, list):
         ck.err(path, "expected a list")
         return []
-    entries: list[tuple[OnDemandEntry, str | None]] = []
+    entries: list[OnDemandEntry] = []
     for i, item in enumerate(raw):
         p = f"{path}[{i}]"
-        sec = ck.section(item, p, {"time_s", "target", "mode", "rate_per_s", "duration_s"})
-        time_s = ck.num(sec, "time_s", p, None, minimum=0)
-        target = ck.integer(sec, "target", p, None, minimum=1)
-        mode = ck.text(sec, "mode", p, None, choices={"continuous", "non_continuous"})
-        if time_s is None or target is None:
+        kw, bad = _read(ck, item, p, _QUERY, ids=("time_s", "target"))
+        if kw is None or bad:
+            continue
+        if "time_us" not in kw or "target" not in kw:
             ck.err(p, "needs time_s and target")
             continue
-        time_us = ck.micros(time_s, 1_000_000, f"{p}.time_s")
-        duration_us = ck.micros(ck.num(sec, "duration_s", p, 0.0) or 0, 1_000_000,
-                                f"{p}.duration_s")
-        if time_us is None or duration_us is None:
+        if horizon_us is not None and kw["time_us"] > horizon_us:
+            ck.err(p, f"time_s {item['time_s']} is beyond the run horizon")
+        entry = _record(ck, p, OnDemandEntry, kw, bad)
+        if entry is None or nodes is None:
             continue
-        if time_us > horizon_us:
-            ck.err(p, f"time_s {time_s} is beyond the run horizon")
-        continuous = mode == "continuous"
-        entry = _build(ck, p, OnDemandEntry,
-                       time_us=time_us, target=target, continuous=continuous,
-                       rate_per_s=ck.num(sec, "rate_per_s", p, 0.0),
-                       duration_us=duration_us)
-        if entry is not None:
-            entries.append((entry, mode))
+        if entry.target not in nodes:
+            ck.err(p, f"target {entry.target} is not a scenario node")
+            continue
+        entries.append(entry)
+        target = nodes[entry.target]
+        if target is None:
+            continue
+        if not target.profile.wakeup_receiver:
+            ck.err(p, f"target {entry.target} has no wakeup receiver")
+        if "continuous" not in kw \
+                and target.profile.traffic_class is TrafficClass.ON_DEMAND_CONTINUOUS:
+            ck.err(p, "continuous-mode query needs explicit rate_per_s/duration_s; set mode")
+        if wakeup is not None and wakeup.mode is Addressing.FREQUENCY_ADDRESSED \
+                and entry.target not in (wakeup.frequencies or ()):
+            ck.err(p, f"frequency-addressed mode: node {entry.target} has no "
+                      "entry under wakeup.frequencies")
     return entries
 
 
 def _tdma(ck: _Check, raw: object, path: str) -> TdmaSchedule | None:
-    sec = ck.section(raw, path, {"slot_duration_ms", "slots_per_superframe", "slots"})
-    duration_ms = ck.num(sec, "slot_duration_ms", path, 4.0)
-    if duration_ms is not None and duration_ms <= 0:
-        ck.err(f"{path}.slot_duration_ms", "must be positive")
-        duration_ms = 4.0
-    slots_raw = sec.get("slots")
-    if not isinstance(slots_raw, dict) or not slots_raw:
+    kw, bad = _read(ck, raw, path, KEYS["tdma"])
+    if kw is None or bad:
+        return None
+    if "slots" not in kw:
         ck.err(f"{path}.slots", "tdma requires a node id -> slot index mapping")
         return None
-    slots: dict[int, int] = {}
-    for k, v in slots_raw.items():
-        if not isinstance(k, int) or isinstance(v, bool) or not isinstance(v, int):
-            ck.err(f"{path}.slots", f"bad entry {k!r}: {v!r}")
-            continue
-        slots[k] = v
-    n_slots = ck.integer(sec, "slots_per_superframe", path,
-                         max(slots.values(), default=0) + 1, minimum=1)
-    slot_us = ck.micros(duration_ms or 4.0, 1000, f"{path}.slot_duration_ms")
-    if slot_us is None:
-        return None
-    return _build(ck, path, TdmaSchedule,
-                  slots=slots,
-                  slot_duration_us=slot_us,
-                  slots_per_superframe=n_slots)
+    kw.setdefault("slots_per_superframe", max(0, *kw["slots"].values()) + 1)
+    return _record(ck, path, TdmaSchedule, kw, bad)
 
 
-def _cross_checks(ck, name, mac, nodes, on_demand, tdma, wakeup, superframe,
-                  frames) -> None:
-    ids = {n.profile.id for n in nodes}
-    by_id = {n.profile.id: n for n in nodes}
-    resolved: list[OnDemandEntry] = []
-    for i, (entry, mode) in enumerate(on_demand):
-        p = f"{name}.on_demand[{i}]"
-        target = by_id.get(entry.target)
-        if target is None:
-            ck.err(p, f"target {entry.target} is not a scenario node")
-            continue
-        if not target.profile.wakeup_receiver:
-            ck.err(p, f"target {entry.target} has no wakeup receiver")
-        if mode is None and target.profile.traffic_class is TrafficClass.ON_DEMAND_CONTINUOUS:
-            ck.err(p, "continuous-mode query needs explicit rate_per_s/duration_s; set mode")
-        if wakeup.mode is Addressing.FREQUENCY_ADDRESSED:
-            if wakeup.frequencies is None or entry.target not in wakeup.frequencies:
-                ck.err(p, f"frequency-addressed mode: node {entry.target} has no "
-                          "entry under wakeup.frequencies")
-        resolved.append(entry)
-    on_demand[:] = resolved
+def _fit_checks(ck, name, nodes, on_demand, tdma, sf, frames) -> None:
+    """Every frame can ever be sent.  Under TDMA the slot region and beacon
+    fit the beacon interval and each node's frame its slot.  Under CSMA the
+    fit rule of CsmaMac.on_backoff_expired holds at the earliest backoff
+    boundary after the beacon; a frame that fails it would queue forever."""
+    def air(bits):
+        return airtime(bits, frames.bitrate_bps)
 
-    if mac == "tdma":
-        if tdma is None:
-            ck.err(f"{name}.tdma", "mac 'tdma' requires a tdma section")
-            return
-        for node_id in ids:
-            if node_id not in tdma.slots:
-                ck.err(f"{name}.tdma.slots", f"node {node_id} has no slot assignment")
-        for node_id in tdma.slots:
-            if node_id not in ids:
-                ck.err(f"{name}.tdma.slots", f"slot assigned to unknown node {node_id}")
-        beacon_air = airtime(frames.beacon_bits, frames.bitrate_bps)
-        region = tdma.region_us + beacon_air
-        if region > superframe.beacon_interval_us:
+    profiles = [n.profile for n in (nodes or {}).values() if n is not None]
+    if tdma is not None:
+        for node_id in [n for n in nodes or () if n not in tdma.slots]:
+            ck.err(f"{name}.tdma.slots", f"node {node_id} has no slot assignment")
+        for node_id in [n for n in tdma.slots if nodes is not None and n not in nodes]:
+            ck.err(f"{name}.tdma.slots", f"slot assigned to unknown node {node_id}")
+        region = tdma.region_us + air(frames.beacon_bits)
+        if region > sf.beacon_interval_us:
             ck.err(f"{name}.tdma", f"slot region + beacon ({region} us) exceeds the "
-                                   f"beacon interval ({superframe.beacon_interval_us} us)")
-        for node in nodes:
-            air = airtime(node.profile.payload_bits, frames.bitrate_bps)
-            if air > tdma.slot_duration_us:
-                ck.err(f"{name}.nodes", f"node {node.profile.id}: frame airtime {air} us "
-                                        f"exceeds slot duration {tdma.slot_duration_us} us")
+                                   f"beacon interval ({sf.beacon_interval_us} us)")
+        for prof in profiles:
+            if air(prof.payload_bits) > tdma.slot_duration_us:
+                ck.err(f"{name}.nodes", f"node {prof.id}: frame airtime "
+                                        f"{air(prof.payload_bits)} us exceeds slot duration "
+                                        f"{tdma.slot_duration_us} us")
         return
-    # CSMA: the fit rule of CsmaMac.on_backoff_expired, applied at the earliest
-    # backoff boundary after the beacon.  A frame that fails it would queue forever.
-    ubp = superframe.unit_backoff_us
-    beacon_air = airtime(frames.beacon_bits, frames.bitrate_bps)
-    cap_us = superframe.active_duration_us - -(-beacon_air // ubp) * ubp
-    overhead = 2 * ubp + superframe.turnaround_us + airtime(frames.ack_bits, frames.bitrate_bps)
-    for node in nodes:
-        needed = overhead + airtime(node.profile.payload_bits, frames.bitrate_bps)
+    ubp = sf.unit_backoff_us
+    cap_us = sf.active_duration_us - -(-air(frames.beacon_bits) // ubp) * ubp
+    overhead = 2 * ubp + sf.turnaround_us + air(frames.ack_bits)
+    for prof in profiles:
+        needed = overhead + air(prof.payload_bits)
         if needed > cap_us:
-            ck.err(f"{name}.nodes", f"node {node.profile.id}: acked transaction "
-                                    f"({needed} us with both CCAs) exceeds the CAP after "
-                                    f"the beacon ({cap_us} us)")
+            ck.err(f"{name}.nodes", f"node {prof.id}: acked transaction ({needed} us with "
+                                    f"both CCAs) exceeds the CAP after the beacon ({cap_us} us)")
     # A continuous query ends with the coordinator's stop command, which
     # contends like any data frame.
-    if any(entry.continuous for entry in on_demand):
-        needed = overhead + airtime(frames.command_bits, frames.bitrate_bps)
-        if needed > cap_us:
-            ck.err(f"{name}.frames.command_bits",
-                   f"{frames.command_bits} bits: the stop command's acked transaction "
-                   f"({needed} us with both CCAs) exceeds the CAP after the beacon "
-                   f"({cap_us} us)")
+    needed = overhead + air(frames.command_bits)
+    if any(entry.continuous for entry in on_demand) and needed > cap_us:
+        ck.err(f"{name}.frames.command_bits",
+               f"{frames.command_bits} bits: the stop command's acked transaction "
+               f"({needed} us with both CCAs) exceeds the CAP after the beacon ({cap_us} us)")

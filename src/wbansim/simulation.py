@@ -130,8 +130,8 @@ class EmergencyFlow:
 
 
 class Device:
-    """One BN or the coordinator during a run.  `queue` and `state_us` default
-    to fresh empty ones; every device starts the run in its sleep state."""
+    """One BN or the coordinator during a run; every device starts the run in
+    its sleep state with an empty queue."""
 
     __slots__ = ("id", "placement", "rng", "criticality", "sleep_state", "profile", "gen",
                  "queue", "incoming", "tx_until", "hold_awake_until", "grant_active",
@@ -139,20 +139,9 @@ class Device:
                  "backoff_expiry", "backoff_remaining", "cca_ev", "ack_ev", "attempt_frame",
                  "attempt_us", "active_frame", "slot_end", "state", "since", "state_us")
 
-    def __init__(
-        self, id: int, placement: Placement, rng: object, criticality: Criticality,
-        sleep_state: RadioState, profile: NodeProfile | None = None,
-        gen: GeneratorSpec | None = None, queue: PendingQueue | None = None,
-        incoming: int = 0, tx_until: SimTime = 0, hold_awake_until: SimTime = 0,
-        grant_active: bool = False, stream: StreamState | None = None,
-        in_cap: bool = False, cap_anchor: SimTime = 0, cap_end: SimTime = 0,
-        fsm: object = None, backoff_ev: list | None = None, backoff_expiry: SimTime = 0,
-        backoff_remaining: int | None = None, cca_ev: list | None = None,
-        ack_ev: list | None = None, attempt_frame: Frame | None = None,
-        attempt_us: SimTime = 0, active_frame: Frame | None = None,
-        slot_end: SimTime | None = None, since: SimTime = 0,
-        state_us: dict[RadioState, SimTime] | None = None,
-    ) -> None:
+    def __init__(self, id: int, placement: Placement, rng: object, criticality: Criticality,
+                 sleep_state: RadioState, profile: NodeProfile | None = None,
+                 gen: GeneratorSpec | None = None) -> None:
         self.id = id
         self.placement = placement
         self.rng = rng
@@ -160,33 +149,33 @@ class Device:
         self.sleep_state = sleep_state
         self.profile = profile
         self.gen = gen
-        self.queue = PendingQueue() if queue is None else queue
-        self.incoming = incoming  # frames on the air for this device, the beacon included
-        self.tx_until = tx_until  # end of its own transmissions; 0 once their TxEnd ran
+        self.queue = PendingQueue()
+        self.incoming = 0  # frames on the air for this device, the beacon included
+        self.tx_until = 0  # end of its own transmissions; 0 once their TxEnd ran
         # main radio on until then (query, grant, spurious wake)
-        self.hold_awake_until = hold_awake_until
-        self.grant_active = grant_active
-        self.stream = stream
+        self.hold_awake_until = 0
+        self.grant_active = False
+        self.stream: StreamState | None = None
         # CSMA attempt state
-        self.in_cap = in_cap
-        self.cap_anchor = cap_anchor
-        self.cap_end = cap_end
-        self.fsm = fsm
-        self.backoff_ev = backoff_ev  # scheduler entries, kept to cancel them
-        self.backoff_expiry = backoff_expiry
-        self.backoff_remaining = backoff_remaining
-        self.cca_ev = cca_ev
-        self.ack_ev = ack_ev
-        self.attempt_frame = attempt_frame  # frame bound to the ongoing attempt
-        self.attempt_us = attempt_us        # its acked transaction: data, turnaround, ack
-        self.active_frame = active_frame    # frame currently on the air / awaiting ack
+        self.in_cap = False
+        self.cap_anchor = 0
+        self.cap_end = 0
+        self.fsm = None
+        self.backoff_ev: list | None = None  # scheduler entries, kept to cancel them
+        self.backoff_expiry = 0
+        self.backoff_remaining: int | None = None
+        self.cca_ev: list | None = None
+        self.ack_ev: list | None = None
+        self.attempt_frame: Frame | None = None  # frame bound to the ongoing attempt
+        self.attempt_us = 0  # its acked transaction: data, turnaround, ack
+        self.active_frame: Frame | None = None  # frame currently on the air / awaiting ack
         # TDMA slot state
-        self.slot_end = slot_end
+        self.slot_end: SimTime | None = None
         # Radio state: the current one, since when, and the closed time in us per
         # state, keyed in first-entry order (see Simulation.set_state).
         self.state = sleep_state
-        self.since = since
-        self.state_us = {} if state_us is None else state_us
+        self.since = 0
+        self.state_us: dict[RadioState, SimTime] = {}
 
 
 class Simulation:

@@ -75,7 +75,7 @@ class OnDemandEntry:
 
     __slots__ = ("time_us", "target", "continuous", "rate_per_s", "duration_us")
 
-    def __init__(self, time_us: SimTime, target: int, continuous: bool,
+    def __init__(self, time_us: SimTime, target: int, continuous: bool = False,
                  rate_per_s: float = 0.0, duration_us: SimTime = 0) -> None:
         self.time_us = time_us
         self.target = target

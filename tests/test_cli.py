@@ -4,6 +4,7 @@ import yaml
 
 import pytest
 
+import wbansim.cli
 from wbansim.cli import main, parse_seed_range
 
 from conftest import base_scenario_dict
@@ -119,6 +120,24 @@ class TestExitCodes:
                 "(161184 us with both CCAs) exceeds the CAP after the beacon (14080 us)"
                 in capsys.readouterr().err)
         assert not out.exists()
+
+    def test_rejected_frame_size_is_two_with_key_path(self, tmp_path, capsys):
+        # The loader used the rejected size to compute an airtime, and the
+        # ValueError that raised was reported as an unreadable file.
+        bad = tmp_path / "tiny.yaml"
+        bad.write_text(yaml.safe_dump(base_scenario_dict(frames={"beacon_bits": 0})),
+                       encoding="utf-8")
+        assert main(["--scenario", str(bad), "--validate-only"]) == 2
+        err = capsys.readouterr().err
+        assert "tiny.frames.beacon_bits: must be >= 1, got 0" in err
+        assert "cannot load scenario" not in err
+
+    def test_loader_defect_is_one(self, scenario_file, monkeypatch, capsys):
+        def broken(path):
+            raise TypeError("a defect")
+        monkeypatch.setattr(wbansim.cli, "load_scenario", broken)
+        assert main(["--scenario", str(scenario_file), "--validate-only"]) == 1
+        assert "internal error: a defect" in capsys.readouterr().err
 
     def test_missing_file_is_two(self, tmp_path):
         assert main(["--scenario", str(tmp_path / "nope.yaml")]) == 2

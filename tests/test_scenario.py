@@ -1,6 +1,7 @@
 import copy
 import importlib.util
 import math
+from enum import Enum
 from pathlib import Path
 
 import pytest
@@ -114,6 +115,10 @@ class TestDefaults:
         assert node.generator.rate_per_hour == 1.0
         assert node.generator.phase_us == 1_000_000  # staggered by node id
 
+    def test_bitrate_derives_from_the_symbol_rate(self):
+        scn = parse_scenario(with_key(("superframe", "symbol_rate_sps"), 31_250))
+        assert scn.frames.bitrate_bps == 125_000
+
     def test_placement_defaults_to_on_body_origin(self):
         scn = parse_scenario(minimal())
         assert scn.nodes[0].profile.placement.kind is PlacementKind.ON_BODY
@@ -168,7 +173,11 @@ class TestRejections:
         raw["nodes"][0]["wakeup_multiplier"] = 0  # bad multiplier
         with pytest.raises(ScenarioError) as err:
             parse_scenario(raw)
-        assert len(err.value.violations) >= 3
+        assert err.value.violations == [
+            "scenario: unknown key 'mystery'",
+            "scenario.nodes[0].wakeup_multiplier: must be >= 1, got 0",
+            "scenario.nodes[1]: duplicate node id 1",
+        ]
 
     def test_on_demand_target_must_exist(self):
         raw = minimal()
@@ -278,6 +287,73 @@ class TestRejections:
         parse_scenario(raw)
 
 
+def tdma_minimal():
+    return {"mac": "tdma", "horizon_s": 10.0, "nodes": [{"id": 1}],
+            "superframe": {"beacon_order": 3, "superframe_order": 3}, "tdma": {"slots": {1: 0}}}
+
+
+def with_query(raw=None):
+    raw = raw or minimal()
+    raw["on_demand"] = [{"time_s": 1, "target": 1, "mode": "non_continuous"}]
+    return raw
+
+
+class TestNullIsAbsent:
+    """Each of these keys used to give `null` a meaning of its own: a seed of
+    None, a sensitivity of None that crashed the run, a TypeError without a
+    key path, a latency of 0 us, or a violation naming no key."""
+
+    @pytest.mark.parametrize("path, attribute, default", [
+        (("seed",), lambda s: s.seed, 1),
+        (("channel", "sensitivity_dbm"), lambda s: s.channel_params.sensitivity_dbm, -95.0),
+        (("frames", "ack_bits"), lambda s: s.frames.ack_bits, 88),
+        (("wakeup", "latency_ms"), lambda s: s.wakeup.latency_us, 5000),
+        (("superframe", "beacon_order"), lambda s: s.superframe.beacon_order, 6),
+    ], ids=["seed", "sensitivity_dbm", "ack_bits", "latency_ms", "beacon_order"])
+    def test_null_takes_the_default(self, path, attribute, default):
+        assert attribute(parse_scenario(with_key(path, None))) == default
+
+
+class TestOneViolationPerRejectedValue:
+    """A value that fails its own check is reported once, at its key path,
+    and nothing runs on it afterwards.  Each of these used to add a second
+    or third violation, or to crash the loader."""
+
+    @pytest.mark.parametrize("raw, violation", [
+        (with_key(("frames", "beacon_bits"), 0), "frames.beacon_bits: must be >= 1, got 0"),
+        (with_key(("frames", "ack_bits"), 0), "frames.ack_bits: must be >= 1, got 0"),
+        (with_key(("frames", "bitrate_bps"), 0), "frames.bitrate_bps: must be >= 1, got 0"),
+        (with_key(("frames", "bitrate_bps"), -5), "frames.bitrate_bps: must be >= 1, got -5"),
+        (with_key(("nodes", 0, "id"), 0), "nodes[0].id: must be >= 1, got 0"),
+        (with_key(("nodes", 0, "wakeup_multiplier"), 0),
+         "nodes[0].wakeup_multiplier: must be >= 1, got 0"),
+        (with_key(("nodes", 0, "payload_bits"), 0), "nodes[0].payload_bits: must be >= 1, got 0"),
+        (with_key(("frames", "default_payload_bits"), 0),
+         "frames.default_payload_bits: must be >= 1, got 0"),
+        (with_key(("frames", "default_payload_bits"), 0, tdma_minimal()),
+         "frames.default_payload_bits: must be >= 1, got 0"),
+        (with_key(("tdma", "slots_per_superframe"), 0, tdma_minimal()),
+         "tdma.slots_per_superframe: must be >= 1, got 0"),
+        # The derived slot count used to be 0, a value of a key never set.
+        (with_key(("tdma", "slots"), {1: -1}, tdma_minimal()),
+         "tdma: node 1: slot index -1 out of range"),
+        ({**with_query(), "horizon_s": None, "horizon_superframes": 0},
+         "horizon_superframes: must be >= 1, got 0"),
+        (with_key(("on_demand", 0, "target"), 0, with_query()),
+         "on_demand[0].target: must be >= 1, got 0"),
+        (with_key(("on_demand", 0, "target"), "x", with_query()),
+         "on_demand[0].target: expected a number, got 'x'"),
+        (with_key(("channel", "link_errors"), [{"src": -1, "dst": 0, "p_success": 0.5}]),
+         "channel.link_errors[0].src: must be >= 0, got -1"),
+        (with_key(("nodes",), [5]), "nodes[0]: expected a mapping, got int"),
+        (with_key(("tdma",), 5, tdma_minimal()), "tdma: expected a mapping, got int"),
+    ], ids=lambda v: v.split(":")[0] if isinstance(v, str) else None)
+    def test_reproducer(self, raw, violation):
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(raw)
+        assert err.value.violations == [f"scenario.{violation}"]
+
+
 class TestLoadFromFile(object):
     def test_round_trip_through_yaml(self, tmp_path):
         import yaml
@@ -365,6 +441,164 @@ def test_mutated_shipped_scenarios_parse_or_raise_scenario_error(case):
         parse_scenario(raw, name=name)
     except ScenarioError:
         pass
+
+
+# -- one declaration per key: null, rejected values, documented defaults -------
+
+# Two valid scenarios that together set every declared key.
+FULL_CSMA = {
+    "mac": "csma", "horizon_s": 600, "seed": 7,
+    "superframe": {"beacon_order": 6, "superframe_order": 5, "symbol_rate_sps": 62500},
+    "mac_params": {"min_be_critical": 1, "min_be_noncritical": 3, "max_be": 5,
+                   "max_csma_backoffs": 3, "max_frame_retries": 2},
+    "channel": {
+        "path_loss": {"on_body": {"ref_loss_db": 41.0, "ref_dist_m": 1.0, "exponent": 2.1},
+                      "in_to_on": {"ref_loss_db": 61.0, "ref_dist_m": 1.0, "exponent": 4.4},
+                      "in_to_in": {"ref_loss_db": 59.0, "ref_dist_m": 0.5, "exponent": 6.1}},
+        "tx_power_dbm": {"on_body": -1.0, "in_body": -15.0},
+        "sensitivity_dbm": -94.0, "cca_threshold_dbm": -84.0, "capture_margin_db": 9.0,
+        "wakeup_loss_p": 0.1,
+        "link_errors": [{"src": 1, "dst": 0, "p_success": 0.9}],
+    },
+    "energy": {"tx_mw": 50.0, "rx_mw": 55.0, "idle_listen_mw": 1.2, "sleep_mw": 0.05,
+               "wakeup_rx_mw": 0.02},
+    "wakeup": {"mode": "frequency_addressed", "latency_ms": 4.0, "signal_airtime_ms": 0.5,
+               "frequencies": {2: 1, 3: 2}},
+    "frames": {"beacon_bits": 300, "ack_bits": 90, "command_bits": 180,
+               "default_payload_bits": 700, "bitrate_bps": 250000},
+    "bnc": {"placement": {"kind": "on_body", "x_m": 0.0, "y_m": 0.1, "z_m": 0.2}},
+    "nodes": [
+        {"id": 1, "class": "emergency", "criticality": "critical", "wakeup_multiplier": 4,
+         "payload_bits": 600, "wakeup_receiver": True,
+         "placement": {"kind": "in_body", "x_m": 0.01, "y_m": 0.05, "z_m": 0.25,
+                       "depth_m": 0.08},
+         "traffic": {"rate_per_hour": 30.0, "arrival": "poisson", "phase_s": 0.5}},
+        {"id": 2, "class": "on_demand_non_continuous", "placement": {"z_m": 0.3}},
+        {"id": 3, "class": "on_demand_continuous", "wakeup_multiplier": 2},
+    ],
+    "on_demand": [
+        {"time_s": 100.0, "target": 2, "mode": "non_continuous"},
+        {"time_s": 200.0, "target": 3, "mode": "continuous", "rate_per_s": 5, "duration_s": 4},
+    ],
+}
+FULL_TDMA = {
+    "mac": "tdma", "horizon_superframes": 100,
+    "superframe": {"beacon_order": 1, "superframe_order": 1},
+    "tdma": {"slot_duration_ms": 3.4, "slots_per_superframe": 4, "slots": {1: 0, 2: 2}},
+    "bnc": {"placement": {"kind": "in_body", "depth_m": 0.05}},
+    "nodes": [{"id": 1, "traffic": {"rate_per_hour": 3600.0}}, {"id": 2, "class": "normal_low"}],
+}
+DOCUMENTS = {**SHIPPED, "full_csma": FULL_CSMA, "full_tdma": FULL_TDMA}
+
+
+def key_paths(tree, path=()):
+    """The dotted key path of each leaf value.  List entries share their
+    list's path; a mapping keyed by node id is one value."""
+    if isinstance(tree, list):
+        for item in tree:
+            yield from key_paths(item, path)
+    elif isinstance(tree, dict) and tree and all(isinstance(k, str) for k in tree):
+        for key, child in tree.items():
+            yield from key_paths(child, path + (key,))
+    else:
+        yield ".".join(path)
+
+
+def declared_paths(keys=None, path=()):
+    for key, spec in (keys or wbansim.scenario.KEYS).items():
+        spec = spec[0] if isinstance(spec, list) else spec
+        if isinstance(spec, dict):
+            yield from declared_paths(spec, path + (key,))
+        else:
+            yield ".".join(path + (key,))
+
+
+def dump(obj):
+    """A record's attributes, recursively, as plain comparable values."""
+    if isinstance(obj, (list, tuple)):
+        return type(obj)(dump(x) for x in obj)
+    if isinstance(obj, dict):
+        return {dump(k): dump(v) for k, v in obj.items()}
+    if isinstance(obj, Enum):
+        return obj.value
+    if obj is None or isinstance(obj, (bool, int, float, str)):
+        return obj
+    names = getattr(obj, "__slots__", None) or vars(obj)
+    return (type(obj).__name__, {n: dump(getattr(obj, n)) for n in names})
+
+
+def outcome(raw, name):
+    try:
+        return dump(parse_scenario(raw, name=name))
+    except ScenarioError as err:
+        return err.violations
+
+
+def at(raw, position):
+    """The mapping or list holding `position`, and its last step."""
+    *up, key = position
+    for step in up:
+        raw = raw[step]
+    return raw, key
+
+
+def test_fixtures_set_every_declared_key():
+    for name in ("full_csma", "full_tdma"):
+        parse_scenario(DOCUMENTS[name], name=name)
+    assert set(key_paths(FULL_CSMA)) | set(key_paths(FULL_TDMA)) == set(declared_paths())
+
+
+@pytest.mark.parametrize("name", sorted(DOCUMENTS))
+def test_null_is_a_missing_key(name):
+    """Setting any key to null parses exactly as deleting it."""
+    for position in positions(DOCUMENTS[name]):
+        nulled, deleted = copy.deepcopy(DOCUMENTS[name]), copy.deepcopy(DOCUMENTS[name])
+        holder, key = at(nulled, position)
+        if not isinstance(holder, dict):
+            continue
+        holder[key] = None
+        holder, key = at(deleted, position)
+        del holder[key]
+        assert outcome(nulled, name) == outcome(deleted, name), position
+
+
+def path_text(name, position):
+    return name + "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in position)
+
+
+@pytest.mark.parametrize("name", sorted(DOCUMENTS))
+def test_each_rejected_value_is_one_violation(name):
+    """Any leaf value replaced by `[0]` gives one violation, at that key or
+    at the mapping that holds it, and no other check runs on a stand-in."""
+    for position in positions(DOCUMENTS[name]):
+        raw = copy.deepcopy(DOCUMENTS[name])
+        holder, key = at(raw, position)
+        if isinstance(holder[key], (dict, list)):
+            continue
+        holder[key] = [0]
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(raw, name=name)
+        [violation] = err.value.violations
+        assert violation.startswith((path_text(name, position) + ": ",
+                                     path_text(name, position[:-1]) + ": ")), violation
+
+
+def readme_block():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("All keys with their defaults:\n\n```yaml\n", 1)[1]
+    return yaml.safe_load(block.split("```", 1)[0])
+
+
+def test_readme_lists_every_declared_key_at_its_default():
+    block = readme_block()
+    assert set(key_paths(block)) == set(declared_paths())
+    del block["channel"]["link_errors"], block["wakeup"]["frequencies"]
+    bare = parse_scenario(minimal())
+    for section, attribute in [("superframe", "superframe"), ("mac_params", "backoff"),
+                               ("channel", "channel_params"), ("energy", "energy"),
+                               ("wakeup", "wakeup"), ("frames", "frames")]:
+        documented = parse_scenario({**minimal(), section: block[section]})
+        assert dump(getattr(documented, attribute)) == dump(getattr(bare, attribute)), section
 
 
 # -- YAML loading ---------------------------------------------------------------
