@@ -17,7 +17,7 @@ import pytest
 from wbansim.channel import ChannelModel, LossReason
 from wbansim.core import Criticality, Frame, FrameKind, Placement, PlacementKind, TrafficClass
 from wbansim.engine import EventKind, Scheduler, fire
-from wbansim.mac_csma import BackoffPolicy, CsmaAction, CsmaBackoffFsm
+from wbansim.mac_csma import BackoffPolicy, CsmaAction, CsmaBackoffFsm, backoff_draw
 from wbansim.metrics import RadioState
 from wbansim.scenario import load_scenario
 from wbansim.simulation import PendingQueue, Simulation
@@ -110,6 +110,36 @@ def test_csma_backoff_fsm_on_cca(benchmark):
         return fsm.on_cca(False)
 
     assert benchmark(attempt) is CsmaAction.TRANSMIT
+
+
+def test_backoff_draw(benchmark):
+    """One backoff draw at the default max_be, checked against its range."""
+    policy, rng = BackoffPolicy(), random.Random(1)
+    assert 0 <= benchmark(backoff_draw, policy, Criticality.NON_CRITICAL, 5, rng) < 32
+
+
+def test_busy_cca_to_backoff_expiry(benchmark):
+    """One busy CCA of `priority_saturated` node 1 through `CsmaMac.on_cca_due`:
+    the channel check, the FSM step, a new backoff draw and the scheduled
+    backoff expiry, with node 2 on the air for the whole run."""
+    sim = Simulation(load_scenario(SCENARIOS / "priority_saturated.yaml"), seed=1)
+    heap = sim.scheduler._heap
+    heap.clear()  # no beacons or arrivals: only the CCA runs
+    dev = sim.devices[1]
+    dev.in_cap, dev.cap_anchor, dev.cap_end = True, 0, 2**62
+    fsm = dev.fsm = CsmaBackoffFsm(sim.policy, dev.criticality)
+    first_be = fsm.be
+    sim.channel.register_tx(data_frame(src=2), sim.devices[2].placement, 0, 2**62)
+
+    def busy_cca():
+        fsm.nb, fsm.be = 0, first_be  # every round is the attempt's first busy CCA
+        sim.mac.on_cca_due(dev)
+        heap.clear()
+        dev.backoff_ev = None
+
+    benchmark(busy_cca)
+    assert (fsm.nb, fsm.be) == (1, first_be + 1)
+    assert dev.backoff_expiry > 0 and not sim.ledger.loss_reasons
 
 
 def test_pending_queue_push_remove(benchmark):

@@ -13,9 +13,12 @@ simulation resolves their receivers and draws their optional loss
 
 Placements and path-loss parameters are fixed for the life of a
 `ChannelModel`, so the link budget of a (tx power, source, listener) triple
-never changes.  The model fills a memo of it (received dBm and mW) the first
-time a triple is seen; CCA sums and reception decisions read the memo and
-get the same floats the formulas return.
+never changes.  The model keeps one row per (tx power, source) pair, mapping
+each listener to its received dBm and mW, and fills an entry the first time
+it is read.  `register_tx` binds the row to the transmission and lists the
+rows of its interferers, so a CCA sum or a reception decision costs one
+listener lookup per transmission and gets the same floats the formulas
+return.
 
 The model keeps only the transmissions on the air, so its memory does not
 grow with the number of transmissions in a run.
@@ -158,43 +161,59 @@ def mw_to_dbm(mw: float) -> float:
     return 10.0 * math.log10(mw)
 
 
+class BudgetRow(dict):
+    """Listener -> (received dBm, received mW) of one (tx dBm, source) pair,
+    filled on first use."""
+
+    __slots__ = ("tx_power_dbm", "src_placement", "path_loss")
+
+    def __init__(self, tx_power_dbm: float, src_placement: Placement,
+                 path_loss: dict[LinkClass, PathLossParams]) -> None:
+        super().__init__()
+        self.tx_power_dbm = tx_power_dbm
+        self.src_placement = src_placement
+        self.path_loss = path_loss
+
+    def __missing__(self, listener: Placement) -> tuple[float, float]:
+        rx = rx_power_dbm(self.tx_power_dbm, self.src_placement, listener, self.path_loss)
+        link = self[listener] = (rx, dbm_to_mw(rx))
+        return link
+
+
 class LinkBudgets(dict):
-    """(tx dBm, source, listener) -> (received dBm, received mW), filled on first use."""
+    """(tx dBm, source) -> its `BudgetRow`, made on first use."""
 
     def __init__(self, path_loss: dict[LinkClass, PathLossParams]) -> None:
         super().__init__()
         self.path_loss = path_loss
 
-    def __missing__(self, key: tuple[float, Placement, Placement]) -> tuple[float, float]:
-        rx = rx_power_dbm(key[0], key[1], key[2], self.path_loss)
-        link = self[key] = (rx, dbm_to_mw(rx))
-        return link
+    def __missing__(self, key: tuple[float, Placement]) -> BudgetRow:
+        row = self[key] = BudgetRow(key[0], key[1], self.path_loss)
+        return row
 
 
 class ActiveTx:
     """A data-radio transmission registered for [start, end).
 
-    `interferers` lists the (tx dBm, source placement) of each overlapping
-    transmission: all that a reception decision needs.
+    `budget` is the link-budget row of its (tx dBm, source placement) pair,
+    and `interferers` lists the row of each overlapping transmission: all
+    that a reception decision needs.
     Holding no reference to the other `ActiveTx` keeps an ended transmission
     from being kept alive by a chain of overlaps.  `listening` is set when the
     transmission starts: whether its addressed destination was awake and not
     itself transmitting (always True for beacons and broadcasts).
     """
 
-    __slots__ = ("frame", "tx_power_dbm", "src_placement", "start", "end",
-                 "interferers", "listening")
+    __slots__ = ("frame", "budget", "start", "end", "interferers", "listening")
 
-    def __init__(self, frame: Frame, tx_power_dbm: float, src_placement: Placement,
-                 start: SimTime, end: SimTime) -> None:
+    def __init__(self, frame: Frame, budget: BudgetRow, start: SimTime, end: SimTime) -> None:
         if end <= start:
             raise ValueError("transmission must have positive duration")
         self.frame = frame
-        self.tx_power_dbm = tx_power_dbm
-        self.src_placement = src_placement
+        self.budget = budget
         self.start = start
         self.end = end
-        self.interferers: list[tuple[float, Placement]] = []
+        self.interferers: list[BudgetRow] = []
         self.listening = True
 
 
@@ -221,13 +240,14 @@ class ChannelModel:
     ) -> ActiveTx:
         if tx_power_dbm is None:
             tx_power_dbm = self.params.tx_power_for(src_placement)
-        tx = ActiveTx(frame, tx_power_dbm, src_placement, start, start + duration)
+        budget = self._budget[tx_power_dbm, src_placement]
+        tx = ActiveTx(frame, budget, start, start + duration)
         # A transmission may be registered ahead of its start instant, so
         # interference links require a genuine interval overlap.
         for other in self._active:
             if other.end > tx.start and tx.end > other.start:
-                other.interferers.append((tx_power_dbm, src_placement))
-                tx.interferers.append((other.tx_power_dbm, other.src_placement))
+                other.interferers.append(budget)
+                tx.interferers.append(other.budget)
         self._active.append(tx)
         return tx
 
@@ -241,12 +261,10 @@ class ChannelModel:
 
     def received_power_dbm(self, listener: Placement, now: SimTime) -> float:
         """Linear-milliwatt sum over the transmissions on the air, in dBm."""
-        budget = self._budget
         total_mw = 0.0
         for tx in self._active:  # summed in registration order, as the verdicts assume
-            if not tx.start <= now < tx.end:
-                continue
-            total_mw += budget[tx.tx_power_dbm, tx.src_placement, listener][1]
+            if tx.start <= now < tx.end:
+                total_mw += tx.budget[listener][1]
         # mw_to_dbm, inlined: this runs on every CCA
         return 10.0 * math.log10(total_mw) if total_mw > 0.0 else -math.inf
 
@@ -270,11 +288,10 @@ class ChannelModel:
         """
         frame = tx.frame
         dst = frame.dst if dst_id is None else dst_id
-        budget = self._budget
-        own_rx = budget[tx.tx_power_dbm, tx.src_placement, dst_placement][0]
+        own_rx = tx.budget[dst_placement][0]
         capture_floor = own_rx - self.params.capture_margin_db
-        for power, src in tx.interferers:
-            if budget[power, src, dst_placement][0] >= capture_floor:
+        for row in tx.interferers:
+            if row[dst_placement][0] >= capture_floor:
                 return LossReason.COLLISION
         if own_rx < self.params.sensitivity_dbm:
             return LossReason.BELOW_SENSITIVITY

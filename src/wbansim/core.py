@@ -162,9 +162,10 @@ class Frame:
         self.delivered = False
 
     def queue_key(self) -> tuple[int, SimTime, int]:
-        if self.traffic_class is None:
+        cls = self.traffic_class
+        if cls is None:
             raise ValueError("only classed frames can be queued")
-        return (self.traffic_class.queue_priority, self.created_at, self.sequence)
+        return (_QUEUE_PRIORITY[cls], self.created_at, self.sequence)
 
 
 def airtime(size_bits: int, bitrate_bps: int) -> SimTime:

@@ -27,10 +27,10 @@ trace tail costs one deque append per event.
 
 from __future__ import annotations
 
-import heapq
 import random
 from collections import deque
 from enum import Enum
+from heapq import heappop, heappush
 from typing import Callable
 
 from .core import SimTime
@@ -98,7 +98,7 @@ class Scheduler:
             )
         entry = [fire_at, self._counter, kind, node, fn, args]
         self._counter += 1
-        heapq.heappush(self._heap, entry)
+        heappush(self._heap, entry)
         return entry
 
     def cancel(self, entry: list) -> None:
@@ -109,7 +109,7 @@ class Scheduler:
         if t_end < self.now:
             raise SchedulingError(f"t_end {t_end} behind clock {self.now}")
         heap = self._heap
-        pop = heapq.heappop
+        pop = heappop
         handlers = self._handlers
         remember = self._trace_tail.append
         sink = self.trace_sink

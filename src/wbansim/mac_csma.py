@@ -67,10 +67,20 @@ class BackoffPolicy:
 def backoff_draw(
     policy: BackoffPolicy, criticality: Criticality, be: int, rng: random.Random
 ) -> int:
-    """Uniform draw in [0, 2^BE - 1] unit backoff periods."""
-    if not policy.min_be(criticality) <= be <= policy.max_be:
-        raise ValueError(f"BE {be} outside [{policy.min_be(criticality)}, {policy.max_be}]")
-    return rng.randrange(1 << be)
+    """Uniform draw in [0, 2^BE - 1] unit backoff periods.
+
+    It makes exactly the `getrandbits` calls `rng.randrange(1 << be)` makes
+    (BE + 1 bits, redrawn until below 2^BE), so streams and values match
+    randrange's, without its two Python frames per draw.
+    """
+    min_be = policy.min_be_critical if criticality is CRITICAL else policy.min_be_noncritical
+    if not min_be <= be <= policy.max_be:
+        raise ValueError(f"BE {be} outside [{min_be}, {policy.max_be}]")
+    n = 1 << be
+    r = rng.getrandbits(be + 1)
+    while r >= n:
+        r = rng.getrandbits(be + 1)
+    return r
 
 
 class CsmaAction(Enum):
@@ -95,7 +105,7 @@ class CsmaBackoffFsm:
         self.criticality = criticality
         self.nb = 0
         self.cw = 2
-        self.be = policy.min_be(criticality)
+        self.be = policy.min_be_critical if criticality is CRITICAL else policy.min_be_noncritical
 
     def reset_cw(self) -> None:
         self.cw = 2
@@ -104,7 +114,8 @@ class CsmaBackoffFsm:
         if busy:
             self.cw = 2
             self.nb += 1
-            self.be = min(self.be + 1, self.policy.max_be)
+            if self.be < self.policy.max_be:  # BE never exceeds max_be
+                self.be += 1
             if self.nb > self.policy.max_csma_backoffs:
                 return FAILURE
             return NEW_BACKOFF
@@ -115,12 +126,22 @@ class CsmaBackoffFsm:
 
 
 class CsmaMac:
-    """Contention logic for one run; device bookkeeping lives on sim.devices."""
+    """Contention logic for one run; device bookkeeping lives on sim.devices.
+
+    The policy, the scheduler, the channel, the CCA threshold and the unit
+    backoff period are fixed for the run, so they are bound once here for the
+    per-CCA and per-backoff handlers.
+    """
 
     name = "csma"
 
     def __init__(self, sim) -> None:
         self.sim = sim
+        self.policy = sim.policy
+        self.scheduler = sim.scheduler
+        self.channel = sim.channel
+        self.cca_threshold_dbm = sim.channel.params.cca_threshold_dbm
+        self.ubp = sim.sf.unit_backoff_us
 
     # -- superframe lifecycle -------------------------------------------------
 
@@ -139,7 +160,7 @@ class CsmaMac:
         bnc.cap_anchor, bnc.cap_end = anchor, cap_end
         bnc.in_cap = True
         sim.begin_tx(bnc, beacon, t_b)
-        schedule = sim.scheduler.schedule
+        schedule = self.scheduler.schedule
         for node_id in awake_nodes:
             dev = sim.devices[node_id]
             dev.cap_anchor, dev.cap_end = anchor, cap_end
@@ -157,13 +178,13 @@ class CsmaMac:
         dev.in_cap = False
         if dev.backoff_ev is not None:
             # Pause the countdown; leftover periods resume in the next CAP.
-            sim.scheduler.cancel(dev.backoff_ev)
-            left = -(-(dev.backoff_expiry - sim.scheduler.now) // sim.sf.unit_backoff_us)
+            self.scheduler.cancel(dev.backoff_ev)
+            left = -(-(dev.backoff_expiry - self.scheduler.now) // self.ubp)
             dev.backoff_remaining = max(0, left)
             dev.backoff_ev = None
         if dev.cca_ev is not None:
             # CCAs must be consecutive within one CAP; redo both next time.
-            sim.scheduler.cancel(dev.cca_ev)
+            self.scheduler.cancel(dev.cca_ev)
             dev.cca_ev = None
             if dev.fsm is not None:
                 dev.fsm.reset_cw()
@@ -188,20 +209,21 @@ class CsmaMac:
             sim = self.sim
             dev.attempt_us = (sim.air_us(frame.size_bits) + sim.sf.turnaround_us
                               + sim.air_us(sim.fp.ack_bits))
-        if dev.fsm is None:
-            dev.fsm = CsmaBackoffFsm(self.sim.policy, dev.criticality)
+        fsm = dev.fsm
+        if fsm is None:
+            fsm = dev.fsm = CsmaBackoffFsm(self.policy, dev.criticality)
         if dev.backoff_remaining is not None:
             periods = dev.backoff_remaining
             dev.backoff_remaining = None
         else:
-            periods = backoff_draw(self.sim.policy, dev.criticality, dev.fsm.be, dev.rng)
-        self._schedule_countdown(dev, periods, self.sim.scheduler.now)
+            periods = backoff_draw(self.policy, dev.criticality, fsm.be, dev.rng)
+        self._schedule_countdown(dev, periods, self.scheduler.now)
 
     def _schedule_countdown(self, dev, periods: int, from_t: SimTime) -> None:
-        sim = self.sim
-        ubp = sim.sf.unit_backoff_us
-        b0 = max(from_t, dev.cap_anchor)
-        off = (b0 - dev.cap_anchor) % ubp
+        ubp = self.ubp
+        anchor = dev.cap_anchor
+        b0 = from_t if from_t > anchor else anchor
+        off = (b0 - anchor) % ubp
         if off:
             b0 += ubp - off
         expiry = b0 + periods * ubp
@@ -210,42 +232,36 @@ class CsmaMac:
             dev.backoff_remaining = periods - consumed
             return  # countdown resumes in the next CAP this device joins
         dev.backoff_expiry = expiry
-        dev.backoff_ev = sim.scheduler.schedule(
+        dev.backoff_ev = self.scheduler.schedule(
             expiry, BACKOFF_EXPIRED, dev.id, self.on_backoff_expired, (dev,))
 
     def on_backoff_expired(self, dev) -> None:
-        sim = self.sim
-        now = sim.scheduler.now
+        scheduler = self.scheduler
+        now = scheduler.now
         dev.backoff_ev = None
         # Both CCA slots plus the full acked transaction must fit in the CAP.
-        needed = 2 * sim.sf.unit_backoff_us + dev.attempt_us
-        if now + needed > dev.cap_end:
+        if now + 2 * self.ubp + dev.attempt_us > dev.cap_end:
             dev.backoff_remaining = 0
             return
-        dev.cca_ev = sim.scheduler.schedule(now, CCA_DUE, dev.id, self.on_cca_due, (dev,))
+        dev.cca_ev = scheduler.schedule(now, CCA_DUE, dev.id, self.on_cca_due, (dev,))
 
     def on_cca_due(self, dev) -> None:
-        sim = self.sim
-        now = sim.scheduler.now
+        now = self.scheduler.now
         dev.cca_ev = None
-        busy = (
-            sim.channel.cca_energy_detect(
-                dev.placement, sim.channel.params.cca_threshold_dbm, now
-            )
-            is BUSY
-        )
-        action = dev.fsm.on_cca(busy)
-        ubp = sim.sf.unit_backoff_us
+        fsm = dev.fsm
+        action = fsm.on_cca(
+            self.channel.cca_energy_detect(dev.placement, self.cca_threshold_dbm, now) is BUSY)
+        ubp = self.ubp
         if action is SECOND_CCA:
-            dev.cca_ev = sim.scheduler.schedule(now + ubp, CCA_DUE, dev.id,
-                                                self.on_cca_due, (dev,))
+            dev.cca_ev = self.scheduler.schedule(now + ubp, CCA_DUE, dev.id,
+                                                 self.on_cca_due, (dev,))
         elif action is TRANSMIT:
             self._start_transaction(dev, now + ubp)
         elif action is NEW_BACKOFF:
-            periods = backoff_draw(sim.policy, dev.criticality, dev.fsm.be, dev.rng)
+            periods = backoff_draw(self.policy, dev.criticality, fsm.be, dev.rng)
             self._schedule_countdown(dev, periods, now + ubp)
         else:  # channel access failure: the frame never made it onto the air
-            sim.ledger.loss_reasons["channel_access_failure"] += 1
+            self.sim.ledger.loss_reasons["channel_access_failure"] += 1
             if dev.attempt_frame.traffic_class is EMERGENCY:
                 self._persist_emergency(dev)
             else:
@@ -260,8 +276,8 @@ class CsmaMac:
             return
         dev.active_frame = frame
         tx = sim.begin_tx(dev, frame, tx_start)
-        dev.ack_ev = sim.scheduler.schedule(tx.end + sim.sf.ack_wait_us, ACK_TIMEOUT,
-                                            dev.id, self.on_ack_timeout, (dev, frame))
+        dev.ack_ev = self.scheduler.schedule(tx.end + sim.sf.ack_wait_us, ACK_TIMEOUT,
+                                             dev.id, self.on_ack_timeout, (dev, frame))
 
     # -- transaction completion ------------------------------------------------
 
@@ -269,22 +285,22 @@ class CsmaMac:
         sim = self.sim
         frame = tx.frame
         if delivered:
-            now = sim.scheduler.now
+            now = self.scheduler.now
             frame.rx_end = now
             dst = sim.devices[frame.dst]
-            sim.scheduler.schedule(now, RX_END, dst.id, self.on_data_received, (dst, frame))
+            self.scheduler.schedule(now, RX_END, dst.id, self.on_data_received, (dst, frame))
 
     def on_ack_tx_end(self, tx, delivered: bool) -> None:
         sim = self.sim
         if delivered:
             dst = sim.devices[tx.frame.dst]
-            sim.scheduler.schedule(sim.scheduler.now, RX_END, dst.id,
-                                   self.on_ack_received, (dst, tx.frame))
+            self.scheduler.schedule(self.scheduler.now, RX_END, dst.id,
+                                    self.on_ack_received, (dst, tx.frame))
 
     def on_data_received(self, dev, frame: Frame) -> None:
         """Destination side: record first delivery, always acknowledge."""
         sim = self.sim
-        now = sim.scheduler.now
+        now = self.scheduler.now
         if not frame.delivered:
             frame.delivered = True
             sim.record_delivery(frame)
@@ -306,7 +322,7 @@ class CsmaMac:
         if frame is None or ack.sequence != frame.sequence:
             return
         if dev.ack_ev is not None:
-            self.sim.scheduler.cancel(dev.ack_ev)
+            self.scheduler.cancel(dev.ack_ev)
             dev.ack_ev = None
         self._finish_frame(dev, frame, delivered=True)
 
@@ -314,7 +330,7 @@ class CsmaMac:
         dev.ack_ev = None
         dev.active_frame = None
         frame.retries += 1
-        if frame.retries > self.sim.policy.max_frame_retries:
+        if frame.retries > self.policy.max_frame_retries:
             if frame.traffic_class is EMERGENCY and not frame.delivered:
                 self._persist_emergency(dev)
                 return

@@ -377,6 +377,9 @@ def parse_scenario(raw: object, name: str = "scenario") -> Scenario:
         _placement(ck, bnc.get("placement"), f"{name}.bnc.placement")
 
     nodes = _nodes(ck, top.pop("nodes", None), f"{name}.nodes", frames)
+    if wakeup is not None and wakeup.frequencies and nodes is not None:
+        for node_id in [n for n in wakeup.frequencies if n not in nodes]:
+            ck.err(f"{name}.wakeup.frequencies", f"tone assigned to unknown node {node_id}")
     link_errors = _link_errors(ck, raw_links, f"{name}.channel.link_errors", nodes)
     on_demand = _on_demand(ck, top.pop("on_demand", None), f"{name}.on_demand",
                            horizon_us, nodes, wakeup)
@@ -532,6 +535,8 @@ def _generator(ck: _Check, raw: object, path: str,
     # The arrival process and rate default per class; a saturated node has no rate.
     arrival = kw.setdefault("arrival", DEFAULT_ARRIVAL[cls])
     if arrival is ArrivalProcess.SATURATED:
+        if "rate_per_hour" in kw and "arrival" not in bad:
+            ck.err(f"{path}.rate_per_hour", "a saturated node takes no rate")
         kw.pop("rate_per_hour", None)
     else:
         kw.setdefault("rate_per_hour", DEFAULT_RATE_PER_HOUR[cls])
@@ -562,6 +567,11 @@ def _on_demand(ck: _Check, raw: object, path: str, horizon_us: SimTime | None,
         if horizon_us is not None and kw["time_us"] > horizon_us:
             ck.err(p, f"time_s {item['time_s']} is beyond the run horizon")
         entry = _record(ck, p, OnDemandEntry, kw, bad)
+        if entry is not None and not entry.continuous:
+            for key, arg in (("rate_per_s", "rate_per_s"), ("duration_s", "duration_us")):
+                if arg in kw:
+                    ck.err(f"{p}.{key}", "only a continuous query takes it; "
+                                         "this one is non_continuous")
         if entry is None or nodes is None:
             continue
         if entry.target not in nodes:

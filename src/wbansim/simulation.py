@@ -413,12 +413,11 @@ class Simulation:
     # -- traffic -----------------------------------------------------------------------------
 
     def _offer_frame(self, dev: Device, cls: TrafficClass) -> Frame:
-        frame = Frame(
-            kind=DATA, src=dev.id, dst=BNC_ID,
-            size_bits=dev.profile.payload_bits, traffic_class=cls,
-            created_at=self.scheduler.now, sequence=self.next_seq(),
-        )
-        self.ledger.add_offered(dev.id, cls)
+        # next_seq and add_offered, inlined: this runs once per frame
+        seq = self._seq = self._seq + 1
+        frame = Frame(DATA, dev.id, BNC_ID, dev.profile.payload_bits, cls,
+                      self.scheduler.now, seq)
+        self.ledger.offered[(dev.id, cls)] += 1
         dev.queue.push(frame)
         self.mac.try_start(dev)
         return frame

@@ -220,17 +220,20 @@ class TestLinkBudgetMemo:
         for tx in txs:
             if tx.start <= now < tx.end:
                 total_mw += dbm_to_mw(
-                    rx_power_dbm(tx.tx_power_dbm, tx.src_placement, listener, default_path_loss())
+                    rx_power_dbm(tx.budget.tx_power_dbm, tx.budget.src_placement, listener,
+                                 default_path_loss())
                 )
         return mw_to_dbm(total_mw)
 
     @staticmethod
     def uncached_outcome(txs, tx, dst):
         params = ChannelParams()
-        own = rx_power_dbm(tx.tx_power_dbm, tx.src_placement, dst, params.path_loss)
+        own = rx_power_dbm(tx.budget.tx_power_dbm, tx.budget.src_placement, dst,
+                           params.path_loss)
         for other in txs:
             if other is not tx and other.end > tx.start and tx.end > other.start:
-                rx = rx_power_dbm(other.tx_power_dbm, other.src_placement, dst, params.path_loss)
+                rx = rx_power_dbm(other.budget.tx_power_dbm, other.budget.src_placement, dst,
+                                  params.path_loss)
                 if rx >= own - params.capture_margin_db:
                     return LossReason.COLLISION
         if own < params.sensitivity_dbm:
@@ -264,7 +267,12 @@ class TestLinkBudgetMemo:
             for dst in listeners:
                 assert ch.deliver(tx, dst, random.Random(1)) == \
                     self.uncached_outcome(txs, tx, dst)
-        for (power, src, dst), (rx_dbm, rx_mw) in ch._budget.items():
-            assert rx_dbm == rx_power_dbm(power, src, dst, default_path_loss())
-            assert rx_mw == dbm_to_mw(rx_dbm)
+        for (power, src), row in ch._budget.items():
+            for dst, (rx_dbm, rx_mw) in row.items():
+                assert rx_dbm == rx_power_dbm(power, src, dst, default_path_loss())
+                assert rx_mw == dbm_to_mw(rx_dbm)
+        # Every transmission reads the row of its own (power, source) pair.
+        for tx, (place, power, _) in zip(txs, sources):
+            assert tx.budget is ch._budget[power, place]
+            assert (tx.budget.tx_power_dbm, tx.budget.src_placement) == (power, place)
 

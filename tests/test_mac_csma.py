@@ -73,6 +73,17 @@ class TestBackoffDraw:
         b = [backoff_draw(p, Criticality.CRITICAL, 3, random.Random(9)) for _ in range(1)]
         assert a == b
 
+    def test_same_draws_as_randrange(self):
+        # The golden RNG digests pin the draws of BE 2..5 only; this pins
+        # values and stream state at every BE up to 8.
+        p = BackoffPolicy(min_be_critical=0, min_be_noncritical=0, max_be=8)
+        for be in range(9):
+            for seed in range(200):
+                ours, ref = random.Random(seed), random.Random(seed)
+                assert [backoff_draw(p, Criticality.CRITICAL, be, ours) for _ in range(50)] \
+                    == [ref.randrange(1 << be) for _ in range(50)], (be, seed)
+                assert ours.getstate() == ref.getstate(), (be, seed)
+
     def test_out_of_range_be_rejected(self):
         p = BackoffPolicy()
         with pytest.raises(ValueError):

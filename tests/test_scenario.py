@@ -282,7 +282,7 @@ class TestRejections:
         parse_scenario(raw)
         # Without a continuous query no stop command is ever sent.
         raw["frames"]["command_bits"] = 40000
-        raw["on_demand"][0]["mode"] = "non_continuous"
+        raw["on_demand"] = [{"time_s": 0.5, "target": 1, "mode": "non_continuous"}]
         raw["nodes"][0]["class"] = "on_demand_non_continuous"
         parse_scenario(raw)
 
@@ -352,6 +352,38 @@ class TestOneViolationPerRejectedValue:
         with pytest.raises(ScenarioError) as err:
             parse_scenario(raw)
         assert err.value.violations == [f"scenario.{violation}"]
+
+
+class TestValuesThatWouldBeIgnored:
+    """Each of these used to load and then be dropped without a word."""
+
+    def violations(self, raw):
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(raw)
+        return err.value.violations
+
+    def test_saturated_node_takes_no_rate(self):
+        raw = with_key(("nodes", 0, "traffic"), {"arrival": "saturated", "rate_per_hour": 5})
+        assert self.violations(raw) == [
+            "scenario.nodes[0].traffic.rate_per_hour: a saturated node takes no rate"]
+        del raw["nodes"][0]["traffic"]["rate_per_hour"]
+        assert parse_scenario(raw).nodes[0].generator.arrival is ArrivalProcess.SATURATED
+
+    def test_frequency_of_an_unknown_node(self):
+        raw = with_key(("wakeup", "frequencies"), {1: 2, 99: 1})
+        assert self.violations(raw) == [
+            "scenario.wakeup.frequencies: tone assigned to unknown node 99"]
+        del raw["wakeup"]["frequencies"][99]
+        assert parse_scenario(raw).wakeup.frequencies == {1: 2}
+
+    def test_non_continuous_query_takes_no_rate_or_duration(self):
+        raw = with_query(with_key(("nodes", 0, "class"), "on_demand_non_continuous"))
+        raw["on_demand"][0].update(rate_per_s=-3, duration_s=-5)
+        message = "only a continuous query takes it; this one is non_continuous"
+        assert self.violations(raw) == [f"scenario.on_demand[0].rate_per_s: {message}",
+                                        f"scenario.on_demand[0].duration_s: {message}"]
+        del raw["on_demand"][0]["rate_per_s"], raw["on_demand"][0]["duration_s"]
+        assert parse_scenario(raw).on_demand[0].continuous is False
 
 
 class TestLoadFromFile(object):
