@@ -9,7 +9,10 @@ so a change that keeps the outputs but draws differently fails too; each
 seed's entry `<scenario>_seed<N>_rng` holds its draw count and the digest of
 its streams.  `emergency_8bn_lossy` is `emergency_8bn` with a lossy wakeup
 radio and four lossy beacon links: the channel draws of the wakeup loss and
-of a beacon reception run on no shipped scenario.  A change that alters
+of a beacon reception run on no shipped scenario.  `tdma_three_links_wakeup`
+adds an emergency node and an on-demand node to `tdma_three_links`: the TDMA
+emergency grant and window, the slot yield, spurious wakes and a stop
+command carried on a beacon run on no shipped scenario.  A change that alters
 any digest changes what the simulator computes and must say why, together
 with a regenerated digest file:
 
@@ -40,6 +43,28 @@ VARIANTS = {
         "link_errors": [{"src": 0, "dst": n, "p_success": p}
                         for n, p in ((1, 0.7), (2, 0.7), (3, 0.9), (4, 0.9))],
     }}),
+    "tdma_three_links_wakeup": ("tdma_three_links", {
+        "horizon_superframes": 3000,
+        "tdma": {"slot_duration_ms": 3.4, "slots": {1: 0, 2: 1, 3: 2, 4: 3, 5: 4}},
+        "nodes": [
+            {"id": 1, "class": "normal_high", "placement": {"kind": "on_body", "x_m": 0.1},
+             "traffic": {"rate_per_hour": 117187.5, "phase_s": 0.001}},
+            {"id": 2, "class": "normal_high", "placement": {"kind": "on_body", "z_m": 0.3},
+             "traffic": {"rate_per_hour": 117187.5, "phase_s": 0.002}},
+            {"id": 3, "class": "normal_high", "placement": {"kind": "on_body", "z_m": -1.0},
+             "traffic": {"rate_per_hour": 117187.5, "phase_s": 0.003}},
+            {"id": 4, "class": "emergency", "criticality": "critical", "wakeup_multiplier": 8,
+             "placement": {"kind": "in_body", "y_m": 0.05, "z_m": 0.25, "depth_m": 0.08},
+             "traffic": {"rate_per_hour": 1800}},
+            {"id": 5, "class": "on_demand_continuous", "wakeup_multiplier": 2,
+             "placement": {"kind": "on_body", "y_m": 0.15, "z_m": 0.1}},
+        ],
+        "on_demand": [
+            {"time_s": 10, "target": 5, "mode": "continuous", "rate_per_s": 20,
+             "duration_s": 3},
+            {"time_s": 50, "target": 5, "mode": "non_continuous"},
+        ],
+    }),
 }
 NAMES = sorted([p.stem for p in SCENARIOS.glob("*.yaml")] + list(VARIANTS))
 
