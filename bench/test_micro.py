@@ -130,16 +130,18 @@ def test_busy_cca_to_backoff_expiry(benchmark):
     fsm = dev.fsm = CsmaBackoffFsm(sim.policy, dev.criticality)
     first_be = fsm.be
     sim.channel.register_tx(data_frame(src=2), sim.devices[2].placement, 0, 2**62)
+    expiries = []
 
     def busy_cca():
         fsm.nb, fsm.be = 0, first_be  # every round is the attempt's first busy CCA
         sim.mac.on_cca_due(dev)
+        expiries.append(dev.contention_ev[0])  # FIRE_AT of the scheduled expiry
         heap.clear()
-        dev.backoff_ev = None
+        dev.contention_ev = None
 
     benchmark(busy_cca)
     assert (fsm.nb, fsm.be) == (1, first_be + 1)
-    assert dev.backoff_expiry > 0 and not sim.ledger.loss_reasons
+    assert min(expiries) > 0 and not sim.ledger.loss_reasons
 
 
 def test_pending_queue_push_remove(benchmark):

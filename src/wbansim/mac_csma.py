@@ -10,6 +10,10 @@ latency under contention.
 
 Transactions are acknowledged: a missing ack restarts the CSMA procedure with
 fresh backoff state, up to max_frame_retries, after which the frame drops.
+
+At the end of the CAP (IEEE Std 802.15.4-2006, 7.5.1.4), a countdown that
+would cross it carries its remaining periods to the next CAP, and an attempt
+whose two CCAs and acked transaction do not fit waits for the next CAP.
 """
 
 from __future__ import annotations
@@ -25,7 +29,6 @@ from .core import (
     FrameKind,
     SimTime,
     TrafficClass,
-    make_beacon,
 )
 from .channel import CcaResult
 from .engine import EventKind
@@ -35,7 +38,7 @@ ACK_TIMEOUT, BACKOFF_EXPIRED, CCA_DUE = (
     EventKind.ACK_TIMEOUT, EventKind.BACKOFF_EXPIRED, EventKind.CCA_DUE)
 RX_END, SLOT_BOUNDARY = EventKind.RX_END, EventKind.SLOT_BOUNDARY
 BUSY, CRITICAL, EMERGENCY = CcaResult.BUSY, Criticality.CRITICAL, TrafficClass.EMERGENCY
-ACK, COMMAND = FrameKind.ACK, FrameKind.COMMAND
+ACK, BEACON, COMMAND = FrameKind.ACK, FrameKind.BEACON, FrameKind.COMMAND
 
 
 class BackoffPolicy:
@@ -107,9 +110,6 @@ class CsmaBackoffFsm:
         self.cw = 2
         self.be = policy.min_be_critical if criticality is CRITICAL else policy.min_be_noncritical
 
-    def reset_cw(self) -> None:
-        self.cw = 2
-
     def on_cca(self, busy: bool) -> CsmaAction:
         if busy:
             self.cw = 2
@@ -133,8 +133,6 @@ class CsmaMac:
     per-CCA and per-backoff handlers.
     """
 
-    name = "csma"
-
     def __init__(self, sim) -> None:
         self.sim = sim
         self.policy = sim.policy
@@ -145,27 +143,23 @@ class CsmaMac:
 
     # -- superframe lifecycle -------------------------------------------------
 
-    def start_superframe(self, sf_index: int, t_b: SimTime, awake_nodes: list[int]) -> None:
+    def start_superframe(self, t_b: SimTime, awake_nodes: list[int]) -> tuple[SimTime, SimTime, tuple]:
+        """Open the coordinator's CAP and schedule every CAP end; returns the
+        beacon's (first backoff boundary, CAP end, commands)."""
         sim = self.sim
-        sf = sim.sf
-        beacon_air = sim.air_us(sim.fp.beacon_bits)
-        ubp = sf.unit_backoff_us
-        anchor = t_b + -(-beacon_air // ubp) * ubp  # align past the beacon
-        cap_end = t_b + sf.active_duration_us
-        beacon = make_beacon(
-            sf_index, anchor, cap_end, sim.table.version,
-            sim.fp.beacon_bits, t_b, sim.next_seq(),
-        )
+        ubp = self.ubp
+        anchor = t_b + -(-sim.air_us(sim.fp.beacon_bits) // ubp) * ubp  # align past the beacon
+        cap_end = t_b + sim.sf.active_duration_us
         bnc = sim.bnc
         bnc.cap_anchor, bnc.cap_end = anchor, cap_end
         bnc.in_cap = True
-        sim.begin_tx(bnc, beacon, t_b)
         schedule = self.scheduler.schedule
         for node_id in awake_nodes:
             dev = sim.devices[node_id]
             dev.cap_anchor, dev.cap_end = anchor, cap_end
             schedule(cap_end, SLOT_BOUNDARY, node_id, self.on_cap_end, (dev,))
         schedule(cap_end, SLOT_BOUNDARY, BNC_ID, self.on_cap_end, (bnc,))
+        return anchor, cap_end, ()
 
     def on_beacon_received(self, dev, beacon: Frame) -> None:
         info: BeaconInfo = beacon.payload
@@ -174,31 +168,28 @@ class CsmaMac:
         self.try_start(dev)
 
     def on_cap_end(self, dev) -> None:
-        sim = self.sim
+        # Nothing of an attempt is pending: a backoff expiry is scheduled only
+        # before the CAP end, and a first CCA only if both CCAs and the acked
+        # transaction end by it.
         dev.in_cap = False
-        if dev.backoff_ev is not None:
-            # Pause the countdown; leftover periods resume in the next CAP.
-            self.scheduler.cancel(dev.backoff_ev)
-            left = -(-(dev.backoff_expiry - self.scheduler.now) // self.ubp)
-            dev.backoff_remaining = max(0, left)
-            dev.backoff_ev = None
-        if dev.cca_ev is not None:
-            # CCAs must be consecutive within one CAP; redo both next time.
-            self.scheduler.cancel(dev.cca_ev)
-            dev.cca_ev = None
-            if dev.fsm is not None:
-                dev.fsm.reset_cw()
-            dev.backoff_remaining = 0
-        sim.maybe_sleep(dev)
+        self.sim.maybe_sleep(dev)
+
+    def grant_emergency(self, bnc, node, flow) -> None:
+        """Channel access is granted at the next beacon, top priority."""
+        node.grant_active = True
+        bnc.hold_awake_until = max(bnc.hold_awake_until, self.sim.next_boundary())
 
     # -- contention -----------------------------------------------------------
+
+    def offer(self, dev, frame: Frame) -> None:
+        dev.queue.push(frame)
+        self.try_start(dev)
 
     def try_start(self, dev) -> None:
         if (
             not dev.in_cap
             or dev.active_frame is not None
-            or dev.backoff_ev is not None
-            or dev.cca_ev is not None
+            or dev.contention_ev is not None
             or not dev.queue
         ):
             return
@@ -231,30 +222,29 @@ class CsmaMac:
             consumed = max(0, (dev.cap_end - b0) // ubp)
             dev.backoff_remaining = periods - consumed
             return  # countdown resumes in the next CAP this device joins
-        dev.backoff_expiry = expiry
-        dev.backoff_ev = self.scheduler.schedule(
+        dev.contention_ev = self.scheduler.schedule(
             expiry, BACKOFF_EXPIRED, dev.id, self.on_backoff_expired, (dev,))
 
     def on_backoff_expired(self, dev) -> None:
         scheduler = self.scheduler
         now = scheduler.now
-        dev.backoff_ev = None
+        dev.contention_ev = None
         # Both CCA slots plus the full acked transaction must fit in the CAP.
         if now + 2 * self.ubp + dev.attempt_us > dev.cap_end:
             dev.backoff_remaining = 0
             return
-        dev.cca_ev = scheduler.schedule(now, CCA_DUE, dev.id, self.on_cca_due, (dev,))
+        dev.contention_ev = scheduler.schedule(now, CCA_DUE, dev.id, self.on_cca_due, (dev,))
 
     def on_cca_due(self, dev) -> None:
         now = self.scheduler.now
-        dev.cca_ev = None
+        dev.contention_ev = None
         fsm = dev.fsm
         action = fsm.on_cca(
             self.channel.cca_energy_detect(dev.placement, self.cca_threshold_dbm, now) is BUSY)
         ubp = self.ubp
         if action is SECOND_CCA:
-            dev.cca_ev = self.scheduler.schedule(now + ubp, CCA_DUE, dev.id,
-                                                 self.on_cca_due, (dev,))
+            dev.contention_ev = self.scheduler.schedule(now + ubp, CCA_DUE, dev.id,
+                                                        self.on_cca_due, (dev,))
         elif action is TRANSMIT:
             self._start_transaction(dev, now + ubp)
         elif action is NEW_BACKOFF:
@@ -270,10 +260,6 @@ class CsmaMac:
     def _start_transaction(self, dev, tx_start: SimTime) -> None:
         sim = self.sim
         frame = dev.attempt_frame
-        # re-verify the fit; the CAP may have less room than at backoff expiry
-        if tx_start + dev.attempt_us > dev.cap_end:
-            dev.backoff_remaining = 0
-            return
         dev.active_frame = frame
         tx = sim.begin_tx(dev, frame, tx_start)
         dev.ack_ev = self.scheduler.schedule(tx.end + sim.sf.ack_wait_us, ACK_TIMEOUT,
@@ -281,21 +267,21 @@ class CsmaMac:
 
     # -- transaction completion ------------------------------------------------
 
-    def on_data_tx_end(self, dev, tx, delivered: bool) -> None:
-        sim = self.sim
+    def on_tx_end(self, src, tx, delivered: bool | None) -> None:
+        """After a beacon the coordinator contends for its own frames; a
+        delivered ack or data frame is received at once."""
         frame = tx.frame
-        if delivered:
+        kind = frame.kind
+        if kind is BEACON:
+            self.try_start(src)
+        elif delivered:
             now = self.scheduler.now
-            frame.rx_end = now
-            dst = sim.devices[frame.dst]
-            self.scheduler.schedule(now, RX_END, dst.id, self.on_data_received, (dst, frame))
-
-    def on_ack_tx_end(self, tx, delivered: bool) -> None:
-        sim = self.sim
-        if delivered:
-            dst = sim.devices[tx.frame.dst]
-            self.scheduler.schedule(self.scheduler.now, RX_END, dst.id,
-                                    self.on_ack_received, (dst, tx.frame))
+            dst = self.sim.devices[frame.dst]
+            if kind is ACK:
+                self.scheduler.schedule(now, RX_END, dst.id, self.on_ack_received, (dst, frame))
+            else:
+                frame.rx_end = now
+                self.scheduler.schedule(now, RX_END, dst.id, self.on_data_received, (dst, frame))
 
     def on_data_received(self, dev, frame: Frame) -> None:
         """Destination side: record first delivery, always acknowledge."""

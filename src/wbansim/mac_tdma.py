@@ -7,25 +7,27 @@ contention-free and unacknowledged: a loss is final and counts against PDR.
 
 Emergency traffic bypasses slot gating entirely via the wakeup radio; the
 coordinator grants it a dedicated window at the first instant the data radio
-is free.  To keep the air collision-free around such windows, a node skips
-its slot when it senses the channel busy at the slot start.  Coordinator
-commands (e.g. stream stop) piggyback on beacons rather than taking airtime
-from the slot region.
+is free (`grant_emergency`).  To keep the air collision-free around such
+windows, a node skips its slot when it senses the channel busy at the slot
+start.  Coordinator commands (e.g. stream stop) piggyback on beacons rather
+than taking airtime from the slot region.
 
-Beacon delivery to the awake nodes is shared with CSMA and lives in the
-simulation; this module builds the beacon, turns its reception into a slot
-start event and runs the slot.  There is no backoff, CCA retry or ack here,
-and arrivals between slots just queue, so `try_start` does nothing.
+The simulation builds, sends and delivers the beacon for both MACs; this
+module gives it the slot region and the queued commands, turns its reception
+into a slot start event and runs the slot.  There is no backoff, CCA retry or
+ack here: an offered frame just queues, data for its slot and commands for
+the next beacon.
 """
 
 from __future__ import annotations
 
-from .core import BNC_ID, SimTime, make_beacon
+from .core import BNC_ID, FrameKind, SimTime
 from .channel import CcaResult
 from .engine import EventKind
 
 # Enum members read on the per-event paths, bound once (see simulation.py).
 SLOT_BOUNDARY, BUSY = EventKind.SLOT_BOUNDARY, CcaResult.BUSY
+BEACON = FrameKind.BEACON
 
 
 class TdmaSchedule:
@@ -59,26 +61,42 @@ class TdmaSchedule:
 
 
 class TdmaMac:
-    name = "tdma"
-
     def __init__(self, sim, schedule: TdmaSchedule) -> None:
         self.sim = sim
         self.schedule = schedule
 
     # -- superframe lifecycle -------------------------------------------------
 
-    def start_superframe(self, sf_index: int, t_b: SimTime, awake_nodes: list[int]) -> None:
+    def start_superframe(self, t_b: SimTime, awake_nodes: list[int]) -> tuple[SimTime, SimTime, tuple]:
+        """Hold the coordinator awake through the slot region; returns the
+        beacon's (region start, region end, queued commands)."""
         sim = self.sim
         region_start = t_b + sim.air_us(sim.fp.beacon_bits)
         region_end = region_start + self.schedule.region_us
-        commands = tuple(sim.bnc.queue.drain())
-        beacon = make_beacon(
-            sf_index, region_start, region_end, sim.table.version,
-            sim.fp.beacon_bits, t_b, sim.next_seq(), commands=commands,
-        )
         sim.bnc.hold_awake_until = max(sim.bnc.hold_awake_until, region_end)
-        sim.begin_tx(sim.bnc, beacon, t_b)
         sim.scheduler.schedule(region_end, SLOT_BOUNDARY, BNC_ID, sim.maybe_sleep, (sim.bnc,))
+        return region_start, region_end, tuple(sim.bnc.queue.drain())
+
+    def offer(self, dev, frame) -> None:
+        dev.queue.push(frame)
+
+    def grant_emergency(self, bnc, node, flow) -> None:
+        """A dedicated response window as soon as the data radio frees up."""
+        sim = self.sim
+        now = sim.scheduler.now
+        start = max(now, sim.channel.busy_until(now))
+        bnc.hold_awake_until = max(bnc.hold_awake_until,
+                                   start + sim.air_us(flow.frame.size_bits))
+        sim.scheduler.schedule(start, SLOT_BOUNDARY, node.id,
+                               self._start_emergency_window, (node, flow))
+
+    def _start_emergency_window(self, dev, flow) -> None:
+        if flow.frame not in dev.queue:
+            return  # already resolved through the regular slot
+        sim = self.sim
+        now = sim.scheduler.now
+        dev.slot_end = now + sim.air_us(flow.frame.size_bits)
+        sim.begin_tx(dev, flow.frame, now)
 
     def on_beacon_received(self, dev, beacon) -> None:
         sim = self.sim
@@ -132,10 +150,13 @@ class TdmaMac:
         dev.slot_end = None
         sim.maybe_sleep(dev)
 
-    def on_data_tx_end(self, dev, tx, delivered: bool) -> None:
+    def on_tx_end(self, dev, tx, delivered: bool | None) -> None:
+        """A slot or window transmission ends; a beacon needs nothing more."""
+        frame = tx.frame
+        if frame.kind is BEACON:
+            return
         sim = self.sim
         now = sim.scheduler.now
-        frame = tx.frame
         frame.rx_end = now
         if delivered:
             frame.delivered = True
@@ -150,6 +171,3 @@ class TdmaMac:
             dev.slot_end = None
             sim.maybe_sleep(dev)
         sim.maybe_sleep(sim.bnc)  # its receiver dozes unless a hold, e.g. the slot region, is on
-
-    def try_start(self, dev) -> None:
-        """Mid-superframe arrivals wait for the node's next active slot."""

@@ -532,11 +532,14 @@ def _generator(ck: _Check, raw: object, path: str,
         if kw or bad:
             ck.err(path, "on-demand nodes are reactive; they take no traffic section")
         return None
-    # The arrival process and rate default per class; a saturated node has no rate.
+    # The arrival process and rate default per class; a saturated node has no
+    # rate or phase.
     arrival = kw.setdefault("arrival", DEFAULT_ARRIVAL[cls])
     if arrival is ArrivalProcess.SATURATED:
-        if "rate_per_hour" in kw and "arrival" not in bad:
-            ck.err(f"{path}.rate_per_hour", "a saturated node takes no rate")
+        for key, arg, what in (("rate_per_hour", "rate_per_hour", "rate"),
+                               ("phase_s", "phase_us", "phase")):
+            if arg in kw and "arrival" not in bad:
+                ck.err(f"{path}.{key}", f"a saturated node takes no {what}")
         kw.pop("rate_per_hour", None)
     else:
         kw.setdefault("rate_per_hour", DEFAULT_RATE_PER_HOUR[cls])

@@ -7,11 +7,14 @@ module owns everything around it: who is awake on which superframe, traffic
 generation, the emergency and on-demand wakeup paths, and radio-state
 bookkeeping for the energy figures.
 
-Every event names the method it runs (see `engine.fire`).  The beacon's
-start and end are shared by both MACs and handled here: each listener counts
-it as an incoming frame from the moment it is due to its end, when every
+Every event names the method it runs (see `engine.fire`).  The beacon is
+built, sent and delivered here, for both MACs; the MAC gives its timing (the
+CAP or the slot region) and the commands it carries.  Each listener counts it
+as an incoming frame from the moment it is due to its end, when every
 listener gets a reception outcome, and the MAC decides what a received beacon
-means.
+means.  The MAC is reached through five calls: `start_superframe`,
+`on_beacon_received`, `offer` (a frame joins a queue), `on_tx_end` (after
+each transmission's outcome) and `grant_emergency`.
 
 A device's low-power state is `wakeup_rx` when it carries an always-on wakeup
 receiver and plain `sleep` otherwise; together with tx/rx/idle_listen this
@@ -55,6 +58,7 @@ from .core import (
     SimTime,
     TrafficClass,
     airtime,
+    make_beacon,
 )
 from .engine import EventKind, RngStreams, Scheduler, fire
 from .mac_csma import CsmaMac
@@ -69,7 +73,7 @@ from .wakeup import build_table, is_awake, resolve_wakeup_targets
 # slot hook, which costs about ten global reads.
 BEACON_DUE, RX_END, SLOT_BOUNDARY = EventKind.BEACON_DUE, EventKind.RX_END, EventKind.SLOT_BOUNDARY
 TRAFFIC_ARRIVAL, TX_END = EventKind.TRAFFIC_ARRIVAL, EventKind.TX_END
-ACK, BEACON, DATA = FrameKind.ACK, FrameKind.BEACON, FrameKind.DATA
+BEACON, DATA = FrameKind.BEACON, FrameKind.DATA
 WAKEUP_SIGNAL = FrameKind.WAKEUP_SIGNAL
 EMERGENCY, SATURATED = TrafficClass.EMERGENCY, ArrivalProcess.SATURATED
 IDLE, RX, TX = RadioState.IDLE_LISTEN, RadioState.RX, RadioState.TX
@@ -135,9 +139,9 @@ class Device:
 
     __slots__ = ("id", "placement", "rng", "criticality", "sleep_state", "profile", "gen",
                  "queue", "incoming", "tx_until", "hold_awake_until", "grant_active",
-                 "stream", "in_cap", "cap_anchor", "cap_end", "fsm", "backoff_ev",
-                 "backoff_expiry", "backoff_remaining", "cca_ev", "ack_ev", "attempt_frame",
-                 "attempt_us", "active_frame", "slot_end", "state", "since", "state_us")
+                 "stream", "in_cap", "cap_anchor", "cap_end", "fsm", "contention_ev",
+                 "backoff_remaining", "ack_ev", "attempt_frame", "attempt_us",
+                 "active_frame", "slot_end", "state", "since", "state_us")
 
     def __init__(self, id: int, placement: Placement, rng: object, criticality: Criticality,
                  sleep_state: RadioState, profile: NodeProfile | None = None,
@@ -161,11 +165,10 @@ class Device:
         self.cap_anchor = 0
         self.cap_end = 0
         self.fsm = None
-        self.backoff_ev: list | None = None  # scheduler entries, kept to cancel them
-        self.backoff_expiry = 0
+        # the pending BackoffExpired or CcaDue entry; never cancelled
+        self.contention_ev: list | None = None
         self.backoff_remaining: int | None = None
-        self.cca_ev: list | None = None
-        self.ack_ev: list | None = None
+        self.ack_ev: list | None = None  # scheduler entry, kept to cancel it
         self.attempt_frame: Frame | None = None  # frame bound to the ongoing attempt
         self.attempt_us = 0  # its acked transaction: data, turnaround, ack
         self.active_frame: Frame | None = None  # frame currently on the air / awaiting ack
@@ -307,37 +310,22 @@ class Simulation:
             if is_awake(table, node_id, sf_index) or dev.grant_active:
                 listeners.append(node_id)
                 ledger.node_awake_superframes[node_id] += 1
-                dev.incoming += 1  # the beacon, until on_beacon_tx_end
+                dev.incoming += 1  # the beacon, until its TxEnd
                 if dev.tx_until <= now:
                     self.set_state(dev, RX, now)
         if listeners:
             ledger.bnc_awake_superframes += 1
             self._beacon_listeners = listeners
-            self.mac.start_superframe(sf_index, now, listeners)
+            anchor, end, commands = self.mac.start_superframe(now, listeners)
+            beacon = make_beacon(sf_index, anchor, end, self.table.version,
+                                 self.fp.beacon_bits, now, self.next_seq(), commands)
+            self.begin_tx(self.bnc, beacon, now)
         else:
             self.maybe_sleep(self.bnc)
         next_t = (sf_index + 1) * self.sf.beacon_interval_us
         if next_t < self.horizon_us:
             self.scheduler.schedule(next_t, BEACON_DUE, BNC_ID,
                                     self._on_beacon_due, (sf_index + 1,))
-
-    def on_beacon_tx_end(self, tx) -> None:
-        """Each listener gets a reception outcome.  `_on_tx_end` has already
-        taken the coordinator out of tx, and its CAP (CSMA) or slot-region
-        hold (TDMA) keeps it listening through the active part."""
-        now = self.scheduler.now
-        for node_id in self._beacon_listeners:
-            dev = self.devices[node_id]
-            dev.incoming -= 1
-            if dev.incoming == 0 and dev.tx_until <= now:
-                self.set_state(dev, IDLE, now)
-            outcome = self.channel.deliver(tx, dev.placement, self.rngs.channel, dst_id=node_id)
-            if outcome is None:
-                self.scheduler.schedule(now, RX_END, node_id,
-                                        self.mac.on_beacon_received, (dev, tx.frame))
-            else:
-                self.ledger.loss_reasons[f"beacon_{outcome.value}"] += 1
-        self.mac.try_start(self.bnc)  # under CSMA the coordinator contends for its own frames
 
     # -- transmissions -------------------------------------------------------------------
 
@@ -381,9 +369,23 @@ class Simulation:
                 if ddev.incoming == 0 and ddev.tx_until <= now:
                     self.set_state(ddev, IDLE, now)
         if frame.kind is BEACON:
-            self.on_beacon_tx_end(tx)
-            return
-        if not listening:
+            # Each listener gets a reception outcome.  The coordinator is out
+            # of tx now, and its CAP (CSMA) or slot-region hold (TDMA) keeps
+            # it listening through the active part.
+            for node_id in self._beacon_listeners:
+                ddev = self.devices[node_id]
+                ddev.incoming -= 1
+                if ddev.incoming == 0 and ddev.tx_until <= now:
+                    self.set_state(ddev, IDLE, now)
+                outcome = self.channel.deliver(tx, ddev.placement, self.rngs.channel,
+                                               dst_id=node_id)
+                if outcome is None:
+                    self.scheduler.schedule(now, RX_END, node_id,
+                                            self.mac.on_beacon_received, (ddev, frame))
+                else:
+                    self.ledger.loss_reasons[f"beacon_{outcome.value}"] += 1
+            delivered = None  # a broadcast: each listener had its own outcome
+        elif not listening:
             self.ledger.loss_reasons["destination_not_listening"] += 1
             delivered = False
         else:
@@ -393,10 +395,7 @@ class Simulation:
             delivered = outcome is None
             if outcome is not None:
                 self.ledger.loss_reasons[outcome.value] += 1
-        if frame.kind is ACK:
-            self.mac.on_ack_tx_end(tx, delivered)
-        else:
-            self.mac.on_data_tx_end(src, tx, delivered)
+        self.mac.on_tx_end(src, tx, delivered)
 
     def _tx_done(self, dev: Device, now: SimTime) -> None:
         """One of `dev`'s transmissions (data or wakeup signal) ended: the first
@@ -418,8 +417,7 @@ class Simulation:
         frame = Frame(DATA, dev.id, BNC_ID, dev.profile.payload_bits, cls,
                       self.scheduler.now, seq)
         self.ledger.offered[(dev.id, cls)] += 1
-        dev.queue.push(frame)
-        self.mac.try_start(dev)
+        self.mac.offer(dev, frame)
         return frame
 
     def _on_arrival(self, dev: Device) -> None:
@@ -492,7 +490,7 @@ class Simulation:
     def _start_query(self, entry: OnDemandEntry) -> None:
         bnc = self.bnc
         self.wake_to_idle(bnc)
-        bnc.hold_awake_until = max(bnc.hold_awake_until, self._next_boundary())
+        bnc.hold_awake_until = max(bnc.hold_awake_until, self.next_boundary())
         self._send_signal(bnc, entry.target, entry)
 
     def _enqueue_stop(self, target: int) -> None:
@@ -502,8 +500,7 @@ class Simulation:
             traffic_class=TrafficClass.ON_DEMAND_NON_CONTINUOUS,
             created_at=self.scheduler.now, sequence=self.next_seq(), payload=("stop",),
         )
-        self.bnc.queue.push(cmd)
-        self.mac.try_start(self.bnc)
+        self.mac.offer(self.bnc, cmd)
 
     def _on_wakeup_signal_end(self, sig: Frame) -> None:
         """Each device the signal reaches survives the optional loss draw or
@@ -527,7 +524,7 @@ class Simulation:
                 fn, args = self._answer_query, (dev, ctx)
             self.scheduler.schedule(now + delay, EventKind.WAKEUP_DUE, device_id, fn, args)
 
-    def _next_boundary(self) -> SimTime:
+    def next_boundary(self) -> SimTime:
         return (self.scheduler.now // self.sf.beacon_interval_us + 1) * self.sf.beacon_interval_us
 
     def _grant_emergency(self, bnc: Device, flow: EmergencyFlow) -> None:
@@ -535,19 +532,7 @@ class Simulation:
             return
         flow.granted = True
         self.wake_to_idle(bnc)
-        node = self.devices[flow.frame.src]
-        if self.mac.name == "csma":
-            # Channel access is granted at the next beacon, top priority.
-            node.grant_active = True
-            bnc.hold_awake_until = max(bnc.hold_awake_until, self._next_boundary())
-        else:
-            # Dedicated response window as soon as the data radio frees up.
-            now = self.scheduler.now
-            start = max(now, self.channel.busy_until(now))
-            air = self.air_us(flow.frame.size_bits)
-            bnc.hold_awake_until = max(bnc.hold_awake_until, start + air)
-            self.scheduler.schedule(start, SLOT_BOUNDARY, node.id,
-                                    self._start_emergency_window, (node, flow))
+        self.mac.grant_emergency(bnc, self.devices[flow.frame.src], flow)
         self.maybe_sleep(bnc)
 
     def _spurious_wake(self, dev: Device) -> None:
@@ -560,7 +545,7 @@ class Simulation:
     def _answer_query(self, dev: Device, entry: OnDemandEntry) -> None:
         self.wake_to_idle(dev)
         dev.grant_active = True
-        dev.hold_awake_until = max(dev.hold_awake_until, self._next_boundary())
+        dev.hold_awake_until = max(dev.hold_awake_until, self.next_boundary())
         if entry.continuous:
             now = self.scheduler.now
             dev.stream = StreamState(until=now + entry.duration_us, interval_us=entry.interval_us)
@@ -569,13 +554,6 @@ class Simulation:
                                     self._enqueue_stop, (dev.id,))
         else:
             self._offer_frame(dev, TrafficClass.ON_DEMAND_NON_CONTINUOUS)
-
-    def _start_emergency_window(self, dev: Device, flow: EmergencyFlow) -> None:
-        if flow.frame not in dev.queue:
-            return  # already resolved through the regular slot
-        now = self.scheduler.now
-        dev.slot_end = now + self.air_us(flow.frame.size_bits)
-        self.begin_tx(dev, flow.frame, now)
 
 
 def _horizon_mark() -> None:

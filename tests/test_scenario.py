@@ -369,6 +369,13 @@ class TestValuesThatWouldBeIgnored:
         del raw["nodes"][0]["traffic"]["rate_per_hour"]
         assert parse_scenario(raw).nodes[0].generator.arrival is ArrivalProcess.SATURATED
 
+    def test_saturated_node_takes_no_phase(self):
+        raw = with_key(("nodes", 0, "traffic"), {"arrival": "saturated", "phase_s": 5})
+        assert self.violations(raw) == [
+            "scenario.nodes[0].traffic.phase_s: a saturated node takes no phase"]
+        del raw["nodes"][0]["traffic"]["phase_s"]
+        assert parse_scenario(raw).nodes[0].generator.phase_us == 0
+
     def test_frequency_of_an_unknown_node(self):
         raw = with_key(("wakeup", "frequencies"), {1: 2, 99: 1})
         assert self.violations(raw) == [

@@ -241,6 +241,21 @@ class TestEmergencyPath:
         assert ledger.wakeup_signals_sent[1] > events
         assert ledger.loss_reasons["wakeup_signal_lost"] > 0
 
+    def test_emergency_frame_outlives_its_retry_budget(self):
+        # Its link never delivers: every ack times out, and the exhausted
+        # retry budget refills instead of dropping the frame.
+        scn = make_scenario(
+            horizon_s=20.0,
+            superframe={"beacon_order": 4, "superframe_order": 4},
+            channel={"link_errors": [{"src": 1, "dst": 0, "p_success": 0.0}]},
+            nodes=[{"id": 1, "class": "emergency", "criticality": "critical",
+                    "traffic": {"rate_per_hour": 720.0}}],
+        )
+        _, ledger = run(scn)
+        assert ledger.offered[(1, TrafficClass.EMERGENCY)] > 0
+        assert ledger.loss_reasons["emergency_retry_refill"] > 0
+        assert sum(ledger.dropped.values()) == 0
+
 
 class TestOnDemandPath:
     def test_non_continuous_gets_exactly_one_response(self):
@@ -486,6 +501,57 @@ class TestTdmaRun:
         assert ledger.total_superframes == 21
         # The coordinator idles only in the slot region after each beacon.
         assert ledger.state_us[BNC_ID][RadioState.IDLE_LISTEN] == 21 * 4_000
+
+    def test_stop_command_rides_on_a_beacon(self):
+        scn = make_scenario(
+            mac="tdma",
+            horizon_s=8.0,
+            superframe={"beacon_order": 4, "superframe_order": 4},
+            tdma={"slots": {1: 0, 2: 1}},
+            nodes=[{"id": 1, "class": "normal_high",
+                    "traffic": {"rate_per_hour": 3600.0, "phase_s": 0.05}},
+                   {"id": 2, "class": "on_demand_continuous", "wakeup_multiplier": 1}],
+            on_demand=[{"time_s": 2.0, "target": 2, "mode": "continuous",
+                        "rate_per_s": 5, "duration_s": 4.0}],
+        )
+        sim, ledger, txs = run_observed(scn)
+        carried = [(tx.start, c.payload) for tx in txs if tx.frame.kind is FrameKind.BEACON
+                   for c in tx.frame.payload.commands if c.dst == 2]
+        assert len(carried) == 1 and carried[0][0] > 6_000_000
+        assert carried[0][1] == ("stop",)
+        assert sim.devices[2].stream.stopped
+        key = (2, TrafficClass.ON_DEMAND_CONTINUOUS)
+        assert ledger.offered[key] == ledger.delivered[key] == 20
+
+    def test_busy_slot_start_yields_the_slot(self):
+        # Emergency windows of node 1 open whenever the data radio is free,
+        # so some fall over the slots of nodes 2 and 3, which then yield.
+        scn = make_scenario(
+            mac="tdma",
+            horizon_s=60.0,
+            superframe={"beacon_order": 1, "superframe_order": 1},
+            tdma={"slot_duration_ms": 6.0, "slots": {1: 0, 2: 1, 3: 2}},
+            nodes=[{"id": 1, "class": "emergency", "criticality": "critical",
+                    "wakeup_multiplier": 50, "payload_bits": 1400,
+                    "traffic": {"rate_per_hour": 36000.0}}] + [
+                   {"id": i, "class": "normal_high",
+                    "placement": {"kind": "on_body", "x_m": 0.1 * i},
+                    "traffic": {"rate_per_hour": 117187.5}} for i in (2, 3)],
+        )
+        _, ledger, txs = run_observed(scn)
+        assert ledger.loss_reasons["slot_yielded"] > 0
+        # Only the slot transmissions are checked: two grants of node 1 can
+        # open their windows at the same instant, since each sees the channel
+        # free before either window starts.
+        data = sorted((t.start, t.end, t.frame.src) for t in txs
+                      if t.frame.kind is FrameKind.DATA)
+        end_any = end_slot = 0
+        for start, end, src in data:
+            assert start >= end_slot and (src == 1 or start >= end_any), \
+                "a slot transmission overlaps another data transmission"
+            end_any = max(end_any, end)
+            if src != 1:
+                end_slot = max(end_slot, end)
 
 
 class TestInactivePortion:
