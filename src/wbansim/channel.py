@@ -199,12 +199,13 @@ class ActiveTx:
     and `interferers` lists the row of each overlapping transmission: all
     that a reception decision needs.
     Holding no reference to the other `ActiveTx` keeps an ended transmission
-    from being kept alive by a chain of overlaps.  `listening` is set when the
-    transmission starts: whether its addressed destination was awake and not
-    itself transmitting (always True for beacons and broadcasts).
+    from being kept alive by a chain of overlaps.  `receivers` lists the
+    devices that receive it, fixed by the simulation when it starts: a
+    beacon's listeners, or a unicast frame's destination if that device was
+    awake and not itself transmitting (none otherwise).
     """
 
-    __slots__ = ("frame", "budget", "start", "end", "interferers", "listening")
+    __slots__ = ("frame", "budget", "start", "end", "interferers", "receivers")
 
     def __init__(self, frame: Frame, budget: BudgetRow, start: SimTime, end: SimTime) -> None:
         if end <= start:
@@ -214,7 +215,7 @@ class ActiveTx:
         self.start = start
         self.end = end
         self.interferers: list[BudgetRow] = []
-        self.listening = True
+        self.receivers: tuple | list = ()
 
 
 class ChannelModel:

@@ -133,15 +133,17 @@ BROADCAST_ID = -1
 
 
 class Frame:
-    """One over-the-air unit with the timestamps needed for latency accounting.
+    """One over-the-air unit.
 
-    created_at marks generation, rx_end the last bit at the receiver.  Control
-    frames (beacon, ack, wakeup signal) carry no traffic class.  Wakeup signals
-    travel out of band and never enter the data channel.
+    created_at marks generation; a data frame's latency runs from it to the
+    end of its first reception.  Control frames (beacon, ack, wakeup signal)
+    carry no traffic class.  Wakeup signals travel out of band and never
+    enter the data channel.  `delivered` is set at a queued frame's first
+    reception (`Simulation.receive`).
     """
 
     __slots__ = ("kind", "src", "dst", "size_bits", "traffic_class", "created_at",
-                 "sequence", "rx_end", "payload", "retries", "delivered")
+                 "sequence", "payload", "retries", "delivered")
 
     def __init__(self, kind: FrameKind, src: int, dst: int, size_bits: int,
                  traffic_class: TrafficClass | None, created_at: SimTime, sequence: int,
@@ -155,7 +157,6 @@ class Frame:
         self.traffic_class = traffic_class
         self.created_at = created_at
         self.sequence = sequence
-        self.rx_end = None
         self.payload = payload
         # Runtime bookkeeping, not part of the wire format.
         self.retries = 0

@@ -38,7 +38,7 @@ ACK_TIMEOUT, BACKOFF_EXPIRED, CCA_DUE = (
     EventKind.ACK_TIMEOUT, EventKind.BACKOFF_EXPIRED, EventKind.CCA_DUE)
 RX_END, SLOT_BOUNDARY = EventKind.RX_END, EventKind.SLOT_BOUNDARY
 BUSY, CRITICAL, EMERGENCY = CcaResult.BUSY, Criticality.CRITICAL, TrafficClass.EMERGENCY
-ACK, BEACON, COMMAND = FrameKind.ACK, FrameKind.BEACON, FrameKind.COMMAND
+ACK, BEACON = FrameKind.ACK, FrameKind.BEACON
 
 
 class BackoffPolicy:
@@ -143,7 +143,7 @@ class CsmaMac:
 
     # -- superframe lifecycle -------------------------------------------------
 
-    def start_superframe(self, t_b: SimTime, awake_nodes: list[int]) -> tuple[SimTime, SimTime, tuple]:
+    def start_superframe(self, t_b: SimTime, listeners: list) -> tuple[SimTime, SimTime, tuple]:
         """Open the coordinator's CAP and schedule every CAP end; returns the
         beacon's (first backoff boundary, CAP end, commands)."""
         sim = self.sim
@@ -154,10 +154,9 @@ class CsmaMac:
         bnc.cap_anchor, bnc.cap_end = anchor, cap_end
         bnc.in_cap = True
         schedule = self.scheduler.schedule
-        for node_id in awake_nodes:
-            dev = sim.devices[node_id]
+        for dev in listeners:
             dev.cap_anchor, dev.cap_end = anchor, cap_end
-            schedule(cap_end, SLOT_BOUNDARY, node_id, self.on_cap_end, (dev,))
+            schedule(cap_end, SLOT_BOUNDARY, dev.id, self.on_cap_end, (dev,))
         schedule(cap_end, SLOT_BOUNDARY, BNC_ID, self.on_cap_end, (bnc,))
         return anchor, cap_end, ()
 
@@ -188,7 +187,7 @@ class CsmaMac:
     def try_start(self, dev) -> None:
         if (
             not dev.in_cap
-            or dev.active_frame is not None
+            or dev.ack_ev is not None
             or dev.contention_ev is not None
             or not dev.queue
         ):
@@ -255,19 +254,18 @@ class CsmaMac:
             if dev.attempt_frame.traffic_class is EMERGENCY:
                 self._persist_emergency(dev)
             else:
-                self._finish_frame(dev, dev.attempt_frame, delivered=False)
+                self._finish_frame(dev)
 
     def _start_transaction(self, dev, tx_start: SimTime) -> None:
         sim = self.sim
         frame = dev.attempt_frame
-        dev.active_frame = frame
         tx = sim.begin_tx(dev, frame, tx_start)
         dev.ack_ev = self.scheduler.schedule(tx.end + sim.sf.ack_wait_us, ACK_TIMEOUT,
                                              dev.id, self.on_ack_timeout, (dev, frame))
 
     # -- transaction completion ------------------------------------------------
 
-    def on_tx_end(self, src, tx, delivered: bool | None) -> None:
+    def on_tx_end(self, src, tx, delivered: bool) -> None:
         """After a beacon the coordinator contends for its own frames; a
         delivered ack or data frame is received at once."""
         frame = tx.frame
@@ -280,16 +278,14 @@ class CsmaMac:
             if kind is ACK:
                 self.scheduler.schedule(now, RX_END, dst.id, self.on_ack_received, (dst, frame))
             else:
-                frame.rx_end = now
                 self.scheduler.schedule(now, RX_END, dst.id, self.on_data_received, (dst, frame))
 
     def on_data_received(self, dev, frame: Frame) -> None:
-        """Destination side: record first delivery, always acknowledge."""
+        """Destination side: the simulation takes the frame, and every
+        reception is acknowledged."""
         sim = self.sim
         now = self.scheduler.now
-        if not frame.delivered:
-            frame.delivered = True
-            sim.record_delivery(frame)
+        sim.receive(dev, frame)
         ack = Frame(
             kind=ACK,
             src=dev.id,
@@ -300,27 +296,22 @@ class CsmaMac:
             sequence=frame.sequence,
         )
         sim.begin_tx(dev, ack, now + sim.sf.turnaround_us)
-        if frame.kind is COMMAND:
-            sim.apply_command(dev, frame)
 
     def on_ack_received(self, dev, ack: Frame) -> None:
-        frame = dev.active_frame
-        if frame is None or ack.sequence != frame.sequence:
+        if dev.ack_ev is None or ack.sequence != dev.attempt_frame.sequence:
             return
-        if dev.ack_ev is not None:
-            self.scheduler.cancel(dev.ack_ev)
-            dev.ack_ev = None
-        self._finish_frame(dev, frame, delivered=True)
+        self.scheduler.cancel(dev.ack_ev)
+        dev.ack_ev = None
+        self._finish_frame(dev)
 
     def on_ack_timeout(self, dev, frame: Frame) -> None:
         dev.ack_ev = None
-        dev.active_frame = None
         frame.retries += 1
         if frame.retries > self.policy.max_frame_retries:
             if frame.traffic_class is EMERGENCY and not frame.delivered:
                 self._persist_emergency(dev)
                 return
-            self._finish_frame(dev, frame, delivered=frame.delivered)
+            self._finish_frame(dev)
             return
         dev.fsm = None  # retry restarts CSMA with fresh NB/BE
         self.try_start(dev)
@@ -330,18 +321,14 @@ class CsmaMac:
         # the node keeps contending (it stays awake while the frame queues).
         dev.attempt_frame.retries = 0
         dev.fsm = None
-        dev.backoff_remaining = None
         self.sim.ledger.loss_reasons["emergency_retry_refill"] += 1
         self.try_start(dev)
 
-    def _finish_frame(self, dev, frame: Frame, delivered: bool) -> None:
-        sim = self.sim
-        dev.queue.remove(frame)
+    def _finish_frame(self, dev) -> None:
+        """The attempt's frame is done: acked, out of retries or out of
+        channel access.  The simulation decides what that means for it."""
+        frame = dev.attempt_frame
         dev.attempt_frame = None
-        dev.active_frame = None
         dev.fsm = None
-        dev.backoff_remaining = None
-        if not delivered:
-            sim.record_drop(frame)
-        sim.on_frame_resolved(dev, frame)
+        self.sim.release(dev, frame)
         self.try_start(dev)

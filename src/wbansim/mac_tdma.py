@@ -67,7 +67,7 @@ class TdmaMac:
 
     # -- superframe lifecycle -------------------------------------------------
 
-    def start_superframe(self, t_b: SimTime, awake_nodes: list[int]) -> tuple[SimTime, SimTime, tuple]:
+    def start_superframe(self, t_b: SimTime, listeners: list) -> tuple[SimTime, SimTime, tuple]:
         """Hold the coordinator awake through the slot region; returns the
         beacon's (region start, region end, queued commands)."""
         sim = self.sim
@@ -103,7 +103,7 @@ class TdmaMac:
         info = beacon.payload
         for command in info.commands:
             if command.dst == dev.id:
-                sim.apply_command(dev, command)
+                sim.receive(dev, command)
         if not dev.queue:
             sim.maybe_sleep(dev)
             return
@@ -150,21 +150,17 @@ class TdmaMac:
         dev.slot_end = None
         sim.maybe_sleep(dev)
 
-    def on_tx_end(self, dev, tx, delivered: bool | None) -> None:
-        """A slot or window transmission ends; a beacon needs nothing more."""
+    def on_tx_end(self, dev, tx, delivered: bool) -> None:
+        """A slot or window transmission ends, and its frame with it: there
+        is no retry.  A beacon needs nothing more."""
         frame = tx.frame
         if frame.kind is BEACON:
             return
         sim = self.sim
-        now = sim.scheduler.now
-        frame.rx_end = now
         if delivered:
-            frame.delivered = True
-            sim.record_delivery(frame)
-        else:
-            sim.record_drop(frame)
-        dev.queue.remove(frame)
-        sim.on_frame_resolved(dev, frame)
+            sim.receive(sim.bnc, frame)
+        sim.release(dev, frame)
+        now = sim.scheduler.now
         if dev.slot_end is not None and now < dev.slot_end and dev.queue:
             self._tx_next(dev)
         else:

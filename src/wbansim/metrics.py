@@ -33,7 +33,7 @@ class RadioState(Enum):
     RX = "rx"
     IDLE_LISTEN = "idle_listen"  # awake, includes CCA
     SLEEP = "sleep"              # everything off
-    WAKEUP_RX = "wakeup_rx"      # main radio off, wakeup receiver listening
+    WAKEUP_RX = "wakeup_rx"      # main radio off, wakeup receiver on
 
     __hash__ = object.__hash__  # identity hash; see engine.EventKind
 

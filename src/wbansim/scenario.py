@@ -451,7 +451,8 @@ def _channel(ck: _Check, raw: object, path: str) -> tuple[ChannelParams | None, 
 
 
 def _link_errors(ck: _Check, raw: object, path: str, nodes: dict | None) -> LinkErrorTable:
-    """Each link joins the BNC (0) or scenario nodes and appears at most once."""
+    """Each link joins the BNC (0) to a scenario node, either way, and appears
+    at most once: no frame travels any other link."""
     table = LinkErrorTable()
     if raw is None:
         return table
@@ -475,6 +476,9 @@ def _link_errors(ck: _Check, raw: object, path: str, nodes: dict | None) -> Link
         for end, v in unknown:
             ck.err(p, f"{end} {v} is neither 0 (the BNC) nor a scenario node")
         if unknown:
+            continue
+        if (src == 0) == (dst == 0):
+            ck.err(p, f"link {src} -> {dst} does not join 0 (the BNC) to a node")
             continue
         if (src, dst) in first_at:
             ck.err(p, f"link {src} -> {dst} repeats {path}[{first_at[src, dst]}]")

@@ -4,17 +4,26 @@ One Simulation owns one seeded run: a scheduler, a channel, a ledger and one
 device record per BN plus the coordinator.  The MAC object (CSMA or TDMA)
 drives channel access inside the active portion of each superframe; this
 module owns everything around it: who is awake on which superframe, traffic
-generation, the emergency and on-demand wakeup paths, and radio-state
-bookkeeping for the energy figures.
+generation, the emergency and on-demand wakeup paths, who receives each
+transmission, each frame's fate, and radio-state bookkeeping for the energy
+figures.
 
 Every event names the method it runs (see `engine.fire`).  The beacon is
 built, sent and delivered here, for both MACs; the MAC gives its timing (the
-CAP or the slot region) and the commands it carries.  Each listener counts it
-as an incoming frame from the moment it is due to its end, when every
-listener gets a reception outcome, and the MAC decides what a received beacon
-means.  The MAC is reached through five calls: `start_superframe`,
-`on_beacon_received`, `offer` (a frame joins a queue), `on_tx_end` (after
-each transmission's outcome) and `grant_emergency`.
+CAP or the slot region) and the commands it carries.  A transmission's
+receivers (`ActiveTx.receivers`) are fixed when it starts: a beacon's are its
+listeners, a unicast frame's is its destination if that device was awake and
+not transmitting.  Each receiver counts the frame as incoming until its end,
+when every receiver gets a reception outcome.  The MAC is reached through
+five calls: `start_superframe`, `on_beacon_received`, `offer` (a frame joins
+a queue), `on_tx_end` (after each transmission's outcome) and
+`grant_emergency`.
+
+A frame's fate is decided here alone.  The MAC reports a frame's reception
+through `receive`, which counts only the first one: a data frame is
+delivered, a command takes effect.  It hands a frame back through `release`
+once it leaves the queue for good: a data frame never received is dropped.
+So every offered frame is delivered, dropped or still queued, exactly once.
 
 A device's low-power state is `wakeup_rx` when it carries an always-on wakeup
 receiver and plain `sleep` otherwise; together with tx/rx/idle_listen this
@@ -141,7 +150,7 @@ class Device:
                  "queue", "incoming", "tx_until", "hold_awake_until", "grant_active",
                  "stream", "in_cap", "cap_anchor", "cap_end", "fsm", "contention_ev",
                  "backoff_remaining", "ack_ev", "attempt_frame", "attempt_us",
-                 "active_frame", "slot_end", "state", "since", "state_us")
+                 "slot_end", "state", "since", "state_us")
 
     def __init__(self, id: int, placement: Placement, rng: object, criticality: Criticality,
                  sleep_state: RadioState, profile: NodeProfile | None = None,
@@ -168,10 +177,11 @@ class Device:
         # the pending BackoffExpired or CcaDue entry; never cancelled
         self.contention_ev: list | None = None
         self.backoff_remaining: int | None = None
-        self.ack_ev: list | None = None  # scheduler entry, kept to cancel it
+        # the pending AckTimeout entry, kept to cancel it; set exactly while
+        # the attempt's frame is on the air or awaiting its ack
+        self.ack_ev: list | None = None
         self.attempt_frame: Frame | None = None  # frame bound to the ongoing attempt
         self.attempt_us = 0  # its acked transaction: data, turnaround, ack
-        self.active_frame: Frame | None = None  # frame currently on the air / awaiting ack
         # TDMA slot state
         self.slot_end: SimTime | None = None
         # Radio state: the current one, since when, and the closed time in us per
@@ -226,7 +236,6 @@ class Simulation:
         else:
             self.mac = CsmaMac(self)
 
-        self._beacon_listeners: list[int] = []
         for kind in EventKind:
             self.scheduler.register(kind, fire)
         self._schedule_initial()
@@ -308,18 +317,17 @@ class Simulation:
             dev = devices[node_id]
             # The pattern is asked for every node, granted or not.
             if is_awake(table, node_id, sf_index) or dev.grant_active:
-                listeners.append(node_id)
+                listeners.append(dev)
                 ledger.node_awake_superframes[node_id] += 1
                 dev.incoming += 1  # the beacon, until its TxEnd
                 if dev.tx_until <= now:
                     self.set_state(dev, RX, now)
         if listeners:
             ledger.bnc_awake_superframes += 1
-            self._beacon_listeners = listeners
             anchor, end, commands = self.mac.start_superframe(now, listeners)
             beacon = make_beacon(sf_index, anchor, end, self.table.version,
                                  self.fp.beacon_bits, now, self.next_seq(), commands)
-            self.begin_tx(self.bnc, beacon, now)
+            self.begin_tx(self.bnc, beacon, now).receivers = listeners
         else:
             self.maybe_sleep(self.bnc)
         next_t = (sf_index + 1) * self.sf.beacon_interval_us
@@ -344,57 +352,42 @@ class Simulation:
         dev.tx_until = max(dev.tx_until, tx.end)
         self.set_state(dev, TX, now)
         frame = tx.frame
-        if frame.dst >= 0:
-            ddev = self.devices.get(frame.dst)
-            listening = tx.listening = (
-                ddev is not None
-                and ddev.state is not ddev.sleep_state
-                and ddev.tx_until <= now
-            )
-            if listening:
+        if frame.dst >= 0:  # unicast; `_on_beacon_due` sets a beacon's receivers
+            ddev = self.devices[frame.dst]
+            if ddev.state is not ddev.sleep_state and ddev.tx_until <= now:
+                tx.receivers = (ddev,)
                 ddev.incoming += 1
                 self.set_state(ddev, RX, now)
 
     def _on_tx_end(self, tx) -> None:
+        """Each receiver leaves rx and gets its reception outcome.  Each of a
+        beacon's listeners receives it on its own (the coordinator, out of tx
+        now, stays awake through its CAP or slot region); a unicast frame's
+        outcome goes to the MAC as `delivered`."""
         now = self.scheduler.now
         frame = tx.frame
         self.channel.end_tx(tx)
         src = self.devices[frame.src]
         self._tx_done(src, now)
-        listening = tx.listening
-        if frame.dst >= 0 and listening:
-            ddev = self.devices.get(frame.dst)
-            if ddev is not None:
-                ddev.incoming -= 1
-                if ddev.incoming == 0 and ddev.tx_until <= now:
-                    self.set_state(ddev, IDLE, now)
-        if frame.kind is BEACON:
-            # Each listener gets a reception outcome.  The coordinator is out
-            # of tx now, and its CAP (CSMA) or slot-region hold (TDMA) keeps
-            # it listening through the active part.
-            for node_id in self._beacon_listeners:
-                ddev = self.devices[node_id]
-                ddev.incoming -= 1
-                if ddev.incoming == 0 and ddev.tx_until <= now:
-                    self.set_state(ddev, IDLE, now)
-                outcome = self.channel.deliver(tx, ddev.placement, self.rngs.channel,
-                                               dst_id=node_id)
+        loss_reasons = self.ledger.loss_reasons
+        delivered = False
+        for ddev in tx.receivers:
+            ddev.incoming -= 1
+            if ddev.incoming == 0 and ddev.tx_until <= now:
+                self.set_state(ddev, IDLE, now)
+            outcome = self.channel.deliver(tx, ddev.placement, self.rngs.channel, ddev.id)
+            if frame.kind is BEACON:
                 if outcome is None:
-                    self.scheduler.schedule(now, RX_END, node_id,
+                    self.scheduler.schedule(now, RX_END, ddev.id,
                                             self.mac.on_beacon_received, (ddev, frame))
                 else:
-                    self.ledger.loss_reasons[f"beacon_{outcome.value}"] += 1
-            delivered = None  # a broadcast: each listener had its own outcome
-        elif not listening:
-            self.ledger.loss_reasons["destination_not_listening"] += 1
-            delivered = False
-        else:
-            outcome = self.channel.deliver(
-                tx, self.devices[frame.dst].placement, self.rngs.channel
-            )
-            delivered = outcome is None
-            if outcome is not None:
-                self.ledger.loss_reasons[outcome.value] += 1
+                    loss_reasons[f"beacon_{outcome.value}"] += 1
+            elif outcome is None:
+                delivered = True
+            else:
+                loss_reasons[outcome.value] += 1
+        if not tx.receivers:  # never a beacon: it has a listener
+            loss_reasons["destination_not_listening"] += 1
         self.mac.on_tx_end(src, tx, delivered)
 
     def _tx_done(self, dev: Device, now: SimTime) -> None:
@@ -404,10 +397,6 @@ class Simulation:
             dev.tx_until = 0
             self.set_state(dev, RX if dev.incoming else IDLE, now)
             self.maybe_sleep(dev)
-
-    def apply_command(self, dev: Device, frame: Frame) -> None:
-        if frame.payload == ("stop",) and dev.stream is not None:
-            dev.stream.stopped = True
 
     # -- traffic -----------------------------------------------------------------------------
 
@@ -438,26 +427,33 @@ class Simulation:
         if nxt < st.until:
             self.scheduler.schedule(nxt, TRAFFIC_ARRIVAL, dev.id, self._on_stream_arrival, (dev,))
 
-    def on_frame_resolved(self, dev: Device, frame: Frame) -> None:
-        """Called once a queued frame leaves the MAC (delivered or dropped)."""
-        if (
-            dev.gen is not None
-            and dev.gen.arrival is SATURATED
-            and frame.traffic_class is dev.gen.traffic_class
-        ):
-            self._offer_frame(dev, dev.gen.traffic_class)
-        if dev.grant_active and not dev.queue.has_priority_le(1) and dev.active_frame is None:
-            dev.grant_active = False
+    # -- a frame's fate ----------------------------------------------------------------------
 
-    def record_delivery(self, frame: Frame) -> None:
+    def receive(self, dev: Device, frame: Frame) -> None:
+        """`dev` received `frame` now.  Only the first reception counts: a
+        data frame is delivered, with its latency from creation, and a stop
+        command stops `dev`'s stream."""
+        if frame.delivered:
+            return
+        frame.delivered = True
         if frame.kind is DATA:
-            self.ledger.add_delivered(
-                frame.src, frame.traffic_class, frame.rx_end - frame.created_at
-            )
+            self.ledger.add_delivered(frame.src, frame.traffic_class,
+                                      self.scheduler.now - frame.created_at)
+        elif frame.payload == ("stop",) and dev.stream is not None:
+            dev.stream.stopped = True
 
-    def record_drop(self, frame: Frame) -> None:
-        if frame.kind is DATA:
+    def release(self, dev: Device, frame: Frame) -> None:
+        """`frame` leaves `dev`'s queue for good.  A data frame never received
+        is dropped; a saturated source offers its next frame, and a grant
+        ends once no on-demand or emergency frame waits."""
+        dev.queue.remove(frame)
+        if not frame.delivered and frame.kind is DATA:
             self.ledger.add_dropped(frame.src, frame.traffic_class)
+        gen = dev.gen
+        if gen is not None and gen.arrival is SATURATED and frame.traffic_class is gen.traffic_class:
+            self._offer_frame(dev, gen.traffic_class)
+        if dev.grant_active and not dev.queue.has_priority_le(1):
+            dev.grant_active = False
 
     # -- wakeup-radio paths ------------------------------------------------------------------
 

@@ -67,12 +67,15 @@ class TestExitCodes:
          "channel.link_errors[1]: src 33 is neither 0 (the BNC) nor a scenario node"),
         ("tdma_three_links", ("src: 3,", "src: 2,"),
          "channel.link_errors[1]: link 2 -> 0 repeats"),
+        # No frame travels node to node: the entry would be ignored.
+        ("tdma_three_links", ("dst: 0, p_success: 0.84", "dst: 2, p_success: 0.84"),
+         "channel.link_errors[1]: link 3 -> 2 does not join 0 (the BNC) to a node"),
         # Node 3's frame would stay queued forever while the run exits 0.
         ("wakeup_patterns_10_43", ("wakeup_multiplier: 43\n",
                                    "wakeup_multiplier: 43\n    payload_bits: 4000000\n"),
          "nodes: node 3: acked transaction (16001184 us with both CCAs) exceeds the CAP "
          "after the beacon (981760 us)"),
-    ], ids=["link-unknown-src", "link-repeated", "csma-frame-never-fits"])
+    ], ids=["link-unknown-src", "link-repeated", "link-node-to-node", "csma-frame-never-fits"])
     def test_shipped_scenario_with_bad_edit_is_two(self, tmp_path, capsys, shipped, edit, message):
         text = (SCENARIOS / f"{shipped}.yaml").read_text(encoding="utf-8")
         assert text.count(edit[0]) == 1

@@ -236,9 +236,17 @@ class TestRejections:
           "dst 8 is neither 0 (the BNC) nor a scenario node"]),
         ([{"src": 1, "dst": 0, "p_success": 0.9}, {"src": 1, "dst": 0, "p_success": 0.5}],
          ["link 1 -> 0 repeats scenario.channel.link_errors[0]"]),
-    ], ids=["unknown-src", "unknown-dst", "unknown-both", "repeated-pair"])
+        ([{"src": 1, "dst": 2, "p_success": 0.5}],
+         ["link 1 -> 2 does not join 0 (the BNC) to a node"]),
+        ([{"src": 1, "dst": 0, "p_success": 0.9}, {"src": 1, "dst": 1, "p_success": 0.5}],
+         ["link 1 -> 1 does not join 0 (the BNC) to a node"]),
+        ([{"src": 0, "dst": 0, "p_success": 0.5}],
+         ["link 0 -> 0 does not join 0 (the BNC) to a node"]),
+    ], ids=["unknown-src", "unknown-dst", "unknown-both", "repeated-pair", "node-to-node",
+            "self-link", "bnc-to-bnc"])
     def test_link_error_entry_names_its_index(self, links, messages):
         raw = minimal()
+        raw["nodes"].append({"id": 2})
         raw["channel"] = {"link_errors": links}
         with pytest.raises(ScenarioError) as err:
             parse_scenario(raw)
