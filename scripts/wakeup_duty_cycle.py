@@ -10,7 +10,7 @@ from pathlib import Path
 
 from wbansim.scenario import load_scenario
 from wbansim.simulation import Simulation
-from wbansim.wakeup import WakeupTable, bnc_awake_fraction
+from wbansim.wakeup import bnc_awake_fraction
 
 SCENARIO = Path(__file__).resolve().parent.parent / "scenarios" / "wakeup_patterns_10_43.yaml"
 
@@ -28,7 +28,7 @@ def main():
     print("\nexact long-run BNC awake fraction, node A fixed at 10x:")
     print(f"{'node B multiplier':>18}{'awake fraction':>16}")
     for k in (1, 2, 5, 10, 20, 43, 86):
-        frac = bnc_awake_fraction(WakeupTable({1: 10, 2: k}))
+        frac = bnc_awake_fraction([10, k])
         print(f"{k:>18}{float(frac):>16.4f}")
 
 

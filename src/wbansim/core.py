@@ -220,23 +220,22 @@ class SuperframeConfig:
 
 
 class BeaconInfo:
-    __slots__ = ("superframe_index", "cap_anchor", "cap_end", "table_version", "commands")
+    __slots__ = ("superframe_index", "cap_anchor", "cap_end", "commands")
 
     def __init__(self, superframe_index: int, cap_anchor: SimTime, cap_end: SimTime,
-                 table_version: int, commands: tuple = ()) -> None:
+                 commands: tuple = ()) -> None:
         self.superframe_index = superframe_index
         self.cap_anchor = cap_anchor  # first usable backoff boundary / slot-region start
         self.cap_end = cap_end
-        self.table_version = table_version
         self.commands = commands  # coordinator frames piggybacked under TDMA
 
 
 def make_beacon(
     sf_index: int, cap_anchor: SimTime, cap_end: SimTime,
-    table_version: int, size_bits: int, now: SimTime, sequence: int,
-    commands: tuple = (),
+    size_bits: int, now: SimTime, sequence: int, commands: tuple = (),
 ) -> Frame:
-    """Broadcast beacon carrying superframe timing and the wakeup-table version."""
+    """Broadcast beacon carrying the superframe index and timing, and under
+    TDMA the coordinator's queued commands."""
     return Frame(
         kind=FrameKind.BEACON,
         src=BNC_ID,
@@ -245,5 +244,5 @@ def make_beacon(
         traffic_class=None,
         created_at=now,
         sequence=sequence,
-        payload=BeaconInfo(sf_index, cap_anchor, cap_end, table_version, commands),
+        payload=BeaconInfo(sf_index, cap_anchor, cap_end, commands),
     )

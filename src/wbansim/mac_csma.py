@@ -9,7 +9,9 @@ nodes start from a smaller backoff exponent than non-critical ones
 latency under contention.
 
 Transactions are acknowledged: a missing ack restarts the CSMA procedure with
-fresh backoff state, up to max_frame_retries, after which the frame drops.
+fresh backoff state, up to max_frame_retries, after which the frame drops
+(an emergency frame the coordinator has not received refills its budget).
+The loader lets an ack end only before the ack wait.
 
 At the end of the CAP (IEEE Std 802.15.4-2006, 7.5.1.4), a countdown that
 would cross it carries its remaining periods to the next CAP, and an attempt
@@ -251,10 +253,7 @@ class CsmaMac:
             self._schedule_countdown(dev, periods, now + ubp)
         else:  # channel access failure: the frame never made it onto the air
             self.sim.ledger.loss_reasons["channel_access_failure"] += 1
-            if dev.attempt_frame.traffic_class is EMERGENCY:
-                self._persist_emergency(dev)
-            else:
-                self._finish_frame(dev)
+            self._give_up(dev)
 
     def _start_transaction(self, dev, tx_start: SimTime) -> None:
         sim = self.sim
@@ -285,7 +284,7 @@ class CsmaMac:
         reception is acknowledged."""
         sim = self.sim
         now = self.scheduler.now
-        sim.receive(dev, frame)
+        sim.receive(frame)
         ack = Frame(
             kind=ACK,
             src=dev.id,
@@ -298,8 +297,8 @@ class CsmaMac:
         sim.begin_tx(dev, ack, now + sim.sf.turnaround_us)
 
     def on_ack_received(self, dev, ack: Frame) -> None:
-        if dev.ack_ev is None or ack.sequence != dev.attempt_frame.sequence:
-            return
+        # The ack is the attempt's own and its timeout still pending: the
+        # loader lets an ack end only before the ack wait does.
         self.scheduler.cancel(dev.ack_ev)
         dev.ack_ev = None
         self._finish_frame(dev)
@@ -308,18 +307,21 @@ class CsmaMac:
         dev.ack_ev = None
         frame.retries += 1
         if frame.retries > self.policy.max_frame_retries:
-            if frame.traffic_class is EMERGENCY and not frame.delivered:
-                self._persist_emergency(dev)
-                return
-            self._finish_frame(dev)
+            self._give_up(dev)
             return
         dev.fsm = None  # retry restarts CSMA with fresh NB/BE
         self.try_start(dev)
 
-    def _persist_emergency(self, dev) -> None:
-        # Emergency reports are never abandoned: the retry budget refills and
-        # the node keeps contending (it stays awake while the frame queues).
-        dev.attempt_frame.retries = 0
+    def _give_up(self, dev) -> None:
+        """The attempt is out of retries or out of channel access.  An
+        emergency frame the coordinator has not received is never abandoned:
+        its retry budget refills and the node keeps contending (it stays
+        awake while the frame queues).  Any other frame is finished."""
+        frame = dev.attempt_frame
+        if frame.traffic_class is not EMERGENCY or frame.delivered:
+            self._finish_frame(dev)
+            return
+        frame.retries = 0
         dev.fsm = None
         self.sim.ledger.loss_reasons["emergency_retry_refill"] += 1
         self.try_start(dev)

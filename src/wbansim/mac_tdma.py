@@ -103,7 +103,7 @@ class TdmaMac:
         info = beacon.payload
         for command in info.commands:
             if command.dst == dev.id:
-                sim.receive(dev, command)
+                sim.receive(command)
         if not dev.queue:
             sim.maybe_sleep(dev)
             return
@@ -158,7 +158,7 @@ class TdmaMac:
             return
         sim = self.sim
         if delivered:
-            sim.receive(sim.bnc, frame)
+            sim.receive(frame)
         sim.release(dev, frame)
         now = sim.scheduler.now
         if dev.slot_end is not None and now < dev.slot_end and dev.queue:

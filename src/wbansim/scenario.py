@@ -104,9 +104,6 @@ class Scenario:
     def node_ids(self) -> list[int]:
         return sorted(n.profile.id for n in self.nodes)
 
-    def profiles(self) -> list[NodeProfile]:
-        return [n.profile for n in self.nodes]
-
 
 # -- readers: each returns the accepted value or raises _Bad ----------------------
 
@@ -615,7 +612,9 @@ def _fit_checks(ck, name, nodes, on_demand, tdma, sf, frames) -> None:
     """Every frame can ever be sent.  Under TDMA the slot region and beacon
     fit the beacon interval and each node's frame its slot.  Under CSMA the
     fit rule of CsmaMac.on_backoff_expired holds at the earliest backoff
-    boundary after the beacon; a frame that fails it would queue forever."""
+    boundary after the beacon; a frame that fails it would queue forever.
+    And an ack ends before its sender's ack wait does: the timeout, queued
+    first, wins a tie, so an ack that ends at the wait's end always comes late."""
     def air(bits):
         return airtime(bits, frames.bitrate_bps)
 
@@ -635,9 +634,14 @@ def _fit_checks(ck, name, nodes, on_demand, tdma, sf, frames) -> None:
                                         f"{air(prof.payload_bits)} us exceeds slot duration "
                                         f"{tdma.slot_duration_us} us")
         return
+    ack_us = sf.turnaround_us + air(frames.ack_bits)
+    if ack_us >= sf.ack_wait_us:
+        ck.err(f"{name}.frames.ack_bits",
+               f"{frames.ack_bits} bits: turnaround + ack airtime ({ack_us} us) must be "
+               f"below the ack wait ({sf.ack_wait_us} us)")
     ubp = sf.unit_backoff_us
     cap_us = sf.active_duration_us - -(-air(frames.beacon_bits) // ubp) * ubp
-    overhead = 2 * ubp + sf.turnaround_us + air(frames.ack_bits)
+    overhead = 2 * ubp + ack_us
     for prof in profiles:
         needed = overhead + air(prof.payload_bits)
         if needed > cap_us:

@@ -21,9 +21,9 @@ a queue), `on_tx_end` (after each transmission's outcome) and
 
 A frame's fate is decided here alone.  The MAC reports a frame's reception
 through `receive`, which counts only the first one: a data frame is
-delivered, a command takes effect.  It hands a frame back through `release`
-once it leaves the queue for good: a data frame never received is dropped.
-So every offered frame is delivered, dropped or still queued, exactly once.
+delivered.  It hands a frame back through `release` once it leaves the queue
+for good: a data frame never received is dropped.  So every offered frame is
+delivered, dropped or still queued, exactly once.
 
 A device's low-power state is `wakeup_rx` when it carries an always-on wakeup
 receiver and plain `sleep` otherwise; together with tx/rx/idle_listen this
@@ -42,7 +42,10 @@ A wakeup signal is a `WAKEUP_SIGNAL` frame that never enters the channel: its
 sender is in tx for the signal's airtime, and at its TxEnd the simulation
 resolves the devices it reaches (a signal for the coordinator is an
 emergency) and draws each one's loss on the channel stream.  The frame's
-payload is the emergency flow or on-demand entry the signal serves.
+payload is the emergency flow or on-demand entry the signal serves.  A node's
+wakeup multiplier is read off its profile at each beacon.  Each continuous
+query owns its stream: its arrival chain carries the stream's end and
+interval, and its stop command, queued at that end, changes no count.
 
 Handlers here and in the MACs read the clock once from `scheduler.now` and
 call `scheduler.schedule` and `set_state` directly: these run on nearly every
@@ -75,7 +78,7 @@ from .mac_tdma import TdmaMac
 from .metrics import MetricsLedger, RadioState
 from .scenario import Scenario
 from .traffic import ArrivalProcess, GeneratorSpec, OnDemandEntry
-from .wakeup import build_table, is_awake, resolve_wakeup_targets
+from .wakeup import is_awake, resolve_wakeup_targets
 
 # Enum members read on the per-event paths, bound once as module names: on
 # Python 3.11 every read off an Enum class runs `EnumType.__getattr__`'s
@@ -125,15 +128,6 @@ class PendingQueue(list):
         return any(key[0] <= priority for key, _ in self)
 
 
-class StreamState:
-    __slots__ = ("until", "interval_us", "stopped")
-
-    def __init__(self, until: SimTime, interval_us: SimTime, stopped: bool = False) -> None:
-        self.until = until
-        self.interval_us = interval_us
-        self.stopped = stopped
-
-
 class EmergencyFlow:
     __slots__ = ("frame", "granted")
 
@@ -148,7 +142,7 @@ class Device:
 
     __slots__ = ("id", "placement", "rng", "criticality", "sleep_state", "profile", "gen",
                  "queue", "incoming", "tx_until", "hold_awake_until", "grant_active",
-                 "stream", "in_cap", "cap_anchor", "cap_end", "fsm", "contention_ev",
+                 "in_cap", "cap_anchor", "cap_end", "fsm", "contention_ev",
                  "backoff_remaining", "ack_ev", "attempt_frame", "attempt_us",
                  "slot_end", "state", "since", "state_us")
 
@@ -168,7 +162,6 @@ class Device:
         # main radio on until then (query, grant, spurious wake)
         self.hold_awake_until = 0
         self.grant_active = False
-        self.stream: StreamState | None = None
         # CSMA attempt state
         self.in_cap = False
         self.cap_anchor = 0
@@ -205,7 +198,6 @@ class Simulation:
         self.scheduler.trace_sink = trace_sink
         self.rngs = RngStreams(self.seed)
         self.channel = ChannelModel(scenario.channel_params, scenario.link_errors)
-        self.table = build_table(scenario.profiles())
         self.ledger = MetricsLedger({n.profile.id: n.profile.traffic_class for n in scenario.nodes})
         self._seq = 0
         # Airtime in us of a frame size, memoised on first use: a run sees a
@@ -310,13 +302,13 @@ class Simulation:
     def _on_beacon_due(self, sf_index: int) -> None:
         ledger = self.ledger
         ledger.total_superframes += 1
-        devices, table = self.devices, self.table
+        devices = self.devices
         now = self.scheduler.now
         listeners = []
         for node_id in self.node_ids:
             dev = devices[node_id]
             # The pattern is asked for every node, granted or not.
-            if is_awake(table, node_id, sf_index) or dev.grant_active:
+            if is_awake(dev.profile.wakeup_multiplier, sf_index) or dev.grant_active:
                 listeners.append(dev)
                 ledger.node_awake_superframes[node_id] += 1
                 dev.incoming += 1  # the beacon, until its TxEnd
@@ -325,8 +317,8 @@ class Simulation:
         if listeners:
             ledger.bnc_awake_superframes += 1
             anchor, end, commands = self.mac.start_superframe(now, listeners)
-            beacon = make_beacon(sf_index, anchor, end, self.table.version,
-                                 self.fp.beacon_bits, now, self.next_seq(), commands)
+            beacon = make_beacon(sf_index, anchor, end, self.fp.beacon_bits, now,
+                                 self.next_seq(), commands)
             self.begin_tx(self.bnc, beacon, now).receivers = listeners
         else:
             self.maybe_sleep(self.bnc)
@@ -417,30 +409,27 @@ class Simulation:
         if nxt <= self.horizon_us:
             self.scheduler.schedule(nxt, TRAFFIC_ARRIVAL, dev.id, self._on_arrival, (dev,))
 
-    def _on_stream_arrival(self, dev: Device) -> None:
-        st = dev.stream
-        now = self.scheduler.now
-        if st.stopped or now >= st.until:
-            return
+    def _on_stream_arrival(self, dev: Device, until: SimTime, interval_us: SimTime) -> None:
+        """One frame of a continuous query's stream; the stream's next frame
+        follows while it is still before `until`."""
         self._offer_frame(dev, TrafficClass.ON_DEMAND_CONTINUOUS)
-        nxt = now + st.interval_us
-        if nxt < st.until:
-            self.scheduler.schedule(nxt, TRAFFIC_ARRIVAL, dev.id, self._on_stream_arrival, (dev,))
+        nxt = self.scheduler.now + interval_us
+        if nxt < until:
+            self.scheduler.schedule(nxt, TRAFFIC_ARRIVAL, dev.id, self._on_stream_arrival,
+                                    (dev, until, interval_us))
 
     # -- a frame's fate ----------------------------------------------------------------------
 
-    def receive(self, dev: Device, frame: Frame) -> None:
-        """`dev` received `frame` now.  Only the first reception counts: a
-        data frame is delivered, with its latency from creation, and a stop
-        command stops `dev`'s stream."""
+    def receive(self, frame: Frame) -> None:
+        """`frame` was received now.  Only the first reception counts: a
+        data frame is delivered, with its latency from creation.  A stop
+        command changes nothing more: its stream ended when it was sent."""
         if frame.delivered:
             return
         frame.delivered = True
         if frame.kind is DATA:
             self.ledger.add_delivered(frame.src, frame.traffic_class,
                                       self.scheduler.now - frame.created_at)
-        elif frame.payload == ("stop",) and dev.stream is not None:
-            dev.stream.stopped = True
 
     def release(self, dev: Device, frame: Frame) -> None:
         """`frame` leaves `dev`'s queue for good.  A data frame never received
@@ -544,10 +533,10 @@ class Simulation:
         dev.hold_awake_until = max(dev.hold_awake_until, self.next_boundary())
         if entry.continuous:
             now = self.scheduler.now
-            dev.stream = StreamState(until=now + entry.duration_us, interval_us=entry.interval_us)
-            self.scheduler.schedule(now, TRAFFIC_ARRIVAL, dev.id, self._on_stream_arrival, (dev,))
-            self.scheduler.schedule(dev.stream.until, TRAFFIC_ARRIVAL, BNC_ID,
-                                    self._enqueue_stop, (dev.id,))
+            until = now + entry.duration_us
+            self.scheduler.schedule(now, TRAFFIC_ARRIVAL, dev.id, self._on_stream_arrival,
+                                    (dev, until, entry.interval_us))
+            self.scheduler.schedule(until, TRAFFIC_ARRIVAL, BNC_ID, self._enqueue_stop, (dev.id,))
         else:
             self._offer_frame(dev, TrafficClass.ON_DEMAND_NON_CONTINUOUS)
 

@@ -1,10 +1,10 @@
-"""Traffic-based wakeup table and wakeup-radio signaling.
+"""Traffic-based wakeup patterns and wakeup-radio signaling.
 
-Every node carries a wakeup multiplier k and wakes on superframes whose index
-is a multiple of k (index 0 is the first active one).  The coordinator keeps
-the per-node multipliers in a versioned table, derives its own schedule as
-the union of the node schedules, and sleeps whenever no node is due.  Nodes
-sharing a multiplier wake together and contend for the channel.
+Every node carries a wakeup multiplier k (`NodeProfile.wakeup_multiplier`)
+and wakes on superframes whose index is a multiple of k (index 0 is the first
+active one).  The coordinator's schedule is the union of the node schedules:
+it sleeps whenever no node is due.  Nodes sharing a multiplier wake together
+and contend for the channel.
 
 The wakeup radio carries short out-of-band signals: node-to-coordinator for
 emergencies, coordinator-to-node for on-demand queries.  A signal is a
@@ -20,14 +20,11 @@ import math
 from enum import Enum
 from typing import TYPE_CHECKING
 
-from .core import BNC_ID, NodeProfile
+from .core import BNC_ID
 
 if TYPE_CHECKING:
+    from collections.abc import Collection
     from fractions import Fraction
-
-
-class WakeupTableError(ValueError):
-    """Invalid table contents (duplicate node, bad multiplier, unknown node)."""
 
 
 class Addressing(Enum):
@@ -47,54 +44,12 @@ class WakeupConfig:
         self.frequencies = frequencies  # node id -> wakeup tone, addressed mode
 
 
-class WakeupTable:
-    """Node id -> wakeup multiplier.
-
-    The table is owned by the BNC; every modification bumps the version, and
-    lookups happen at superframe boundaries, so a change takes effect on the
-    following superframe.
-    """
-
-    def __init__(self, entries: dict[int, int], version: int = 0) -> None:
-        self.version = version
-        self._entries: dict[int, int] = dict(entries)
-
-    def multiplier(self, node: int) -> int:
-        try:
-            return self._entries[node]
-        except KeyError:
-            raise WakeupTableError(f"node {node} has no wakeup-table entry") from None
-
-    def update(self, node: int, multiplier: int) -> None:
-        if node not in self._entries:
-            raise WakeupTableError(f"node {node} has no wakeup-table entry")
-        if multiplier < 1:
-            raise WakeupTableError(f"node {node}: multiplier must be >= 1, got {multiplier}")
-        self._entries[node] = multiplier
-        self.version += 1
-
-
-def build_table(profiles: list[NodeProfile]) -> WakeupTable:
-    if not profiles:
-        raise WakeupTableError("cannot build a wakeup table from an empty node list")
-    entries: dict[int, int] = {}
-    for p in profiles:
-        if p.id in entries:
-            raise WakeupTableError(f"duplicate node id {p.id}")
-        if p.wakeup_multiplier < 1:
-            raise WakeupTableError(
-                f"node {p.id}: multiplier must be >= 1, got {p.wakeup_multiplier}"
-            )
-        entries[p.id] = p.wakeup_multiplier
-    return WakeupTable(entries)
-
-
-def is_awake(table: WakeupTable, node: int, superframe_index: int) -> bool:
+def is_awake(multiplier: int, superframe_index: int) -> bool:
     """True on every k-th superframe, first activation at index 0."""
-    return superframe_index % table.multiplier(node) == 0
+    return superframe_index % multiplier == 0
 
 
-def bnc_schedule(table: WakeupTable, horizon: int) -> set[int]:
+def bnc_schedule(multipliers: Collection[int], horizon: int) -> set[int]:
     """Superframe indices within the horizon where the BNC must be active.
 
     The union of the per-node schedules; the BNC sleeps on every other
@@ -103,17 +58,17 @@ def bnc_schedule(table: WakeupTable, horizon: int) -> set[int]:
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     awake: set[int] = set()
-    for k in table._entries.values():
+    for k in multipliers:
         awake.update(range(0, horizon, k))
     return awake
 
 
-def bnc_awake_fraction(table: WakeupTable) -> Fraction:
+def bnc_awake_fraction(multipliers: Collection[int]) -> Fraction:
     """Exact long-run awake fraction, evaluated over one full pattern period."""
     from fractions import Fraction  # imported here: no run needs it
 
-    period = math.lcm(*table._entries.values())
-    return Fraction(len(bnc_schedule(table, period)), period)
+    period = math.lcm(*multipliers)
+    return Fraction(len(bnc_schedule(multipliers, period)), period)
 
 
 def resolve_wakeup_targets(
@@ -131,6 +86,6 @@ def resolve_wakeup_targets(
         return [BNC_ID]
     if config.mode is Addressing.FREQUENCY_ADDRESSED:
         if config.frequencies is None or dst not in config.frequencies:
-            raise WakeupTableError(f"node {dst} has no wakeup frequency assignment")
+            raise ValueError(f"node {dst} has no wakeup frequency assignment")
         return [dst] if dst in receiver_nodes else []
     return sorted(receiver_nodes)

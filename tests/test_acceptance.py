@@ -18,7 +18,7 @@ from wbansim.mac_csma import BackoffPolicy
 from wbansim.metrics import EnergyModel, latency_stats, write_node_csv, write_summary_csv
 from wbansim.scenario import load_scenario, parse_scenario
 from wbansim.simulation import Simulation
-from wbansim.wakeup import WakeupTable, bnc_schedule
+from wbansim.wakeup import bnc_schedule
 
 from conftest import make_scenario
 from test_mac_csma import reference_outcome, run_fsm
@@ -128,8 +128,7 @@ def test_criterion_3_cca_geometry():
 
 def test_criterion_4_wakeup_schedule_arithmetic():
     """{10x, 43x} over 430 superframes: 43 + 10 wakes, 52 BNC-active indices."""
-    table = WakeupTable({1: 10, 3: 43})
-    schedule = bnc_schedule(table, 430)
+    schedule = bnc_schedule([10, 43], 430)
     assert len(schedule) == 52
 
     scn = load_scenario(SCENARIOS / "wakeup_patterns_10_43.yaml")

@@ -3,7 +3,7 @@ package (`perfbench/tracer.py`).  Entering and leaving its patch context here
 makes a deleted or renamed name fail the unit tests too, in well under a
 second, instead of only the benchmark's traced run; one short traced run
 checks that the patched hooks still see the events, CCAs, deliveries,
-backoff draws and the ledger's delivery counts."""
+backoff draws, wakeup-pattern lookups and the ledger's delivery counts."""
 
 import importlib.util
 from pathlib import Path
@@ -46,6 +46,6 @@ def test_traced_run_sees_every_dispatch_and_the_csma_hooks(tmp_path):
     trace = tmp_path / "out" / "priority_saturated_seed1_trace.log"
     assert summary["engine.dispatched"] == len(trace.read_text().splitlines()) > 0
     for count in ("channel.cca_calls", "channel.deliver_calls", "mac_csma.backoff_draw_calls",
-                  "mac_csma.tx_per_delivery"):
+                  "mac_csma.tx_per_delivery", "wakeup.is_awake_calls"):
         assert summary[count] > 0, count
     assert 0 < summary["channel.cca_busy_frac"] < 1

@@ -124,6 +124,18 @@ class TestExitCodes:
                 in capsys.readouterr().err)
         assert not out.exists()
 
+    def test_csma_ack_later_than_the_ack_wait_is_two(self, tmp_path, capsys):
+        # It used to run to exit 0 with every ack late: each of the 10 frames
+        # was sent 4 times, and all 40 acks ended after their ack timeout.
+        bad = tmp_path / "ack.yaml"
+        bad.write_text(yaml.safe_dump(base_scenario_dict(frames={"ack_bits": 200})),
+                       encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["--scenario", str(bad), "--out", str(out)]) == 2
+        assert ("ack.frames.ack_bits: 200 bits: turnaround + ack airtime (992 us) "
+                "must be below the ack wait (864 us)" in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_rejected_frame_size_is_two_with_key_path(self, tmp_path, capsys):
         # The loader used the rejected size to compute an airtime, and the
         # ValueError that raised was reported as an unreadable file.

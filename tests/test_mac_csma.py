@@ -170,9 +170,8 @@ class TestFsmAgainstExhaustiveOracle:
 
 
 class TestBeacon:
-    def test_carries_timing_and_table_version(self):
-        b = make_beacon(7, 1280, 983_040, 3, 304, 0, 1)
+    def test_carries_timing(self):
+        b = make_beacon(7, 1280, 983_040, 304, 0, 1)
         assert b.payload.superframe_index == 7
         assert b.payload.cap_anchor == 1280
-        assert b.payload.table_version == 3
         assert b.dst == -1

@@ -271,6 +271,21 @@ class TestRejections:
         raw["nodes"][0]["payload_bits"] = 3224
         parse_scenario(raw)
 
+    def test_csma_ack_ending_at_the_ack_wait_cites_both_values(self):
+        # Turnaround (192 us) plus 168 bits of ack at 250 kbps (672 us) end
+        # exactly at the 864 us ack wait: its timeout, queued first, wins.
+        raw = base_scenario_dict(frames={"ack_bits": 168})
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(raw)
+        assert err.value.violations == [
+            "scenario.frames.ack_bits: 168 bits: turnaround + ack airtime (864 us) "
+            "must be below the ack wait (864 us)"
+        ]
+        raw["frames"]["ack_bits"] = 167
+        parse_scenario(raw)
+        # TDMA sends no ack.
+        parse_scenario(with_key(("frames", "ack_bits"), 168, tdma_minimal()))
+
     def test_csma_stop_command_longer_than_cap_cites_both_values(self):
         # The same CAP as above: a continuous query's stop command obeys the
         # data frame's fit rule, so 3 224 bits fit and 3 225 do not.
@@ -353,6 +368,7 @@ class TestOneViolationPerRejectedValue:
          "on_demand[0].target: expected a number, got 'x'"),
         (with_key(("channel", "link_errors"), [{"src": -1, "dst": 0, "p_success": 0.5}]),
          "channel.link_errors[0].src: must be >= 0, got -1"),
+        (with_key(("nodes",), []), "nodes: expected a non-empty list"),
         (with_key(("nodes",), [5]), "nodes[0]: expected a mapping, got int"),
         (with_key(("tdma",), 5, tdma_minimal()), "tdma: expected a mapping, got int"),
     ], ids=lambda v: v.split(":")[0] if isinstance(v, str) else None)

@@ -65,6 +65,8 @@ class TestPendingQueue:
         assert a in q
         q.remove(a)
         assert a not in q and not q
+        with pytest.raises(ValueError, match="frame not queued"):
+            q.remove(a)
 
 
 class TestBasicCsmaRun:
@@ -123,7 +125,7 @@ class TestSleepDiscipline:
         assert data_txs
         for tx in data_txs:
             sf_index = tx.start // bi
-            assert is_awake(sim.table, tx.frame.src, sf_index)
+            assert is_awake(sim.devices[tx.frame.src].profile.wakeup_multiplier, sf_index)
             assert sf_index * bi <= tx.start
             assert tx.end <= sf_index * bi + sd
 
@@ -148,27 +150,6 @@ class TestSleepDiscipline:
         _, ledger = run(scn)
         assert ledger.state_us[1][RadioState.SLEEP] > 0
         assert ledger.state_us[1][RadioState.WAKEUP_RX] == 0
-
-    def test_table_update_takes_effect_on_next_superframe(self):
-        # coordinator edits the wakeup table mid-run; lookups happen at
-        # superframe boundaries, so the new multiplier applies from there on
-        scn = make_scenario(
-            horizon_s=10.0,
-            nodes=[{"id": 1, "class": "normal_high", "wakeup_multiplier": 1,
-                    "traffic": {"rate_per_hour": 3600.0, "phase_s": 0.05}}],
-        )
-        sim = Simulation(scn, seed=1)
-        bi = scn.superframe.beacon_interval_us
-        sim.scheduler.run_until(10 * bi - 1)
-        awake_before = sim.ledger.node_awake_superframes[1]
-        assert awake_before == 10
-        version_before = sim.table.version
-        sim.table.update(1, 5)
-        assert sim.table.version == version_before + 1
-        sim.run()  # resumes from the current clock to the horizon
-        total = sim.ledger.total_superframes
-        expected_after = len([i for i in range(10, total) if i % 5 == 0])
-        assert sim.ledger.node_awake_superframes[1] == 10 + expected_after
 
 
 class TestEmergencyPath:
@@ -244,6 +225,48 @@ class TestEmergencyPath:
         assert ledger.wakeup_signals_sent[1] > events
         assert ledger.loss_reasons["wakeup_signal_lost"] > 0
 
+    @pytest.mark.parametrize("mac, frames", [("csma", 3), ("tdma", 5)])
+    def test_a_frame_is_granted_once_however_many_signals_reach_the_bnc(self, mac, frames):
+        # A 12 ms wakeup latency outlasts the 10 ms retry timer: each frame's
+        # retry signal goes out before its first signal is granted, and its
+        # grant then finds the flow already granted.
+        tdma = {"mac": "tdma", "tdma": {"slot_duration_ms": 4.0, "slots": {1: 0}}}
+        scn = make_scenario(
+            horizon_s=30.0, wakeup={"latency_ms": 12},
+            nodes=[{"id": 1, "class": "emergency", "criticality": "critical",
+                    "wakeup_multiplier": 8, "traffic": {"rate_per_hour": 360.0}}],
+            **(tdma if mac == "tdma" else {}),
+        )
+        sim = Simulation(scn, seed=1)
+        granted = []
+        grant = sim.mac.grant_emergency
+        sim.mac.grant_emergency = lambda bnc, node, flow: granted.append(flow) or grant(
+            bnc, node, flow)
+        ledger = sim.run()
+        assert ledger.offered[(1, TrafficClass.EMERGENCY)] == frames
+        assert ledger.wakeup_signals_sent[1] == 2 * frames
+        assert len(granted) == len(set(map(id, granted))) == frames
+
+    def test_no_refill_for_an_emergency_frame_already_received(self):
+        # A delivered frame whose acks are lost runs out of retries or of
+        # channel access like any other; only an undelivered one refills.
+        # Once, 4 of this run's 7 refills were for delivered frames.
+        sim = Simulation(lossy_acks(emergency=True), seed=1)
+        dispatching = [None]
+        delivered_at_refill = []
+
+        class Reasons(Counter):
+            def __setitem__(self, key, value):
+                if key == "emergency_retry_refill":  # in on_cca_due or on_ack_timeout
+                    dev = dispatching[0][ARGS][0]
+                    delivered_at_refill.append(dev.attempt_frame.delivered)
+                super().__setitem__(key, value)
+
+        sim.ledger.loss_reasons = Reasons()
+        sim.scheduler.trace_sink = lambda entry: dispatching.__setitem__(0, entry)
+        sim.run()
+        assert delivered_at_refill and not any(delivered_at_refill)
+
     def test_emergency_frame_outlives_its_retry_budget(self):
         # Its link never delivers: every ack times out, and the exhausted
         # retry budget refills instead of dropping the frame.
@@ -287,6 +310,23 @@ class TestOnDemandPath:
         key = (1, TrafficClass.ON_DEMAND_CONTINUOUS)
         assert ledger.offered[key] == 100
         assert ledger.delivered[key] == 100
+
+    @pytest.mark.parametrize("windows, offered", [
+        ([(2, 4), (4, 8)], 40 + 80),  # two streams run between 4 s and 6 s
+        # The first stream ends before the second starts; the first stop
+        # command used to cut the second stream short (41 frames).
+        ([(2, 4), (6.001, 4)], 40 + 40),
+    ], ids=["overlapping", "back-to-back"])
+    def test_each_continuous_query_owns_its_stream(self, windows, offered):
+        scn = make_scenario(
+            horizon_s=14.0,
+            nodes=[{"id": 5, "class": "on_demand_continuous"}],
+            on_demand=[{"time_s": t, "target": 5, "mode": "continuous",
+                        "rate_per_s": 10, "duration_s": d} for t, d in windows],
+        )
+        _, ledger = run(scn)
+        key = (5, TrafficClass.ON_DEMAND_CONTINUOUS)
+        assert ledger.offered[key] == ledger.delivered[key] == offered
 
     def test_broadcast_mode_wakes_everyone_once(self):
         nodes = [{"id": i, "class": "normal_low", "wakeup_multiplier": 64} for i in range(1, 8)]
@@ -522,7 +562,6 @@ class TestTdmaRun:
                    for c in tx.frame.payload.commands if c.dst == 2]
         assert len(carried) == 1 and carried[0][0] > 6_000_000
         assert carried[0][1] == ("stop",)
-        assert sim.devices[2].stream.stopped
         key = (2, TrafficClass.ON_DEMAND_CONTINUOUS)
         assert ledger.offered[key] == ledger.delivered[key] == 20
 
@@ -694,15 +733,20 @@ class TestBoundedMemory:
             del sim
 
 
-def lossy_acks():
+def lossy_acks(emergency=False):
     """`priority_saturated` for 1 s with every ack to a node lost half the
     time: a frame the BNC received is retried, and a retry can fail channel
     access.  At seed 1, 31 such frames were once counted both delivered and
-    dropped."""
+    dropped.  With `emergency`, every node sends Poisson emergency frames at
+    36 000/h instead."""
     raw = yaml.safe_load((SCENARIOS / "priority_saturated.yaml").read_text())
     raw["horizon_s"] = 1
     raw["channel"] = {"link_errors": [{"src": 0, "dst": n, "p_success": 0.5}
                                       for n in range(1, 11)]}
+    if emergency:
+        for node in raw["nodes"]:
+            node["class"] = "emergency"
+            node["traffic"] = {"arrival": "poisson", "rate_per_hour": 36_000.0}
     return parse_scenario(raw)
 
 
