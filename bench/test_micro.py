@@ -86,6 +86,27 @@ def test_tdma_data_frame_round_trip(benchmark):
     assert sim.ledger.loss_reasons["destination_not_listening"] == 0
 
 
+def test_tdma_superframe(benchmark):
+    """One superframe of `tdma_three_links` per round through `run_until`:
+    the beacon, its three receptions, three slot starts, transmissions and
+    arrivals, and the slot region's end.  The first superframe runs before
+    timing, so the link budgets are already filled."""
+    scenario = load_scenario(SCENARIOS / "tdma_three_links.yaml")
+    scenario.horizon_us = 2**62  # never reached: rounds are not capped by the horizon
+    sim = Simulation(scenario, seed=1)
+    scheduler, interval = sim.scheduler, sim.sf.beacon_interval_us
+    scheduler.run_until(interval - 1)
+    rounds = []
+
+    def superframe():
+        rounds.append(None)
+        scheduler.run_until((len(rounds) + 1) * interval - 1)
+
+    benchmark(superframe)
+    assert sim.ledger.total_superframes == len(rounds) + 1
+    assert sim.ledger.delivered[(1, TrafficClass.NORMAL_HIGH)] >= len(rounds)
+
+
 @pytest.mark.parametrize("n_active", [1, 4, 10])
 def test_cca_energy_detect(benchmark, n_active):
     ch, _ = channel_with(n_active)

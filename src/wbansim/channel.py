@@ -11,12 +11,13 @@ they never occupy this channel, so CCA and collisions do not see them; the
 simulation resolves their receivers and draws their optional loss
 (`ChannelParams.wakeup_loss_p`) itself.
 
-Placements and path-loss parameters are fixed for the life of a
+Placements, tx powers and path-loss parameters are fixed for the life of a
 `ChannelModel`, so the link budget of a (tx power, source, listener) triple
 never changes.  The model keeps one row per (tx power, source) pair, mapping
 each listener to its received dBm and mW, and fills an entry the first time
-it is read.  `register_tx` binds the row to the transmission and lists the
-rows of its interferers, so a CCA sum or a reception decision costs one
+it is read; a transmission at its source's own power finds the row by the
+placement alone.  `register_tx` binds the row to the transmission and lists
+the rows of its interferers, so a CCA sum or a reception decision costs one
 listener lookup per transmission and gets the same floats the formulas
 return.
 
@@ -107,21 +108,24 @@ class ChannelParams:
         return self.tx_power_on_body_dbm
 
 
-class LinkErrorTable:
-    """Optional per-link packet success probabilities; absent links succeed."""
+class LinkErrorTable(dict):
+    """Optional per-link packet success probabilities, keyed by (src, dst);
+    absent links succeed.  Only `set` adds a link, so every value is a
+    probability, and a reception decision reads the table with the dict's
+    own `get`."""
 
     def __init__(self, entries: dict[tuple[int, int], float] | None = None) -> None:
-        self._entries: dict[tuple[int, int], float] = {}
+        super().__init__()
         for link, p in (entries or {}).items():
             self.set(link[0], link[1], p)
 
     def set(self, src: int, dst: int, p_success: float) -> None:
         if not 0.0 <= p_success <= 1.0:
             raise ValueError(f"success probability must be in [0, 1], got {p_success}")
-        self._entries[(src, dst)] = p_success
+        self[(src, dst)] = p_success
 
     def success_p(self, src: int, dst: int) -> float:
-        return self._entries.get((src, dst), 1.0)
+        return self.get((src, dst), 1.0)
 
 
 def link_class(src: Placement, dst: Placement) -> LinkClass:
@@ -227,9 +231,11 @@ class ChannelModel:
         link_errors: LinkErrorTable | None = None,
     ) -> None:
         self.params = params or ChannelParams()
-        self.link_errors = link_errors or LinkErrorTable()
+        self.link_errors = LinkErrorTable() if link_errors is None else link_errors
         self._active: list[ActiveTx] = []
         self._budget = LinkBudgets(self.params.path_loss)
+        # source placement -> its row in `_budget` at the placement's own tx power
+        self._own_budget: dict[Placement, BudgetRow] = {}
 
     def register_tx(
         self,
@@ -240,8 +246,12 @@ class ChannelModel:
         tx_power_dbm: float | None = None,
     ) -> ActiveTx:
         if tx_power_dbm is None:
-            tx_power_dbm = self.params.tx_power_for(src_placement)
-        budget = self._budget[tx_power_dbm, src_placement]
+            budget = self._own_budget.get(src_placement)
+            if budget is None:
+                budget = self._own_budget[src_placement] = \
+                    self._budget[self.params.tx_power_for(src_placement), src_placement]
+        else:
+            budget = self._budget[tx_power_dbm, src_placement]
         tx = ActiveTx(frame, budget, start, start + duration)
         # A transmission may be registered ahead of its start instant, so
         # interference links require a genuine interval overlap.
@@ -272,7 +282,12 @@ class ChannelModel:
     def cca_energy_detect(
         self, listener: Placement, threshold_dbm: float, now: SimTime
     ) -> CcaResult:
-        power = self.received_power_dbm(listener, now)
+        # received_power_dbm, inlined: this runs on every CCA
+        total_mw = 0.0
+        for tx in self._active:
+            if tx.start <= now < tx.end:
+                total_mw += tx.budget[listener][1]
+        power = 10.0 * math.log10(total_mw) if total_mw > 0.0 else -math.inf
         return BUSY if power >= threshold_dbm else IDLE
 
     def deliver(
@@ -296,7 +311,7 @@ class ChannelModel:
                 return LossReason.COLLISION
         if own_rx < self.params.sensitivity_dbm:
             return LossReason.BELOW_SENSITIVITY
-        p = self.link_errors.success_p(frame.src, dst)
+        p = self.link_errors.get((frame.src, dst), 1.0)
         if p < 1.0 and rng.random() >= p:
             return LossReason.RANDOM_ERROR
         return None

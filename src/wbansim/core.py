@@ -38,11 +38,11 @@ class TrafficClass(Enum):
     @property
     def queue_priority(self) -> int:
         """Pending-queue rank; lower transmits first, ties broken FIFO."""
-        return _QUEUE_PRIORITY[self]
+        return QUEUE_PRIORITY[self]
 
 
 # Emergency > OnDemand > Normal(High) > Normal(Medium) > Normal(Low).
-_QUEUE_PRIORITY = {
+QUEUE_PRIORITY = {
     TrafficClass.EMERGENCY: 0,
     TrafficClass.ON_DEMAND_CONTINUOUS: 1,
     TrafficClass.ON_DEMAND_NON_CONTINUOUS: 1,
@@ -166,7 +166,7 @@ class Frame:
         cls = self.traffic_class
         if cls is None:
             raise ValueError("only classed frames can be queued")
-        return (_QUEUE_PRIORITY[cls], self.created_at, self.sequence)
+        return (QUEUE_PRIORITY[cls], self.created_at, self.sequence)
 
 
 def airtime(size_bits: int, bitrate_bps: int) -> SimTime:
@@ -236,13 +236,5 @@ def make_beacon(
 ) -> Frame:
     """Broadcast beacon carrying the superframe index and timing, and under
     TDMA the coordinator's queued commands."""
-    return Frame(
-        kind=FrameKind.BEACON,
-        src=BNC_ID,
-        dst=BROADCAST_ID,
-        size_bits=size_bits,
-        traffic_class=None,
-        created_at=now,
-        sequence=sequence,
-        payload=BeaconInfo(sf_index, cap_anchor, cap_end, commands),
-    )
+    return Frame(FrameKind.BEACON, BNC_ID, BROADCAST_ID, size_bits, None, now, sequence,
+                 BeaconInfo(sf_index, cap_anchor, cap_end, commands))

@@ -104,6 +104,16 @@ class Scheduler:
     def cancel(self, entry: list) -> None:
         entry[FN] = None
 
+    def clear(self) -> None:
+        """Drop every pending event and the trace tail.  An entry's callback
+        and arguments can reach whatever owns this scheduler, and a device
+        can keep an entry as its handle, so each pending entry is emptied as
+        well: nothing cyclic is left."""
+        for entry in self._heap:
+            entry[FN] = entry[ARGS] = None
+        self._heap.clear()
+        self._trace_tail.clear()
+
     def run_until(self, t_end: SimTime) -> SimTime:
         """Dispatch all events with fire_at <= t_end in order; clock ends at t_end."""
         if t_end < self.now:

@@ -24,10 +24,11 @@ from __future__ import annotations
 from .core import BNC_ID, FrameKind, SimTime
 from .channel import CcaResult
 from .engine import EventKind
+from .metrics import RadioState
 
 # Enum members read on the per-event paths, bound once (see simulation.py).
 SLOT_BOUNDARY, BUSY = EventKind.SLOT_BOUNDARY, CcaResult.BUSY
-BEACON = FrameKind.BEACON
+BEACON, IDLE = FrameKind.BEACON, RadioState.IDLE_LISTEN
 
 
 class TdmaSchedule:
@@ -61,42 +62,54 @@ class TdmaSchedule:
 
 
 class TdmaMac:
+    """Slot logic for one run.  The scheduler, the channel and its CCA
+    threshold, the coordinator, the airtime memo, the beacon's airtime, each
+    node's slot offset and the region length are fixed for the run, so they
+    are bound once here for the per-slot handlers."""
+
     def __init__(self, sim, schedule: TdmaSchedule) -> None:
         self.sim = sim
-        self.schedule = schedule
+        self.scheduler = sim.scheduler
+        self.channel = sim.channel
+        self.cca_threshold_dbm = sim.channel.params.cca_threshold_dbm
+        self.bnc = sim.bnc
+        self.air_us = sim.air_us
+        self.beacon_us = sim.air_us(sim.fp.beacon_bits)
+        self.slot_offsets = {node: schedule.slot_offset_us(node) for node in schedule.slots}
+        self.slot_us = schedule.slot_duration_us
+        self.region_us = schedule.region_us
 
     # -- superframe lifecycle -------------------------------------------------
 
     def start_superframe(self, t_b: SimTime, listeners: list) -> tuple[SimTime, SimTime, tuple]:
         """Hold the coordinator awake through the slot region; returns the
         beacon's (region start, region end, queued commands)."""
-        sim = self.sim
-        region_start = t_b + sim.air_us(sim.fp.beacon_bits)
-        region_end = region_start + self.schedule.region_us
-        sim.bnc.hold_awake_until = max(sim.bnc.hold_awake_until, region_end)
-        sim.scheduler.schedule(region_end, SLOT_BOUNDARY, BNC_ID, sim.maybe_sleep, (sim.bnc,))
-        return region_start, region_end, tuple(sim.bnc.queue.drain())
+        region_start = t_b + self.beacon_us
+        region_end = region_start + self.region_us
+        bnc = self.bnc
+        if region_end > bnc.hold_awake_until:
+            bnc.hold_awake_until = region_end
+        self.scheduler.schedule(region_end, SLOT_BOUNDARY, BNC_ID, self.sim.maybe_sleep, (bnc,))
+        return region_start, region_end, tuple(bnc.queue.drain()) if bnc.queue else ()
 
     def offer(self, dev, frame) -> None:
         dev.queue.push(frame)
 
     def grant_emergency(self, bnc, node, flow) -> None:
         """A dedicated response window as soon as the data radio frees up."""
-        sim = self.sim
-        now = sim.scheduler.now
-        start = max(now, sim.channel.busy_until(now))
+        now = self.scheduler.now
+        start = max(now, self.channel.busy_until(now))
         bnc.hold_awake_until = max(bnc.hold_awake_until,
-                                   start + sim.air_us(flow.frame.size_bits))
-        sim.scheduler.schedule(start, SLOT_BOUNDARY, node.id,
-                               self._start_emergency_window, (node, flow))
+                                   start + self.air_us(flow.frame.size_bits))
+        self.scheduler.schedule(start, SLOT_BOUNDARY, node.id,
+                                self._start_emergency_window, (node, flow))
 
     def _start_emergency_window(self, dev, flow) -> None:
         if flow.frame not in dev.queue:
             return  # already resolved through the regular slot
-        sim = self.sim
-        now = sim.scheduler.now
-        dev.slot_end = now + sim.air_us(flow.frame.size_bits)
-        sim.begin_tx(dev, flow.frame, now)
+        now = self.scheduler.now
+        dev.slot_end = now + self.air_us(flow.frame.size_bits)
+        self.sim.begin_tx(dev, flow.frame, now)
 
     def on_beacon_received(self, dev, beacon) -> None:
         sim = self.sim
@@ -107,30 +120,25 @@ class TdmaMac:
         if not dev.queue:
             sim.maybe_sleep(dev)
             return
-        now = sim.scheduler.now
-        own_start = info.cap_anchor + self.schedule.slot_offset_us(dev.id)
-        slot_end = own_start + self.schedule.slot_duration_us
-        slot_start = max(now, own_start)
+        now = self.scheduler.now
+        slot_start = info.cap_anchor + self.slot_offsets[dev.id]
+        slot_end = slot_start + self.slot_us
         if slot_start > now:  # doze between beacon and the owned slot
             sim.maybe_sleep(dev)
-        sim.scheduler.schedule(slot_start, SLOT_BOUNDARY, dev.id,
-                               self.on_slot_start, (dev, slot_end))
+        else:
+            slot_start = now
+        self.scheduler.schedule(slot_start, SLOT_BOUNDARY, dev.id,
+                                self.on_slot_start, (dev, slot_end))
 
     # -- slot transmissions -----------------------------------------------------
 
     def on_slot_start(self, dev, slot_end: SimTime) -> None:
         sim = self.sim
-        now = sim.scheduler.now
+        now = self.scheduler.now
         dev.slot_end = slot_end
         sim.wake_to_idle(dev)
         # An emergency window may own the channel; yield the whole slot then.
-        busy = (
-            sim.channel.cca_energy_detect(
-                dev.placement, sim.channel.params.cca_threshold_dbm, now
-            )
-            is BUSY
-        )
-        if busy:
+        if self.channel.cca_energy_detect(dev.placement, self.cca_threshold_dbm, now) is BUSY:
             sim.ledger.loss_reasons["slot_yielded"] += 1
             dev.slot_end = None
             sim.maybe_sleep(dev)
@@ -139,12 +147,12 @@ class TdmaMac:
 
     def _tx_next(self, dev) -> None:
         sim = self.sim
-        now = sim.scheduler.now
+        now = self.scheduler.now
         # An empty queue, or a head that overruns the slot, waits for the
         # next active superframe.
         if dev.queue:
             frame = dev.queue[0][1]
-            if now + sim.air_us(frame.size_bits) <= dev.slot_end:
+            if now + self.air_us(frame.size_bits) <= dev.slot_end:
                 sim.begin_tx(dev, frame, now)
                 return
         dev.slot_end = None
@@ -160,10 +168,14 @@ class TdmaMac:
         if delivered:
             sim.receive(frame)
         sim.release(dev, frame)
-        now = sim.scheduler.now
+        now = self.scheduler.now
         if dev.slot_end is not None and now < dev.slot_end and dev.queue:
             self._tx_next(dev)
         else:
             dev.slot_end = None
             sim.maybe_sleep(dev)
-        sim.maybe_sleep(sim.bnc)  # its receiver dozes unless a hold, e.g. the slot region, is on
+        # The coordinator's receiver dozes unless a hold, e.g. the slot
+        # region, is on; idle inside its hold, it stays as it is.
+        bnc = self.bnc
+        if not (now < bnc.hold_awake_until and bnc.state is IDLE):
+            sim.maybe_sleep(bnc)

@@ -1,3 +1,5 @@
+import gc
+import weakref
 from pathlib import Path
 
 import yaml
@@ -6,6 +8,7 @@ import pytest
 
 import wbansim.cli
 from wbansim.cli import main, parse_seed_range
+from wbansim.scenario import load_scenario
 
 from conftest import base_scenario_dict
 
@@ -226,3 +229,37 @@ class TestOutputs:
         assert int(fields[5]) == offered
         assert int(fields[6]) == delivered
         assert fields[0] == "tiny-aggregate"
+
+
+class TestRunLifetime:
+    """A sweep keeps only each run's ledger: once `run_one` returns, its
+    `Simulation` is freed by reference counting alone, with the cycle
+    collector off, so a long sweep's memory does not wait on a collection."""
+
+    @pytest.mark.parametrize("name,horizon_us,trace", [
+        ("emergency_8bn", None, False),        # CSMA with wakeup-radio paths
+        ("priority_saturated", 1_000_000, False),  # CSMA attempts pending at the horizon
+        ("tdma_three_links", 200 * 30_720, True),
+    ])
+    def test_finished_simulation_is_freed_without_the_collector(
+            self, tmp_path, monkeypatch, name, horizon_us, trace):
+        scenario = load_scenario(SCENARIOS / f"{name}.yaml")
+        if horizon_us is not None:
+            scenario.horizon_us = horizon_us
+        built, original = [], wbansim.cli.Simulation
+
+        def simulation(*args, **kwargs):
+            sim = original(*args, **kwargs)
+            built.append(weakref.ref(sim))
+            return sim
+
+        monkeypatch.setattr(wbansim.cli, "Simulation", simulation)
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            ledger = wbansim.cli.run_one(scenario, 1, tmp_path, trace)
+            assert len(built) == 1 and built[0]() is None
+        finally:
+            if was_enabled:
+                gc.enable()
+        assert sum(ledger.delivered.values()) > 0

@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wbansim.engine import (
+    ARGS,
     FN,
     SEQ,
     EventKind,
@@ -116,6 +117,20 @@ def test_trace_tail_holds_exactly_the_last_32_dispatches():
     tail = message.split("event trace tail:\n")[1].split("\n")
     expected = [f"{t} MeasurementTick {t % 3 or '-'}" for t in range(10, 41)]
     assert tail == expected + ["41 BeaconDue 0"]
+
+
+def test_clear_drops_and_empties_every_pending_event():
+    # A device may still hold a pending entry as its handle; cleared, the
+    # entry reaches neither its callback nor its arguments.
+    s = make_scheduler()
+    seen = []
+    s.schedule(5, TICK, None, seen.append, ("first",))
+    handle = s.schedule(50, TICK, 1, seen.append, ("late",))
+    s.run_until(10)
+    s.clear()
+    assert handle[FN] is None and handle[ARGS] is None
+    assert s.run_until(100) == 100 and seen == ["first"]
+    assert not s._heap and not s._trace_tail
 
 
 def test_events_scheduled_during_dispatch_run_in_order():

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import given
+from hypothesis import strategies as st
 
 from wbansim.channel import ActiveTx, CcaResult
 from wbansim.core import BNC_ID, Frame, FrameKind, TrafficClass
@@ -67,6 +69,41 @@ class TestPendingQueue:
         assert a not in q and not q
         with pytest.raises(ValueError, match="frame not queued"):
             q.remove(a)
+
+    # ("push", class, created_at), or a removal: of the head (the pop path)
+    # or of another queued frame (the scan path), picked by a fraction.
+    # Pushes are drawn twice as often, so queues grow past a few frames.
+    PUSH = st.tuples(st.just("push"), st.sampled_from(list(TrafficClass)), st.integers(0, 5))
+    REMOVE = st.tuples(st.sampled_from(["remove_head", "remove_other"]),
+                       st.floats(0, 1, exclude_max=True))
+    OPS = st.lists(st.one_of(PUSH, PUSH, REMOVE), max_size=80)
+
+    @given(ops=OPS)
+    def test_leaves_in_queue_key_order_through_pushes_and_removals(self, ops):
+        q, reference, seq = PendingQueue(), [], 0
+        for op, *arg in ops:
+            if op == "push":
+                seq += 1
+                frame = self.frame(arg[0], arg[1], seq)
+                q.push(frame)
+                reference.append(frame)
+            elif reference:
+                reference.sort(key=Frame.queue_key)
+                if op == "remove_head" or len(reference) == 1:
+                    frame = reference.pop(0)
+                    assert q[0][1] is frame
+                else:
+                    frame = reference.pop(1 + int(arg[0] * (len(reference) - 1)))
+                    assert q[0][1] is not frame
+                q.remove(frame)
+            assert len(q) == len(reference)
+            assert all(q[(i - 1) // 2][0] < q[i][0] for i in range(1, len(q)))  # a heap
+        reference.sort(key=Frame.queue_key)
+        popped = []
+        while q:
+            popped.append(q[0][1])
+            q.remove(q[0][1])
+        assert popped == reference
 
 
 class TestBasicCsmaRun:
