@@ -239,7 +239,7 @@ class TestRunLifetime:
     @pytest.mark.parametrize("name,horizon_us,trace", [
         ("emergency_8bn", None, False),        # CSMA with wakeup-radio paths
         ("priority_saturated", 1_000_000, False),  # CSMA attempts pending at the horizon
-        ("tdma_three_links", 200 * 30_720, True),
+        ("tdma_three_links", 200 * 30_720, True),  # 200 superframes, traced
     ])
     def test_finished_simulation_is_freed_without_the_collector(
             self, tmp_path, monkeypatch, name, horizon_us, trace):
