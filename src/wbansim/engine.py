@@ -27,6 +27,7 @@ trace tail costs one deque append per event.
 
 from __future__ import annotations
 
+import itertools
 import random
 from collections import deque
 from enum import Enum
@@ -77,7 +78,7 @@ class Scheduler:
     def __init__(self) -> None:
         self.now: SimTime = 0
         self._heap: list[list] = []
-        self._counter = 0
+        self._seq = itertools.count()
         self._handlers: dict[EventKind, Callable[[list], None]] = {}
         self._trace_tail: deque[list] = deque(maxlen=32)
         self.trace_sink: Callable[[list], None] | None = None
@@ -96,8 +97,7 @@ class Scheduler:
             raise SchedulingError(
                 f"cannot schedule {kind.value} at {fire_at} us; clock is {self.now} us"
             )
-        entry = [fire_at, self._counter, kind, node, fn, args]
-        self._counter += 1
+        entry = [fire_at, next(self._seq), kind, node, fn, args]
         heappush(self._heap, entry)
         return entry
 
