@@ -108,24 +108,20 @@ class ChannelParams:
         return self.tx_power_on_body_dbm
 
 
-class LinkErrorTable(dict):
+class LinkErrorTable:
     """Optional per-link packet success probabilities, keyed by (src, dst);
-    absent links succeed.  Only `set` adds a link, so every value is a
-    probability, and a reception decision reads the table with the dict's
-    own `get`."""
+    absent links succeed (`ChannelModel.deliver` reads the entries).  Only
+    `set` adds a link, so every value is a probability."""
 
     def __init__(self, entries: dict[tuple[int, int], float] | None = None) -> None:
-        super().__init__()
+        self._entries: dict[tuple[int, int], float] = {}
         for link, p in (entries or {}).items():
             self.set(link[0], link[1], p)
 
     def set(self, src: int, dst: int, p_success: float) -> None:
         if not 0.0 <= p_success <= 1.0:
             raise ValueError(f"success probability must be in [0, 1], got {p_success}")
-        self[(src, dst)] = p_success
-
-    def success_p(self, src: int, dst: int) -> float:
-        return self.get((src, dst), 1.0)
+        self._entries[(src, dst)] = p_success
 
 
 def link_class(src: Placement, dst: Placement) -> LinkClass:
@@ -231,7 +227,8 @@ class ChannelModel:
         link_errors: LinkErrorTable | None = None,
     ) -> None:
         self.params = params or ChannelParams()
-        self.link_errors = LinkErrorTable() if link_errors is None else link_errors
+        self.link_errors = link_errors or LinkErrorTable()
+        self._link_p = self.link_errors._entries  # (src, dst) -> success probability
         self._active: list[ActiveTx] = []
         self._budget = LinkBudgets(self.params.path_loss)
         # source placement -> its row in `_budget` at the placement's own tx power
@@ -282,12 +279,7 @@ class ChannelModel:
     def cca_energy_detect(
         self, listener: Placement, threshold_dbm: float, now: SimTime
     ) -> CcaResult:
-        # received_power_dbm, inlined: this runs on every CCA
-        total_mw = 0.0
-        for tx in self._active:
-            if tx.start <= now < tx.end:
-                total_mw += tx.budget[listener][1]
-        power = 10.0 * math.log10(total_mw) if total_mw > 0.0 else -math.inf
+        power = self.received_power_dbm(listener, now)
         return BUSY if power >= threshold_dbm else IDLE
 
     def deliver(
@@ -311,7 +303,7 @@ class ChannelModel:
                 return LossReason.COLLISION
         if own_rx < self.params.sensitivity_dbm:
             return LossReason.BELOW_SENSITIVITY
-        p = self.link_errors.get((frame.src, dst), 1.0)
+        p = self._link_p.get((frame.src, dst), 1.0)
         if p < 1.0 and rng.random() >= p:
             return LossReason.RANDOM_ERROR
         return None

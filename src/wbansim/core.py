@@ -38,11 +38,11 @@ class TrafficClass(Enum):
     @property
     def queue_priority(self) -> int:
         """Pending-queue rank; lower transmits first, ties broken FIFO."""
-        return QUEUE_PRIORITY[self]
+        return _QUEUE_PRIORITY[self]
 
 
 # Emergency > OnDemand > Normal(High) > Normal(Medium) > Normal(Low).
-QUEUE_PRIORITY = {
+_QUEUE_PRIORITY = {
     TrafficClass.EMERGENCY: 0,
     TrafficClass.ON_DEMAND_CONTINUOUS: 1,
     TrafficClass.ON_DEMAND_NON_CONTINUOUS: 1,
@@ -166,7 +166,7 @@ class Frame:
         cls = self.traffic_class
         if cls is None:
             raise ValueError("only classed frames can be queued")
-        return (QUEUE_PRIORITY[cls], self.created_at, self.sequence)
+        return (_QUEUE_PRIORITY[cls], self.created_at, self.sequence)
 
 
 def airtime(size_bits: int, bitrate_bps: int) -> SimTime:

@@ -24,11 +24,10 @@ from __future__ import annotations
 from .core import BNC_ID, FrameKind, SimTime
 from .channel import CcaResult
 from .engine import EventKind
-from .metrics import RadioState
 
 # Enum members read on the per-event paths, bound once (see simulation.py).
 SLOT_BOUNDARY, BUSY = EventKind.SLOT_BOUNDARY, CcaResult.BUSY
-BEACON, IDLE = FrameKind.BEACON, RadioState.IDLE_LISTEN
+BEACON = FrameKind.BEACON
 
 
 class TdmaSchedule:
@@ -174,8 +173,4 @@ class TdmaMac:
         else:
             dev.slot_end = None
             sim.maybe_sleep(dev)
-        # The coordinator's receiver dozes unless a hold, e.g. the slot
-        # region, is on; idle inside its hold, it stays as it is.
-        bnc = self.bnc
-        if not (now < bnc.hold_awake_until and bnc.state is IDLE):
-            sim.maybe_sleep(bnc)
+        sim.maybe_sleep(self.bnc)  # its receiver dozes unless a hold, e.g. the slot region, is on

@@ -29,10 +29,8 @@ A device's low-power state is `wakeup_rx` when it carries an always-on wakeup
 receiver and plain `sleep` otherwise; together with tx/rx/idle_listen this
 partitions every microsecond of the run, per device.  Each `Device` holds its
 own radio state, the time it entered it and the closed time per state;
-`Simulation.set_state(dev, state, now)` is the one transition (the paths
-that run on every transmission write it inline, in this module only), and
-`run` closes the last interval at the horizon and hands the totals to the
-ledger.
+`Simulation.set_state(dev, state, now)` is the one transition, and `run`
+closes the last interval at the horizon and hands the totals to the ledger.
 One rule decides the state after every handler: tx while `tx_until > now`,
 otherwise rx while `incoming > 0`, otherwise idle_listen or the sleep state,
 which only `maybe_sleep` enters.  The main radio is on exactly when the state
@@ -50,10 +48,8 @@ query owns its stream: its arrival chain carries the stream's end and
 interval, and its stop command, queued at that end, changes no count.
 
 Handlers here and in the MACs read the clock once from `scheduler.now` and
-call `scheduler.schedule` directly: these run on nearly every event, so no
-further wrapper stands in between.  For the same reason a helper that often
-has nothing to do (`maybe_sleep` for a device held awake) is not called
-where its own first checks already show that.
+call `scheduler.schedule` and `set_state` directly: these run on nearly every
+event, so no further wrapper stands in between.
 """
 
 from __future__ import annotations
@@ -66,7 +62,6 @@ from . import traffic as traffic_mod
 from .channel import ChannelModel
 from .core import (
     BNC_ID,
-    QUEUE_PRIORITY,
     Criticality,
     Frame,
     FrameKind,
@@ -112,11 +107,7 @@ class PendingQueue(list):
     __slots__ = ()
 
     def push(self, frame: Frame) -> None:
-        # Frame.queue_key, inlined: this runs once per queued frame
-        cls = frame.traffic_class
-        if cls is None:
-            raise ValueError("only classed frames can be queued")
-        heappush(self, ((QUEUE_PRIORITY[cls], frame.created_at, frame.sequence), frame))
+        heappush(self, (frame.queue_key(), frame))
 
     def remove(self, frame: Frame) -> None:
         """Take `frame` out: the head by a pop, any other frame by a scan (a
@@ -293,9 +284,7 @@ class Simulation:
         """The one radio-state transition: close the device's current interval
         at `now` and open one in `state`.  A state's key enters `state_us`
         when its first interval closes, so the keys keep first-entry order,
-        which is the order `energy_mj` sums them in.  The per-transmission
-        paths below write this same transition inline (marked "set_state,
-        inlined"): they run on nearly every event."""
+        which is the order `energy_mj` sums them in."""
         prev = dev.state
         if state is prev:
             return
@@ -308,12 +297,7 @@ class Simulation:
         """Turn the main radio on without clobbering an ongoing tx/rx."""
         now = self.scheduler.now
         if dev.tx_until <= now and not dev.incoming:
-            prev = dev.state
-            if prev is not IDLE:  # set_state, inlined
-                us = dev.state_us
-                us[prev] = us.get(prev, 0) + now - dev.since
-                dev.state = IDLE
-                dev.since = now
+            self.set_state(dev, IDLE, now)
 
     def maybe_sleep(self, dev: Device) -> None:
         now = self.scheduler.now
@@ -321,13 +305,10 @@ class Simulation:
             return
         if dev.slot_end is not None and now < dev.slot_end:
             return
-        state = IDLE if now < dev.hold_awake_until else dev.sleep_state
-        prev = dev.state
-        if state is not prev:  # set_state, inlined
-            us = dev.state_us
-            us[prev] = us.get(prev, 0) + now - dev.since
-            dev.state = state
-            dev.since = now
+        if now < dev.hold_awake_until:
+            self.set_state(dev, IDLE, now)
+            return
+        self.set_state(dev, dev.sleep_state, now)
 
     # -- superframe loop --------------------------------------------------------------
 
@@ -344,17 +325,13 @@ class Simulation:
                 listeners.append(dev)
                 ledger.node_awake_superframes[node_id] += 1
                 dev.incoming += 1  # the beacon, until its TxEnd
-                prev = dev.state
-                if dev.tx_until <= now and prev is not RX:  # set_state, inlined
-                    us = dev.state_us
-                    us[prev] = us.get(prev, 0) + now - dev.since
-                    dev.state = RX
-                    dev.since = now
+                if dev.tx_until <= now:
+                    self.set_state(dev, RX, now)
         if listeners:
             ledger.bnc_awake_superframes += 1
             anchor, end, commands = self.mac.start_superframe(now, listeners)
-            seq = self._seq = self._seq + 1  # next_seq, inlined
-            beacon = make_beacon(sf_index, anchor, end, self.fp.beacon_bits, now, seq, commands)
+            beacon = make_beacon(sf_index, anchor, end, self.fp.beacon_bits, now,
+                                 self.next_seq(), commands)
             self.begin_tx(self.bnc, beacon, now).receivers = listeners
         else:
             self.maybe_sleep(self.bnc)
@@ -379,24 +356,14 @@ class Simulation:
         now = self.scheduler.now
         if tx.end > dev.tx_until:
             dev.tx_until = tx.end
-        prev = dev.state
-        if prev is not TX:  # set_state, inlined
-            us = dev.state_us
-            us[prev] = us.get(prev, 0) + now - dev.since
-            dev.state = TX
-            dev.since = now
+        self.set_state(dev, TX, now)
         frame = tx.frame
         if frame.dst >= 0:  # unicast; `_on_beacon_due` sets a beacon's receivers
             ddev = self.devices[frame.dst]
-            prev = ddev.state
-            if prev is not ddev.sleep_state and ddev.tx_until <= now:
+            if ddev.state is not ddev.sleep_state and ddev.tx_until <= now:
                 tx.receivers = (ddev,)
                 ddev.incoming += 1
-                if prev is not RX:  # set_state, inlined
-                    us = ddev.state_us
-                    us[prev] = us.get(prev, 0) + now - ddev.since
-                    ddev.state = RX
-                    ddev.since = now
+                self.set_state(ddev, RX, now)
 
     def _on_tx_end(self, tx) -> None:
         """Each receiver leaves rx and gets its reception outcome.  Each of a
@@ -414,12 +381,8 @@ class Simulation:
         delivered = False
         for ddev in tx.receivers:
             ddev.incoming -= 1
-            prev = ddev.state
-            if ddev.incoming == 0 and ddev.tx_until <= now and prev is not IDLE:
-                us = ddev.state_us  # set_state, inlined
-                us[prev] = us.get(prev, 0) + now - ddev.since
-                ddev.state = IDLE
-                ddev.since = now
+            if ddev.incoming == 0 and ddev.tx_until <= now:
+                self.set_state(ddev, IDLE, now)
             outcome = deliver(tx, ddev.placement, rng, ddev.id)
             if beacon:
                 if outcome is None:
@@ -440,18 +403,8 @@ class Simulation:
         TxEnd at its last transmission's end takes it out of tx."""
         if 0 < dev.tx_until <= now:
             dev.tx_until = 0
-            state = RX if dev.incoming else IDLE
-            prev = dev.state
-            if state is not prev:  # set_state, inlined
-                us = dev.state_us
-                us[prev] = us.get(prev, 0) + now - dev.since
-                dev.state = state
-                dev.since = now
-            # maybe_sleep's own checks, read first: in rx, in its CAP or slot,
-            # or idle inside its hold, the device stays as it is.
-            if not (state is RX or dev.in_cap or now < dev.hold_awake_until
-                    or (dev.slot_end is not None and now < dev.slot_end)):
-                self.maybe_sleep(dev)
+            self.set_state(dev, RX if dev.incoming else IDLE, now)
+            self.maybe_sleep(dev)
 
     # -- traffic -----------------------------------------------------------------------------
 

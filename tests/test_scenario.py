@@ -431,8 +431,7 @@ class TestLoadFromFile(object):
         raw = minimal()
         raw["channel"] = {"link_errors": [{"src": 1, "dst": 0, "p_success": 0.84}]}
         scn = parse_scenario(raw)
-        assert scn.link_errors.success_p(1, 0) == 0.84
-        assert scn.link_errors.success_p(0, 1) == 1.0
+        assert scn.link_errors._entries == {(1, 0): 0.84}
 
     def test_horizon_superframes_is_exact(self):
         raw = minimal()
