@@ -135,8 +135,8 @@ def test_csma_backoff_fsm_on_cca(benchmark):
 
 def test_backoff_draw(benchmark):
     """One backoff draw at the default max_be, checked against its range."""
-    policy, rng = BackoffPolicy(), random.Random(1)
-    assert 0 <= benchmark(backoff_draw, policy, Criticality.NON_CRITICAL, 5, rng) < 32
+    rng = random.Random(1)
+    assert 0 <= benchmark(backoff_draw, BackoffPolicy().max_be, rng) < 32
 
 
 def test_busy_cca_to_backoff_expiry(benchmark):

@@ -9,15 +9,15 @@ implant invisible beyond a few meters.
 
 import argparse
 
-from wbansim.channel import CcaResult, ChannelModel
+from wbansim.channel import CcaResult, ChannelModel, ChannelParams
 from wbansim.core import Frame, FrameKind, Placement, PlacementKind, TrafficClass
 
 
 def verdict(distance_m: float, threshold_dbm: float) -> tuple[float, CcaResult]:
-    ch = ChannelModel()
+    ch = ChannelModel(ChannelParams(tx_power_in_body_dbm=-16.0))
     frame = Frame(FrameKind.DATA, 1, 0, 800, TrafficClass.EMERGENCY, 0, 1)
     src = Placement(PlacementKind.IN_BODY, distance_m, 0, 0, depth_m=0.05)
-    ch.register_tx(frame, src, 0, 10_000, tx_power_dbm=-16.0)
+    ch.register_tx(frame, src, 0, 10_000)
     listener = Placement(PlacementKind.ON_BODY)
     power = ch.received_power_dbm(listener, 5_000)
     return power, ch.cca_energy_detect(listener, threshold_dbm, 5_000)

@@ -12,14 +12,13 @@ simulation resolves their receivers and draws their optional loss
 (`ChannelParams.wakeup_loss_p`) itself.
 
 Placements, tx powers and path-loss parameters are fixed for the life of a
-`ChannelModel`, so the link budget of a (tx power, source, listener) triple
-never changes.  The model keeps one row per (tx power, source) pair, mapping
-each listener to its received dBm and mW, and fills an entry the first time
-it is read; a transmission at its source's own power finds the row by the
-placement alone.  `register_tx` binds the row to the transmission and lists
-the rows of its interferers, so a CCA sum or a reception decision costs one
-listener lookup per transmission and gets the same floats the formulas
-return.
+`ChannelModel`, so the link budget of a (source, listener) pair never
+changes.  The model keeps one row per source placement, at that placement's
+tx power, mapping each listener to its received dBm and mW, and fills an
+entry the first time it is read.  `register_tx` binds the row to the
+transmission and lists the rows of its interferers, so a CCA sum or a
+reception decision costs one listener lookup per transmission and gets the
+same floats the formulas return.
 
 The model keeps only the transmissions on the air, so its memory does not
 grow with the number of transmissions in a run.
@@ -62,12 +61,6 @@ class PathLossParams:
     __slots__ = ("ref_loss_db", "ref_dist_m", "exponent")
 
     def __init__(self, ref_loss_db: float, ref_dist_m: float, exponent: float) -> None:
-        if ref_loss_db <= 0:
-            raise ValueError(f"ref_loss_db must be > 0, got {ref_loss_db}")
-        if ref_dist_m <= 0:
-            raise ValueError(f"ref_dist_m must be > 0, got {ref_dist_m}")
-        if exponent < 1.5:
-            raise ValueError(f"exponent must be >= 1.5, got {exponent}")
         self.ref_loss_db = ref_loss_db
         self.ref_dist_m = ref_dist_m
         self.exponent = exponent
@@ -108,22 +101,6 @@ class ChannelParams:
         return self.tx_power_on_body_dbm
 
 
-class LinkErrorTable:
-    """Optional per-link packet success probabilities, keyed by (src, dst);
-    absent links succeed (`ChannelModel.deliver` reads the entries).  Only
-    `set` adds a link, so every value is a probability."""
-
-    def __init__(self, entries: dict[tuple[int, int], float] | None = None) -> None:
-        self._entries: dict[tuple[int, int], float] = {}
-        for link, p in (entries or {}).items():
-            self.set(link[0], link[1], p)
-
-    def set(self, src: int, dst: int, p_success: float) -> None:
-        if not 0.0 <= p_success <= 1.0:
-            raise ValueError(f"success probability must be in [0, 1], got {p_success}")
-        self._entries[(src, dst)] = p_success
-
-
 def link_class(src: Placement, dst: Placement) -> LinkClass:
     in_body = (src.kind is PlacementKind.IN_BODY, dst.kind is PlacementKind.IN_BODY)
     if all(in_body):
@@ -155,15 +132,9 @@ def dbm_to_mw(dbm: float) -> float:
     return 10.0 ** (dbm / 10.0)
 
 
-def mw_to_dbm(mw: float) -> float:
-    if mw <= 0.0:
-        return -math.inf
-    return 10.0 * math.log10(mw)
-
-
 class BudgetRow(dict):
-    """Listener -> (received dBm, received mW) of one (tx dBm, source) pair,
-    filled on first use."""
+    """Listener -> (received dBm, received mW) of one source at its tx
+    power, filled on first use."""
 
     __slots__ = ("tx_power_dbm", "src_placement", "path_loss")
 
@@ -180,24 +151,12 @@ class BudgetRow(dict):
         return link
 
 
-class LinkBudgets(dict):
-    """(tx dBm, source) -> its `BudgetRow`, made on first use."""
-
-    def __init__(self, path_loss: dict[LinkClass, PathLossParams]) -> None:
-        super().__init__()
-        self.path_loss = path_loss
-
-    def __missing__(self, key: tuple[float, Placement]) -> BudgetRow:
-        row = self[key] = BudgetRow(key[0], key[1], self.path_loss)
-        return row
-
-
 class ActiveTx:
     """A data-radio transmission registered for [start, end).
 
-    `budget` is the link-budget row of its (tx dBm, source placement) pair,
-    and `interferers` lists the row of each overlapping transmission: all
-    that a reception decision needs.
+    `budget` is the link-budget row of its source placement, and
+    `interferers` lists the row of each overlapping transmission: all that a
+    reception decision needs.
     Holding no reference to the other `ActiveTx` keeps an ended transmission
     from being kept alive by a chain of overlaps.  `receivers` lists the
     devices that receive it, fixed by the simulation when it starts: a
@@ -208,8 +167,6 @@ class ActiveTx:
     __slots__ = ("frame", "budget", "start", "end", "interferers", "receivers")
 
     def __init__(self, frame: Frame, budget: BudgetRow, start: SimTime, end: SimTime) -> None:
-        if end <= start:
-            raise ValueError("transmission must have positive duration")
         self.frame = frame
         self.budget = budget
         self.start = start
@@ -224,15 +181,12 @@ class ChannelModel:
     def __init__(
         self,
         params: ChannelParams | None = None,
-        link_errors: LinkErrorTable | None = None,
+        link_errors: dict[tuple[int, int], float] | None = None,
     ) -> None:
         self.params = params or ChannelParams()
-        self.link_errors = link_errors or LinkErrorTable()
-        self._link_p = self.link_errors._entries  # (src, dst) -> success probability
+        self._link_p = link_errors or {}  # (src, dst) -> success probability
         self._active: list[ActiveTx] = []
-        self._budget = LinkBudgets(self.params.path_loss)
-        # source placement -> its row in `_budget` at the placement's own tx power
-        self._own_budget: dict[Placement, BudgetRow] = {}
+        self._budget: dict[Placement, BudgetRow] = {}  # source placement -> its row
 
     def register_tx(
         self,
@@ -240,15 +194,11 @@ class ChannelModel:
         src_placement: Placement,
         start: SimTime,
         duration: SimTime,
-        tx_power_dbm: float | None = None,
     ) -> ActiveTx:
-        if tx_power_dbm is None:
-            budget = self._own_budget.get(src_placement)
-            if budget is None:
-                budget = self._own_budget[src_placement] = \
-                    self._budget[self.params.tx_power_for(src_placement), src_placement]
-        else:
-            budget = self._budget[tx_power_dbm, src_placement]
+        budget = self._budget.get(src_placement)
+        if budget is None:
+            budget = self._budget[src_placement] = BudgetRow(
+                self.params.tx_power_for(src_placement), src_placement, self.params.path_loss)
         tx = ActiveTx(frame, budget, start, start + duration)
         # A transmission may be registered ahead of its start instant, so
         # interference links require a genuine interval overlap.
@@ -273,7 +223,6 @@ class ChannelModel:
         for tx in self._active:  # summed in registration order, as the verdicts assume
             if tx.start <= now < tx.end:
                 total_mw += tx.budget[listener][1]
-        # mw_to_dbm, inlined: this runs on every CCA
         return 10.0 * math.log10(total_mw) if total_mw > 0.0 else -math.inf
 
     def cca_energy_detect(

@@ -106,12 +106,6 @@ class NodeProfile:
                  traffic_class: TrafficClass = TrafficClass.NORMAL_MEDIUM,
                  criticality: Criticality = Criticality.NON_CRITICAL,
                  wakeup_multiplier: int = 1, wakeup_receiver: bool = True) -> None:
-        if id < 1:
-            raise ValueError(f"node id must be >= 1 (0 is the BNC), got {id}")
-        if wakeup_multiplier < 1:
-            raise ValueError(f"wakeup_multiplier must be >= 1, got {wakeup_multiplier}")
-        if payload_bits <= 0:
-            raise ValueError(f"payload_bits must be positive, got {payload_bits}")
         self.id = id
         self.placement = placement
         self.traffic_class = traffic_class
@@ -148,8 +142,6 @@ class Frame:
     def __init__(self, kind: FrameKind, src: int, dst: int, size_bits: int,
                  traffic_class: TrafficClass | None, created_at: SimTime, sequence: int,
                  payload: object = None) -> None:
-        if size_bits <= 0:
-            raise ValueError(f"size_bits must be positive, got {size_bits}")
         self.kind = kind
         self.src = src
         self.dst = dst
@@ -171,10 +163,6 @@ class Frame:
 
 def airtime(size_bits: int, bitrate_bps: int) -> SimTime:
     """Time on air in microseconds, rounded up to the next whole microsecond."""
-    if size_bits <= 0:
-        raise ValueError(f"size_bits must be positive, got {size_bits}")
-    if bitrate_bps <= 0:
-        raise ValueError(f"bitrate_bps must be positive, got {bitrate_bps}")
     return -(-size_bits * 1_000_000 // bitrate_bps)
 
 

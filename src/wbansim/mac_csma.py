@@ -55,8 +55,6 @@ class BackoffPolicy:
                 "need 0 <= min_be_critical <= min_be_noncritical <= max_be, got "
                 f"{min_be_critical}/{min_be_noncritical}/{max_be}"
             )
-        if max_csma_backoffs < 0 or max_frame_retries < 0:
-            raise ValueError("retry limits must be non-negative")
         self.min_be_critical = min_be_critical
         self.min_be_noncritical = min_be_noncritical
         self.max_be = max_be
@@ -69,18 +67,14 @@ class BackoffPolicy:
         return self.min_be_noncritical
 
 
-def backoff_draw(
-    policy: BackoffPolicy, criticality: Criticality, be: int, rng: random.Random
-) -> int:
-    """Uniform draw in [0, 2^BE - 1] unit backoff periods.
+def backoff_draw(be: int, rng: random.Random) -> int:
+    """Uniform draw in [0, 2^BE - 1] unit backoff periods; the backoff FSM
+    keeps BE within [min_be, max_be].
 
     It makes exactly the `getrandbits` calls `rng.randrange(1 << be)` makes
     (BE + 1 bits, redrawn until below 2^BE), so streams and values match
     randrange's, without its two Python frames per draw.
     """
-    min_be = policy.min_be_critical if criticality is CRITICAL else policy.min_be_noncritical
-    if not min_be <= be <= policy.max_be:
-        raise ValueError(f"BE {be} outside [{min_be}, {policy.max_be}]")
     n = 1 << be
     r = rng.getrandbits(be + 1)
     while r >= n:
@@ -208,7 +202,7 @@ class CsmaMac:
             periods = dev.backoff_remaining
             dev.backoff_remaining = None
         else:
-            periods = backoff_draw(self.policy, dev.criticality, fsm.be, dev.rng)
+            periods = backoff_draw(fsm.be, dev.rng)
         self._schedule_countdown(dev, periods, self.scheduler.now)
 
     def _schedule_countdown(self, dev, periods: int, from_t: SimTime) -> None:
@@ -249,7 +243,7 @@ class CsmaMac:
         elif action is TRANSMIT:
             self._start_transaction(dev, now + ubp)
         elif action is NEW_BACKOFF:
-            periods = backoff_draw(self.policy, dev.criticality, fsm.be, dev.rng)
+            periods = backoff_draw(fsm.be, dev.rng)
             self._schedule_countdown(dev, periods, now + ubp)
         else:  # channel access failure: the frame never made it onto the air
             self.sim.ledger.loss_reasons["channel_access_failure"] += 1

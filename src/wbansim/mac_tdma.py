@@ -37,10 +37,6 @@ class TdmaSchedule:
 
     def __init__(self, slots: dict[int, int], slots_per_superframe: int,
                  slot_duration_us: SimTime = 4_000) -> None:
-        if slot_duration_us <= 0:
-            raise ValueError("slot_duration_us must be positive")
-        if slots_per_superframe < 1:
-            raise ValueError("slots_per_superframe must be >= 1")
         seen: dict[int, int] = {}
         for node, idx in slots.items():
             if not 0 <= idx < slots_per_superframe:

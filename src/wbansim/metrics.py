@@ -44,9 +44,6 @@ class EnergyModel:
     def __init__(self, tx_mw: float = 52.2, rx_mw: float = 56.4,
                  idle_listen_mw: float = 1.28, sleep_mw: float = 0.06,
                  wakeup_rx_mw: float = 0.01) -> None:
-        values = (tx_mw, rx_mw, idle_listen_mw, sleep_mw, wakeup_rx_mw)
-        if not all(math.isfinite(v) for v in values):
-            raise ValueError("all power levels must be finite")
         if not (tx_mw > idle_listen_mw and rx_mw > idle_listen_mw):
             raise ValueError("tx and rx power must exceed idle_listen power")
         if not idle_listen_mw > sleep_mw >= 0:
@@ -97,9 +94,6 @@ class MetricsLedger:
         self.total_superframes = 0
 
     # -- counting -----------------------------------------------------------
-
-    def add_offered(self, node: int, cls: TrafficClass) -> None:
-        self.offered[(node, cls)] += 1
 
     def add_delivered(self, node: int, cls: TrafficClass, latency_us: SimTime) -> None:
         key = (node, cls)

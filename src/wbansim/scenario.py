@@ -7,6 +7,11 @@ scenario is just a MAC choice, a horizon and a node list.  A value that fails
 its own key's check is reported once, with its key path, and is then
 unknown: no check that needs it runs.  Every other violation is reported in
 the same pass, so a bad file never starts a run.
+
+Each rule on scenario input has one home: a rule on one value lives in its
+`KEYS` reader, a rule across the keys of one record in that record's
+constructor, and a rule across sections in this loader.  Run-time code never
+checks again what the loader guarantees.
 """
 
 from __future__ import annotations
@@ -17,7 +22,8 @@ from pathlib import Path
 
 import yaml
 
-from .channel import ChannelParams, LinkClass, LinkErrorTable, PathLossParams, default_path_loss
+from .channel import (ChannelParams, LinkClass, PathLossParams, dbm_to_mw, default_path_loss,
+                      rx_power_dbm)
 from .core import (
     Criticality,
     NodeProfile,
@@ -80,7 +86,7 @@ class Scenario:
 
     def __init__(self, name: str, horizon_us: SimTime, superframe: SuperframeConfig,
                  backoff: BackoffPolicy, channel_params: ChannelParams,
-                 link_errors: LinkErrorTable, energy: EnergyModel, wakeup: WakeupConfig,
+                 link_errors: dict, energy: EnergyModel, wakeup: WakeupConfig,
                  frames: FrameParams, nodes: list[NodeConfig], mac: str = "csma",
                  seed: int = 1, on_demand: list[OnDemandEntry] | None = None,
                  tdma: TdmaSchedule | None = None,
@@ -172,7 +178,7 @@ def _id_map(what: str, required: bool = False):
             raise _Bad(what)
         entries = {k: x for k, x in v.items() if x is not None}
         for k, x in entries.items():
-            if not isinstance(k, int) or isinstance(x, bool) or not isinstance(x, int):
+            if any(isinstance(n, bool) or not isinstance(n, int) for n in (k, x)):
                 raise _Bad(f"bad entry {k!r}: {x!r}")
         if required and not entries:
             raise _Bad(what)
@@ -180,11 +186,8 @@ def _id_map(what: str, required: bool = False):
     return read
 
 
-_positive_ms = _number(positive=True, unit_us=1000)
-
-
 def _airtime_ms(v):
-    us = _positive_ms(v)
+    us = _number(positive=True, unit_us=1000)(v)
     if us == 0:
         raise _Bad(f"{v} ms rounds to 0 us")
     return us
@@ -197,7 +200,8 @@ _REAL, _INT, _COUNT = _number(), _integer(), _integer(lo=1)
 _SECONDS = _number(lo=0, unit_us=1_000_000)
 _PLACEMENT = {"kind": _choice(PlacementKind), "x_m": _REAL, "y_m": _REAL,
               "z_m": _REAL, "depth_m": _REAL}
-_PATH_LOSS = {"ref_loss_db": _REAL, "ref_dist_m": _REAL, "exponent": _REAL}
+_PATH_LOSS = {"ref_loss_db": _number(positive=True), "ref_dist_m": _number(positive=True),
+              "exponent": _number(lo=1.5)}
 _LINK = {"src": _integer(lo=0), "dst": _integer(lo=0), "p_success": _number(0.0, 1.0)}
 _TRAFFIC = {"rate_per_hour": _REAL, "arrival": _choice(ArrivalProcess),
             "phase_s": ("phase_us", _SECONDS)}
@@ -226,10 +230,10 @@ KEYS = {
     "seed": _INT,
     "superframe": {k: _INT for k in ("beacon_order", "superframe_order",
                                            "symbol_rate_sps")},
-    "mac_params": {k: _INT for k in ("min_be_critical", "min_be_noncritical", "max_be",
-                                           "max_csma_backoffs", "max_frame_retries")},
+    "mac_params": {"min_be_critical": _INT, "min_be_noncritical": _INT, "max_be": _INT,
+                   "max_csma_backoffs": _integer(lo=0), "max_frame_retries": _integer(lo=0)},
     "tdma": {
-        "slot_duration_ms": ("slot_duration_us", _positive_ms),
+        "slot_duration_ms": ("slot_duration_us", _airtime_ms),
         "slots_per_superframe": _COUNT,
         "slots": _id_map("tdma requires a node id -> slot index mapping", required=True),
     },
@@ -243,8 +247,8 @@ KEYS = {
         "wakeup_loss_p": _number(0.0, 1.0),
         "link_errors": [_LINK],
     },
-    "energy": {k: _REAL for k in ("tx_mw", "rx_mw", "idle_listen_mw", "sleep_mw",
-                                      "wakeup_rx_mw")},
+    "energy": {"tx_mw": _REAL, "rx_mw": _REAL, "idle_listen_mw": _REAL, "sleep_mw": _REAL,
+               "wakeup_rx_mw": _number(lo=0)},
     "wakeup": {
         "mode": _choice(Addressing),
         "latency_ms": ("latency_us", _number(lo=0, unit_us=1000)),
@@ -374,6 +378,9 @@ def parse_scenario(raw: object, name: str = "scenario") -> Scenario:
         _placement(ck, bnc.get("placement"), f"{name}.bnc.placement")
 
     nodes = _nodes(ck, top.pop("nodes", None), f"{name}.nodes", frames)
+    if channel_params is not None and bnc_placement is not None and nodes is not None:
+        _link_budgets(ck, f"{name}.channel", channel_params, [(0, bnc_placement)] + [
+            (i, n.profile.placement) for i, n in nodes.items() if n is not None])
     if wakeup is not None and wakeup.frequencies and nodes is not None:
         for node_id in [n for n in wakeup.frequencies if n not in nodes]:
             ck.err(f"{name}.wakeup.frequencies", f"tone assigned to unknown node {node_id}")
@@ -447,10 +454,11 @@ def _channel(ck: _Check, raw: object, path: str) -> tuple[ChannelParams | None, 
     return _record(ck, path, ChannelParams, kw | power, bad | power_bad), raw_links
 
 
-def _link_errors(ck: _Check, raw: object, path: str, nodes: dict | None) -> LinkErrorTable:
-    """Each link joins the BNC (0) to a scenario node, either way, and appears
-    at most once: no frame travels any other link."""
-    table = LinkErrorTable()
+def _link_errors(ck: _Check, raw: object, path: str, nodes: dict | None) -> dict:
+    """(src, dst) -> packet success probability.  Each link joins the BNC (0)
+    to a scenario node, either way, and appears at most once: no frame travels
+    any other link."""
+    table: dict[tuple[int, int], float] = {}
     if raw is None:
         return table
     if not isinstance(raw, list):
@@ -481,8 +489,21 @@ def _link_errors(ck: _Check, raw: object, path: str, nodes: dict | None) -> Link
             ck.err(p, f"link {src} -> {dst} repeats {path}[{first_at[src, dst]}]")
             continue
         first_at[src, dst] = i
-        table.set(src, dst, kw["p_success"])
+        table[src, dst] = kw["p_success"]
     return table
+
+
+def _link_budgets(ck: _Check, path: str, params: ChannelParams, devices: list) -> None:
+    """The channel can hold every link budget in milliwatts: each ordered
+    pair of devices, a device with itself included."""
+    for src, at in devices:
+        for dst, to in devices:
+            rx = rx_power_dbm(params.tx_power_for(at), at, to, params.path_loss)
+            try:
+                dbm_to_mw(rx)
+            except OverflowError:
+                ck.err(path, f"link {src} -> {dst}: received power {rx:g} dBm "
+                             "is too large to convert to milliwatts")
 
 
 def _placement(ck: _Check, raw: object, path: str) -> Placement | None:

@@ -409,7 +409,7 @@ class Simulation:
     # -- traffic -----------------------------------------------------------------------------
 
     def _offer_frame(self, dev: Device, cls: TrafficClass) -> Frame:
-        # next_seq and add_offered, inlined: this runs once per frame
+        # next_seq, inlined: this runs once per frame
         seq = self._seq = self._seq + 1
         frame = Frame(DATA, dev.id, BNC_ID, dev.profile.payload_bits, cls,
                       self.scheduler.now, seq)

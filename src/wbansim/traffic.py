@@ -51,8 +51,6 @@ class GeneratorSpec:
                  phase_us: SimTime = 0) -> None:
         if arrival is not ArrivalProcess.SATURATED and rate_per_hour <= 0:
             raise ValueError(f"rate_per_hour must be > 0, got {rate_per_hour}")
-        if payload_bits <= 0:
-            raise ValueError(f"payload_bits must be positive, got {payload_bits}")
         if arrival is not ArrivalProcess.SATURATED \
                 and US_PER_HOUR / rate_per_hour > MAX_INTERVAL_US:
             raise ValueError(f"rate_per_hour {rate_per_hour} gives a mean interval "

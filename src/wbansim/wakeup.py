@@ -85,7 +85,5 @@ def resolve_wakeup_targets(
     if dst == BNC_ID:
         return [BNC_ID]
     if config.mode is Addressing.FREQUENCY_ADDRESSED:
-        if config.frequencies is None or dst not in config.frequencies:
-            raise ValueError(f"node {dst} has no wakeup frequency assignment")
         return [dst] if dst in receiver_nodes else []
     return sorted(receiver_nodes)

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from wbansim.channel import CcaResult, ChannelModel
+from wbansim.channel import CcaResult, ChannelModel, ChannelParams
 from wbansim.core import Criticality, FrameKind, Placement, PlacementKind, TrafficClass
 from wbansim.mac_csma import BackoffPolicy
 from wbansim.metrics import EnergyModel, latency_stats, write_node_csv, write_summary_csv
@@ -105,11 +105,11 @@ def test_criterion_3_cca_geometry():
     bnc = Placement(PlacementKind.ON_BODY)
 
     def implant_tx(distance):
-        model = ChannelModel()
+        model = ChannelModel(ChannelParams(tx_power_in_body_dbm=-16.0))
         from wbansim.core import Frame
         frame = Frame(FrameKind.DATA, 1, 0, 800, TrafficClass.EMERGENCY, 0, 1)
         model.register_tx(frame, Placement(PlacementKind.IN_BODY, distance, 0, 0, depth_m=0.05),
-                          0, 10_000, tx_power_dbm=-16.0)
+                          0, 10_000)
         return model
 
     at3 = implant_tx(3.0)

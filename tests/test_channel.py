@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -9,12 +10,10 @@ from wbansim.channel import (
     ChannelModel,
     ChannelParams,
     LinkClass,
-    LinkErrorTable,
     LossReason,
     dbm_to_mw,
     default_path_loss,
     link_class,
-    mw_to_dbm,
     path_loss_db,
     rx_power_dbm,
 )
@@ -33,6 +32,12 @@ def in_body(x, depth=0.05):
 
 def data_frame(src=1, dst=0, bits=800, seq=1):
     return Frame(FrameKind.DATA, src, dst, bits, TrafficClass.NORMAL_HIGH, 0, seq)
+
+
+def channel_at(tx_power_dbm):
+    """A channel whose sources of either placement kind transmit at `tx_power_dbm`."""
+    return ChannelModel(ChannelParams(tx_power_on_body_dbm=tx_power_dbm,
+                                      tx_power_in_body_dbm=tx_power_dbm))
 
 
 class TestPathLoss:
@@ -88,9 +93,9 @@ class TestRxPower:
 
 class TestCca:
     def make_channel_with_tx(self, src_placement, tx_power_dbm):
-        ch = ChannelModel()
+        ch = channel_at(tx_power_dbm)
         frame = Frame(FrameKind.DATA, 1, 0, 800, TrafficClass.NORMAL_HIGH, 0, 1)
-        ch.register_tx(frame, src_placement, 0, 1000, tx_power_dbm=tx_power_dbm)
+        ch.register_tx(frame, src_placement, 0, 1000)
         return ch
 
     def test_implant_invisible_at_3m_for_both_thresholds(self):
@@ -109,12 +114,10 @@ class TestCca:
 
     def test_powers_sum_in_linear_milliwatts(self):
         # two equal -90 dBm arrivals combine to ~-86.99 dBm, not -87 dB "sum"
-        ch = ChannelModel()
-        params = ch.params.path_loss
         # place two on-body sources so each arrives at -90 dBm: tx at -50 dBm, 1 m away
+        ch = channel_at(-50.0)
         for i, x in enumerate((1.0, -1.0)):
-            ch.register_tx(data_frame(src=i + 1, seq=i + 1), on_body(x), 0, 1000,
-                           tx_power_dbm=-50.0)
+            ch.register_tx(data_frame(src=i + 1, seq=i + 1), on_body(x), 0, 1000)
         total = ch.received_power_dbm(ORIGIN, 500)
         assert total == pytest.approx(-86.9897, abs=0.001)
         assert ch.cca_energy_detect(ORIGIN, -87.0, 500) is CcaResult.BUSY
@@ -149,8 +152,9 @@ class TestDeliver:
     def test_strong_frame_captures_over_weak_interferer(self):
         ch = ChannelModel()
         strong = ch.register_tx(data_frame(src=1, seq=1), on_body(0.5), 0, 1000)
-        # interferer 15 dB below the frame of interest at the destination
-        ch.register_tx(data_frame(src=2, seq=2), on_body(0.5), 0, 1000, tx_power_dbm=-15.0)
+        # interferer 15 dB below the frame of interest at the destination:
+        # 20 * log10(2.8 / 0.5) = 14.96 dB more path loss
+        ch.register_tx(data_frame(src=2, seq=2), on_body(-2.8), 0, 1000)
         rng = random.Random(1)
         assert ch.deliver(strong, ORIGIN, rng) is None
 
@@ -174,8 +178,7 @@ class TestDeliver:
 
     def test_link_error_rate_calibration(self):
         # ~84% success over 1e5 contention-free frames, within binomial noise
-        table = LinkErrorTable({(1, 0): 0.84})
-        ch = ChannelModel(link_errors=table)
+        ch = ChannelModel(link_errors={(1, 0): 0.84})
         rng = random.Random(1234)
         n = 100_000
         delivered = 0
@@ -188,10 +191,9 @@ class TestDeliver:
         assert delivered / n == pytest.approx(0.84, abs=0.01)
 
     def test_deterministic_given_rng_state(self):
-        table = LinkErrorTable({(1, 0): 0.5})
         outcomes = []
         for _ in range(2):
-            ch = ChannelModel(link_errors=table)
+            ch = ChannelModel(link_errors={(1, 0): 0.5})
             rng = random.Random(99)
             run = []
             for i in range(100):
@@ -215,64 +217,61 @@ class TestLinkBudgetMemo:
     """The memoised link budget returns exactly what the formulas return."""
 
     @staticmethod
-    def uncached_power_dbm(txs, listener, now):
+    def uncached_power_dbm(params, txs, listener, now):
         total_mw = 0.0
         for tx in txs:
             if tx.start <= now < tx.end:
+                src = tx.budget.src_placement
                 total_mw += dbm_to_mw(
-                    rx_power_dbm(tx.budget.tx_power_dbm, tx.budget.src_placement, listener,
-                                 default_path_loss())
-                )
-        return mw_to_dbm(total_mw)
+                    rx_power_dbm(params.tx_power_for(src), src, listener, default_path_loss()))
+        return 10.0 * math.log10(total_mw) if total_mw > 0.0 else -math.inf
 
     @staticmethod
-    def uncached_outcome(txs, tx, dst):
-        params = ChannelParams()
-        own = rx_power_dbm(tx.budget.tx_power_dbm, tx.budget.src_placement, dst,
-                           params.path_loss)
+    def uncached_outcome(params, txs, tx, dst):
+        def rx(t):
+            src = t.budget.src_placement
+            return rx_power_dbm(params.tx_power_for(src), src, dst, params.path_loss)
+
+        own = rx(tx)
         for other in txs:
             if other is not tx and other.end > tx.start and tx.end > other.start:
-                rx = rx_power_dbm(other.budget.tx_power_dbm, other.budget.src_placement, dst,
-                                  params.path_loss)
-                if rx >= own - params.capture_margin_db:
+                if rx(other) >= own - params.capture_margin_db:
                     return LossReason.COLLISION
         if own < params.sensitivity_dbm:
             return LossReason.BELOW_SENSITIVITY
         return None
 
     @given(
-        sources=st.lists(st.tuples(PLACEMENTS, POWERS, st.integers(0, 3)), min_size=1, max_size=8),
-        second_power=POWERS,
+        sources=st.lists(st.tuples(PLACEMENTS, st.integers(0, 3)), min_size=1, max_size=8),
+        on_body_power=POWERS,
+        in_body_power=POWERS,
         listeners=st.lists(PLACEMENTS, min_size=1, max_size=3),
     )
-    def test_equals_uncached_formula(self, sources, second_power, listeners):
-        # The first source also transmits at a second power, so a memo entry
-        # keyed without the power would be stale for one of the two.
-        first_place, first_power, first_slot = sources[0]
-        if second_power == first_power:
-            second_power -= 7.5
-        sources = sources + [(first_place, second_power, first_slot + 1)]
-        ch = ChannelModel()
+    def test_equals_uncached_formula(self, sources, on_body_power, in_body_power, listeners):
+        params = ChannelParams(tx_power_on_body_dbm=on_body_power,
+                               tx_power_in_body_dbm=in_body_power)
+        ch = ChannelModel(params)
         txs = [
-            ch.register_tx(data_frame(src=i + 1, seq=i + 1), place, slot * 500, 1000,
-                           tx_power_dbm=power)
-            for i, (place, power, slot) in enumerate(sources)
+            ch.register_tx(data_frame(src=i + 1, seq=i + 1), place, slot * 500, 1000)
+            for i, (place, slot) in enumerate(sources)
         ]
-        listeners = [ORIGIN, first_place] + listeners
+        listeners = [ORIGIN, sources[0][0]] + listeners
         for now in range(0, 3000, 250):
             for listener in listeners:
                 assert ch.received_power_dbm(listener, now) == \
-                    self.uncached_power_dbm(txs, listener, now)
+                    self.uncached_power_dbm(params, txs, listener, now)
         for tx in txs:
             for dst in listeners:
                 assert ch.deliver(tx, dst, random.Random(1)) == \
-                    self.uncached_outcome(txs, tx, dst)
-        for (power, src), row in ch._budget.items():
+                    self.uncached_outcome(params, txs, tx, dst)
+        for src, row in ch._budget.items():
             for dst, (rx_dbm, rx_mw) in row.items():
-                assert rx_dbm == rx_power_dbm(power, src, dst, default_path_loss())
+                assert rx_dbm == rx_power_dbm(params.tx_power_for(src), src, dst,
+                                              default_path_loss())
                 assert rx_mw == dbm_to_mw(rx_dbm)
-        # Every transmission reads the row of its own (power, source) pair.
-        for tx, (place, power, _) in zip(txs, sources):
-            assert tx.budget is ch._budget[power, place]
-            assert (tx.budget.tx_power_dbm, tx.budget.src_placement) == (power, place)
-
+        # Every transmission reads the row of its own source, at that
+        # placement's tx power.
+        for tx, (place, _) in zip(txs, sources):
+            assert tx.budget is ch._budget[place]
+            assert (tx.budget.tx_power_dbm, tx.budget.src_placement) == \
+                (params.tx_power_for(place), place)

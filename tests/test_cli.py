@@ -100,7 +100,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("edit", [
         ("nodes:\n", "nodes: [\n"),            # unclosed flow sequence
         ("  beacon_order: 6", "\tbeacon_order: 6"),  # tab indent
-    ], ids=["unclosed-bracket", "tab-indent"])
+        ("  beacon_order: 6", "  [beacon_order]: 6"),  # unhashable key
+    ], ids=["unclosed-bracket", "tab-indent", "unhashable-key"])
     def test_malformed_yaml_is_two(self, tmp_path, capsys, edit):
         text = (SCENARIOS / "emergency_8bn.yaml").read_text(encoding="utf-8")
         assert text.count(edit[0]) == 1
@@ -164,6 +165,12 @@ class TestExitCodes:
         assert main(["--scenario", str(scenario_file), "--seed", "1",
                      "--seeds", "1..2"]) == 2
 
+    def test_seed_range_ending_before_its_start_is_two(self, scenario_file, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["--scenario", str(scenario_file), "--seeds", "9..1", "--out", str(out)]) == 2
+        assert "error: bad seed range '9..1': end before start" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_validate_only_stops_before_any_run(self, scenario_file, tmp_path, capsys):
         out = tmp_path / "out"
         assert main(["--scenario", str(scenario_file), "--validate-only",
@@ -188,6 +195,14 @@ class TestOutputs:
         assert node_csv.startswith("run_id,seed,mac,node_id,class,")
         assert ",csma,1,normal_high," in node_csv
         assert "bnc_awake_fraction" in summary_csv
+
+    def test_without_a_seed_flag_the_scenario_seed_runs(self, tmp_path):
+        path = tmp_path / "tiny.yaml"
+        path.write_text(yaml.safe_dump(base_scenario_dict(seed=5)), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["--scenario", str(path), "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["tiny_seed5.csv",
+                                                        "tiny_seed5_summary.csv"]
 
     def test_repeat_runs_byte_identical(self, scenario_file, tmp_path):
         texts = []

@@ -53,43 +53,32 @@ class TestBackoffPolicy:
 
 class TestBackoffDraw:
     def test_full_range_observed(self):
-        p = BackoffPolicy()
         seen = set()
         rng = random.Random(1)
         for _ in range(10_000):
-            v = backoff_draw(p, Criticality.NON_CRITICAL, 4, rng)
+            v = backoff_draw(4, rng)
             assert 0 <= v <= 15
             seen.add(v)
         assert seen == set(range(16))
 
     def test_be_zero_always_zero(self):
-        p = BackoffPolicy(min_be_critical=0, min_be_noncritical=0)
         rng = random.Random(1)
-        assert all(backoff_draw(p, Criticality.CRITICAL, 0, rng) == 0 for _ in range(100))
+        assert all(backoff_draw(0, rng) == 0 for _ in range(100))
 
     def test_reproducible_for_fixed_seed(self):
-        p = BackoffPolicy()
-        a = [backoff_draw(p, Criticality.CRITICAL, 3, random.Random(9)) for _ in range(1)]
-        b = [backoff_draw(p, Criticality.CRITICAL, 3, random.Random(9)) for _ in range(1)]
+        a = [backoff_draw(3, random.Random(9)) for _ in range(1)]
+        b = [backoff_draw(3, random.Random(9)) for _ in range(1)]
         assert a == b
 
     def test_same_draws_as_randrange(self):
         # The golden RNG digests pin the draws of BE 2..5 only; this pins
         # values and stream state at every BE up to 8.
-        p = BackoffPolicy(min_be_critical=0, min_be_noncritical=0, max_be=8)
         for be in range(9):
             for seed in range(200):
                 ours, ref = random.Random(seed), random.Random(seed)
-                assert [backoff_draw(p, Criticality.CRITICAL, be, ours) for _ in range(50)] \
+                assert [backoff_draw(be, ours) for _ in range(50)] \
                     == [ref.randrange(1 << be) for _ in range(50)], (be, seed)
                 assert ours.getstate() == ref.getstate(), (be, seed)
-
-    def test_out_of_range_be_rejected(self):
-        p = BackoffPolicy()
-        with pytest.raises(ValueError):
-            backoff_draw(p, Criticality.NON_CRITICAL, 3, random.Random(1))  # below min_be
-        with pytest.raises(ValueError):
-            backoff_draw(p, Criticality.CRITICAL, 9, random.Random(1))  # above max_be
 
 
 def reference_outcome(outcomes: str, min_be: int, max_be: int, max_backoffs: int):

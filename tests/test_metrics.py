@@ -37,14 +37,14 @@ class TestPdr:
     def test_ratio(self):
         ledger = MetricsLedger()
         for _ in range(100):
-            ledger.add_offered(1, NH)
+            ledger.offered[1, NH] += 1
         for _ in range(84):
             ledger.add_delivered(1, NH, 1000)
         assert ledger.pdr(node=1) == pytest.approx(0.84)
 
     def test_lossless_is_one(self):
         ledger = MetricsLedger()
-        ledger.add_offered(1, NH)
+        ledger.offered[1, NH] += 1
         ledger.add_delivered(1, NH, 5)
         assert ledger.pdr(node=1) == 1.0
 
@@ -131,7 +131,7 @@ class TestLatencyStats:
 def sample_ledger(node=1, offered=10, delivered=8, dropped=1, latency_base=1000):
     ledger = MetricsLedger({node: NH})
     for _ in range(offered):
-        ledger.add_offered(node, NH)
+        ledger.offered[node, NH] += 1
     for i in range(delivered):
         ledger.add_delivered(node, NH, latency_base + i)
     for _ in range(dropped):

@@ -13,6 +13,7 @@ from wbansim.channel import LinkClass
 from wbansim.core import Criticality, PlacementKind, TrafficClass
 import wbansim.scenario
 from wbansim.scenario import ScenarioError, ScenarioLoader, load_scenario, parse_scenario
+from wbansim.simulation import Simulation
 from wbansim.traffic import ArrivalProcess
 
 from conftest import base_scenario_dict
@@ -89,6 +90,22 @@ NUMERIC_TRAPS = [
                  r"signal_airtime_ms: 0\.0001 ms rounds to 0 us", id="signal-airtime-0us"),
     pytest.param(with_key(("channel",), {"link_errors": [{"src": 1, "dst": 0, "p_success": -1}]}),
                  r"link_errors\[0\]\.p_success: must be >= 0", id="link-p-negative"),
+    pytest.param(with_key(("tdma",), {"slot_duration_ms": 0.0001, "slots": {1: 0}},
+                          {**minimal(), "mac": "tdma"}),
+                 r"scenario\.tdma\.slot_duration_ms: 0\.0001 ms rounds to 0 us",
+                 id="slot-duration-0us"),
+    # Link budgets too large for milliwatts: the first beacon's TxEnd raised
+    # OverflowError.
+    pytest.param(base_scenario_dict(channel={"tx_power_dbm": {"on_body": 4000}}),
+                 r"scenario\.channel: link 0 -> 1: received power 3970\.46 dBm is too large",
+                 id="tx-power-overflow"),
+    pytest.param(base_scenario_dict(channel={"path_loss": {"on_body": {"exponent": 1e10}}}),
+                 r"scenario\.channel: link 0 -> 0: received power 3e\+11 dBm is too large",
+                 id="exponent-overflow"),
+    pytest.param(base_scenario_dict(channel={"path_loss": {"on_body": {
+                     "ref_dist_m": 1e300, "ref_loss_db": 1e-300}}}),
+                 r"scenario\.channel: link 1 -> 1: received power 6060 dBm is too large",
+                 id="ref-dist-overflow"),
 ]
 
 
@@ -203,6 +220,17 @@ class TestRejections:
         raw = {"mac": "csma", "nodes": [{"id": 1}]}
         with pytest.raises(ScenarioError, match="horizon"):
             parse_scenario(raw)
+
+    def test_only_one_horizon(self):
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario({**minimal(), "horizon_superframes": 20})
+        assert err.value.violations == [
+            "scenario: give only one of horizon_s / horizon_superframes"]
+
+    def test_document_must_be_a_mapping(self):
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario([{"mac": "csma"}])
+        assert err.value.violations == ["scenario: scenario file is not a mapping"]
 
     @pytest.mark.parametrize("raw, match", NUMERIC_TRAPS)
     def test_numbers_that_would_hang_or_crash_a_run(self, raw, match):
@@ -340,7 +368,8 @@ class TestNullIsAbsent:
 class TestOneViolationPerRejectedValue:
     """A value that fails its own check is reported once, at its key path,
     and nothing runs on it afterwards.  Each of these used to add a second
-    or third violation, or to crash the loader."""
+    or third violation, or to crash the loader, unless its comment says
+    otherwise."""
 
     @pytest.mark.parametrize("raw, violation", [
         (with_key(("frames", "beacon_bits"), 0), "frames.beacon_bits: must be >= 1, got 0"),
@@ -371,6 +400,37 @@ class TestOneViolationPerRejectedValue:
         (with_key(("nodes",), []), "nodes: expected a non-empty list"),
         (with_key(("nodes",), [5]), "nodes[0]: expected a mapping, got int"),
         (with_key(("tdma",), 5, tdma_minimal()), "tdma: expected a mapping, got int"),
+        # These used to load: a negative power gave a negative energy, and a
+        # YAML boolean key stood for node 1.
+        (with_key(("energy", "wakeup_rx_mw"), -5.0),
+         "energy.wakeup_rx_mw: must be >= 0, got -5.0"),
+        (with_key(("tdma", "slots"), {True: 0}, tdma_minimal()), "tdma.slots: bad entry True: 0"),
+        (with_key(("wakeup", "frequencies"), {True: 1}), "wakeup.frequencies: bad entry True: 1"),
+        # These were checked by a record constructor at the record's path.
+        (with_key(("channel", "path_loss", "on_body"), {"ref_loss_db": 0}),
+         "channel.path_loss.on_body.ref_loss_db: must be positive"),
+        (with_key(("channel", "path_loss", "in_to_on"), {"ref_dist_m": -1}),
+         "channel.path_loss.in_to_on.ref_dist_m: must be positive"),
+        (with_key(("channel", "path_loss", "in_to_in"), {"exponent": 1.4}),
+         "channel.path_loss.in_to_in.exponent: must be >= 1.5, got 1.4"),
+        (with_key(("mac_params", "max_csma_backoffs"), -1),
+         "mac_params.max_csma_backoffs: must be >= 0, got -1"),
+        (with_key(("mac_params", "max_frame_retries"), -1),
+         "mac_params.max_frame_retries: must be >= 0, got -1"),
+        # These reach checks that no other input reached.
+        (with_key(("channel", "link_errors"), [{"src": 1, "dst": 0, "p_success": 1.5}]),
+         "channel.link_errors[0].p_success: must be <= 1.0, got 1.5"),
+        (with_key(("tdma", "slots"), {}, tdma_minimal()),
+         "tdma.slots: tdma requires a node id -> slot index mapping"),
+        (with_key(("tdma", "slots"), {1: 0, 2: 1}, tdma_minimal()),
+         "tdma.slots: slot assigned to unknown node 2"),
+        (with_key(("channel",), 5), "channel: expected a mapping, got int"),
+        (with_key(("channel", "path_loss"), 5), "channel.path_loss: expected a mapping, got int"),
+        (with_key(("channel", "link_errors"), 5), "channel.link_errors: expected a list"),
+        (with_key(("on_demand", 0, "time_s"), 11, with_query()),
+         "on_demand[0]: time_s 11 is beyond the run horizon"),
+        (with_key(("nodes", 0, "wakeup_receiver"), False, with_query()),
+         "on_demand[0]: target 1 has no wakeup receiver"),
     ], ids=lambda v: v.split(":")[0] if isinstance(v, str) else None)
     def test_reproducer(self, raw, violation):
         with pytest.raises(ScenarioError) as err:
@@ -431,7 +491,7 @@ class TestLoadFromFile(object):
         raw = minimal()
         raw["channel"] = {"link_errors": [{"src": 1, "dst": 0, "p_success": 0.84}]}
         scn = parse_scenario(raw)
-        assert scn.link_errors._entries == {(1, 0): 0.84}
+        assert scn.link_errors == {(1, 0): 0.84}
 
     def test_horizon_superframes_is_exact(self):
         raw = minimal()
@@ -443,69 +503,6 @@ class TestLoadFromFile(object):
 
 SHIPPED = {p.stem: yaml.safe_load(p.read_text())
            for p in sorted((Path(__file__).resolve().parent.parent / "scenarios").glob("*.yaml"))}
-
-
-def positions(tree, prefix=()):
-    """The key path of every value in a parsed YAML tree, the root excluded."""
-    if isinstance(tree, dict):
-        items = tree.items()
-    elif isinstance(tree, list):
-        items = enumerate(tree)
-    else:
-        return
-    for key, child in items:
-        yield prefix + (key,)
-        yield from positions(child, prefix + (key,))
-
-
-# Boundary values next to the ones `st.floats()` favours: a time at 1e303 s
-# no longer fits a float in microseconds, a rate at 5e-324 gives an infinite
-# period.
-EXTREMES = [0, -1, 0.5, 1e-9, 5e-324, 1e9, 1e303, 1.7976931348623157e308, 2**63]
-NUMBERS = st.one_of(st.integers(), st.floats(), st.sampled_from(EXTREMES))
-ANY_VALUE = st.one_of(
-    st.none(), st.booleans(), NUMBERS, st.text(max_size=4),
-    st.lists(st.integers(), max_size=2),
-    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
-)
-
-
-@st.composite
-def mutated_shipped_scenarios(draw):
-    """A shipped scenario in which each value is, with probability 1/8,
-    deleted or replaced: a number mostly by another number, anything else by
-    a value of any type.  Positions are visited children first and last
-    sibling first, so every path stays valid while the tree changes."""
-    name = draw(st.sampled_from(sorted(SHIPPED)))
-    raw = copy.deepcopy(SHIPPED[name])
-    for *up, key in reversed(list(positions(raw))):
-        if draw(st.integers(0, 7)) < 7:
-            continue
-        parent = raw
-        for step in up:
-            parent = parent[step]
-        old = parent[key]
-        how = draw(st.integers(0, 3))
-        if how == 0:
-            del parent[key]
-        elif isinstance(old, (int, float)) and not isinstance(old, bool) and how < 3:
-            parent[key] = draw(NUMBERS)
-        else:
-            parent[key] = draw(ANY_VALUE)
-    return name, raw
-
-
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(mutated_shipped_scenarios())
-def test_mutated_shipped_scenarios_parse_or_raise_scenario_error(case):
-    name, raw = case
-    try:
-        parse_scenario(raw, name=name)
-    except ScenarioError:
-        pass
-
-
-# -- one declaration per key: null, rejected values, documented defaults -------
 
 # Two valid scenarios that together set every declared key.
 FULL_CSMA = {
@@ -551,6 +548,85 @@ FULL_TDMA = {
     "nodes": [{"id": 1, "traffic": {"rate_per_hour": 3600.0}}, {"id": 2, "class": "normal_low"}],
 }
 DOCUMENTS = {**SHIPPED, "full_csma": FULL_CSMA, "full_tdma": FULL_TDMA}
+
+
+def positions(tree, prefix=()):
+    """The key path of every value in a parsed YAML tree, the root excluded."""
+    if isinstance(tree, dict):
+        items = tree.items()
+    elif isinstance(tree, list):
+        items = enumerate(tree)
+    else:
+        return
+    for key, child in items:
+        yield prefix + (key,)
+        yield from positions(child, prefix + (key,))
+
+
+# Boundary values next to the ones `st.floats()` favours: a time at 1e303 s
+# no longer fits a float in microseconds, a rate at 5e-324 gives an infinite
+# period.
+EXTREMES = [0, -1, 0.5, 1e-9, 5e-324, 1e9, 1e303, 1.7976931348623157e308, 2**63]
+NUMBERS = st.one_of(st.integers(), st.floats(), st.sampled_from(EXTREMES))
+ANY_VALUE = st.one_of(
+    st.none(), st.booleans(), NUMBERS, st.text(max_size=4),
+    st.lists(st.integers(), max_size=2),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+)
+
+
+@st.composite
+def mutated_shipped_scenarios(draw, one_in=8):
+    """A shipped scenario or a full fixture in which each value is, with
+    probability 1/`one_in`, deleted or replaced: a number mostly by another
+    number, anything else by a value of any type.  The fixtures set the
+    channel and energy keys that no shipped scenario sets.  Positions are
+    visited children first and last sibling first, so every path stays valid
+    while the tree changes."""
+    name = draw(st.sampled_from(sorted(DOCUMENTS)))
+    raw = copy.deepcopy(DOCUMENTS[name])
+    for *up, key in reversed(list(positions(raw))):
+        if draw(st.integers(1, one_in)) > 1:
+            continue
+        parent = raw
+        for step in up:
+            parent = parent[step]
+        old = parent[key]
+        how = draw(st.integers(0, 3))
+        if how == 0:
+            del parent[key]
+        elif isinstance(old, (int, float)) and not isinstance(old, bool) and how < 3:
+            parent[key] = draw(NUMBERS)
+        else:
+            parent[key] = draw(ANY_VALUE)
+    return name, raw
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(mutated_shipped_scenarios())
+def test_mutated_shipped_scenarios_parse_or_raise_scenario_error(case):
+    name, raw = case
+    try:
+        parse_scenario(raw, name=name)
+    except ScenarioError:
+        pass
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(mutated_shipped_scenarios(one_in=48))
+def test_accepted_mutants_run(case):
+    """Every scenario the loader accepts runs, here for its first 20 ms.  One
+    value in 48 changes, so about half of the mutants are accepted."""
+    name, raw = case
+    try:
+        scenario = parse_scenario(raw, name=name)
+    except ScenarioError:
+        return
+    scenario.horizon_us = min(scenario.horizon_us, 20_000)
+    Simulation(scenario).run()
+
+
+# -- one declaration per key: null, rejected values, documented defaults -------
 
 
 def key_paths(tree, path=()):

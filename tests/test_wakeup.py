@@ -95,11 +95,6 @@ class TestSignals:
         cfg = WakeupConfig(mode=Addressing.FREQUENCY_ADDRESSED, frequencies={3: 1})
         assert resolve_wakeup_targets(3, [1, 2, 4], cfg) == []
 
-    def test_frequency_addressed_without_assignment_errors(self):
-        cfg = WakeupConfig(mode=Addressing.FREQUENCY_ADDRESSED, frequencies={2: 1})
-        with pytest.raises(ValueError, match="node 3 has no wakeup frequency"):
-            resolve_wakeup_targets(3, [1, 2, 3], cfg)
-
     @pytest.mark.parametrize("mode", list(Addressing))
     def test_to_bnc_wakes_the_bnc(self, mode):
         cfg = WakeupConfig(mode=mode, frequencies={})
