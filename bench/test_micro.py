@@ -18,7 +18,6 @@ from wbansim.channel import ChannelModel, LossReason
 from wbansim.core import Criticality, Frame, FrameKind, Placement, PlacementKind, TrafficClass
 from wbansim.engine import EventKind, Scheduler, fire
 from wbansim.mac_csma import BackoffPolicy, CsmaAction, CsmaBackoffFsm, backoff_draw
-from wbansim.metrics import RadioState
 from wbansim.scenario import load_scenario
 from wbansim.simulation import PendingQueue, Simulation
 
@@ -69,7 +68,7 @@ def test_tdma_data_frame_round_trip(benchmark):
     sim.scheduler._heap.clear()  # no beacons or arrivals: only the round trips run
     # Listening and held awake, as in the slot region: without the hold the
     # coordinator dozes once the first frame ends.
-    sim.set_state(sim.bnc, RadioState.IDLE_LISTEN, 0)
+    sim.set_state(sim.bnc, 0)
     sim.bnc.hold_awake_until = 2**62
     dev = sim.devices[1]
     frame = Frame(FrameKind.DATA, 1, 0, dev.profile.payload_bits,
@@ -181,17 +180,21 @@ def test_pending_queue_push_remove(benchmark):
 
 
 def test_simulation_set_state(benchmark):
-    """Four radio-state transitions of one device through `Simulation.set_state`."""
+    """Four radio-state transitions of one device through `Simulation.set_state`:
+    idle_listen, tx, rx and the sleep state, each from the facts it reads
+    (`tx_until`, `incoming`, awake or not)."""
     sim = Simulation(load_scenario(SCENARIOS / "tdma_three_links.yaml"), seed=1)
     dev = sim.devices[1]
-    cycle = [RadioState.IDLE_LISTEN, RadioState.TX, RadioState.RX, RadioState.SLEEP]
+    cycle = [(0, 0, True), (2**62, 0, True), (0, 1, True), (0, 0, False)]
     clock = iter(range(1, 10**9))
 
     def four_changes():
-        for state in cycle:
-            sim.set_state(dev, state, next(clock))
+        for tx_until, incoming, awake in cycle:
+            dev.tx_until, dev.incoming = tx_until, incoming
+            sim.set_state(dev, next(clock), awake)
 
     benchmark(four_changes)
+    assert dev.state is dev.sleep_state
     assert sum(dev.state_us.values()) == dev.since
 
 

@@ -159,9 +159,11 @@ class ActiveTx:
     reception decision needs.
     Holding no reference to the other `ActiveTx` keeps an ended transmission
     from being kept alive by a chain of overlaps.  `receivers` lists the
-    devices that receive it, fixed by the simulation when it starts: a
-    beacon's listeners, or a unicast frame's destination if that device was
-    awake and not itself transmitting (none otherwise).
+    devices that receive it, fixed by `Simulation._tx_started` when it
+    starts: a beacon's listeners, or a unicast frame's destination if that
+    device was awake and not itself transmitting (none otherwise).  Each
+    counts it in `incoming`, which `Simulation.set_state` reads, until its
+    end.
     """
 
     __slots__ = ("frame", "budget", "start", "end", "interferers", "receivers")

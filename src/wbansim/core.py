@@ -77,12 +77,9 @@ class Placement:
 
     def __init__(self, kind: PlacementKind = PlacementKind.ON_BODY, x_m: float = 0.0,
                  y_m: float = 0.0, z_m: float = 0.0, depth_m: float | None = None) -> None:
-        if kind is PlacementKind.IN_BODY:
-            if depth_m is None:
-                raise ValueError("in-body placement requires depth_m")
-            if not 0.0 < depth_m <= 0.2:
-                raise ValueError(f"depth_m must be in (0, 0.2], got {depth_m}")
-        elif depth_m is not None:
+        if kind is PlacementKind.IN_BODY and depth_m is None:
+            raise ValueError("in-body placement requires depth_m")
+        if kind is not PlacementKind.IN_BODY and depth_m is not None:
             raise ValueError("depth_m only valid for in-body placement")
         self.kind = kind
         self.x_m = x_m
@@ -186,14 +183,8 @@ class SuperframeConfig:
 
     def __init__(self, beacon_order: int = 6, superframe_order: int = 6,
                  symbol_rate_sps: int = 62_500) -> None:
-        if not 0 <= superframe_order <= beacon_order <= 14:
-            raise ValueError(
-                f"need 0 <= SO <= BO <= 14, got SO={superframe_order} BO={beacon_order}"
-            )
-        if symbol_rate_sps <= 0 or 1_000_000 % symbol_rate_sps != 0:
-            raise ValueError(
-                f"symbol rate must divide 1e6 for exact microsecond timing, got {symbol_rate_sps}"
-            )
+        if superframe_order > beacon_order:
+            raise ValueError(f"need SO <= BO, got SO={superframe_order} BO={beacon_order}")
         self.beacon_order = beacon_order
         self.superframe_order = superframe_order
         self.symbol_rate_sps = symbol_rate_sps

@@ -151,7 +151,6 @@ class CsmaMac:
         bnc.in_cap = True
         schedule = self.scheduler.schedule
         for dev in listeners:
-            dev.cap_anchor, dev.cap_end = anchor, cap_end
             schedule(cap_end, SLOT_BOUNDARY, dev.id, self.on_cap_end, (dev,))
         schedule(cap_end, SLOT_BOUNDARY, BNC_ID, self.on_cap_end, (bnc,))
         return anchor, cap_end, ()

@@ -131,11 +131,11 @@ class TdmaMac:
         sim = self.sim
         now = self.scheduler.now
         dev.slot_end = slot_end
-        sim.wake_to_idle(dev)
+        sim.set_state(dev, now)
         # An emergency window may own the channel; yield the whole slot then.
         if self.channel.cca_energy_detect(dev.placement, self.cca_threshold_dbm, now) is BUSY:
             sim.ledger.loss_reasons["slot_yielded"] += 1
-            dev.slot_end = None
+            dev.slot_end = 0
             sim.maybe_sleep(dev)
             return
         self._tx_next(dev)
@@ -150,7 +150,7 @@ class TdmaMac:
             if now + self.air_us(frame.size_bits) <= dev.slot_end:
                 sim.begin_tx(dev, frame, now)
                 return
-        dev.slot_end = None
+        dev.slot_end = 0
         sim.maybe_sleep(dev)
 
     def on_tx_end(self, dev, tx, delivered: bool) -> None:
@@ -163,10 +163,5 @@ class TdmaMac:
         if delivered:
             sim.receive(frame)
         sim.release(dev, frame)
-        now = self.scheduler.now
-        if dev.slot_end is not None and now < dev.slot_end and dev.queue:
-            self._tx_next(dev)
-        else:
-            dev.slot_end = None
-            sim.maybe_sleep(dev)
+        self._tx_next(dev)
         sim.maybe_sleep(self.bnc)  # its receiver dozes unless a hold, e.g. the slot region, is on

@@ -198,8 +198,18 @@ def _airtime_ms(v):
 
 _REAL, _INT, _COUNT = _number(), _integer(), _integer(lo=1)
 _SECONDS = _number(lo=0, unit_us=1_000_000)
+_ORDER = _number(0, 14, integer=True)  # a beacon or superframe order
+
+
+def _symbol_rate(v):
+    """Symbols per second that divide 10^6, for exact microsecond timing."""
+    if 1_000_000 % (v := _COUNT(v)):
+        raise _Bad(f"must divide 1000000 for exact microsecond timing, got {v}")
+    return v
+
+
 _PLACEMENT = {"kind": _choice(PlacementKind), "x_m": _REAL, "y_m": _REAL,
-              "z_m": _REAL, "depth_m": _REAL}
+              "z_m": _REAL, "depth_m": _number(hi=0.2, positive=True)}
 _PATH_LOSS = {"ref_loss_db": _number(positive=True), "ref_dist_m": _number(positive=True),
               "exponent": _number(lo=1.5)}
 _LINK = {"src": _integer(lo=0), "dst": _integer(lo=0), "p_success": _number(0.0, 1.0)}
@@ -228,8 +238,8 @@ KEYS = {
     "horizon_s": ("horizon_us", _number(positive=True, unit_us=1_000_000)),
     "horizon_superframes": _COUNT,
     "seed": _INT,
-    "superframe": {k: _INT for k in ("beacon_order", "superframe_order",
-                                           "symbol_rate_sps")},
+    "superframe": {"beacon_order": _ORDER, "superframe_order": _ORDER,
+                   "symbol_rate_sps": _symbol_rate},
     "mac_params": {"min_be_critical": _INT, "min_be_noncritical": _INT, "max_be": _INT,
                    "max_csma_backoffs": _integer(lo=0), "max_frame_retries": _integer(lo=0)},
     "tdma": {
@@ -494,11 +504,14 @@ def _link_errors(ck: _Check, raw: object, path: str, nodes: dict | None) -> dict
 
 
 def _link_budgets(ck: _Check, path: str, params: ChannelParams, devices: list) -> None:
-    """The channel can hold every link budget in milliwatts: each ordered
-    pair of devices, a device with itself included."""
+    """Every link budget is finite and the channel can hold it in milliwatts:
+    each ordered pair of devices, a device with itself included."""
     for src, at in devices:
         for dst, to in devices:
             rx = rx_power_dbm(params.tx_power_for(at), at, to, params.path_loss)
+            if not math.isfinite(rx):
+                ck.err(path, f"link {src} -> {dst}: received power {rx} dBm is not finite")
+                continue
             try:
                 dbm_to_mw(rx)
             except OverflowError:

@@ -28,14 +28,14 @@ delivered, dropped or still queued, exactly once.
 A device's low-power state is `wakeup_rx` when it carries an always-on wakeup
 receiver and plain `sleep` otherwise; together with tx/rx/idle_listen this
 partitions every microsecond of the run, per device.  Each `Device` holds its
-own radio state, the time it entered it and the closed time per state;
-`Simulation.set_state(dev, state, now)` is the one transition, and `run`
-closes the last interval at the horizon and hands the totals to the ledger.
-One rule decides the state after every handler: tx while `tx_until > now`,
-otherwise rx while `incoming > 0`, otherwise idle_listen or the sleep state,
-which only `maybe_sleep` enters.  The main radio is on exactly when the state
-is not the sleep state, and `hold_awake_until` is the one hold that keeps it
-on: a query, an emergency grant and a spurious wake each raise it with `max`.
+own radio state, the time it entered it and the closed time per state; `run`
+closes the last interval at the horizon.  `Simulation.set_state(dev, now,
+awake=True)` is the rule and the one transition: tx while `tx_until > now`,
+otherwise rx while `incoming > 0`, otherwise idle_listen if `awake`, else the
+sleep state; every other site updates a fact and calls it.  Only `maybe_sleep`
+passes `awake=False`: outside a CAP, a slot or window (`slot_end` is 0 while
+none is open) and the one hold, `hold_awake_until`, which a query, an
+emergency grant and a spurious wake each raise with `max`.
 
 The wakeup radio is out of band and ideal apart from an optional loss draw.
 A wakeup signal is a `WAKEUP_SIGNAL` frame that never enters the channel: its
@@ -183,7 +183,7 @@ class Device:
         self.attempt_frame: Frame | None = None  # frame bound to the ongoing attempt
         self.attempt_us = 0  # its acked transaction: data, turnaround, ack
         # TDMA slot state
-        self.slot_end: SimTime | None = None
+        self.slot_end: SimTime = 0  # 0 while no slot or emergency window is open
         # Radio state: the current one, since when, and the closed time in us per
         # state, keyed in first-entry order (see Simulation.set_state).
         self.state = sleep_state
@@ -280,11 +280,19 @@ class Simulation:
         self._seq += 1
         return self._seq
 
-    def set_state(self, dev: Device, state: RadioState, now: SimTime) -> None:
-        """The one radio-state transition: close the device's current interval
-        at `now` and open one in `state`.  A state's key enters `state_us`
-        when its first interval closes, so the keys keep first-entry order,
-        which is the order `energy_mj` sums them in."""
+    def set_state(self, dev: Device, now: SimTime, awake: bool = True) -> None:
+        """The radio-state rule (see the module docstring); a change closes the
+        current interval at `now`.  A state's key enters `state_us` when its
+        first interval closes, so the keys keep first-entry order, which is
+        the order `energy_mj` sums them in."""
+        if dev.tx_until > now:
+            state = TX
+        elif dev.incoming:
+            state = RX
+        elif awake:
+            state = IDLE
+        else:
+            state = dev.sleep_state
         prev = dev.state
         if state is prev:
             return
@@ -293,22 +301,11 @@ class Simulation:
         dev.state = state
         dev.since = now
 
-    def wake_to_idle(self, dev: Device) -> None:
-        """Turn the main radio on without clobbering an ongoing tx/rx."""
-        now = self.scheduler.now
-        if dev.tx_until <= now and not dev.incoming:
-            self.set_state(dev, IDLE, now)
-
     def maybe_sleep(self, dev: Device) -> None:
+        """The main radio may go off: not in a CAP or a slot, and no hold on."""
         now = self.scheduler.now
-        if dev.in_cap or dev.incoming > 0 or dev.tx_until > now:
-            return
-        if dev.slot_end is not None and now < dev.slot_end:
-            return
-        if now < dev.hold_awake_until:
-            self.set_state(dev, IDLE, now)
-            return
-        self.set_state(dev, dev.sleep_state, now)
+        if not dev.in_cap and now >= dev.slot_end:
+            self.set_state(dev, now, now < dev.hold_awake_until)
 
     # -- superframe loop --------------------------------------------------------------
 
@@ -324,15 +321,12 @@ class Simulation:
             if is_awake(dev.profile.wakeup_multiplier, sf_index) or dev.grant_active:
                 listeners.append(dev)
                 ledger.node_awake_superframes[node_id] += 1
-                dev.incoming += 1  # the beacon, until its TxEnd
-                if dev.tx_until <= now:
-                    self.set_state(dev, RX, now)
         if listeners:
             ledger.bnc_awake_superframes += 1
             anchor, end, commands = self.mac.start_superframe(now, listeners)
             beacon = make_beacon(sf_index, anchor, end, self.fp.beacon_bits, now,
                                  self.next_seq(), commands)
-            self.begin_tx(self.bnc, beacon, now).receivers = listeners
+            self.begin_tx(self.bnc, beacon, now, listeners)
         else:
             self.maybe_sleep(self.bnc)
         next_t = (sf_index + 1) * self.sf.beacon_interval_us
@@ -342,8 +336,10 @@ class Simulation:
 
     # -- transmissions -------------------------------------------------------------------
 
-    def begin_tx(self, dev: Device, frame: Frame, start: SimTime):
+    def begin_tx(self, dev: Device, frame: Frame, start: SimTime, listeners: list = ()):
+        """Put `frame` on the air at `start`; a beacon's receivers are `listeners`."""
         tx = self.channel.register_tx(frame, dev.placement, start, self.air_us(frame.size_bits))
+        tx.receivers = listeners
         schedule = self.scheduler.schedule
         if start <= self.scheduler.now:
             self._tx_started(dev, tx)
@@ -356,14 +352,15 @@ class Simulation:
         now = self.scheduler.now
         if tx.end > dev.tx_until:
             dev.tx_until = tx.end
-        self.set_state(dev, TX, now)
+        self.set_state(dev, now)
         frame = tx.frame
-        if frame.dst >= 0:  # unicast; `_on_beacon_due` sets a beacon's receivers
+        if frame.dst >= 0:  # unicast; a beacon's receivers are its listeners
             ddev = self.devices[frame.dst]
             if ddev.state is not ddev.sleep_state and ddev.tx_until <= now:
                 tx.receivers = (ddev,)
-                ddev.incoming += 1
-                self.set_state(ddev, RX, now)
+        for ddev in tx.receivers:
+            ddev.incoming += 1
+            self.set_state(ddev, now)
 
     def _on_tx_end(self, tx) -> None:
         """Each receiver leaves rx and gets its reception outcome.  Each of a
@@ -381,8 +378,7 @@ class Simulation:
         delivered = False
         for ddev in tx.receivers:
             ddev.incoming -= 1
-            if ddev.incoming == 0 and ddev.tx_until <= now:
-                self.set_state(ddev, IDLE, now)
+            self.set_state(ddev, now)
             outcome = deliver(tx, ddev.placement, rng, ddev.id)
             if beacon:
                 if outcome is None:
@@ -403,7 +399,7 @@ class Simulation:
         TxEnd at its last transmission's end takes it out of tx."""
         if 0 < dev.tx_until <= now:
             dev.tx_until = 0
-            self.set_state(dev, RX if dev.incoming else IDLE, now)
+            self.set_state(dev, now)
             self.maybe_sleep(dev)
 
     # -- traffic -----------------------------------------------------------------------------
@@ -474,7 +470,7 @@ class Simulation:
         )
         end = now + self.wc.signal_airtime_us
         dev.tx_until = max(dev.tx_until, end)
-        self.set_state(dev, TX, now)
+        self.set_state(dev, now)
         self.scheduler.schedule(end, TX_END, dev.id, self._on_wakeup_signal_end, (sig,))
 
     def _send_emergency_signal(self, flow: EmergencyFlow) -> None:
@@ -490,7 +486,7 @@ class Simulation:
 
     def _start_query(self, entry: OnDemandEntry) -> None:
         bnc = self.bnc
-        self.wake_to_idle(bnc)
+        self.set_state(bnc, self.scheduler.now)
         bnc.hold_awake_until = max(bnc.hold_awake_until, self.next_boundary())
         self._send_signal(bnc, entry.target, entry)
 
@@ -532,23 +528,23 @@ class Simulation:
         if flow.granted:
             return
         flow.granted = True
-        self.wake_to_idle(bnc)
+        self.set_state(bnc, self.scheduler.now)
         self.mac.grant_emergency(bnc, self.devices[flow.frame.src], flow)
         self.maybe_sleep(bnc)
 
     def _spurious_wake(self, dev: Device) -> None:
         self.ledger.spurious_wakeups[dev.id] += 1
-        self.wake_to_idle(dev)
+        self.set_state(dev, self.scheduler.now)
         until = self.scheduler.now + self.sf.active_duration_us
         dev.hold_awake_until = max(dev.hold_awake_until, until)
         self.scheduler.schedule(until, SLOT_BOUNDARY, dev.id, self.maybe_sleep, (dev,))
 
     def _answer_query(self, dev: Device, entry: OnDemandEntry) -> None:
-        self.wake_to_idle(dev)
+        now = self.scheduler.now
+        self.set_state(dev, now)
         dev.grant_active = True
         dev.hold_awake_until = max(dev.hold_awake_until, self.next_boundary())
         if entry.continuous:
-            now = self.scheduler.now
             until = now + entry.duration_us
             self.scheduler.schedule(now, TRAFFIC_ARRIVAL, dev.id, self._on_stream_arrival,
                                     (dev, until, entry.interval_us))

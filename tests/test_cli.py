@@ -54,6 +54,29 @@ class TestExitCodes:
         assert main(["--scenario", str(bad), "--out", str(tmp_path / "out")]) == 2
         assert "nan.horizon_s: must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("raw, message", [
+        (base_scenario_dict(channel={"tx_power_dbm": {"on_body": 4000}}),
+         "bad.channel: link 0 -> 1: received power 3970.46 dBm is too large to convert"),
+        (base_scenario_dict(channel={"path_loss": {"on_body": {"exponent": 1e308,
+                                                               "ref_dist_m": 0.3}}}),
+         "bad.channel: link 0 -> 1: received power nan dBm is not finite"),
+        (base_scenario_dict(superframe={"beacon_order": 15, "superframe_order": 3}),
+         "bad.superframe.beacon_order: must be <= 14, got 15"),
+        (base_scenario_dict(superframe={"symbol_rate_sps": 60_000}),
+         "bad.superframe.symbol_rate_sps: must divide 1000000"),
+        (base_scenario_dict(nodes=[{"id": 1, "placement": {"kind": "in_body", "depth_m": 0.5}}]),
+         "bad.nodes[0].placement.depth_m: must be <= 0.2, got 0.5"),
+    ], ids=["budget-overflow", "budget-nan", "beacon-order", "symbol-rate", "depth"])
+    def test_rejected_budget_or_value_is_two_with_key_path(self, tmp_path, capsys, raw, message):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(yaml.safe_dump(raw), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["--scenario", str(bad), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_horizon_rounding_to_zero_is_two_with_key_path(self, tmp_path, capsys):
         bad = tmp_path / "tiny.yaml"
         raw = base_scenario_dict(horizon_s=0.0000004)

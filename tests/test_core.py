@@ -64,11 +64,6 @@ class TestPlacement:
         with pytest.raises(ValueError):
             Placement(PlacementKind.IN_BODY, 0.1, 0, 0)
 
-    def test_depth_range(self):
-        with pytest.raises(ValueError):
-            Placement(PlacementKind.IN_BODY, 0.1, 0, 0, depth_m=0.5)
-        Placement(PlacementKind.IN_BODY, 0.1, 0, 0, depth_m=0.2)
-
     def test_on_body_rejects_depth(self):
         with pytest.raises(ValueError):
             Placement(PlacementKind.ON_BODY, 0.1, 0, 0, depth_m=0.05)

@@ -28,10 +28,6 @@ class TestSuperframeConfig:
         with pytest.raises(ValueError):
             SuperframeConfig(beacon_order=3, superframe_order=4)
 
-    def test_symbol_rate_must_give_exact_microseconds(self):
-        with pytest.raises(ValueError):
-            SuperframeConfig(symbol_rate_sps=60_000)
-
     def test_default_bitrate(self):
         assert SuperframeConfig().default_bitrate_bps == 250_000
 

@@ -19,18 +19,27 @@ from wbansim.metrics import (
 )
 from wbansim.simulation import Simulation
 
-from conftest import make_scenario
+from conftest import base_scenario_dict, make_scenario
 
 NH = TrafficClass.NORMAL_HIGH
+IDLE, RX, TX = RadioState.IDLE_LISTEN, RadioState.RX, RadioState.TX
 
 
-def idle_simulation(horizon_us):
+def idle_simulation(horizon_us, wakeup_receiver=True):
     """A one-node run with nothing scheduled, so only the test moves the radio
-    states; `run` then closes every last interval at `horizon_us`."""
-    sim = Simulation(make_scenario(), seed=1)
+    states; `run` then closes every last interval at `horizon_us`.  The node
+    sleeps in `wakeup_rx`, or in plain `sleep` without a wakeup receiver."""
+    node = {**base_scenario_dict()["nodes"][0], "wakeup_receiver": wakeup_receiver}
+    sim = Simulation(make_scenario(nodes=[node]), seed=1)
     sim.scheduler._heap.clear()
     sim.horizon_us = horizon_us
     return sim, sim.devices[1]
+
+
+def move(sim, dev, now, tx_until=0, incoming=0, awake=True):
+    """Set the facts the radio-state rule reads, then apply it at `now`."""
+    dev.tx_until, dev.incoming = tx_until, incoming
+    sim.set_state(dev, now, awake)
 
 
 class TestPdr:
@@ -54,16 +63,17 @@ class TestPdr:
 
 class TestEnergy:
     def test_pure_sleep_one_second(self):
-        sim, dev = idle_simulation(1_000_000)
-        sim.set_state(dev, RadioState.SLEEP, 0)
+        sim, dev = idle_simulation(1_000_000, wakeup_receiver=False)
+        move(sim, dev, 0, awake=False)
+        assert dev.state is RadioState.SLEEP
         ledger = sim.run()
         assert ledger.energy_mj(1, EnergyModel()) == pytest.approx(0.06)
 
     def test_mixed_states_hand_arithmetic(self):
         # 10 ms tx at 52.2 mW + 990 ms sleep at 0.06 mW = 0.5814 mJ
-        sim, dev = idle_simulation(1_000_000)
-        sim.set_state(dev, RadioState.TX, 0)
-        sim.set_state(dev, RadioState.SLEEP, 10_000)
+        sim, dev = idle_simulation(1_000_000, wakeup_receiver=False)
+        move(sim, dev, 0, tx_until=10_000)
+        move(sim, dev, 10_000, awake=False)
         ledger = sim.run()
         assert ledger.energy_mj(1, EnergyModel()) == pytest.approx(0.5814)
 
@@ -75,29 +85,49 @@ class TestEnergy:
 
     def test_state_durations_partition_the_run(self):
         sim, dev = idle_simulation(1000)
-        sim.set_state(dev, RadioState.RX, 100)
-        sim.set_state(dev, RadioState.TX, 250)
-        sim.set_state(dev, RadioState.SLEEP, 400)
+        move(sim, dev, 100, incoming=1)
+        move(sim, dev, 250, tx_until=400, incoming=1)
+        move(sim, dev, 400, awake=False)
         ledger = sim.run()
         assert sum(ledger.state_us[1].values()) == 1000
         assert ledger.state_us[1][RadioState.IDLE_LISTEN] == 0  # never entered
 
     def test_repeated_state_is_no_transition(self):
         sim, dev = idle_simulation(1000)
-        sim.set_state(dev, RadioState.RX, 100)
-        sim.set_state(dev, RadioState.RX, 300)
-        assert (dev.state, dev.since) == (RadioState.RX, 100)
-        assert sim.run().state_us[1][RadioState.RX] == 900
+        move(sim, dev, 100, incoming=1)
+        move(sim, dev, 300, incoming=2)
+        assert (dev.state, dev.since) == (RX, 100)
+        assert sim.run().state_us[1][RX] == 900
 
     def test_states_keep_first_entry_order(self):
         # energy_mj sums in this order, so it is part of the CSV bytes
         sim, dev = idle_simulation(1000)
-        for t, state in enumerate((RadioState.TX, RadioState.IDLE_LISTEN, RadioState.RX,
-                                   RadioState.TX, RadioState.SLEEP), start=1):
-            sim.set_state(dev, state, 100 * t)
-        assert list(sim.run().state_us[1]) == [
-            dev.sleep_state, RadioState.TX, RadioState.IDLE_LISTEN, RadioState.RX,
-            RadioState.SLEEP]
+        move(sim, dev, 100, tx_until=200)
+        move(sim, dev, 200)
+        move(sim, dev, 300, incoming=1)
+        move(sim, dev, 400, tx_until=500)
+        move(sim, dev, 500, awake=False)
+        assert dev.state is dev.sleep_state
+        assert list(sim.run().state_us[1]) == [dev.sleep_state, TX, IDLE, RX]
+
+    # The rule, one row per combination of (tx_until > now, incoming > 0,
+    # awake); None stands for the device's own sleep state.
+    @pytest.mark.parametrize("tx, rx, awake, expected", [
+        (True, True, True, TX),
+        (True, True, False, TX),
+        (True, False, True, TX),
+        (True, False, False, TX),
+        (False, True, True, RX),
+        (False, True, False, RX),
+        (False, False, True, IDLE),
+        (False, False, False, None),
+    ])
+    @pytest.mark.parametrize("wakeup_receiver", [True, False], ids=["wakeup_rx", "sleep"])
+    def test_set_state_rule(self, tx, rx, awake, expected, wakeup_receiver):
+        sim, dev = idle_simulation(1000, wakeup_receiver)
+        # tx_until == now is a transmission that ends now: no longer tx.
+        move(sim, dev, 100, tx_until=101 if tx else 100, incoming=int(rx), awake=awake)
+        assert dev.state is (dev.sleep_state if expected is None else expected)
 
     def test_power_ordering_enforced(self):
         with pytest.raises(ValueError):

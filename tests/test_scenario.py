@@ -106,6 +106,13 @@ NUMERIC_TRAPS = [
                      "ref_dist_m": 1e300, "ref_loss_db": 1e-300}}}),
                  r"scenario\.channel: link 1 -> 1: received power 6060 dBm is too large",
                  id="ref-dist-overflow"),
+    # Link budgets that are not a number: 10 x exponent overflows to inf, and
+    # inf x log10(1) at the reference distance is NaN.  The run delivered
+    # every frame, since no comparison with NaN holds.
+    pytest.param(base_scenario_dict(channel={"path_loss": {"on_body": {
+                     "exponent": 1e308, "ref_dist_m": 0.3}}}),
+                 r"scenario\.channel: link 0 -> 1: received power nan dBm is not finite",
+                 id="exponent-nan"),
 ]
 
 
@@ -160,6 +167,10 @@ class TestRejections:
         raw["superframe"] = {"beacon_order": 6, "cargo": 1}
         with pytest.raises(ScenarioError, match="superframe: unknown key 'cargo'"):
             parse_scenario(raw)
+
+    def test_deepest_implant_loads(self):
+        raw = with_key(("nodes", 0, "placement"), {"kind": "in_body", "depth_m": 0.2})
+        assert parse_scenario(raw).nodes[0].profile.placement.depth_m == 0.2
 
     def test_tdma_frame_larger_than_slot_cites_both_values(self):
         raw = {
@@ -431,6 +442,23 @@ class TestOneViolationPerRejectedValue:
          "on_demand[0]: time_s 11 is beyond the run horizon"),
         (with_key(("nodes", 0, "wakeup_receiver"), False, with_query()),
          "on_demand[0]: target 1 has no wakeup receiver"),
+        # These were checked by a record constructor at the record's path.
+        (with_key(("superframe", "beacon_order"), 15),
+         "superframe.beacon_order: must be <= 14, got 15"),
+        (with_key(("superframe", "superframe_order"), -1),
+         "superframe.superframe_order: must be >= 0, got -1"),
+        (with_key(("superframe", "symbol_rate_sps"), 60_000),
+         "superframe.symbol_rate_sps: must divide 1000000 for exact microsecond timing, "
+         "got 60000"),
+        (with_key(("superframe", "symbol_rate_sps"), 0),
+         "superframe.symbol_rate_sps: must be >= 1, got 0"),
+        (with_key(("nodes", 0, "placement"), {"kind": "in_body", "depth_m": 0.5}),
+         "nodes[0].placement.depth_m: must be <= 0.2, got 0.5"),
+        (with_key(("nodes", 0, "placement"), {"kind": "in_body", "depth_m": 0.0}),
+         "nodes[0].placement.depth_m: must be positive"),
+        # SuperframeConfig keeps the rule across its two orders.
+        (with_key(("superframe",), {"beacon_order": 3, "superframe_order": 4}),
+         "superframe: need SO <= BO, got SO=4 BO=3"),
     ], ids=lambda v: v.split(":")[0] if isinstance(v, str) else None)
     def test_reproducer(self, raw, violation):
         with pytest.raises(ScenarioError) as err:

@@ -18,6 +18,8 @@ from wbansim.simulation import PendingQueue, Simulation
 from wbansim.wakeup import is_awake
 
 from conftest import make_scenario
+from test_cap_boundary import GENERATED, build as build_generated
+from test_golden import VARIANTS
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -899,13 +901,29 @@ class TestRadioStateInvariants:
         check()
         return checks, violations, received
 
-    @pytest.mark.parametrize("seed", [1, 2, 3])
-    @pytest.mark.parametrize("path", TestFrameConservation.SHIPPED, ids=lambda p: p.stem)
-    def test_incoming_and_tx_until_agree_with_the_state(self, path, seed):
-        sim = Simulation(load_scenario(path), seed=seed)
-        checks, violations, _ = self.run_checked(
-            sim, self.HORIZON_US.get(path.stem, sim.horizon_us))
-        assert checks > 500
+    # The shipped scenarios and the golden variants at seeds 1-3, and the
+    # generated CSMA scenarios of test_cap_boundary.py at their own seeds.
+    # The variants reach the TDMA emergency window, the slot yield and a lossy
+    # wakeup radio.
+    RUNS = ([(p.stem, seed) for p in TestFrameConservation.SHIPPED for seed in (1, 2, 3)]
+            + [(name, seed) for name in sorted(VARIANTS) for seed in (1, 2, 3)]
+            + [(f"generated{i}", None) for i in range(GENERATED)])
+
+    @pytest.mark.parametrize("name, seed", RUNS,
+                             ids=[name if seed is None else f"{name}-{seed}"
+                                  for name, seed in RUNS])
+    def test_incoming_and_tx_until_agree_with_the_state(self, name, seed):
+        if name in VARIANTS:
+            base, sections = VARIANTS[name]
+            raw = yaml.safe_load((SCENARIOS / f"{base}.yaml").read_text(encoding="utf-8"))
+            sim = Simulation(parse_scenario({**raw, **sections}, name=name), seed=seed)
+        elif seed is None:
+            sim, _ = build_generated(name, None)
+        else:
+            sim = Simulation(load_scenario(SCENARIOS / f"{name}.yaml"), seed=seed)
+        checks, violations, _ = self.run_checked(sim, self.HORIZON_US.get(name, sim.horizon_us))
+        # A generated run lasts 3 s, as few as 3 superframes at BO 6.
+        assert checks > (10 if seed is None else 500)
         assert not violations, violations[:5]
 
     @pytest.mark.parametrize("name", REPRODUCERS)
