@@ -321,6 +321,8 @@ class Simulation:
             if is_awake(dev.profile.wakeup_multiplier, sf_index) or dev.grant_active:
                 listeners.append(dev)
                 ledger.node_awake_superframes[node_id] += 1
+            elif dev.hold_awake_until == now:  # a hold ends at a boundary it sleeps through
+                self.maybe_sleep(dev)
         if listeners:
             ledger.bnc_awake_superframes += 1
             anchor, end, commands = self.mac.start_superframe(now, listeners)
@@ -384,8 +386,9 @@ class Simulation:
                 if outcome is None:
                     self.scheduler.schedule(now, RX_END, ddev.id,
                                             self.mac.on_beacon_received, (ddev, frame))
-                else:
+                else:  # a lost beacon opens no CAP or slot
                     loss_reasons[f"beacon_{outcome.value}"] += 1
+                    self.maybe_sleep(ddev)
             elif outcome is None:
                 delivered = True
             else:

@@ -850,6 +850,15 @@ REPRODUCERS = {
                 "traffic": {"arrival": "periodic", "rate_per_hour": 3600.0,
                             "phase_s": 0.24526}}],
     ),
+    # BO 1, SO 0: node 1 (multiplier 2) answers a query in superframe 2's
+    # CAP, and its hold ends at superframe 3's beacon, which it does not
+    # listen to: it sleeps from there, not from superframe 4's beacon.
+    "csma_hold_ends_at_unheard_beacon": lambda: make_scenario(
+        name="csma_hold_ends_at_unheard_beacon", horizon_s=0.5,
+        superframe={"beacon_order": 1, "superframe_order": 0},
+        nodes=[on_demand_node(1, 0.1, multiplier=2)],
+        on_demand=[{"time_s": 0.062, "target": 1}],
+    ),
 }
 
 
@@ -858,7 +867,8 @@ class TestRadioStateInvariants:
     tx exactly while `tx_until > now`, otherwise rx exactly while `incoming >
     0`, otherwise idle_listen or the sleep state, and never the sleep state
     inside a hold.  A beacon counts as incoming to each of
-    its listeners from the moment it is due to its end."""
+    its listeners from the moment it is due to its end.  No device spends
+    time in idle_listen outside a CAP, an open slot or window, or a hold."""
 
     # Horizon caps that keep the busy scenarios to about 15 000 dispatches a
     # seed; the other two run their full horizon.
@@ -867,10 +877,12 @@ class TestRadioStateInvariants:
     @staticmethod
     def run_checked(sim, horizon_us):
         """Run to `horizon_us`, checking the rule after every dispatch.
-        Returns the number of checks, the violations and the (time, node) of
-        each beacon received."""
+        Returns the number of checks, the violations, the idle_listen time
+        per device outside any reason to listen, and the (time, node) of each
+        beacon received."""
         devices = list(sim.devices.values())
         violations, received = [], []
+        idle_without_reason = Counter()
         checks = 0
         last = 0  # time of the dispatch that just finished
 
@@ -889,9 +901,20 @@ class TestRadioStateInvariants:
                     violations.append((last, dev.id, dev.state.value, dev.incoming,
                                        dev.tx_until))
 
+        def charge_idle(until):
+            """The states and facts left by the dispatches at `last` hold
+            until `until`: charge each idle_listen microsecond past the CAP,
+            the slot or window and the hold."""
+            for dev in devices:
+                if dev.state is RadioState.IDLE_LISTEN and not dev.in_cap:
+                    awake_until = max(last, dev.slot_end, dev.hold_awake_until)
+                    if until > awake_until:
+                        idle_without_reason[dev.id] += until - awake_until
+
         def after_previous_dispatch(entry):
             nonlocal last
             check()
+            charge_idle(entry[FIRE_AT])
             last = entry[FIRE_AT]
             if entry[FN].__name__ == "on_beacon_received":
                 received.append((last, entry[ARGS][0].id))
@@ -899,7 +922,8 @@ class TestRadioStateInvariants:
         sim.scheduler.trace_sink = after_previous_dispatch
         sim.scheduler.run_until(horizon_us)
         check()
-        return checks, violations, received
+        charge_idle(horizon_us)
+        return checks, violations, idle_without_reason, received
 
     # The shipped scenarios and the golden variants at seeds 1-3, and the
     # generated CSMA scenarios of test_cap_boundary.py at their own seeds.
@@ -921,20 +945,26 @@ class TestRadioStateInvariants:
             sim, _ = build_generated(name, None)
         else:
             sim = Simulation(load_scenario(SCENARIOS / f"{name}.yaml"), seed=seed)
-        checks, violations, _ = self.run_checked(sim, self.HORIZON_US.get(name, sim.horizon_us))
+        checks, violations, idle, _ = self.run_checked(
+            sim, self.HORIZON_US.get(name, sim.horizon_us))
         # A generated run lasts 3 s, as few as 3 superframes at BO 6.
         assert checks > (10 if seed is None else 500)
         assert not violations, violations[:5]
+        assert not idle
 
     @pytest.mark.parametrize("name", REPRODUCERS)
     def test_reproducer_keeps_the_rule(self, name):
         sim = Simulation(REPRODUCERS[name]())
-        checks, violations, received = self.run_checked(sim, sim.horizon_us)
+        checks, violations, idle, received = self.run_checked(sim, sim.horizon_us)
         assert checks > 50
         assert not violations, violations[:5]
-        # Every node wakes on each of the run's 9 superframes and hears every
-        # beacon, which ends 1 216 us after it is due (superframe 3's at
-        # 369 856 us).
-        beacon_ends = [k * 122_880 + 1_216 for k in range(9)]
+        assert not idle
+        # Every node hears the beacon of each superframe its multiplier wakes
+        # it for; a beacon ends 1 216 us after it is due (at BO 3, superframe
+        # 3's at 369 856 us).
+        interval = sim.sf.beacon_interval_us
         for node in sim.node_ids:
+            multiplier = sim.devices[node].profile.wakeup_multiplier
+            beacon_ends = [k * interval + 1_216 for k in range(-(-sim.horizon_us // interval))
+                           if is_awake(multiplier, k)]
             assert [t for t, n in received if n == node] == beacon_ends, node
