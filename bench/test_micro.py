@@ -66,10 +66,10 @@ def test_tdma_data_frame_round_trip(benchmark):
     scenario = load_scenario(SCENARIOS / "tdma_three_links.yaml")
     sim = Simulation(scenario, seed=1)
     sim.scheduler._heap.clear()  # no beacons or arrivals: only the round trips run
-    # Listening and held awake, as in the slot region: without the hold the
-    # coordinator dozes once the first frame ends.
-    sim.set_state(sim.bnc, 0)
+    # Held awake and so listening, as in the slot region: without the hold
+    # the coordinator sleeps and receives nothing.
     sim.bnc.hold_awake_until = 2**62
+    sim.set_state(sim.bnc, 0)
     dev = sim.devices[1]
     frame = Frame(FrameKind.DATA, 1, 0, dev.profile.payload_bits,
                   TrafficClass.NORMAL_HIGH, 0, 1)
@@ -182,16 +182,16 @@ def test_pending_queue_push_remove(benchmark):
 def test_simulation_set_state(benchmark):
     """Four radio-state transitions of one device through `Simulation.set_state`:
     idle_listen, tx, rx and the sleep state, each from the facts it reads
-    (`tx_until`, `incoming`, awake or not)."""
+    (`tx_until`, `incoming`, `in_cap`)."""
     sim = Simulation(load_scenario(SCENARIOS / "tdma_three_links.yaml"), seed=1)
     dev = sim.devices[1]
     cycle = [(0, 0, True), (2**62, 0, True), (0, 1, True), (0, 0, False)]
     clock = iter(range(1, 10**9))
 
     def four_changes():
-        for tx_until, incoming, awake in cycle:
-            dev.tx_until, dev.incoming = tx_until, incoming
-            sim.set_state(dev, next(clock), awake)
+        for tx_until, incoming, in_cap in cycle:
+            dev.tx_until, dev.incoming, dev.in_cap = tx_until, incoming, in_cap
+            sim.set_state(dev, next(clock))
 
     benchmark(four_changes)
     assert dev.state is dev.sleep_state

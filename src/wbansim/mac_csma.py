@@ -159,6 +159,7 @@ class CsmaMac:
         info: BeaconInfo = beacon.payload
         dev.in_cap = True
         dev.cap_anchor, dev.cap_end = info.cap_anchor, info.cap_end
+        self.sim.set_state(dev, self.scheduler.now)
         self.try_start(dev)
 
     def on_cap_end(self, dev) -> None:
@@ -166,7 +167,7 @@ class CsmaMac:
         # before the CAP end, and a first CCA only if both CCAs and the acked
         # transaction end by it.
         dev.in_cap = False
-        self.sim.maybe_sleep(dev)
+        self.sim.set_state(dev, self.scheduler.now)
 
     def grant_emergency(self, bnc, node, flow) -> None:
         """Channel access is granted at the next beacon, top priority."""

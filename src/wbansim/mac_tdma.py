@@ -84,7 +84,8 @@ class TdmaMac:
         bnc = self.bnc
         if region_end > bnc.hold_awake_until:
             bnc.hold_awake_until = region_end
-        self.scheduler.schedule(region_end, SLOT_BOUNDARY, BNC_ID, self.sim.maybe_sleep, (bnc,))
+        self.scheduler.schedule(region_end, SLOT_BOUNDARY, BNC_ID, self.sim.set_state,
+                                (bnc, region_end))
         return region_start, region_end, tuple(bnc.queue.drain()) if bnc.queue else ()
 
     def offer(self, dev, frame) -> None:
@@ -113,45 +114,33 @@ class TdmaMac:
             if command.dst == dev.id:
                 sim.receive(command)
         if not dev.queue:
-            sim.maybe_sleep(dev)
             return
         now = self.scheduler.now
-        slot_start = info.cap_anchor + self.slot_offsets[dev.id]
+        slot_start = max(now, info.cap_anchor + self.slot_offsets[dev.id])
         slot_end = slot_start + self.slot_us
-        if slot_start > now:  # doze between beacon and the owned slot
-            sim.maybe_sleep(dev)
-        else:
-            slot_start = now
         self.scheduler.schedule(slot_start, SLOT_BOUNDARY, dev.id,
                                 self.on_slot_start, (dev, slot_end))
 
     # -- slot transmissions -----------------------------------------------------
 
     def on_slot_start(self, dev, slot_end: SimTime) -> None:
-        sim = self.sim
-        now = self.scheduler.now
-        dev.slot_end = slot_end
-        sim.set_state(dev, now)
         # An emergency window may own the channel; yield the whole slot then.
-        if self.channel.cca_energy_detect(dev.placement, self.cca_threshold_dbm, now) is BUSY:
-            sim.ledger.loss_reasons["slot_yielded"] += 1
-            dev.slot_end = 0
-            sim.maybe_sleep(dev)
+        if self.channel.cca_energy_detect(dev.placement, self.cca_threshold_dbm,
+                                          self.scheduler.now) is BUSY:
+            self.sim.ledger.loss_reasons["slot_yielded"] += 1
             return
+        dev.slot_end = slot_end
         self._tx_next(dev)
 
     def _tx_next(self, dev) -> None:
-        sim = self.sim
-        now = self.scheduler.now
-        # An empty queue, or a head that overruns the slot, waits for the
-        # next active superframe.
+        """Send the head frame if it fits before the slot or window ends; an
+        empty queue, or a head that overruns it, waits for the next active
+        superframe."""
         if dev.queue:
             frame = dev.queue[0][1]
+            now = self.scheduler.now
             if now + self.air_us(frame.size_bits) <= dev.slot_end:
-                sim.begin_tx(dev, frame, now)
-                return
-        dev.slot_end = 0
-        sim.maybe_sleep(dev)
+                self.sim.begin_tx(dev, frame, now)
 
     def on_tx_end(self, dev, tx, delivered: bool) -> None:
         """A slot or window transmission ends, and its frame with it: there
@@ -164,4 +153,3 @@ class TdmaMac:
             sim.receive(frame)
         sim.release(dev, frame)
         self._tx_next(dev)
-        sim.maybe_sleep(self.bnc)  # its receiver dozes unless a hold, e.g. the slot region, is on

@@ -115,8 +115,9 @@ class MetricsLedger:
         return self._sum(self.delivered, node, cls) / offered
 
     def energy_mj(self, node: int, model: EnergyModel) -> float:
+        """`fsum` makes it independent of the order states entered `state_us` in."""
         per_state = self.state_us.get(node, Counter())
-        return sum(
+        return math.fsum(
             dur_us * 1e-6 * model.power_mw(state) for state, dur_us in per_state.items()
         )
 

@@ -29,13 +29,16 @@ A device's low-power state is `wakeup_rx` when it carries an always-on wakeup
 receiver and plain `sleep` otherwise; together with tx/rx/idle_listen this
 partitions every microsecond of the run, per device.  Each `Device` holds its
 own radio state, the time it entered it and the closed time per state; `run`
-closes the last interval at the horizon.  `Simulation.set_state(dev, now,
-awake=True)` is the rule and the one transition: tx while `tx_until > now`,
-otherwise rx while `incoming > 0`, otherwise idle_listen if `awake`, else the
-sleep state; every other site updates a fact and calls it.  Only `maybe_sleep`
-passes `awake=False`: outside a CAP, a slot or window (`slot_end` is 0 while
-none is open) and the one hold, `hold_awake_until`, which a query, an
-emergency grant and a spurious wake each raise with `max`.
+closes the last interval at the horizon.  `Simulation.set_state(dev, now)`
+is the rule and the one transition, and reads every input off the device: tx
+while `tx_until > now`, otherwise rx while `incoming > 0`, otherwise
+idle_listen while `in_cap` or `now < hold_awake_until`, otherwise the sleep
+state.  Every other site updates a fact and then calls it; a hold's end with
+nothing else to do (a TDMA slot region's, a spurious wake's) is an event that
+calls it.  The one hold, `hold_awake_until`, is raised with `max` by a query,
+an emergency grant, a spurious wake and a TDMA slot region.  A TDMA slot or
+window keeps nothing on by itself: its frames start as it opens and follow
+each other at once.
 
 The wakeup radio is out of band and ideal apart from an optional loss draw.
 A wakeup signal is a `WAKEUP_SIGNAL` frame that never enters the channel: its
@@ -183,9 +186,9 @@ class Device:
         self.attempt_frame: Frame | None = None  # frame bound to the ongoing attempt
         self.attempt_us = 0  # its acked transaction: data, turnaround, ack
         # TDMA slot state
-        self.slot_end: SimTime = 0  # 0 while no slot or emergency window is open
+        self.slot_end: SimTime = 0  # end of the last slot or emergency window it opened
         # Radio state: the current one, since when, and the closed time in us per
-        # state, keyed in first-entry order (see Simulation.set_state).
+        # state (see Simulation.set_state).
         self.state = sleep_state
         self.since = 0
         self.state_us: dict[RadioState, SimTime] = {}
@@ -280,16 +283,14 @@ class Simulation:
         self._seq += 1
         return self._seq
 
-    def set_state(self, dev: Device, now: SimTime, awake: bool = True) -> None:
+    def set_state(self, dev: Device, now: SimTime) -> None:
         """The radio-state rule (see the module docstring); a change closes the
-        current interval at `now`.  A state's key enters `state_us` when its
-        first interval closes, so the keys keep first-entry order, which is
-        the order `energy_mj` sums them in."""
+        current interval at `now`."""
         if dev.tx_until > now:
             state = TX
         elif dev.incoming:
             state = RX
-        elif awake:
+        elif dev.in_cap or now < dev.hold_awake_until:
             state = IDLE
         else:
             state = dev.sleep_state
@@ -300,12 +301,6 @@ class Simulation:
         us[prev] = us.get(prev, 0) + now - dev.since
         dev.state = state
         dev.since = now
-
-    def maybe_sleep(self, dev: Device) -> None:
-        """The main radio may go off: not in a CAP or a slot, and no hold on."""
-        now = self.scheduler.now
-        if not dev.in_cap and now >= dev.slot_end:
-            self.set_state(dev, now, now < dev.hold_awake_until)
 
     # -- superframe loop --------------------------------------------------------------
 
@@ -322,7 +317,7 @@ class Simulation:
                 listeners.append(dev)
                 ledger.node_awake_superframes[node_id] += 1
             elif dev.hold_awake_until == now:  # a hold ends at a boundary it sleeps through
-                self.maybe_sleep(dev)
+                self.set_state(dev, now)
         if listeners:
             ledger.bnc_awake_superframes += 1
             anchor, end, commands = self.mac.start_superframe(now, listeners)
@@ -330,7 +325,7 @@ class Simulation:
                                  self.next_seq(), commands)
             self.begin_tx(self.bnc, beacon, now, listeners)
         else:
-            self.maybe_sleep(self.bnc)
+            self.set_state(self.bnc, now)
         next_t = (sf_index + 1) * self.sf.beacon_interval_us
         if next_t < self.horizon_us:
             self.scheduler.schedule(next_t, BEACON_DUE, BNC_ID,
@@ -386,9 +381,8 @@ class Simulation:
                 if outcome is None:
                     self.scheduler.schedule(now, RX_END, ddev.id,
                                             self.mac.on_beacon_received, (ddev, frame))
-                else:  # a lost beacon opens no CAP or slot
+                else:
                     loss_reasons[f"beacon_{outcome.value}"] += 1
-                    self.maybe_sleep(ddev)
             elif outcome is None:
                 delivered = True
             else:
@@ -403,7 +397,6 @@ class Simulation:
         if 0 < dev.tx_until <= now:
             dev.tx_until = 0
             self.set_state(dev, now)
-            self.maybe_sleep(dev)
 
     # -- traffic -----------------------------------------------------------------------------
 
@@ -489,7 +482,6 @@ class Simulation:
 
     def _start_query(self, entry: OnDemandEntry) -> None:
         bnc = self.bnc
-        self.set_state(bnc, self.scheduler.now)
         bnc.hold_awake_until = max(bnc.hold_awake_until, self.next_boundary())
         self._send_signal(bnc, entry.target, entry)
 
@@ -531,22 +523,22 @@ class Simulation:
         if flow.granted:
             return
         flow.granted = True
-        self.set_state(bnc, self.scheduler.now)
         self.mac.grant_emergency(bnc, self.devices[flow.frame.src], flow)
-        self.maybe_sleep(bnc)
+        self.set_state(bnc, self.scheduler.now)
 
     def _spurious_wake(self, dev: Device) -> None:
         self.ledger.spurious_wakeups[dev.id] += 1
-        self.set_state(dev, self.scheduler.now)
-        until = self.scheduler.now + self.sf.active_duration_us
+        now = self.scheduler.now
+        until = now + self.sf.active_duration_us
         dev.hold_awake_until = max(dev.hold_awake_until, until)
-        self.scheduler.schedule(until, SLOT_BOUNDARY, dev.id, self.maybe_sleep, (dev,))
+        self.set_state(dev, now)
+        self.scheduler.schedule(until, SLOT_BOUNDARY, dev.id, self.set_state, (dev, until))
 
     def _answer_query(self, dev: Device, entry: OnDemandEntry) -> None:
         now = self.scheduler.now
-        self.set_state(dev, now)
         dev.grant_active = True
         dev.hold_awake_until = max(dev.hold_awake_until, self.next_boundary())
+        self.set_state(dev, now)
         if entry.continuous:
             until = now + entry.duration_us
             self.scheduler.schedule(now, TRAFFIC_ARRIVAL, dev.id, self._on_stream_arrival,

@@ -1,4 +1,5 @@
 import io
+import itertools
 from collections import Counter
 from fractions import Fraction
 
@@ -36,10 +37,11 @@ def idle_simulation(horizon_us, wakeup_receiver=True):
     return sim, sim.devices[1]
 
 
-def move(sim, dev, now, tx_until=0, incoming=0, awake=True):
+def move(sim, dev, now, tx_until=0, incoming=0, in_cap=False, hold_awake_until=0):
     """Set the facts the radio-state rule reads, then apply it at `now`."""
     dev.tx_until, dev.incoming = tx_until, incoming
-    sim.set_state(dev, now, awake)
+    dev.in_cap, dev.hold_awake_until = in_cap, hold_awake_until
+    sim.set_state(dev, now)
 
 
 class TestPdr:
@@ -64,7 +66,7 @@ class TestPdr:
 class TestEnergy:
     def test_pure_sleep_one_second(self):
         sim, dev = idle_simulation(1_000_000, wakeup_receiver=False)
-        move(sim, dev, 0, awake=False)
+        move(sim, dev, 0)
         assert dev.state is RadioState.SLEEP
         ledger = sim.run()
         assert ledger.energy_mj(1, EnergyModel()) == pytest.approx(0.06)
@@ -73,7 +75,7 @@ class TestEnergy:
         # 10 ms tx at 52.2 mW + 990 ms sleep at 0.06 mW = 0.5814 mJ
         sim, dev = idle_simulation(1_000_000, wakeup_receiver=False)
         move(sim, dev, 0, tx_until=10_000)
-        move(sim, dev, 10_000, awake=False)
+        move(sim, dev, 10_000)
         ledger = sim.run()
         assert ledger.energy_mj(1, EnergyModel()) == pytest.approx(0.5814)
 
@@ -87,7 +89,7 @@ class TestEnergy:
         sim, dev = idle_simulation(1000)
         move(sim, dev, 100, incoming=1)
         move(sim, dev, 250, tx_until=400, incoming=1)
-        move(sim, dev, 400, awake=False)
+        move(sim, dev, 400)
         ledger = sim.run()
         assert sum(ledger.state_us[1].values()) == 1000
         assert ledger.state_us[1][RadioState.IDLE_LISTEN] == 0  # never entered
@@ -99,35 +101,41 @@ class TestEnergy:
         assert (dev.state, dev.since) == (RX, 100)
         assert sim.run().state_us[1][RX] == 900
 
-    def test_states_keep_first_entry_order(self):
-        # energy_mj sums in this order, so it is part of the CSV bytes
-        sim, dev = idle_simulation(1000)
-        move(sim, dev, 100, tx_until=200)
-        move(sim, dev, 200)
-        move(sim, dev, 300, incoming=1)
-        move(sim, dev, 400, tx_until=500)
-        move(sim, dev, 500, awake=False)
-        assert dev.state is dev.sleep_state
-        assert list(sim.run().state_us[1]) == [dev.sleep_state, TX, IDLE, RX]
+    def test_energy_does_not_depend_on_state_order(self):
+        # A run's states enter `state_us` in whatever order its events give,
+        # and a sweep merges runs.  With 1 ms in each state, a plain
+        # left-to-right sum of the five terms gives different floats for
+        # different key orders; the CSV's energy must not.
+        model = EnergyModel()
+        plain, energies = set(), set()
+        for order in itertools.permutations(RadioState):
+            ledger = MetricsLedger()
+            ledger.state_us[1] = Counter(dict.fromkeys(order, 1000))
+            plain.add(sum(1000 * 1e-6 * model.power_mw(state) for state in order))
+            energies.add(ledger.energy_mj(1, model))
+        assert len(plain) > 1
+        assert len(energies) == 1
+        assert energies.pop() == pytest.approx(0.10995)
 
-    # The rule, one row per combination of (tx_until > now, incoming > 0,
-    # awake); None stands for the device's own sleep state.
-    @pytest.mark.parametrize("tx, rx, awake, expected", [
-        (True, True, True, TX),
-        (True, True, False, TX),
-        (True, False, True, TX),
-        (True, False, False, TX),
-        (False, True, True, RX),
-        (False, True, False, RX),
-        (False, False, True, IDLE),
-        (False, False, False, None),
-    ])
+    # The rule, one row per combination of (tx_until > now, incoming > 0) and
+    # the one fact that may keep the main radio on: the CAP, an open TDMA slot
+    # (it does not: a slot's frames start as it opens and follow each other
+    # at once), a hold, or none.  `busy` is the state tx or rx gives, None if
+    # neither; `listens` says whether the reason alone gives idle_listen
+    # rather than the device's own sleep state.
+    @pytest.mark.parametrize("tx, rx, busy", [(True, True, TX), (True, False, TX),
+                                              (False, True, RX), (False, False, None)])
+    @pytest.mark.parametrize("reason, listens", [("in_cap", True), ("slot", False),
+                                                 ("hold", True), ("none", False)])
     @pytest.mark.parametrize("wakeup_receiver", [True, False], ids=["wakeup_rx", "sleep"])
-    def test_set_state_rule(self, tx, rx, awake, expected, wakeup_receiver):
+    def test_set_state_rule(self, tx, rx, busy, reason, listens, wakeup_receiver):
         sim, dev = idle_simulation(1000, wakeup_receiver)
-        # tx_until == now is a transmission that ends now: no longer tx.
-        move(sim, dev, 100, tx_until=101 if tx else 100, incoming=int(rx), awake=awake)
-        assert dev.state is (dev.sleep_state if expected is None else expected)
+        dev.slot_end = 200 if reason == "slot" else 0
+        # tx_until == now is a transmission that ends now: no longer tx, and
+        # a hold that ends now keeps nothing on.
+        move(sim, dev, 100, tx_until=101 if tx else 100, incoming=int(rx),
+             in_cap=reason == "in_cap", hold_awake_until=101 if reason == "hold" else 100)
+        assert dev.state is (busy or (IDLE if listens else dev.sleep_state))
 
     def test_power_ordering_enforced(self):
         with pytest.raises(ValueError):

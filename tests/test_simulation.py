@@ -863,12 +863,12 @@ REPRODUCERS = {
 
 
 class TestRadioStateInvariants:
-    """After every dispatch, each device's radio state follows the one rule:
-    tx exactly while `tx_until > now`, otherwise rx exactly while `incoming >
-    0`, otherwise idle_listen or the sleep state, and never the sleep state
-    inside a hold.  A beacon counts as incoming to each of
-    its listeners from the moment it is due to its end.  No device spends
-    time in idle_listen outside a CAP, an open slot or window, or a hold."""
+    """After every dispatch, each device's radio state is the one rule's,
+    read off the device: tx while `tx_until > now`, otherwise rx while
+    `incoming > 0`, otherwise idle_listen while `in_cap` or `now <
+    hold_awake_until`, otherwise the sleep state.  A beacon counts as
+    incoming to each of its listeners from the moment it is due to its end.
+    No device spends time in idle_listen outside a CAP or a hold."""
 
     # Horizon caps that keep the busy scenarios to about 15 000 dispatches a
     # seed; the other two run their full horizon.
@@ -886,28 +886,33 @@ class TestRadioStateInvariants:
         checks = 0
         last = 0  # time of the dispatch that just finished
 
+        def rule(dev):
+            if dev.tx_until > last:
+                return RadioState.TX
+            if dev.incoming:
+                return RadioState.RX
+            if dev.in_cap or last < dev.hold_awake_until:
+                return RadioState.IDLE_LISTEN
+            return dev.sleep_state
+
         def check():
             nonlocal checks
             checks += 1
             for dev in devices:
-                tx = dev.state is RadioState.TX
-                # A transmission that ends now may still await its TxEnd.
-                ending = 0 < dev.tx_until == last
-                if (dev.incoming < 0
-                        or (tx != (dev.tx_until > last) and not ending)
-                        or (not tx and (dev.incoming > 0) != (dev.state is RadioState.RX))
-                        or (dev.state is dev.sleep_state
-                            and last < dev.hold_awake_until)):
+                # A transmission or a hold that ends now may still await the
+                # event, at this instant, that applies the rule.
+                if dev.incoming < 0 or (dev.state is not rule(dev)
+                                        and last not in (dev.tx_until, dev.hold_awake_until)):
                     violations.append((last, dev.id, dev.state.value, dev.incoming,
-                                       dev.tx_until))
+                                       dev.tx_until, dev.in_cap, dev.hold_awake_until))
 
         def charge_idle(until):
             """The states and facts left by the dispatches at `last` hold
-            until `until`: charge each idle_listen microsecond past the CAP,
-            the slot or window and the hold."""
+            until `until`: charge each idle_listen microsecond outside the
+            CAP and past the hold."""
             for dev in devices:
                 if dev.state is RadioState.IDLE_LISTEN and not dev.in_cap:
-                    awake_until = max(last, dev.slot_end, dev.hold_awake_until)
+                    awake_until = max(last, dev.hold_awake_until)
                     if until > awake_until:
                         idle_without_reason[dev.id] += until - awake_until
 
