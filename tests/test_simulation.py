@@ -955,7 +955,7 @@ class TestRadioStateInvariants:
         # A generated run lasts 3 s, as few as 3 superframes at BO 6.
         assert checks > (10 if seed is None else 500)
         assert not violations, violations[:5]
-        assert not idle
+        assert not idle, idle
 
     @pytest.mark.parametrize("name", REPRODUCERS)
     def test_reproducer_keeps_the_rule(self, name):
@@ -963,7 +963,7 @@ class TestRadioStateInvariants:
         checks, violations, idle, received = self.run_checked(sim, sim.horizon_us)
         assert checks > 50
         assert not violations, violations[:5]
-        assert not idle
+        assert not idle, idle
         # Every node hears the beacon of each superframe its multiplier wakes
         # it for; a beacon ends 1 216 us after it is due (at BO 3, superframe
         # 3's at 369 856 us).
