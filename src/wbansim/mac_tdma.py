@@ -113,9 +113,10 @@ class TdmaMac:
         for command in info.commands:
             if command.dst == dev.id:
                 sim.receive(command)
+        now = self.scheduler.now
+        sim.set_state(dev, now)
         if not dev.queue:
             return
-        now = self.scheduler.now
         slot_start = max(now, info.cap_anchor + self.slot_offsets[dev.id])
         slot_end = slot_start + self.slot_us
         self.scheduler.schedule(slot_start, SLOT_BOUNDARY, dev.id,

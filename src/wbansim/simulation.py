@@ -14,7 +14,9 @@ CAP or the slot region) and the commands it carries.  A transmission's
 receivers (`ActiveTx.receivers`) are fixed when it starts: a beacon's are its
 listeners, a unicast frame's is its destination if that device was awake and
 not transmitting.  Each receiver counts the frame as incoming until its end,
-when every receiver gets a reception outcome.  The MAC is reached through
+when every receiver gets a reception outcome.  A beacon's listener that
+receives it stays in rx until its own RxEnd at that instant, where the MAC
+sets its facts and applies the rule.  The MAC is reached through
 five calls: `start_superframe`, `on_beacon_received`, `offer` (a frame joins
 a queue), `on_tx_end` (after each transmission's outcome) and
 `grant_emergency`.
@@ -360,10 +362,10 @@ class Simulation:
             self.set_state(ddev, now)
 
     def _on_tx_end(self, tx) -> None:
-        """Each receiver leaves rx and gets its reception outcome.  Each of a
-        beacon's listeners receives it on its own (the coordinator, out of tx
-        now, stays awake through its CAP or slot region); a unicast frame's
-        outcome goes to the MAC as `delivered`."""
+        """Each receiver gets its reception outcome and leaves rx.  Each of a
+        beacon's listeners receives it on its own, at its RxEnd (the
+        coordinator, out of tx now, stays awake through its CAP or slot
+        region); a unicast frame's outcome goes to the MAC as `delivered`."""
         now = self.scheduler.now
         frame = tx.frame
         self.channel.end_tx(tx)
@@ -375,14 +377,16 @@ class Simulation:
         delivered = False
         for ddev in tx.receivers:
             ddev.incoming -= 1
-            self.set_state(ddev, now)
             outcome = deliver(tx, ddev.placement, rng, ddev.id)
+            if beacon and outcome is None:
+                # It stays in rx until this RxEnd, which applies the rule
+                # once the MAC has set its facts.
+                self.scheduler.schedule(now, RX_END, ddev.id,
+                                        self.mac.on_beacon_received, (ddev, frame))
+                continue
+            self.set_state(ddev, now)
             if beacon:
-                if outcome is None:
-                    self.scheduler.schedule(now, RX_END, ddev.id,
-                                            self.mac.on_beacon_received, (ddev, frame))
-                else:
-                    loss_reasons[f"beacon_{outcome.value}"] += 1
+                loss_reasons[f"beacon_{outcome.value}"] += 1
             elif outcome is None:
                 delivered = True
             else:

@@ -833,6 +833,18 @@ def tdma_query_pair(to_2_s, to_1_s):
     )
 
 
+def query_ends_with_beacon(mac):
+    """BO = SO = 3, one on-demand node with multiplier 1: the coordinator's
+    query signal (1 ms) starts inside superframe 2's beacon and ends with it,
+    at 246 976 us, after the beacon's TxEnd and before node 1's RxEnd."""
+    tdma = {"tdma": {"slot_duration_ms": 3.4, "slots": {1: 0}}} if mac == "tdma" else {}
+    return make_scenario(
+        name=f"{mac}_query_ends_with_beacon", mac=mac, horizon_s=2.0,
+        nodes=[on_demand_node(1, 0.1)], on_demand=[{"time_s": 0.245976, "target": 1}],
+        **tdma,
+    )
+
+
 # Runs that once broke the rule, each through a different path:
 REPRODUCERS = {
     # node 1 answers its query during the beacon, so a hold covers its doze
@@ -859,6 +871,10 @@ REPRODUCERS = {
         nodes=[on_demand_node(1, 0.1, multiplier=2)],
         on_demand=[{"time_s": 0.062, "target": 1}],
     ),
+    # node 1 is still in rx for the beacon when the query signal ends: it
+    # answers at once, not after the wakeup latency.
+    "csma_query_ends_with_beacon": lambda: query_ends_with_beacon("csma"),
+    "tdma_query_ends_with_beacon": lambda: query_ends_with_beacon("tdma"),
 }
 
 
@@ -868,7 +884,10 @@ class TestRadioStateInvariants:
     `incoming > 0`, otherwise idle_listen while `in_cap` or `now <
     hold_awake_until`, otherwise the sleep state.  A beacon counts as
     incoming to each of its listeners from the moment it is due to its end.
-    No device spends time in idle_listen outside a CAP or a hold."""
+    Only a fact that ends at this instant, with its event still due now, may
+    be behind: tx at a TxEnd, idle_listen at a hold end, and rx at a
+    received beacon's RxEnd.  No device spends time in idle_listen outside a
+    CAP or a hold."""
 
     # Horizon caps that keep the busy scenarios to about 15 000 dispatches a
     # seed; the other two run their full horizon.
@@ -895,14 +914,30 @@ class TestRadioStateInvariants:
                 return RadioState.IDLE_LISTEN
             return dev.sleep_state
 
-        def check():
+        def rx_end_due(dev, entry):
+            """A received beacon's RxEnd for `dev` is due now: `entry`, about
+            to be dispatched, or one still on the heap."""
+            return any(e[FIRE_AT] == last and e[KIND] is EventKind.RX_END and e[ARGS][0] is dev
+                       for e in [entry, *sim.scheduler._heap])
+
+        def behind(dev, expected, entry):
+            """`dev`'s state differs from `expected` only by a fact that ends
+            now and whose event, at this instant, is still due."""
+            state = dev.state
+            if state is RadioState.TX:
+                return 0 < dev.tx_until == last
+            if state is RadioState.IDLE_LISTEN:
+                return expected is dev.sleep_state and 0 < dev.hold_awake_until == last
+            return (state is RadioState.RX and not dev.incoming
+                    and entry is not None and rx_end_due(dev, entry))
+
+        def check(entry=None):
             nonlocal checks
             checks += 1
             for dev in devices:
-                # A transmission or a hold that ends now may still await the
-                # event, at this instant, that applies the rule.
-                if dev.incoming < 0 or (dev.state is not rule(dev)
-                                        and last not in (dev.tx_until, dev.hold_awake_until)):
+                expected = rule(dev)
+                if dev.incoming < 0 or (dev.state is not expected
+                                        and not behind(dev, expected, entry)):
                     violations.append((last, dev.id, dev.state.value, dev.incoming,
                                        dev.tx_until, dev.in_cap, dev.hold_awake_until))
 
@@ -918,7 +953,7 @@ class TestRadioStateInvariants:
 
         def after_previous_dispatch(entry):
             nonlocal last
-            check()
+            check(entry)
             charge_idle(entry[FIRE_AT])
             last = entry[FIRE_AT]
             if entry[FN].__name__ == "on_beacon_received":
@@ -973,3 +1008,16 @@ class TestRadioStateInvariants:
             beacon_ends = [k * interval + 1_216 for k in range(-(-sim.horizon_us // interval))
                            if is_awake(multiplier, k)]
             assert [t for t, n in received if n == node] == beacon_ends, node
+
+    @pytest.mark.parametrize("mac", ["csma", "tdma"])
+    def test_a_query_that_ends_with_a_beacon_is_answered_at_once(self, mac):
+        sim = Simulation(REPRODUCERS[f"{mac}_query_ends_with_beacon"]())
+        answers = []
+
+        def record(entry):
+            if entry[FN].__name__ == "_answer_query":
+                answers.append(entry[FIRE_AT])
+
+        sim.scheduler.trace_sink = record
+        sim.scheduler.run_until(sim.horizon_us)
+        assert answers == [2 * sim.sf.beacon_interval_us + 1_216]
