@@ -35,13 +35,8 @@ class TrafficClass(Enum):
             TrafficClass.ON_DEMAND_NON_CONTINUOUS,
         )
 
-    @property
-    def queue_priority(self) -> int:
-        """Pending-queue rank; lower transmits first, ties broken FIFO."""
-        return _QUEUE_PRIORITY[self]
 
-
-# Emergency > OnDemand > Normal(High) > Normal(Medium) > Normal(Low).
+# Pending-queue rank, the first term of `Frame.queue_key`; lower transmits first.
 _QUEUE_PRIORITY = {
     TrafficClass.EMERGENCY: 0,
     TrafficClass.ON_DEMAND_CONTINUOUS: 1,

@@ -104,7 +104,7 @@ class CsmaBackoffFsm:
         self.criticality = criticality
         self.nb = 0
         self.cw = 2
-        self.be = policy.min_be_critical if criticality is CRITICAL else policy.min_be_noncritical
+        self.be = policy.min_be(criticality)
 
     def on_cca(self, busy: bool) -> CsmaAction:
         if busy:

@@ -37,10 +37,11 @@ while `tx_until > now`, otherwise rx while `incoming > 0`, otherwise
 idle_listen while `in_cap` or `now < hold_awake_until`, otherwise the sleep
 state.  Every other site updates a fact and then calls it; a hold's end with
 nothing else to do (a TDMA slot region's, a spurious wake's) is an event that
-calls it.  The one hold, `hold_awake_until`, is raised with `max` by a query,
-an emergency grant, a spurious wake and a TDMA slot region.  A TDMA slot or
-window keeps nothing on by itself: its frames start as it opens and follow
-each other at once.
+calls it, as each TxEnd does for its sender (`tx_until` is never reset).  The
+one hold, `hold_awake_until`, is raised with `max` by a query, an emergency
+grant, a spurious wake and a TDMA slot region.  A TDMA slot or window keeps
+nothing on by itself: its frames start as it opens and follow each other at
+once.
 
 The wakeup radio is out of band and ideal apart from an optional loss draw.
 A wakeup signal is a `WAKEUP_SIGNAL` frame that never enters the channel: its
@@ -60,8 +61,9 @@ event, so no further wrapper stands in between.
 from __future__ import annotations
 
 import functools
+import itertools
+from bisect import insort
 from collections import Counter
-from heapq import heapify, heappop, heappush
 
 from . import traffic as traffic_mod
 from .channel import ChannelModel
@@ -103,33 +105,26 @@ class PendingQueue(list):
     """Frame queue ordered by `Frame.queue_key`: (class priority, created_at,
     sequence).
 
-    The list itself is a heap of `(queue_key, frame)` entries, so `bool` and
-    `len` are the list's own and `queue[0][1]` is the head frame.  Frames are
-    found by identity.  Keys are unique (the sequence is), so the order frames
-    leave in does not depend on the heap's layout.
+    The list itself holds the `(queue_key, frame)` entries sorted, so `bool`
+    and `len` are the list's own and `queue[0][1]` is the head frame.  Keys
+    are unique (the sequence is); frames are found by identity.
     """
 
     __slots__ = ()
 
     def push(self, frame: Frame) -> None:
-        heappush(self, (frame.queue_key(), frame))
+        insort(self, (frame.queue_key(), frame))
 
     def remove(self, frame: Frame) -> None:
-        """Take `frame` out: the head by a pop, any other frame by a scan (a
-        CSMA attempt's frame need not be the head)."""
-        if self and self[0][1] is frame:
-            heappop(self)
-            return
+        """Take `frame` out; a CSMA attempt's frame need not be the head."""
         for i, (_, f) in enumerate(self):
             if f is frame:
-                self[i] = self[-1]
-                self.pop()
-                heapify(self)
+                del self[i]
                 return
         raise ValueError("frame not queued")
 
     def drain(self) -> list[Frame]:
-        out = [f for _, f in sorted(self)]
+        out = [f for _, f in self]
         self.clear()
         return out
 
@@ -137,7 +132,7 @@ class PendingQueue(list):
         return any(f is frame for _, f in self)
 
     def has_priority_le(self, priority: int) -> bool:
-        return any(key[0] <= priority for key, _ in self)
+        return bool(self) and self[0][0][0] <= priority
 
 
 class EmergencyFlow:
@@ -170,7 +165,7 @@ class Device:
         self.gen = gen
         self.queue = PendingQueue()
         self.incoming = 0  # frames on the air for this device, the beacon included
-        self.tx_until = 0  # end of its own transmissions; 0 once their TxEnd ran
+        self.tx_until = 0  # end of its last transmission; never reset
         # main radio on until then (query, grant, spurious wake)
         self.hold_awake_until = 0
         self.grant_active = False
@@ -211,7 +206,7 @@ class Simulation:
         self.rngs = RngStreams(self.seed)
         self.channel = ChannelModel(scenario.channel_params, scenario.link_errors)
         self.ledger = MetricsLedger({n.profile.id: n.profile.traffic_class for n in scenario.nodes})
-        self._seq = 0
+        self.next_seq = itertools.count(1).__next__  # frame sequence numbers
         # Airtime in us of a frame size, memoised on first use: a run sees a
         # handful of sizes and asks for them on every backoff expiry.
         self.air_us = functools.cache(functools.partial(airtime, bitrate_bps=self.fp.bitrate_bps))
@@ -280,10 +275,6 @@ class Simulation:
         return self.ledger
 
     # -- small helpers -------------------------------------------------------------
-
-    def next_seq(self) -> int:
-        self._seq += 1
-        return self._seq
 
     def set_state(self, dev: Device, now: SimTime) -> None:
         """The radio-state rule (see the module docstring); a change closes the
@@ -370,7 +361,7 @@ class Simulation:
         frame = tx.frame
         self.channel.end_tx(tx)
         src = self.devices[frame.src]
-        self._tx_done(src, now)
+        self.set_state(src, now)
         loss_reasons = self.ledger.loss_reasons
         deliver, rng = self.channel.deliver, self.rngs.channel
         beacon = frame.kind is BEACON
@@ -395,20 +386,11 @@ class Simulation:
             loss_reasons["destination_not_listening"] += 1
         self.mac.on_tx_end(src, tx, delivered)
 
-    def _tx_done(self, dev: Device, now: SimTime) -> None:
-        """One of `dev`'s transmissions (data or wakeup signal) ended: the first
-        TxEnd at its last transmission's end takes it out of tx."""
-        if 0 < dev.tx_until <= now:
-            dev.tx_until = 0
-            self.set_state(dev, now)
-
     # -- traffic -----------------------------------------------------------------------------
 
     def _offer_frame(self, dev: Device, cls: TrafficClass) -> Frame:
-        # next_seq, inlined: this runs once per frame
-        seq = self._seq = self._seq + 1
         frame = Frame(DATA, dev.id, BNC_ID, dev.profile.payload_bits, cls,
-                      self.scheduler.now, seq)
+                      self.scheduler.now, self.next_seq())
         self.ledger.offered[(dev.id, cls)] += 1
         self.mac.offer(dev, frame)
         return frame
@@ -503,7 +485,7 @@ class Simulation:
         not, in target order; a survivor acts after its wakeup latency if its
         main radio was off."""
         now = self.scheduler.now
-        self._tx_done(self.devices[sig.src], now)
+        self.set_state(self.devices[sig.src], now)
         ctx, dst = sig.payload, sig.dst
         loss_p = self.channel.params.wakeup_loss_p
         for device_id in resolve_wakeup_targets(dst, self._receiver_nodes, self.wc):

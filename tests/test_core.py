@@ -54,7 +54,7 @@ class TestEncodings:
             TrafficClass.NORMAL_MEDIUM,
             TrafficClass.NORMAL_LOW,
         ]
-        priorities = [c.queue_priority for c in order]
+        priorities = [Frame(FrameKind.DATA, 1, 0, 8, c, 0, 1).queue_key()[0] for c in order]
         assert priorities == sorted(priorities)
         assert priorities[0] < priorities[1] < priorities[2]
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from wbansim.channel import ActiveTx, CcaResult
 from wbansim.core import BNC_ID, Frame, FrameKind, TrafficClass
-from wbansim.engine import ARGS, FIRE_AT, FN, KIND, EventKind
+from wbansim.engine import ARGS, FIRE_AT, FN, KIND, NODE, EventKind
 from wbansim.metrics import EnergyModel, RadioState, write_node_csv
 from wbansim.scenario import load_scenario, parse_scenario
 from wbansim.simulation import PendingQueue, Simulation
@@ -99,8 +99,14 @@ class TestPendingQueue:
                     assert q[0][1] is not frame
                 q.remove(frame)
             assert len(q) == len(reference)
-            assert all(q[(i - 1) // 2][0] < q[i][0] for i in range(1, len(q)))  # a heap
+            assert all(q[i - 1][0] < q[i][0] for i in range(1, len(q)))  # sorted
+            for priority in range(5):
+                assert q.has_priority_le(priority) == any(
+                    f.queue_key()[0] <= priority for f in reference)
         reference.sort(key=Frame.queue_key)
+        assert q.drain() == reference and not q
+        for frame in reference:
+            q.push(frame)
         popped = []
         while q:
             popped.append(q[0][1])
@@ -914,22 +920,23 @@ class TestRadioStateInvariants:
                 return RadioState.IDLE_LISTEN
             return dev.sleep_state
 
-        def rx_end_due(dev, entry):
-            """A received beacon's RxEnd for `dev` is due now: `entry`, about
-            to be dispatched, or one still on the heap."""
-            return any(e[FIRE_AT] == last and e[KIND] is EventKind.RX_END and e[ARGS][0] is dev
-                       for e in [entry, *sim.scheduler._heap])
+        def due(kind, dev, entry):
+            """An event of `kind` for `dev` is due now: `entry`, about to be
+            dispatched, or one still on the heap."""
+            return entry is not None and any(
+                e[FIRE_AT] == last and e[KIND] is kind and e[NODE] == dev.id
+                for e in [entry, *sim.scheduler._heap])
 
         def behind(dev, expected, entry):
             """`dev`'s state differs from `expected` only by a fact that ends
             now and whose event, at this instant, is still due."""
             state = dev.state
             if state is RadioState.TX:
-                return 0 < dev.tx_until == last
+                return 0 < dev.tx_until == last and due(EventKind.TX_END, dev, entry)
             if state is RadioState.IDLE_LISTEN:
                 return expected is dev.sleep_state and 0 < dev.hold_awake_until == last
             return (state is RadioState.RX and not dev.incoming
-                    and entry is not None and rx_end_due(dev, entry))
+                    and due(EventKind.RX_END, dev, entry))
 
         def check(entry=None):
             nonlocal checks
