@@ -14,15 +14,22 @@ adds an emergency node and an on-demand node to `tdma_three_links`: the TDMA
 emergency grant and window, the slot yield, spurious wakes and a stop
 command carried on a beacon run on no shipped scenario.  A change that alters
 any digest changes what the simulator computes and must say why, together
-with a regenerated digest file:
+with the regenerated entries of the digest file:
 
-    PYTHONPATH=src python tests/test_golden.py --write
+    PYTHONPATH=src python tests/test_golden.py --write [NAME ...]
+
+With names, only those entries are rewritten; without, every entry is.  Each
+digest that changed is printed, and an unknown name exits non-zero with the
+file untouched.
 """
 
 import hashlib
 import json
+import os
 import random
+import subprocess
 import sys
+import tempfile
 from pathlib import Path
 from unittest import mock
 
@@ -140,14 +147,35 @@ def test_outputs_match_golden_digests(name, tmp_path):
     assert sweep_digests(name, tmp_path) == golden
 
 
-if __name__ == "__main__":
-    import tempfile
-
-    if sys.argv[1:] != ["--write"]:
-        raise SystemExit("usage: test_golden.py --write")
-    digests = {}
-    for name in NAMES:
+def write(names: list[str]) -> None:
+    """Rewrite the entries of `names` (every entry if none is named) and
+    print each digest that changed."""
+    unknown = sorted(set(names) - set(NAMES))
+    if unknown:
+        raise SystemExit(f"unknown name(s) {', '.join(unknown)}; known: {', '.join(NAMES)}")
+    old = json.loads(DIGEST_FILE.read_text(encoding="utf-8"))
+    digests = dict(old) if names else {}
+    for name in names or NAMES:
         with tempfile.TemporaryDirectory() as tmp:
             digests[name] = sweep_digests(name, Path(tmp))
+        before, after = old.get(name, {}), digests[name]
+        for key in sorted(before.keys() | after.keys()):
+            if before.get(key) != after.get(key):
+                print(f"{name}: {key} {before.get(key)} -> {after.get(key)}")
     DIGEST_FILE.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n",
                            encoding="utf-8")
+
+
+def test_write_rejects_an_unknown_name():
+    before = DIGEST_FILE.read_bytes()
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, __file__, "--write", NAMES[0], "no_such_scenario"],
+                          capture_output=True, text=True, env=env)
+    assert done.returncode != 0 and "no_such_scenario" in done.stderr
+    assert DIGEST_FILE.read_bytes() == before
+
+
+if __name__ == "__main__":
+    if sys.argv[1:2] != ["--write"]:
+        raise SystemExit("usage: test_golden.py --write [NAME ...]")
+    write(sys.argv[2:])
