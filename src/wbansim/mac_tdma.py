@@ -7,10 +7,11 @@ contention-free and unacknowledged: a loss is final and counts against PDR.
 
 Emergency traffic bypasses slot gating entirely via the wakeup radio; the
 coordinator grants it a dedicated window at the first instant the data radio
-is free (`grant_emergency`).  To keep the air collision-free around such
-windows, a node skips its slot when it senses the channel busy at the slot
-start.  Coordinator commands (e.g. stream stop) piggyback on beacons rather
-than taking airtime from the slot region.
+is free, after any window already granted and off every beacon
+(`grant_emergency`).  To keep the air collision-free around such windows, a
+node skips its slot when it senses the channel busy at the slot start.
+Coordinator commands (e.g. stream stop) piggyback on beacons rather than
+taking airtime from the slot region.
 
 The simulation builds, sends and delivers the beacon for both MACs; this
 module gives it the slot region and the queued commands, turns its reception
@@ -73,6 +74,8 @@ class TdmaMac:
         self.slot_offsets = {node: schedule.slot_offset_us(node) for node in schedule.slots}
         self.slot_us = schedule.slot_duration_us
         self.region_us = schedule.region_us
+        self.interval_us = sim.sf.beacon_interval_us
+        self.window_end = 0  # end of the last emergency window granted
 
     # -- superframe lifecycle -------------------------------------------------
 
@@ -92,11 +95,17 @@ class TdmaMac:
         dev.queue.push(frame)
 
     def grant_emergency(self, bnc, node, flow) -> None:
-        """A dedicated response window as soon as the data radio frees up."""
+        """A dedicated response window as soon as the data radio frees up and
+        after the last one granted; one that would start inside a beacon or
+        cross the next boundary (each counts as a beacon) starts at its end."""
         now = self.scheduler.now
-        start = max(now, self.channel.busy_until(now))
-        bnc.hold_awake_until = max(bnc.hold_awake_until,
-                                   start + self.air_us(flow.frame.size_bits))
+        start = max(now, self.channel.busy_until(now), self.window_end)
+        air = self.air_us(flow.frame.size_bits)
+        into = start % self.interval_us
+        if into < self.beacon_us or into + air > self.interval_us:
+            start += (self.beacon_us - into) % self.interval_us  # this or the next beacon's end
+        self.window_end = start + air
+        bnc.hold_awake_until = max(bnc.hold_awake_until, self.window_end)
         self.scheduler.schedule(start, SLOT_BOUNDARY, node.id,
                                 self._start_emergency_window, (node, flow))
 
@@ -137,9 +146,9 @@ class TdmaMac:
         """Send the head frame if it fits before the slot or window ends; an
         empty queue, or a head that overruns it, waits for the next active
         superframe."""
-        if dev.queue:
+        now = self.scheduler.now
+        if dev.queue and dev.tx_until <= now:  # a window may have started at this TxEnd
             frame = dev.queue[0][1]
-            now = self.scheduler.now
             if now + self.air_us(frame.size_bits) <= dev.slot_end:
                 self.sim.begin_tx(dev, frame, now)
 

@@ -1,6 +1,7 @@
 import functools
 import gc
 import io
+import itertools
 from collections import Counter
 from pathlib import Path
 
@@ -610,10 +611,11 @@ class TestTdmaRun:
         key = (2, TrafficClass.ON_DEMAND_CONTINUOUS)
         assert ledger.offered[key] == ledger.delivered[key] == 20
 
-    def test_busy_slot_start_yields_the_slot(self):
-        # Emergency windows of node 1 open whenever the data radio is free,
-        # so some fall over the slots of nodes 2 and 3, which then yield.
-        scn = make_scenario(
+    @staticmethod
+    def busy_emergency_scenario():
+        """Emergency windows of node 1 open whenever the data radio is free,
+        so some fall over the slots of nodes 2 and 3, which then yield."""
+        return make_scenario(
             mac="tdma",
             horizon_s=60.0,
             superframe={"beacon_order": 1, "superframe_order": 1},
@@ -625,20 +627,33 @@ class TestTdmaRun:
                     "placement": {"kind": "on_body", "x_m": 0.1 * i},
                     "traffic": {"rate_per_hour": 117187.5}} for i in (2, 3)],
         )
-        _, ledger, txs = run_observed(scn)
+
+    def test_busy_slot_start_yields_the_slot(self):
+        _, ledger, txs = run_observed(self.busy_emergency_scenario())
         assert ledger.loss_reasons["slot_yielded"] > 0
-        # Only the slot transmissions are checked: two grants of node 1 can
-        # open their windows at the same instant, since each sees the channel
-        # free before either window starts.
-        data = sorted((t.start, t.end, t.frame.src) for t in txs
-                      if t.frame.kind is FrameKind.DATA)
-        end_any = end_slot = 0
-        for start, end, src in data:
-            assert start >= end_slot and (src == 1 or start >= end_any), \
-                "a slot transmission overlaps another data transmission"
-            end_any = max(end_any, end)
-            if src != 1:
-                end_slot = max(end_slot, end)
+        # A window starts after any window already granted, so no two data
+        # transmissions overlap, the windows' included.
+        data = sorted((t.start, t.end) for t in txs if t.frame.kind is FrameKind.DATA)
+        for (_, end), (start, _) in zip(data, data[1:]):
+            assert end <= start, "two data transmissions overlap"
+
+    @pytest.mark.parametrize("name, seed", [("busy_emergency", 1)] + [
+        ("tdma_three_links_wakeup", seed) for seed in (1, 2, 3)])
+    def test_no_two_transmissions_overlap(self, name, seed):
+        """Beacons, slot frames and emergency windows share one channel, and
+        none of them overlaps another."""
+        if name in VARIANTS:
+            base, sections = VARIANTS[name]
+            raw = yaml.safe_load((SCENARIOS / f"{base}.yaml").read_text(encoding="utf-8"))
+            scn = parse_scenario({**raw, **sections}, name=name)
+        else:
+            scn = self.busy_emergency_scenario()
+        _, _, txs = run_observed(scn, seed)
+        spans = sorted((t.start, t.end) for t in txs)
+        overlapping = [(a, b) for i, a in enumerate(spans)
+                       for b in itertools.takewhile(lambda b: b[0] < a[1],
+                                                    itertools.islice(spans, i + 1, None))]
+        assert not overlapping, (len(overlapping), overlapping[:3])
 
 
 class TestInactivePortion:
