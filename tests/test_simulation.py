@@ -629,13 +629,10 @@ class TestTdmaRun:
         )
 
     def test_busy_slot_start_yields_the_slot(self):
-        _, ledger, txs = run_observed(self.busy_emergency_scenario())
+        # That nothing overlaps on this run, the windows included, is
+        # test_no_two_transmissions_overlap's check.
+        _, ledger = run(self.busy_emergency_scenario())
         assert ledger.loss_reasons["slot_yielded"] > 0
-        # A window starts after any window already granted, so no two data
-        # transmissions overlap, the windows' included.
-        data = sorted((t.start, t.end) for t in txs if t.frame.kind is FrameKind.DATA)
-        for (_, end), (start, _) in zip(data, data[1:]):
-            assert end <= start, "two data transmissions overlap"
 
     @pytest.mark.parametrize("name, seed", [("busy_emergency", 1)] + [
         ("tdma_three_links_wakeup", seed) for seed in (1, 2, 3)])
