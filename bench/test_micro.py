@@ -146,7 +146,7 @@ def test_busy_cca_to_backoff_expiry(benchmark):
     heap = sim.scheduler._heap
     heap.clear()  # no beacons or arrivals: only the CCA runs
     dev = sim.devices[1]
-    dev.in_cap, dev.cap_anchor, dev.cap_end = True, 0, 2**62
+    dev.cap_anchor, dev.cap_end = 0, 2**62
     fsm = dev.fsm = CsmaBackoffFsm(sim.policy, dev.criticality)
     first_be = fsm.be
     sim.channel.register_tx(data_frame(src=2), sim.devices[2].placement, 0, 2**62)
@@ -182,15 +182,15 @@ def test_pending_queue_push_remove(benchmark):
 def test_simulation_set_state(benchmark):
     """Four radio-state transitions of one device through `Simulation.set_state`:
     idle_listen, tx, rx and the sleep state, each from the facts it reads
-    (`tx_until`, `incoming`, `in_cap`)."""
+    (`tx_until`, `incoming`, `hold_awake_until`)."""
     sim = Simulation(load_scenario(SCENARIOS / "tdma_three_links.yaml"), seed=1)
     dev = sim.devices[1]
-    cycle = [(0, 0, True), (2**62, 0, True), (0, 1, True), (0, 0, False)]
+    cycle = [(0, 0, 2**62), (2**62, 0, 2**62), (0, 1, 2**62), (0, 0, 0)]
     clock = iter(range(1, 10**9))
 
     def four_changes():
-        for tx_until, incoming, in_cap in cycle:
-            dev.tx_until, dev.incoming, dev.in_cap = tx_until, incoming, in_cap
+        for tx_until, incoming, hold_awake_until in cycle:
+            dev.tx_until, dev.incoming, dev.hold_awake_until = tx_until, incoming, hold_awake_until
             sim.set_state(dev, next(clock))
 
     benchmark(four_changes)

@@ -13,9 +13,11 @@ fresh backoff state, up to max_frame_retries, after which the frame drops
 (an emergency frame the coordinator has not received refills its budget).
 The loader lets an ack end only before the ack wait.
 
-At the end of the CAP (IEEE Std 802.15.4-2006, 7.5.1.4), a countdown that
-would cross it carries its remaining periods to the next CAP, and an attempt
-whose two CCAs and acked transaction do not fit waits for the next CAP.
+A listener that receives the beacon is held awake to the CAP end, like the
+coordinator, and contends only before it.  At the end of the CAP (IEEE Std
+802.15.4-2006, 7.5.1.4), a countdown that would cross it carries its
+remaining periods to the next CAP, and an attempt whose two CCAs and acked
+transaction do not fit waits for the next CAP.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ import random
 from enum import Enum
 
 from .core import (
-    BNC_ID,
     BeaconInfo,
     Criticality,
     Frame,
@@ -140,34 +141,28 @@ class CsmaMac:
     # -- superframe lifecycle -------------------------------------------------
 
     def start_superframe(self, t_b: SimTime, listeners: list) -> tuple[SimTime, SimTime, tuple]:
-        """Open the coordinator's CAP and schedule every CAP end; returns the
-        beacon's (first backoff boundary, CAP end, commands)."""
+        """Open the coordinator's CAP and schedule each listener's CAP end;
+        returns the beacon's (first backoff boundary, CAP end, commands)."""
         sim = self.sim
         ubp = self.ubp
         anchor = t_b + -(-sim.air_us(sim.fp.beacon_bits) // ubp) * ubp  # align past the beacon
         cap_end = t_b + sim.sf.active_duration_us
         bnc = sim.bnc
         bnc.cap_anchor, bnc.cap_end = anchor, cap_end
-        bnc.in_cap = True
-        schedule = self.scheduler.schedule
+        # A CAP end only applies the rule: nothing of an attempt is pending
+        # there, since a backoff expiry is scheduled only before the CAP end,
+        # and a first CCA only if both CCAs and the acked transaction end by it.
+        schedule, set_state = self.scheduler.schedule, sim.set_state
         for dev in listeners:
-            schedule(cap_end, SLOT_BOUNDARY, dev.id, self.on_cap_end, (dev,))
-        schedule(cap_end, SLOT_BOUNDARY, BNC_ID, self.on_cap_end, (bnc,))
+            schedule(cap_end, SLOT_BOUNDARY, dev.id, set_state, (dev, cap_end))
         return anchor, cap_end, ()
 
     def on_beacon_received(self, dev, beacon: Frame) -> None:
         info: BeaconInfo = beacon.payload
-        dev.in_cap = True
         dev.cap_anchor, dev.cap_end = info.cap_anchor, info.cap_end
+        dev.hold_awake_until = max(dev.hold_awake_until, info.cap_end)
         self.sim.set_state(dev, self.scheduler.now)
         self.try_start(dev)
-
-    def on_cap_end(self, dev) -> None:
-        # Nothing of an attempt is pending: a backoff expiry is scheduled only
-        # before the CAP end, and a first CCA only if both CCAs and the acked
-        # transaction end by it.
-        dev.in_cap = False
-        self.sim.set_state(dev, self.scheduler.now)
 
     def grant_emergency(self, bnc, node, flow) -> None:
         """Channel access is granted at the next beacon, top priority."""
@@ -181,8 +176,9 @@ class CsmaMac:
         self.try_start(dev)
 
     def try_start(self, dev) -> None:
+        now = self.scheduler.now
         if (
-            not dev.in_cap
+            now >= dev.cap_end
             or dev.ack_ev is not None
             or dev.contention_ev is not None
             or not dev.queue
@@ -203,7 +199,7 @@ class CsmaMac:
             dev.backoff_remaining = None
         else:
             periods = backoff_draw(fsm.be, dev.rng)
-        self._schedule_countdown(dev, periods, self.scheduler.now)
+        self._schedule_countdown(dev, periods, now)
 
     def _schedule_countdown(self, dev, periods: int, from_t: SimTime) -> None:
         ubp = self.ubp

@@ -13,16 +13,16 @@ node skips its slot when it senses the channel busy at the slot start.
 Coordinator commands (e.g. stream stop) piggyback on beacons rather than
 taking airtime from the slot region.
 
-The simulation builds, sends and delivers the beacon for both MACs; this
-module gives it the slot region and the queued commands, turns its reception
-into a slot start event and runs the slot.  There is no backoff, CCA retry or
-ack here: an offered frame just queues, data for its slot and commands for
-the next beacon.
+The simulation builds, sends and delivers the beacon for both MACs, and holds
+the coordinator awake through the slot region; this module gives it the slot
+region and the queued commands, turns its reception into a slot start event
+and runs the slot.  There is no backoff, CCA retry or ack here: an offered
+frame just queues, data for its slot and commands for the next beacon.
 """
 
 from __future__ import annotations
 
-from .core import BNC_ID, FrameKind, SimTime
+from .core import FrameKind, SimTime
 from .channel import CcaResult
 from .engine import EventKind
 
@@ -80,16 +80,10 @@ class TdmaMac:
     # -- superframe lifecycle -------------------------------------------------
 
     def start_superframe(self, t_b: SimTime, listeners: list) -> tuple[SimTime, SimTime, tuple]:
-        """Hold the coordinator awake through the slot region; returns the
-        beacon's (region start, region end, queued commands)."""
+        """Returns the beacon's (region start, region end, queued commands)."""
         region_start = t_b + self.beacon_us
-        region_end = region_start + self.region_us
-        bnc = self.bnc
-        if region_end > bnc.hold_awake_until:
-            bnc.hold_awake_until = region_end
-        self.scheduler.schedule(region_end, SLOT_BOUNDARY, BNC_ID, self.sim.set_state,
-                                (bnc, region_end))
-        return region_start, region_end, tuple(bnc.queue.drain()) if bnc.queue else ()
+        queue = self.bnc.queue
+        return region_start, region_start + self.region_us, tuple(queue.drain()) if queue else ()
 
     def offer(self, dev, frame) -> None:
         dev.queue.push(frame)

@@ -32,16 +32,18 @@ receiver and plain `sleep` otherwise; together with tx/rx/idle_listen this
 partitions every microsecond of the run, per device.  Each `Device` holds its
 own radio state, the time it entered it and the closed time per state; `run`
 closes the last interval at the horizon.  `Simulation.set_state(dev, now)`
-is the rule and the one transition, and reads every input off the device: tx
+is the rule and the one transition, and reads three facts off the device: tx
 while `tx_until > now`, otherwise rx while `incoming > 0`, otherwise
-idle_listen while `in_cap` or `now < hold_awake_until`, otherwise the sleep
-state.  Every other site updates a fact and then calls it; a hold's end with
-nothing else to do (a TDMA slot region's, a spurious wake's) is an event that
-calls it, as each TxEnd does for its sender (`tx_until` is never reset).  The
-one hold, `hold_awake_until`, is raised with `max` by a query, an emergency
-grant, a spurious wake and a TDMA slot region.  A TDMA slot or window keeps
-nothing on by itself: its frames start as it opens and follow each other at
-once.
+idle_listen while `now < hold_awake_until`, otherwise the sleep state.  Every
+other site updates a fact and then calls it; a hold's end with nothing else to
+do (a CAP's, the coordinator's active part's, a spurious wake's) is an event
+that calls it, as each TxEnd does for its sender (`tx_until` is never reset).
+The one hold, `hold_awake_until`, is raised with `max` by a query, an
+emergency grant, a spurious wake, a CSMA CAP (for each listener that receives
+its beacon) and the coordinator's active part: at each beacon it sends, the
+coordinator is held through the CAP or the TDMA slot region the MAC gives.  A
+TDMA slot or window keeps nothing on by itself: its frames start as it opens
+and follow each other at once.
 
 The wakeup radio is out of band and ideal apart from an optional loss draw.
 A wakeup signal is a `WAKEUP_SIGNAL` frame that never enters the channel: its
@@ -149,7 +151,7 @@ class Device:
 
     __slots__ = ("id", "placement", "rng", "criticality", "sleep_state", "profile", "gen",
                  "queue", "incoming", "tx_until", "hold_awake_until", "grant_active",
-                 "in_cap", "cap_anchor", "cap_end", "fsm", "contention_ev",
+                 "cap_anchor", "cap_end", "fsm", "contention_ev",
                  "backoff_remaining", "ack_ev", "attempt_frame", "attempt_us",
                  "slot_end", "state", "since", "state_us")
 
@@ -166,11 +168,11 @@ class Device:
         self.queue = PendingQueue()
         self.incoming = 0  # frames on the air for this device, the beacon included
         self.tx_until = 0  # end of its last transmission; never reset
-        # main radio on until then (query, grant, spurious wake)
+        # main radio on until then (query, grant, spurious wake, CSMA CAP, the
+        # coordinator's active part)
         self.hold_awake_until = 0
         self.grant_active = False
-        # CSMA attempt state
-        self.in_cap = False
+        # CSMA attempt state; the CAP it last joined: first backoff boundary, end
         self.cap_anchor = 0
         self.cap_end = 0
         self.fsm = None
@@ -283,7 +285,7 @@ class Simulation:
             state = TX
         elif dev.incoming:
             state = RX
-        elif dev.in_cap or now < dev.hold_awake_until:
+        elif now < dev.hold_awake_until:
             state = IDLE
         else:
             state = dev.sleep_state
@@ -309,14 +311,19 @@ class Simulation:
             if is_awake(dev.profile.wakeup_multiplier, sf_index) or dev.grant_active:
                 listeners.append(dev)
                 ledger.node_awake_superframes[node_id] += 1
-            elif dev.hold_awake_until == now:  # a hold ends at a boundary it sleeps through
+            elif dev.hold_awake_until == now and dev.state is not dev.sleep_state:
+                # A hold ends at a boundary it sleeps through.  One asleep
+                # already needs nothing: a CAP that ends here has had its end.
                 self.set_state(dev, now)
         if listeners:
             ledger.bnc_awake_superframes += 1
             anchor, end, commands = self.mac.start_superframe(now, listeners)
+            bnc = self.bnc  # awake through the CAP or the slot region
+            bnc.hold_awake_until = max(bnc.hold_awake_until, end)
+            self.scheduler.schedule(end, SLOT_BOUNDARY, BNC_ID, self.set_state, (bnc, end))
             beacon = make_beacon(sf_index, anchor, end, self.fp.beacon_bits, now,
                                  self.next_seq(), commands)
-            self.begin_tx(self.bnc, beacon, now, listeners)
+            self.begin_tx(bnc, beacon, now, listeners)
         else:
             self.set_state(self.bnc, now)
         next_t = (sf_index + 1) * self.sf.beacon_interval_us

@@ -8,9 +8,10 @@ schedules the countdown and the first CCA, so at a CAP end nothing is left
 to pause or cancel.  These runs check that from the outside:
 
 * every backoff expiry and CCA is dispatched while its device is in a CAP,
-  before its `cap_end`;
-* at every CAP end the scheduler holds no live backoff or CCA entry for the
-  device (read off the heap, not off the device);
+  from its `cap_anchor` and before its `cap_end`;
+* at every CAP end, the `set_state` event at its device's `cap_end`, the
+  scheduler holds no live backoff or CCA entry for the device (read off the
+  heap, not off the device);
 * every data or command transaction, with its turnaround and ack, ends by
   its sender's `cap_end`.
 
@@ -104,9 +105,9 @@ def test_contention_and_transactions_stay_inside_the_cap(name, horizon_us):
         if fn_name in CONTENTION:
             dev, now = entry[ARGS][0], entry[FIRE_AT]
             seen.append(fn_name)
-            if not (dev.in_cap and now < dev.cap_end):
-                late.append((now, fn_name, dev.id, dev.in_cap, dev.cap_end))
-        elif fn_name == "on_cap_end":
+            if not dev.cap_anchor <= now < dev.cap_end:
+                late.append((now, fn_name, dev.id, dev.cap_anchor, dev.cap_end))
+        elif fn_name == "set_state" and entry[FIRE_AT] == entry[ARGS][0].cap_end:
             dev = entry[ARGS][0]
             pending.extend((entry[FIRE_AT], e[FIRE_AT], e[FN].__name__, dev.id) for e in heap
                            if e[FN] is not None and e[FN].__name__ in CONTENTION

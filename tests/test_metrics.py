@@ -37,10 +37,9 @@ def idle_simulation(horizon_us, wakeup_receiver=True):
     return sim, sim.devices[1]
 
 
-def move(sim, dev, now, tx_until=0, incoming=0, in_cap=False, hold_awake_until=0):
+def move(sim, dev, now, tx_until=0, incoming=0, hold_awake_until=0):
     """Set the facts the radio-state rule reads, then apply it at `now`."""
-    dev.tx_until, dev.incoming = tx_until, incoming
-    dev.in_cap, dev.hold_awake_until = in_cap, hold_awake_until
+    dev.tx_until, dev.incoming, dev.hold_awake_until = tx_until, incoming, hold_awake_until
     sim.set_state(dev, now)
 
 
@@ -118,23 +117,24 @@ class TestEnergy:
         assert energies.pop() == pytest.approx(0.10995)
 
     # The rule, one row per combination of (tx_until > now, incoming > 0) and
-    # the one fact that may keep the main radio on: the CAP, an open TDMA slot
-    # (it does not: a slot's frames start as it opens and follow each other
-    # at once), a hold, or none.  `busy` is the state tx or rx gives, None if
+    # the one fact that may keep the main radio on: a hold (a CSMA CAP is
+    # one), a hold that ends now (it keeps nothing on), an open TDMA slot (it
+    # does not either: a slot's frames start as it opens and follow each other
+    # at once), or none.  `busy` is the state tx or rx gives, None if
     # neither; `listens` says whether the reason alone gives idle_listen
     # rather than the device's own sleep state.
     @pytest.mark.parametrize("tx, rx, busy", [(True, True, TX), (True, False, TX),
                                               (False, True, RX), (False, False, None)])
-    @pytest.mark.parametrize("reason, listens", [("in_cap", True), ("slot", False),
-                                                 ("hold", True), ("none", False)])
+    @pytest.mark.parametrize("reason, listens", [("hold", True), ("hold_ends_now", False),
+                                                 ("slot", False), ("none", False)])
     @pytest.mark.parametrize("wakeup_receiver", [True, False], ids=["wakeup_rx", "sleep"])
     def test_set_state_rule(self, tx, rx, busy, reason, listens, wakeup_receiver):
         sim, dev = idle_simulation(1000, wakeup_receiver)
         dev.slot_end = 200 if reason == "slot" else 0
-        # tx_until == now is a transmission that ends now: no longer tx, and
-        # a hold that ends now keeps nothing on.
+        hold = {"hold": 101, "hold_ends_now": 100}.get(reason, 0)
+        # tx_until == now is a transmission that ends now: no longer tx.
         move(sim, dev, 100, tx_until=101 if tx else 100, incoming=int(rx),
-             in_cap=reason == "in_cap", hold_awake_until=101 if reason == "hold" else 100)
+             hold_awake_until=hold)
         assert dev.state is (busy or (IDLE if listens else dev.sleep_state))
 
     def test_power_ordering_enforced(self):

@@ -899,8 +899,8 @@ REPRODUCERS = {
 class TestRadioStateInvariants:
     """After every dispatch, each device's radio state is the one rule's,
     read off the device: tx while `tx_until > now`, otherwise rx while
-    `incoming > 0`, otherwise idle_listen while `in_cap` or `now <
-    hold_awake_until`, otherwise the sleep state.  A beacon counts as
+    `incoming > 0`, otherwise idle_listen while `now < hold_awake_until`,
+    otherwise the sleep state.  A beacon counts as
     incoming to each of its listeners from the moment it is due to its end.
     Only a fact that ends at this instant, with its event still due now, may
     be behind: tx at a TxEnd, idle_listen at a hold end, and rx at a
@@ -928,7 +928,7 @@ class TestRadioStateInvariants:
                 return RadioState.TX
             if dev.incoming:
                 return RadioState.RX
-            if dev.in_cap or last < dev.hold_awake_until:
+            if last < dev.hold_awake_until:
                 return RadioState.IDLE_LISTEN
             return dev.sleep_state
 
@@ -958,14 +958,13 @@ class TestRadioStateInvariants:
                 if dev.incoming < 0 or (dev.state is not expected
                                         and not behind(dev, expected, entry)):
                     violations.append((last, dev.id, dev.state.value, dev.incoming,
-                                       dev.tx_until, dev.in_cap, dev.hold_awake_until))
+                                       dev.tx_until, dev.hold_awake_until))
 
         def charge_idle(until):
             """The states and facts left by the dispatches at `last` hold
-            until `until`: charge each idle_listen microsecond outside the
-            CAP and past the hold."""
+            until `until`: charge each idle_listen microsecond past the hold."""
             for dev in devices:
-                if dev.state is RadioState.IDLE_LISTEN and not dev.in_cap:
+                if dev.state is RadioState.IDLE_LISTEN:
                     awake_until = max(last, dev.hold_awake_until)
                     if until > awake_until:
                         idle_without_reason[dev.id] += until - awake_until
