@@ -2,6 +2,7 @@ import functools
 import gc
 import io
 import itertools
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -788,6 +789,37 @@ class TestBoundedMemory:
             assert on_air <= n_devices
             assert self.live_transmissions() - before == on_air
             del sim
+
+    # As the horizon grows, one run's traced peak may grow only by its latency
+    # samples: one int64 per delivered frame, in arrays that over-allocate by
+    # about a sixteenth.  The bound, twice the sample size, was fixed from the
+    # slope measured before this test was written: 8.2 bytes per delivered
+    # frame on `tdma_three_links` (90 -> 408 KiB from 2 000 to 16 000
+    # superframes, 5 663 -> 45 289 deliveries).
+    BYTES_PER_DELIVERY = 16
+
+    @staticmethod
+    def traced_peak(name, horizon_us):
+        scn = load_scenario(SCENARIOS / f"{name}.yaml")
+        scn.horizon_us = horizon_us
+        tracemalloc.start()
+        try:
+            ledger = Simulation(scn, seed=1).run()
+            return tracemalloc.get_traced_memory()[1], sum(ledger.delivered.values())
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("name, short_us, long_us", [
+        ("tdma_three_links", 1_000 * 30_720, 4_000 * 30_720),
+        ("priority_saturated", 2_000_000, 10_000_000),
+    ])
+    def test_peak_grows_only_by_latency_samples(self, name, short_us, long_us):
+        short_peak, short_delivered = self.traced_peak(name, short_us)
+        long_peak, long_delivered = self.traced_peak(name, long_us)
+        more = long_delivered - short_delivered
+        assert more > 1_000
+        assert long_peak - short_peak <= self.BYTES_PER_DELIVERY * more, (
+            short_peak, long_peak, more)
 
 
 def lossy_acks(emergency=False):
