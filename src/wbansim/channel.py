@@ -214,11 +214,6 @@ class ChannelModel:
     def end_tx(self, tx: ActiveTx) -> None:
         self._active.remove(tx)
 
-    def busy_until(self, now: SimTime) -> SimTime:
-        """Earliest instant at or after now when the channel carries nothing."""
-        ends = [tx.end for tx in self._active if tx.end > now]
-        return max(ends, default=now)
-
     def received_power_dbm(self, listener: Placement, now: SimTime) -> float:
         """Linear-milliwatt sum over the transmissions on the air, in dBm."""
         total_mw = 0.0

@@ -6,10 +6,13 @@ in between queue until the next active superframe.  Slot transmissions are
 contention-free and unacknowledged: a loss is final and counts against PDR.
 
 Emergency traffic bypasses slot gating entirely via the wakeup radio; the
-coordinator grants it a dedicated window at the first instant the data radio
-is free, after any window already granted and off every beacon
-(`grant_emergency`).  To keep the air collision-free around such windows, a
-node skips its slot when it senses the channel busy at the slot start.
+coordinator grants it a dedicated window in a superframe's free part, from
+the end of the beacon and the slot region to the next beacon, after any
+window already granted (`grant_emergency`).  So a window never meets a slot,
+a beacon or another window, and no slot has to yield to one.  A window opens
+like a slot: the node sends its head frame if that fits, and only while no
+frame of its own is on the air (`attempt_frame`).  The loader makes every
+emergency frame fit in the free part.
 Coordinator commands (e.g. stream stop) piggyback on beacons rather than
 taking airtime from the slot region.
 
@@ -22,13 +25,11 @@ frame just queues, data for its slot and commands for the next beacon.
 
 from __future__ import annotations
 
-from .core import FrameKind, SimTime
-from .channel import CcaResult
+from .core import BNC_ID, FrameKind, SimTime
 from .engine import EventKind
 
 # Enum members read on the per-event paths, bound once (see simulation.py).
-SLOT_BOUNDARY, BUSY = EventKind.SLOT_BOUNDARY, CcaResult.BUSY
-BEACON = FrameKind.BEACON
+SLOT_BOUNDARY, BEACON = EventKind.SLOT_BOUNDARY, FrameKind.BEACON
 
 
 class TdmaSchedule:
@@ -58,22 +59,21 @@ class TdmaSchedule:
 
 
 class TdmaMac:
-    """Slot logic for one run.  The scheduler, the channel and its CCA
-    threshold, the coordinator, the airtime memo, the beacon's airtime, each
-    node's slot offset and the region length are fixed for the run, so they
-    are bound once here for the per-slot handlers."""
+    """Slot logic for one run.  The scheduler, the coordinator, the airtime
+    memo, the beacon's airtime, each node's slot offset, the region length and
+    where the free part starts are fixed for the run, so they are bound once
+    here for the per-slot handlers."""
 
     def __init__(self, sim, schedule: TdmaSchedule) -> None:
         self.sim = sim
         self.scheduler = sim.scheduler
-        self.channel = sim.channel
-        self.cca_threshold_dbm = sim.channel.params.cca_threshold_dbm
         self.bnc = sim.bnc
         self.air_us = sim.air_us
         self.beacon_us = sim.air_us(sim.fp.beacon_bits)
         self.slot_offsets = {node: schedule.slot_offset_us(node) for node in schedule.slots}
         self.slot_us = schedule.slot_duration_us
         self.region_us = schedule.region_us
+        self.free_start = self.beacon_us + self.region_us  # into each beacon interval
         self.interval_us = sim.sf.beacon_interval_us
         self.window_end = 0  # end of the last emergency window granted
 
@@ -89,26 +89,20 @@ class TdmaMac:
         dev.queue.push(frame)
 
     def grant_emergency(self, bnc, node, flow) -> None:
-        """A dedicated response window as soon as the data radio frees up and
-        after the last one granted; one that would start inside a beacon or
-        cross the next boundary (each counts as a beacon) starts at its end."""
-        now = self.scheduler.now
-        start = max(now, self.channel.busy_until(now), self.window_end)
+        """A dedicated response window after the last one granted, in the
+        free part of this superframe or, if it would start before that part
+        or cross the next beacon, of the next one.  The coordinator is held
+        awake until the window ends, where its own event applies the rule."""
+        start = max(self.scheduler.now, self.window_end)
         air = self.air_us(flow.frame.size_bits)
         into = start % self.interval_us
-        if into < self.beacon_us or into + air > self.interval_us:
-            start += (self.beacon_us - into) % self.interval_us  # this or the next beacon's end
-        self.window_end = start + air
-        bnc.hold_awake_until = max(bnc.hold_awake_until, self.window_end)
-        self.scheduler.schedule(start, SLOT_BOUNDARY, node.id,
-                                self._start_emergency_window, (node, flow))
-
-    def _start_emergency_window(self, dev, flow) -> None:
-        if flow.frame not in dev.queue:
-            return  # already resolved through the regular slot
-        now = self.scheduler.now
-        dev.slot_end = now + self.air_us(flow.frame.size_bits)
-        self.sim.begin_tx(dev, flow.frame, now)
+        if into < self.free_start or into + air > self.interval_us:
+            start += (self.free_start - into) % self.interval_us  # this or the next one's
+        self.window_end = end = start + air
+        bnc.hold_awake_until = max(bnc.hold_awake_until, end)
+        schedule = self.scheduler.schedule
+        schedule(end, SLOT_BOUNDARY, BNC_ID, self.sim.set_state, (bnc, end))
+        schedule(start, SLOT_BOUNDARY, node.id, self.on_slot_start, (node, end))
 
     def on_beacon_received(self, dev, beacon) -> None:
         sim = self.sim
@@ -128,22 +122,19 @@ class TdmaMac:
     # -- slot transmissions -----------------------------------------------------
 
     def on_slot_start(self, dev, slot_end: SimTime) -> None:
-        # An emergency window may own the channel; yield the whole slot then.
-        if self.channel.cca_energy_detect(dev.placement, self.cca_threshold_dbm,
-                                          self.scheduler.now) is BUSY:
-            self.sim.ledger.loss_reasons["slot_yielded"] += 1
-            return
+        """A slot or an emergency window opens until `slot_end`."""
         dev.slot_end = slot_end
         self._tx_next(dev)
 
     def _tx_next(self, dev) -> None:
-        """Send the head frame if it fits before the slot or window ends; an
-        empty queue, or a head that overruns it, waits for the next active
-        superframe."""
-        now = self.scheduler.now
-        if dev.queue and dev.tx_until <= now:  # a window may have started at this TxEnd
+        """Send the head frame if no frame of the node is on the air and it
+        fits before the slot or window ends; an empty queue, or a head that
+        overruns it, waits for the next active superframe."""
+        if dev.queue and dev.attempt_frame is None:
+            now = self.scheduler.now
             frame = dev.queue[0][1]
             if now + self.air_us(frame.size_bits) <= dev.slot_end:
+                dev.attempt_frame = frame
                 self.sim.begin_tx(dev, frame, now)
 
     def on_tx_end(self, dev, tx, delivered: bool) -> None:
@@ -153,6 +144,7 @@ class TdmaMac:
         if frame.kind is BEACON:
             return
         sim = self.sim
+        dev.attempt_frame = None
         if delivered:
             sim.receive(frame)
         sim.release(dev, frame)

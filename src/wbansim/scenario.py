@@ -644,7 +644,9 @@ def _tdma(ck: _Check, raw: object, path: str) -> TdmaSchedule | None:
 
 def _fit_checks(ck, name, nodes, on_demand, tdma, sf, frames) -> None:
     """Every frame can ever be sent.  Under TDMA the slot region and beacon
-    fit the beacon interval and each node's frame its slot.  Under CSMA the
+    fit the beacon interval, each node's frame its slot, and each emergency
+    frame the free part from the slot region's end to the next beacon, where
+    its windows open.  Under CSMA the
     fit rule of CsmaMac.on_backoff_expired holds at the earliest backoff
     boundary after the beacon; a frame that fails it would queue forever.
     And an ack ends before its sender's ack wait does: the timeout, queued
@@ -662,11 +664,18 @@ def _fit_checks(ck, name, nodes, on_demand, tdma, sf, frames) -> None:
         if region > sf.beacon_interval_us:
             ck.err(f"{name}.tdma", f"slot region + beacon ({region} us) exceeds the "
                                    f"beacon interval ({sf.beacon_interval_us} us)")
+        free = sf.beacon_interval_us - region
         for prof in profiles:
             if air(prof.payload_bits) > tdma.slot_duration_us:
                 ck.err(f"{name}.nodes", f"node {prof.id}: frame airtime "
                                         f"{air(prof.payload_bits)} us exceeds slot duration "
                                         f"{tdma.slot_duration_us} us")
+            # An emergency window opens only after the slot region.
+            if (prof.traffic_class is TrafficClass.EMERGENCY and free >= 0
+                    and air(prof.payload_bits) > free):
+                ck.err(f"{name}.nodes", f"node {prof.id}: emergency frame airtime "
+                                        f"{air(prof.payload_bits)} us exceeds the {free} us "
+                                        f"between the slot region's end and the next beacon")
         return
     ack_us = sf.turnaround_us + air(frames.ack_bits)
     if ack_us >= sf.ack_wait_us:

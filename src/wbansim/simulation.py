@@ -130,9 +130,6 @@ class PendingQueue(list):
         self.clear()
         return out
 
-    def __contains__(self, frame: Frame) -> bool:
-        return any(f is frame for _, f in self)
-
     def has_priority_le(self, priority: int) -> bool:
         return bool(self) and self[0][0][0] <= priority
 
@@ -182,7 +179,9 @@ class Device:
         # the pending AckTimeout entry, kept to cancel it; set exactly while
         # the attempt's frame is on the air or awaiting its ack
         self.ack_ev: list | None = None
-        self.attempt_frame: Frame | None = None  # frame bound to the ongoing attempt
+        # the frame bound to the transceiver until its outcome: a CSMA
+        # attempt's from its first backoff, a TDMA frame while on the air
+        self.attempt_frame: Frame | None = None
         self.attempt_us = 0  # its acked transaction: data, turnaround, ack
         # TDMA slot state
         self.slot_end: SimTime = 0  # end of the last slot or emergency window it opened

@@ -18,19 +18,34 @@ or the slot region (TDMA) each time.
 The expected values are computed here from the scenario by hand, not by
 calling the wakeup pattern or the MAC, so they check the simulator from the
 outside.
+
+On any network, a device's `tx` time is the measure of the union of what it
+puts on the air: its channel transmissions and its wakeup signals, clipped
+at the horizon.  That identity is checked on the shipped scenarios, the
+golden variants and generated TDMA scenarios.
 """
 
 import math
+from collections import defaultdict
+from pathlib import Path
+
+import pytest
+import yaml
 
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from wbansim.core import BNC_ID
 from wbansim.metrics import RadioState
-from wbansim.scenario import parse_scenario
+from wbansim.scenario import load_scenario, parse_scenario
 from wbansim.simulation import Simulation
 
+import test_simulation
 from conftest import base_scenario_dict
+from test_golden import VARIANTS
+from test_tdma_windows import generated_tdma_scenario
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 BASE_SUPERFRAME_US = 15_360  # aBaseSuperframeDuration at 62.5 ksymbol/s
 BEACON_US = 1_216            # 304 bits at 250 kb/s
@@ -98,3 +113,53 @@ def test_silent_network_closed_form(network):
     assert bnc[IDLE] == idle
     assert bnc[RadioState.WAKEUP_RX] == horizon_us - awake * BEACON_US - idle
     assert sum(bnc.values()) == horizon_us
+
+
+def union_us(spans, horizon_us):
+    """The measure of the union of `spans`, each clipped at the horizon."""
+    total, reach = 0, 0
+    for start, end in sorted(spans):
+        start, end = max(start, reach), min(end, horizon_us)
+        if end > start:
+            total += end - start
+            reach = end
+    return total
+
+
+def airtime_case(name):
+    if name in VARIANTS:
+        base, sections = VARIANTS[name]
+        raw = yaml.safe_load((SCENARIOS / f"{base}.yaml").read_text(encoding="utf-8"))
+        return parse_scenario({**raw, **sections}, name=name), 1
+    if name.startswith("tdma_generated"):
+        return generated_tdma_scenario(int(name[len("tdma_generated"):])), None
+    return load_scenario(SCENARIOS / f"{name}.yaml"), 1
+
+
+AIRTIME_CASES = ([p.stem for p in sorted(SCENARIOS.glob("*.yaml"))] + sorted(VARIANTS)
+                 + [f"tdma_generated{i}" for i in range(20)])
+
+
+@pytest.mark.parametrize("name", AIRTIME_CASES)
+def test_tx_time_is_the_union_of_what_each_device_sends(name):
+    scn, seed = airtime_case(name)
+    sim = Simulation(scn, seed=seed)
+    # Capped as the radio-state invariant runs cap it; the run ends there.
+    sim.horizon_us = test_simulation.TestRadioStateInvariants.HORIZON_US.get(name, sim.horizon_us)
+    spans = defaultdict(list)
+    register, send_signal = sim.channel.register_tx, sim._send_signal
+
+    def observed_register(frame, placement, start, air_us):
+        spans[frame.src].append((start, start + air_us))
+        return register(frame, placement, start, air_us)
+
+    def observed_signal(dev, dst, ctx):
+        now = sim.scheduler.now
+        spans[dev.id].append((now, now + sim.wc.signal_airtime_us))
+        send_signal(dev, dst, ctx)
+
+    sim.channel.register_tx, sim._send_signal = observed_register, observed_signal
+    ledger = sim.run()
+    assert sum(map(len, spans.values())) > 0
+    for dev_id in sim.devices:
+        assert ledger.state_us[dev_id][TX] == union_us(spans[dev_id], sim.horizon_us), dev_id

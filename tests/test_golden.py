@@ -11,8 +11,8 @@ its streams.  `emergency_8bn_lossy` is `emergency_8bn` with a lossy wakeup
 radio and four lossy beacon links: the channel draws of the wakeup loss and
 of a beacon reception run on no shipped scenario.  `tdma_three_links_wakeup`
 adds an emergency node and an on-demand node to `tdma_three_links`: the TDMA
-emergency grant and window, the slot yield, spurious wakes and a stop
-command carried on a beacon run on no shipped scenario.  A change that alters
+emergency grant and window, spurious wakes and a stop command carried on a
+beacon run on no shipped scenario.  A change that alters
 any digest changes what the simulator computes and must say why, together
 with the regenerated entries of the digest file:
 
