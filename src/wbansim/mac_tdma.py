@@ -19,7 +19,7 @@ taking airtime from the slot region.
 The simulation builds, sends and delivers the beacon for both MACs, and holds
 the coordinator awake through the slot region; this module gives it the slot
 region and the queued commands, turns its reception into a slot start event
-and runs the slot.  There is no backoff, CCA retry or ack here: an offered
+and runs the slot.  There is no backoff, CCA or ack here: an offered
 frame just queues, data for its slot and commands for the next beacon.
 """
 

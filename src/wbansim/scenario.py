@@ -670,7 +670,6 @@ def _fit_checks(ck, name, nodes, on_demand, tdma, sf, frames) -> None:
                 ck.err(f"{name}.nodes", f"node {prof.id}: frame airtime "
                                         f"{air(prof.payload_bits)} us exceeds slot duration "
                                         f"{tdma.slot_duration_us} us")
-            # An emergency window opens only after the slot region.
             if (prof.traffic_class is TrafficClass.EMERGENCY and free >= 0
                     and air(prof.payload_bits) > free):
                 ck.err(f"{name}.nodes", f"node {prof.id}: emergency frame airtime "

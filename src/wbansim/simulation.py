@@ -36,8 +36,9 @@ is the rule and the one transition, and reads three facts off the device: tx
 while `tx_until > now`, otherwise rx while `incoming > 0`, otherwise
 idle_listen while `now < hold_awake_until`, otherwise the sleep state.  Every
 other site updates a fact and then calls it; a hold's end with nothing else to
-do (a CAP's, the coordinator's active part's, a spurious wake's) is an event
-that calls it, as each TxEnd does for its sender (`tx_until` is never reset).
+do (a CAP's, the coordinator's active part's or TDMA window's, a spurious
+wake's) is an event that calls it, as each TxEnd does for its sender
+(`tx_until` is never reset).
 The one hold, `hold_awake_until`, is raised with `max` by a query, an
 emergency grant, a spurious wake, a CSMA CAP (for each listener that receives
 its beacon) and the coordinator's active part: at each beacon it sends, the

@@ -122,7 +122,8 @@ def test_generated_tdma_scenarios_cover_the_space():
         "periodic", "poisson"}
 
 
-def one_emergency_node(order, multiplier, rate_per_hour, phase_s, **node):
+def one_emergency_node(order, multiplier, rate_per_hour, phase_s):
+    """One 400-bit Poisson emergency node in a 3.4 ms slot, BO = SO = `order`."""
     return dict(
         mac="tdma", horizon_s=2.0,
         superframe={"beacon_order": order, "superframe_order": order},
@@ -131,7 +132,7 @@ def one_emergency_node(order, multiplier, rate_per_hour, phase_s, **node):
                 "placement": {"kind": "on_body", "x_m": 0.1},
                 "wakeup_multiplier": multiplier, "payload_bits": 400,
                 "traffic": {"arrival": "poisson", "rate_per_hour": rate_per_hour,
-                            "phase_s": phase_s}, **node}],
+                            "phase_s": phase_s}}],
     )
 
 
@@ -157,9 +158,9 @@ def test_coordinator_sleeps_after_a_window_whose_frame_is_sent():
 
 
 def test_a_window_never_meets_a_slot():
-    # BO = SO = 1: node 2 sends two 400-bit frames in its slot each
-    # superframe.  Once, node 1's window opened as the first of them ended,
-    # and node 1's frame and node 2's second one were both on the air from
+    # BO = SO = 1.  Once, with two 400-bit frames in node 2's slot, a window
+    # of node 1 opened where the channel freed after the first of them, and
+    # node 1's frame and node 2's second one were both on the air from
     # 866 376 us.
     scn = make_scenario(
         mac="tdma", horizon_s=2.0,
@@ -187,8 +188,9 @@ def test_a_window_never_meets_a_slot():
 
 
 def test_a_window_opening_at_a_txend_sends_each_frame_once():
-    # One 3.2 ms slot that a frame fills: back-to-back windows, granted
-    # before the previous window's frame went on the air, open at its TxEnd.
+    # Windows follow back to back.  The next one's start, scheduled at its
+    # grant, is dispatched before the previous window's TxEnd at the same
+    # instant, while that frame is still queued and `tx_until` equals now.
     scn = make_scenario(
         mac="tdma", horizon_s=2.0,
         superframe={"beacon_order": 1, "superframe_order": 1},
