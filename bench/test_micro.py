@@ -59,13 +59,51 @@ def test_scheduler_run_until(benchmark):
     assert benchmark(schedule_and_dispatch) == list(range(n))
 
 
+def test_scheduler_same_instant_follow_ons(benchmark):
+    """The pattern slotted CSMA/CA gives the scheduler: 20 devices count
+    backoffs on the same unit-backoff boundaries, and each backoff expiry
+    schedules its CCA at the same instant and its next expiry one unit
+    backoff on, at a boundary already on the calendar (a marker event
+    holds each of the 50 boundaries from the start)."""
+    devices, boundaries, ubp = 20, 50, 320
+    last = (boundaries - 1) * ubp
+
+    def run():
+        s = Scheduler()
+        s.register(EventKind.BACKOFF_EXPIRED, fire)
+        s.register(EventKind.CCA_DUE, fire)
+        s.register(EventKind.SLOT_BOUNDARY, fire)
+        fired = []
+        append = fired.append
+
+        def expiry(dev):
+            append(("expiry", dev))
+            now = s.now
+            s.schedule(now, EventKind.CCA_DUE, dev, append, (("cca", dev),))
+            if now < last:
+                s.schedule(now + ubp, EventKind.BACKOFF_EXPIRED, dev, expiry, (dev,))
+
+        for b in range(boundaries):
+            s.schedule(b * ubp, EventKind.SLOT_BOUNDARY, None, append, (("boundary", b),))
+        for dev in range(devices):
+            s.schedule(0, EventKind.BACKOFF_EXPIRED, dev, expiry, (dev,))
+        s.run_until(last)
+        return fired
+
+    expected = []
+    for b in range(boundaries):  # at each boundary: its marker, the expiries, then their CCAs
+        expected += [("boundary", b)] + [(step, d) for step in ("expiry", "cca")
+                                         for d in range(devices)]
+    assert benchmark(run) == expected
+
+
 def test_tdma_data_frame_round_trip(benchmark):
     """One slot transmission of `tdma_three_links` node 1 to the coordinator:
     `begin_tx` starts it at once (`_tx_started`), then `run_until` dispatches
     its TxEnd to `_on_tx_end`, which delivers it and resolves the frame."""
     scenario = load_scenario(SCENARIOS / "tdma_three_links.yaml")
     sim = Simulation(scenario, seed=1)
-    sim.scheduler._heap.clear()  # no beacons or arrivals: only the round trips run
+    sim.scheduler.clear()  # no beacons or arrivals: only the round trips run
     # Held awake and so listening, as in the slot region: without the hold
     # the coordinator sleeps and receives nothing.
     sim.bnc.hold_awake_until = 2**62
@@ -80,7 +118,7 @@ def test_tdma_data_frame_round_trip(benchmark):
         sim.scheduler.run_until(tx.end)
 
     benchmark(round_trip)
-    assert not dev.queue and not sim.scheduler._heap
+    assert not dev.queue and not sim.scheduler._calendar and not sim.scheduler._instants
     assert sim.ledger.delivered[(1, TrafficClass.NORMAL_HIGH)] > 0
     assert sim.ledger.loss_reasons["destination_not_listening"] == 0
 
@@ -143,8 +181,7 @@ def test_busy_cca_to_backoff_expiry(benchmark):
     the channel check, the FSM step, a new backoff draw and the scheduled
     backoff expiry, with node 2 on the air for the whole run."""
     sim = Simulation(load_scenario(SCENARIOS / "priority_saturated.yaml"), seed=1)
-    heap = sim.scheduler._heap
-    heap.clear()  # no beacons or arrivals: only the CCA runs
+    sim.scheduler.clear()  # no beacons or arrivals: only the CCA runs
     dev = sim.devices[1]
     dev.cap_anchor, dev.cap_end = 0, 2**62
     fsm = dev.fsm = CsmaBackoffFsm(sim.policy, dev.criticality)
@@ -156,7 +193,7 @@ def test_busy_cca_to_backoff_expiry(benchmark):
         fsm.nb, fsm.be = 0, first_be  # every round is the attempt's first busy CCA
         sim.mac.on_cca_due(dev)
         expiries.append(dev.contention_ev[0])  # FIRE_AT of the scheduled expiry
-        heap.clear()
+        sim.scheduler.clear()
         dev.contention_ev = None
 
     benchmark(busy_cca)

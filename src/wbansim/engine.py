@@ -4,14 +4,24 @@ Events fire in (fire_at, insertion order) order; ties at the same instant are
 resolved strictly by insertion, so a run's event trace is a pure function of
 (scenario, seed).  Scheduling into the past is a fatal logic error.
 
-An event is one flat list, the entry `schedule()` pushes on the heap:
+An event is one flat list, the entry `schedule()` files:
 
-    [fire_at, seq, kind, node, fn, args]
+    [fire_at, kind, node, fn, args]
 
-`seq` is the scheduler's insertion counter.  It is unique, so two entries
-compare by `(fire_at, seq)` alone and the heap never looks past it.  The
-entry is also the event's handle: `cancel()` clears `fn` in place, and the
-loop skips an entry whose `fn` is None when it pops it.
+The pending events are a calendar of instants: a heap of the distinct
+instants that have events, as plain ints, and a dict from each instant to
+the list of its entries in insertion order.  `schedule()` appends an entry to
+its instant's list and pushes the instant onto the heap only when the
+instant has no list yet.  `run_until()` pops an instant, sets the clock once,
+dispatches that instant's list in order, including the entries handlers
+append to it while it runs, and then deletes the list.  The order rule
+follows from the structure alone: earlier instants first, and within an
+instant, insertion order.  An entry scheduled at the clock after
+`run_until(t_end)` has returned, at `t_end`, starts a new list and fires in
+the next `run_until`.
+
+The entry is also the event's handle: `cancel()` clears `fn` in place, and
+the loop skips an entry whose `fn` is None when it reaches it.
 
 Dispatch contract: an entry carries its own callback and arguments, and
 firing it means calling `fn(*args)` (see `fire`).  Its `EventKind` and `node`
@@ -23,11 +33,16 @@ timed per kind.  Each dispatched entry, as it is, goes to the `trace_sink`
 The scheduler remembers the last 32 dispatched entries and formats them as
 `<fire_at> <kind> <node or ->` lines only when a handler raises, so the
 trace tail costs one deque append per event.
+
+What a `RunAborted` leaves pending: the entry whose handler raised (or has
+no handler) counts as dispatched, as does every entry before it.  Every
+entry after it stays pending, the rest of its instant's list included, and
+the clock stays at its instant; a later `run_until` dispatches them in
+order.  An exception from the trace sink leaves the same.
 """
 
 from __future__ import annotations
 
-import itertools
 import random
 from collections import deque
 from enum import Enum
@@ -64,12 +79,12 @@ class EventKind(Enum):
 
 # Positions in an event entry.  The per-event code in this module indexes
 # with the literal positions, which saves a global read each.
-FIRE_AT, SEQ, KIND, NODE, FN, ARGS = range(6)
+FIRE_AT, KIND, NODE, FN, ARGS = range(5)
 
 
 def fire(entry: list) -> None:
     """The handler for every kind: run the entry's own callback."""
-    entry[4](*entry[5])  # FN, ARGS
+    entry[3](*entry[4])  # FN, ARGS
 
 
 class Scheduler:
@@ -77,8 +92,8 @@ class Scheduler:
 
     def __init__(self) -> None:
         self.now: SimTime = 0
-        self._heap: list[list] = []
-        self._seq = itertools.count()
+        self._instants: list[SimTime] = []  # heap of the instants in _calendar
+        self._calendar: dict[SimTime, list[list]] = {}
         self._handlers: dict[EventKind, Callable[[list], None]] = {}
         self._trace_tail: deque[list] = deque(maxlen=32)
         self.trace_sink: Callable[[list], None] | None = None
@@ -97,8 +112,13 @@ class Scheduler:
             raise SchedulingError(
                 f"cannot schedule {kind.value} at {fire_at} us; clock is {self.now} us"
             )
-        entry = [fire_at, next(self._seq), kind, node, fn, args]
-        heappush(self._heap, entry)
+        entry = [fire_at, kind, node, fn, args]
+        entries = self._calendar.get(fire_at)
+        if entries is None:
+            self._calendar[fire_at] = [entry]
+            heappush(self._instants, fire_at)
+        else:
+            entries.append(entry)
         return entry
 
     def cancel(self, entry: list) -> None:
@@ -109,43 +129,55 @@ class Scheduler:
         and arguments can reach whatever owns this scheduler, and a device
         can keep an entry as its handle, so each pending entry is emptied as
         well: nothing cyclic is left."""
-        for entry in self._heap:
-            entry[FN] = entry[ARGS] = None
-        self._heap.clear()
+        for entries in self._calendar.values():
+            for entry in entries:
+                entry[FN] = entry[ARGS] = None
+        self._calendar.clear()
+        self._instants.clear()
         self._trace_tail.clear()
 
     def run_until(self, t_end: SimTime) -> SimTime:
         """Dispatch all events with fire_at <= t_end in order; clock ends at t_end."""
         if t_end < self.now:
             raise SchedulingError(f"t_end {t_end} behind clock {self.now}")
-        heap = self._heap
+        instants = self._instants
+        calendar = self._calendar
         pop = heappop
         handlers = self._handlers
         remember = self._trace_tail.append
         sink = self.trace_sink
-        while heap and heap[0][0] <= t_end:
-            entry = pop(heap)
-            if entry[4] is None:  # cancelled
-                continue
-            self.now = fire_at = entry[0]
-            remember(entry)
-            if sink is not None:
-                sink(entry)
-            kind = entry[2]
-            handler = handlers.get(kind)
-            if handler is None:
-                raise RunAborted(f"no dispatcher for event kind {kind.value}")
+        while instants and instants[0] <= t_end:
+            self.now = fire_at = pop(instants)
+            entries = calendar[fire_at]
+            # The list iterator reads the length at each step, so entries a
+            # handler appends at this instant are dispatched in this loop.
             try:
-                handler(entry)
-            except Exception as exc:
-                tail = "\n".join(
-                    f"{e[FIRE_AT]} {e[KIND].value} {'-' if e[NODE] is None else e[NODE]}"
-                    for e in self._trace_tail
-                )
-                raise RunAborted(
-                    f"dispatcher for {kind.value} failed at t={fire_at} us: "
-                    f"{exc}\nevent trace tail:\n{tail}"
-                ) from exc
+                for entry in entries:
+                    if entry[3] is None:  # cancelled
+                        continue
+                    remember(entry)
+                    if sink is not None:
+                        sink(entry)
+                    kind = entry[1]
+                    handler = handlers.get(kind)
+                    if handler is None:
+                        raise RunAborted(f"no dispatcher for event kind {kind.value}")
+                    try:
+                        handler(entry)
+                    except Exception as exc:
+                        tail = "\n".join(
+                            f"{e[FIRE_AT]} {e[KIND].value} {'-' if e[NODE] is None else e[NODE]}"
+                            for e in self._trace_tail
+                        )
+                        raise RunAborted(
+                            f"dispatcher for {kind.value} failed at t={fire_at} us: "
+                            f"{exc}\nevent trace tail:\n{tail}"
+                        ) from exc
+            except BaseException:  # `entry` counts as dispatched; the rest stays pending
+                del entries[:next(k for k, e in enumerate(entries) if e is entry) + 1]
+                heappush(instants, fire_at)
+                raise
+            del calendar[fire_at]
         self.now = t_end
         return self.now
 

@@ -30,6 +30,20 @@ def make_scenario(name="scenario", **overrides):
     return parse_scenario(base_scenario_dict(**overrides), name=name)
 
 
+def pending_entries(scheduler, current):
+    """The scheduler's pending entries, cancelled ones included, in no
+    particular order, as a trace sink sees them while `current` is being
+    dispatched.  An instant's list stays on the calendar until all of it is
+    dispatched, so the entries of `current`'s instant up to and including
+    `current` are left out: they have been dispatched already."""
+    pending = []
+    for at, entries in scheduler._calendar.items():
+        if at == current[0]:  # FIRE_AT
+            entries = entries[next(k for k, e in enumerate(entries) if e is current) + 1:]
+        pending.extend(entries)
+    return pending
+
+
 @pytest.fixture
 def tiny_scenario():
     return make_scenario()

@@ -11,7 +11,7 @@ to pause or cancel.  These runs check that from the outside:
   from its `cap_anchor` and before its `cap_end`;
 * at every CAP end, the `set_state` event at its device's `cap_end`, the
   scheduler holds no live backoff or CCA entry for the device (read off the
-  heap, not off the device);
+  calendar, not off the device);
 * every data or command transaction, with its turnaround and ack, ends by
   its sender's `cap_end`.
 
@@ -31,7 +31,7 @@ from wbansim.scenario import load_scenario
 from wbansim.simulation import Simulation
 from wbansim.traffic import ArrivalProcess
 
-from conftest import make_scenario
+from conftest import make_scenario, pending_entries
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 CONTENTION = {"on_backoff_expired", "on_cca_due"}
@@ -96,7 +96,6 @@ def build(name: str, horizon_us):
 @pytest.mark.parametrize("name,horizon_us", CASES, ids=[c[0] for c in CASES])
 def test_contention_and_transactions_stay_inside_the_cap(name, horizon_us):
     sim, horizon_us = build(name, horizon_us)
-    heap = sim.scheduler._heap
     ack_tail = sim.sf.turnaround_us + sim.air_us(sim.fp.ack_bits)
     seen, late, pending, overruns = [], [], [], []
 
@@ -109,7 +108,8 @@ def test_contention_and_transactions_stay_inside_the_cap(name, horizon_us):
                 late.append((now, fn_name, dev.id, dev.cap_anchor, dev.cap_end))
         elif fn_name == "set_state" and entry[FIRE_AT] == entry[ARGS][0].cap_end:
             dev = entry[ARGS][0]
-            pending.extend((entry[FIRE_AT], e[FIRE_AT], e[FN].__name__, dev.id) for e in heap
+            pending.extend((entry[FIRE_AT], e[FIRE_AT], e[FN].__name__, dev.id)
+                           for e in pending_entries(sim.scheduler, entry)
                            if e[FN] is not None and e[FN].__name__ in CONTENTION
                            and e[ARGS][0] is dev)
 

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from wbansim.engine import (
     ARGS,
     FN,
-    SEQ,
     EventKind,
     RngStreams,
     RunAborted,
@@ -45,12 +44,11 @@ def test_ties_break_by_insertion_order():
 def test_cancelled_event_never_dispatched():
     seen = []
     s = make_scheduler()
-    keep = s.schedule(5, TICK, None, seen.append, ("keep",))
+    s.schedule(5, TICK, None, seen.append, ("keep",))
     drop = s.schedule(5, TICK, None, seen.append, ("drop",))
     s.cancel(drop)
     s.run_until(10)
     assert seen == ["keep"]
-    assert keep[SEQ] < drop[SEQ]
 
 
 def test_scheduling_in_past_is_fatal():
@@ -98,6 +96,35 @@ def test_dispatcher_failure_aborts_with_trace_tail():
     assert lines[-3:] == ["event trace tail:", "1 MeasurementTick -", "2 BeaconDue 0"]
 
 
+def test_an_abort_leaves_every_entry_after_the_failing_one_pending():
+    seen = []
+    s = make_scheduler()
+
+    def boom():
+        raise ValueError("broken handler")
+
+    for label in "ab":
+        s.schedule(2, TICK, None, seen.append, (label,))
+    s.schedule(2, TICK, None, boom)
+    for label in "cd":
+        s.schedule(2, TICK, None, seen.append, (label,))
+    s.schedule(3, TICK, None, seen.append, ("e",))
+    with pytest.raises(RunAborted):
+        s.run_until(10)
+    assert seen == ["a", "b"] and s.now == 2
+    s.schedule(2, TICK, None, seen.append, ("f",))
+    s.run_until(10)
+    assert seen == ["a", "b", "c", "d", "f", "e"]
+    # The failing entry alone at its instant: nothing of it is left to run,
+    # and an entry scheduled there afterwards still fires.
+    s.schedule(20, TICK, None, boom)
+    with pytest.raises(RunAborted):
+        s.run_until(30)
+    s.schedule(20, TICK, None, seen.append, ("g",))
+    s.run_until(30)
+    assert seen[-1] == "g" and not s._instants and not s._calendar
+
+
 def test_trace_tail_holds_exactly_the_last_32_dispatches():
     s = make_scheduler()
     s.register(EventKind.BEACON_DUE, fire)
@@ -130,7 +157,36 @@ def test_clear_drops_and_empties_every_pending_event():
     s.clear()
     assert handle[FN] is None and handle[ARGS] is None
     assert s.run_until(100) == 100 and seen == ["first"]
-    assert not s._heap and not s._trace_tail
+    assert not s._trace_tail
+
+
+def test_clear_leaves_no_instant_and_no_list_behind():
+    # Cleared in the middle of a run, with several instants pending and one
+    # holding several entries.  A list left behind without its instant on the
+    # heap would swallow every later entry at that instant.
+    s = make_scheduler()
+    seen = []
+    for t in (5, 20, 20, 30):
+        s.schedule(t, TICK, None, seen.append, (t,))
+    s.run_until(10)
+    s.clear()
+    assert not s._instants and not s._calendar
+    s.schedule(20, TICK, None, seen.append, ("after",))
+    s.run_until(100)
+    assert seen == [5, "after"]
+
+
+def test_an_entry_scheduled_at_t_end_after_the_run_fires_in_the_next_run():
+    seen = []
+    s = make_scheduler()
+    s.schedule(10, TICK, None, seen.append, ("a",))
+    s.run_until(10)
+    s.schedule(10, TICK, None, seen.append, ("b",))
+    assert seen == ["a"]
+    assert s.run_until(10) == 10 and seen == ["a", "b"]
+    s.schedule(10, TICK, None, seen.append, ("c",))
+    s.schedule(12, TICK, None, seen.append, ("d",))
+    assert s.run_until(20) == 20 and seen == ["a", "b", "c", "d"]
 
 
 def test_events_scheduled_during_dispatch_run_in_order():
@@ -154,7 +210,7 @@ def test_entry_is_the_flat_handle_the_sink_receives():
     s.trace_sink = sunk.append
     args = ("x",)
     entry = s.schedule(3, TICK, 7, print, args)
-    assert entry == [3, 0, TICK, 7, print, args]
+    assert entry == [3, TICK, 7, print, args]
     s.cancel(entry)
     assert entry[FN] is None
     live = s.schedule(4, TICK, None, lambda: None)
@@ -171,36 +227,69 @@ OPERATIONS = st.lists(st.one_of(
     st.tuples(st.just("cancel"), st.integers(0, 10**6)),
     st.tuples(st.just("run"), st.integers(0, 30)),
 ), max_size=150)
+# What the event with insertion index k does when it fires: reactions[k],
+# each step a follow-on at a delay of 0-3 us or a cancel of any handle, one
+# already dispatched or the event's own included.
+REACTIONS = st.lists(st.lists(st.one_of(
+    st.tuples(st.just("schedule"), st.integers(0, 3)),
+    st.tuples(st.just("cancel"), st.integers(0, 10**6)),
+), max_size=3), max_size=60)
 
 
 @settings(max_examples=200, deadline=None)
-@given(OPERATIONS)
-def test_dispatch_order_matches_a_sorted_model(operations):
+@given(OPERATIONS, REACTIONS)
+def test_dispatch_order_matches_a_sorted_model(operations, reactions):
     s = make_scheduler()
     fired, sunk = [], []
     s.trace_sink = sunk.append
     handles: list[list] = []
+
+    def react(label):
+        fired.append(label)
+        for op, arg in reactions[label] if label < len(reactions) else ():
+            if op == "schedule":
+                label = len(handles)
+                handles.append(s.schedule(s.now + arg, TICK, label % 3 or None, react, (label,)))
+            else:
+                s.cancel(handles[arg % len(handles)])
+
+    # The model: pending events by insertion index, each fired in turn as
+    # the least (fire_at, insertion index) due, its reactions applied to it.
     pending: dict[int, int] = {}  # insertion index -> fire_at
     expected: list[int] = []
+    count = 0  # insertion indices handed out
+
+    def model_schedule(at):
+        nonlocal count
+        pending[count] = at
+        count += 1
+
+    def model_run(t_end):
+        while due := [(at, label) for label, at in pending.items() if at <= t_end]:
+            at, label = min(due)
+            del pending[label]
+            expected.append(label)
+            for op, arg in reactions[label] if label < len(reactions) else ():
+                if op == "schedule":
+                    model_schedule(at + arg)
+                else:
+                    pending.pop(arg % count, None)
+
     for op, arg in operations + [("run", 10**6)]:
         if op == "schedule":
             label = len(handles)
-            handles.append(s.schedule(s.now + arg, TICK, label % 3 or None,
-                                      fired.append, (label,)))
-            pending[label] = s.now + arg
+            handles.append(s.schedule(s.now + arg, TICK, label % 3 or None, react, (label,)))
+            model_schedule(s.now + arg)
         elif op == "cancel" and handles:
             label = arg % len(handles)
             s.cancel(handles[label])
             pending.pop(label, None)
         elif op == "run":
             t_end = s.now + arg
-            due = sorted((at, label) for label, at in pending.items() if at <= t_end)
-            for _, label in due:
-                expected.append(label)
-                del pending[label]
+            model_run(t_end)
             assert s.run_until(t_end) == t_end == s.now
-            assert fired == expected
-    assert not pending
+            assert fired == expected and len(handles) == count
+    assert not pending and not s._instants and not s._calendar
     # The sink saw each dispatched entry itself, and the trace tail holds
     # exactly the last 32 of them.
     assert len(sunk) == len(expected)

@@ -32,7 +32,7 @@ def idle_simulation(horizon_us, wakeup_receiver=True):
     sleeps in `wakeup_rx`, or in plain `sleep` without a wakeup receiver."""
     node = {**base_scenario_dict()["nodes"][0], "wakeup_receiver": wakeup_receiver}
     sim = Simulation(make_scenario(nodes=[node]), seed=1)
-    sim.scheduler._heap.clear()
+    sim.scheduler.clear()
     sim.horizon_us = horizon_us
     return sim, sim.devices[1]
 

@@ -19,7 +19,7 @@ from wbansim.scenario import load_scenario, parse_scenario
 from wbansim.simulation import PendingQueue, Simulation
 from wbansim.wakeup import is_awake
 
-from conftest import make_scenario
+from conftest import make_scenario, pending_entries
 from test_cap_boundary import GENERATED, build as build_generated
 from test_golden import VARIANTS
 
@@ -959,10 +959,10 @@ class TestRadioStateInvariants:
 
         def due(kind, dev, entry):
             """An event of `kind` for `dev` is due now: `entry`, about to be
-            dispatched, or one still on the heap."""
+            dispatched, or one still pending after it."""
             return entry is not None and any(
                 e[FIRE_AT] == last and e[KIND] is kind and e[NODE] == dev.id
-                for e in [entry, *sim.scheduler._heap])
+                for e in [entry, *pending_entries(sim.scheduler, entry)])
 
         def behind(dev, expected, entry):
             """`dev`'s state differs from `expected` only by a fact that ends
