@@ -12,7 +12,8 @@ window already granted (`grant_emergency`).  So a window never meets a slot,
 a beacon or another window, and no slot has to yield to one.  A window opens
 like a slot: the node sends its head frame if that fits, and only while no
 frame of its own is on the air (`attempt_frame`).  The loader makes every
-emergency frame fit in the free part.
+emergency frame fit in the free part.  The coordinator is held awake from
+the window's opening, not from the grant, to its end.
 Coordinator commands (e.g. stream stop) piggyback on beacons rather than
 taking airtime from the slot region.
 
@@ -91,18 +92,27 @@ class TdmaMac:
     def grant_emergency(self, bnc, node, flow) -> None:
         """A dedicated response window after the last one granted, in the
         free part of this superframe or, if it would start before that part
-        or cross the next beacon, of the next one.  The coordinator is held
-        awake until the window ends, where its own event applies the rule."""
+        or cross the next beacon, of the next one.  The coordinator's hold
+        for it is raised when it opens (`_open_window`), and it ends at the
+        window's end, where its own event applies the rule."""
         start = max(self.scheduler.now, self.window_end)
         air = self.air_us(flow.frame.size_bits)
         into = start % self.interval_us
         if into < self.free_start or into + air > self.interval_us:
             start += (self.free_start - into) % self.interval_us  # this or the next one's
         self.window_end = end = start + air
-        bnc.hold_awake_until = max(bnc.hold_awake_until, end)
         schedule = self.scheduler.schedule
         schedule(end, SLOT_BOUNDARY, BNC_ID, self.sim.set_state, (bnc, end))
-        schedule(start, SLOT_BOUNDARY, node.id, self.on_slot_start, (node, end))
+        schedule(start, SLOT_BOUNDARY, node.id, self._open_window, (node, end))
+
+    def _open_window(self, dev, window_end: SimTime) -> None:
+        """An emergency window opens: the coordinator listens from here, not
+        from the grant, to the window's end, and the node's frame starts
+        only after that, so the coordinator receives it."""
+        bnc = self.bnc
+        bnc.hold_awake_until = max(bnc.hold_awake_until, window_end)
+        self.sim.set_state(bnc, self.scheduler.now)
+        self.on_slot_start(dev, window_end)
 
     def on_beacon_received(self, dev, beacon) -> None:
         sim = self.sim

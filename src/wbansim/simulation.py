@@ -40,11 +40,11 @@ do (a CAP's, the coordinator's active part's or TDMA window's, a spurious
 wake's) is an event that calls it, as each TxEnd does for its sender
 (`tx_until` is never reset).
 The one hold, `hold_awake_until`, is raised with `max` by a query, an
-emergency grant, a spurious wake, a CSMA CAP (for each listener that receives
-its beacon) and the coordinator's active part: at each beacon it sends, the
-coordinator is held through the CAP or the TDMA slot region the MAC gives.  A
-TDMA slot or window keeps nothing on by itself: its frames start as it opens
-and follow each other at once.
+emergency grant (under TDMA, when its window opens), a spurious wake, a CSMA
+CAP (for each listener that receives its beacon) and the coordinator's active
+part: at each beacon it sends, the coordinator is held through the CAP or the
+TDMA slot region the MAC gives.  A TDMA slot or window keeps nothing on by
+itself: its frames start as it opens and follow each other at once.
 
 The wakeup radio is out of band and ideal apart from an optional loss draw.
 A wakeup signal is a `WAKEUP_SIGNAL` frame that never enters the channel: its

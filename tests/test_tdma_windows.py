@@ -17,16 +17,22 @@ at once and account for every offered frame.
 
 import random
 from collections import Counter
+from pathlib import Path
 
 import yaml
 
 from wbansim.cli import main
 from wbansim.core import FrameKind, TrafficClass
-from wbansim.engine import RunAborted
+from wbansim.engine import FIRE_AT, RunAborted
+from wbansim.metrics import RadioState
+from wbansim.scenario import parse_scenario
 from wbansim.simulation import Simulation
 
 import test_simulation
 from conftest import base_scenario_dict, make_scenario
+from test_golden import VARIANTS
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 GENERATED_TDMA = 300
 RATES_PER_HOUR = (3600.0, 36000.0, 360000.0)
@@ -230,3 +236,59 @@ def test_emergency_frame_that_cannot_follow_the_slot_region_is_two(tmp_path, cap
     bad.write_text(yaml.safe_dump(raw), encoding="utf-8")
     assert main(["--scenario", str(bad), "--validate-only"]) == 0
 
+
+
+def idle_waiting_for_windows(sim):
+    """Run `sim` to its horizon.  Return the coordinator's idle_listen time,
+    in us, while a granted emergency window has yet to start, outside the
+    coordinator's active parts and outside every window, and the number of
+    windows granted.  A grant, a window's start and end, a beacon and an
+    active part's end are each dispatched as an event, so the state after
+    one dispatch holds, with or without a reason, up to the next."""
+    mac, bnc = sim.mac, sim.bnc
+    windows = []  # (grant, start, end) of each window not over yet
+    granted = 0
+    active_end = 0  # end of the coordinator's last active part
+    grant, start_superframe = mac.grant_emergency, mac.start_superframe
+
+    def observed_grant(bnc, node, flow):
+        nonlocal granted
+        now = sim.scheduler.now
+        grant(bnc, node, flow)
+        granted += 1
+        windows.append((now, mac.window_end - sim.air_us(flow.frame.size_bits),
+                        mac.window_end))
+
+    def observed_start(t_b, listeners):
+        nonlocal active_end
+        region = start_superframe(t_b, listeners)
+        active_end = region[1]
+        return region
+
+    mac.grant_emergency, mac.start_superframe = observed_grant, observed_start
+    idle, last = 0, 0
+
+    def sink(entry):
+        nonlocal idle, last
+        now = entry[FIRE_AT]
+        windows[:] = [w for w in windows if w[2] > last]
+        if (bnc.state is RadioState.IDLE_LISTEN and last >= active_end
+                and any(g <= last < start for g, start, _ in windows)
+                and not any(start <= last < end for _, start, end in windows)):
+            idle += now - last
+        last = now
+
+    sim.scheduler.trace_sink = sink
+    sim.run()
+    return idle, granted
+
+
+def test_coordinator_sleeps_from_a_grant_to_its_window():
+    # Once, the grant raised the coordinator's hold to the window's end: at
+    # seed 1 this variant's coordinator listened 6 906 us outside its active
+    # parts while 43 windows waited to open.
+    base, sections = VARIANTS["tdma_three_links_wakeup"]
+    raw = yaml.safe_load((SCENARIOS / f"{base}.yaml").read_text(encoding="utf-8"))
+    sim = Simulation(parse_scenario({**raw, **sections}, name="tdma_three_links_wakeup"),
+                     seed=1)
+    assert idle_waiting_for_windows(sim) == (0, 43)
