@@ -167,7 +167,7 @@ class CsmaMac:
     def grant_emergency(self, bnc, node, flow) -> None:
         """Channel access is granted at the next beacon, top priority."""
         node.grant_active = True
-        bnc.hold_awake_until = max(bnc.hold_awake_until, self.sim.next_boundary())
+        self.sim.hold_to_beacon(bnc)
 
     # -- contention -----------------------------------------------------------
 

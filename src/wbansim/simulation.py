@@ -35,16 +35,18 @@ closes the last interval at the horizon.  `Simulation.set_state(dev, now)`
 is the rule and the one transition, and reads three facts off the device: tx
 while `tx_until > now`, otherwise rx while `incoming > 0`, otherwise
 idle_listen while `now < hold_awake_until`, otherwise the sleep state.  Every
-other site updates a fact and then calls it; a hold's end with nothing else to
-do (a CAP's, the coordinator's active part's or TDMA window's, a spurious
-wake's) is an event that calls it, as each TxEnd does for its sender
-(`tx_until` is never reset).
-The one hold, `hold_awake_until`, is raised with `max` by a query, an
-emergency grant (under TDMA, when its window opens), a spurious wake, a CSMA
-CAP (for each listener that receives its beacon) and the coordinator's active
-part: at each beacon it sends, the coordinator is held through the CAP or the
-TDMA slot region the MAC gives.  A TDMA slot or window keeps nothing on by
-itself: its frames start as it opens and follow each other at once.
+other site updates a fact and then calls it, as each TxEnd does for its
+sender (`tx_until` is never reset).
+The one hold, `hold_awake_until`, is raised with `max`, and ends in one of two
+ways.  A CSMA CAP (for each listener that receives its beacon), the
+coordinator's active part (at each beacon it sends, the CAP or the TDMA slot
+region the MAC gives), a TDMA emergency window (from its opening) and a
+spurious wake each end by an event of their own that applies the rule.  A
+query (the coordinator's and its target's) and a CSMA emergency grant hold to
+the next beacon: `hold_to_beacon` files the device under that boundary, and
+the boundary's BeaconDue applies the rule to it, heard or not.  A TDMA slot or
+window keeps nothing on by itself: its frames start as it opens and follow
+each other at once.
 
 The wakeup radio is out of band and ideal apart from an optional loss draw.
 A wakeup signal is a `WAKEUP_SIGNAL` frame that never enters the channel: its
@@ -219,6 +221,7 @@ class Simulation:
             criticality=Criticality.CRITICAL, sleep_state=RadioState.WAKEUP_RX,
         )
         self.devices[BNC_ID] = self.bnc
+        self.beacon_holds: dict[SimTime, list[Device]] = {}  # see hold_to_beacon
         for cfg in scenario.nodes:
             p = cfg.profile
             self.devices[p.id] = Device(
@@ -311,10 +314,6 @@ class Simulation:
             if is_awake(dev.profile.wakeup_multiplier, sf_index) or dev.grant_active:
                 listeners.append(dev)
                 ledger.node_awake_superframes[node_id] += 1
-            elif dev.hold_awake_until == now and dev.state is not dev.sleep_state:
-                # A hold ends at a boundary it sleeps through.  One asleep
-                # already needs nothing: a CAP that ends here has had its end.
-                self.set_state(dev, now)
         if listeners:
             ledger.bnc_awake_superframes += 1
             anchor, end, commands = self.mac.start_superframe(now, listeners)
@@ -324,8 +323,8 @@ class Simulation:
             beacon = make_beacon(sf_index, anchor, end, self.fp.beacon_bits, now,
                                  self.next_seq(), commands)
             self.begin_tx(bnc, beacon, now, listeners)
-        else:
-            self.set_state(self.bnc, now)
+        for dev in self.beacon_holds.pop(now, ()):  # holds that end at this beacon
+            self.set_state(dev, now)
         next_t = (sf_index + 1) * self.sf.beacon_interval_us
         if next_t < self.horizon_us:
             self.scheduler.schedule(next_t, BEACON_DUE, BNC_ID,
@@ -474,9 +473,8 @@ class Simulation:
             self._send_emergency_signal(flow)
 
     def _start_query(self, entry: OnDemandEntry) -> None:
-        bnc = self.bnc
-        bnc.hold_awake_until = max(bnc.hold_awake_until, self.next_boundary())
-        self._send_signal(bnc, entry.target, entry)
+        self.hold_to_beacon(self.bnc)
+        self._send_signal(self.bnc, entry.target, entry)
 
     def _enqueue_stop(self, target: int) -> None:
         cmd = Frame(
@@ -509,8 +507,15 @@ class Simulation:
                 fn, args = self._answer_query, (dev, ctx)
             self.scheduler.schedule(now + delay, EventKind.WAKEUP_DUE, device_id, fn, args)
 
-    def next_boundary(self) -> SimTime:
-        return (self.scheduler.now // self.sf.beacon_interval_us + 1) * self.sf.beacon_interval_us
+    def hold_to_beacon(self, dev: Device) -> None:
+        """Hold `dev` awake to the next beacon boundary and file it under that
+        boundary, whose BeaconDue applies the rule to it.  A query at a
+        beacon's own instant runs before that beacon and is filed under the
+        next one."""
+        interval = self.sf.beacon_interval_us
+        boundary = (self.scheduler.now // interval + 1) * interval
+        dev.hold_awake_until = max(dev.hold_awake_until, boundary)
+        self.beacon_holds.setdefault(boundary, []).append(dev)
 
     def _grant_emergency(self, bnc: Device, flow: EmergencyFlow) -> None:
         if flow.granted:
@@ -530,7 +535,7 @@ class Simulation:
     def _answer_query(self, dev: Device, entry: OnDemandEntry) -> None:
         now = self.scheduler.now
         dev.grant_active = True
-        dev.hold_awake_until = max(dev.hold_awake_until, self.next_boundary())
+        self.hold_to_beacon(dev)
         self.set_state(dev, now)
         if entry.continuous:
             until = now + entry.duration_us
