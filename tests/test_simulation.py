@@ -888,6 +888,19 @@ def query_ends_with_beacon(mac):
     )
 
 
+def query_at_a_beacon(mac):
+    """BO 3, SO 1, one on-demand node with multiplier 2: the query is due at
+    245 760 us, beacon 2's own instant.  Scheduled at load, it runs before
+    that beacon's BeaconDue, so it holds the coordinator to beacon 3."""
+    tdma = {"tdma": {"slot_duration_ms": 3.4, "slots": {1: 0}}} if mac == "tdma" else {}
+    return make_scenario(
+        name=f"{mac}_query_at_a_beacon", mac=mac, horizon_s=2.0,
+        superframe={"beacon_order": 3, "superframe_order": 1},
+        nodes=[on_demand_node(1, 0.1, multiplier=2)], on_demand=[{"time_s": 0.24576, "target": 1}],
+        **tdma,
+    )
+
+
 # Runs that once broke the rule, each through a different path:
 REPRODUCERS = {
     # node 1 answers its query during the beacon, so a hold covers its doze
@@ -918,6 +931,10 @@ REPRODUCERS = {
     # answers at once, not after the wakeup latency.
     "csma_query_ends_with_beacon": lambda: query_ends_with_beacon("csma"),
     "tdma_query_ends_with_beacon": lambda: query_ends_with_beacon("tdma"),
+    # the coordinator's hold to beacon 3 ends there, not at beacon 2, which
+    # the query runs just before.
+    "csma_query_at_a_beacon": lambda: query_at_a_beacon("csma"),
+    "tdma_query_at_a_beacon": lambda: query_at_a_beacon("tdma"),
 }
 
 
