@@ -40,13 +40,13 @@ sender (`tx_until` is never reset).
 The one hold, `hold_awake_until`, is raised with `max`, and ends in one of two
 ways.  A CSMA CAP (for each listener that receives its beacon), the
 coordinator's active part (at each beacon it sends, the CAP or the TDMA slot
-region the MAC gives), a TDMA emergency window (from its opening) and a
-spurious wake each end by an event of their own that applies the rule.  A
-query (the coordinator's and its target's) and a CSMA emergency grant hold to
-the next beacon: `hold_to_beacon` files the device under that boundary, and
-the boundary's BeaconDue applies the rule to it, heard or not.  A TDMA slot or
-window keeps nothing on by itself: its frames start as it opens and follow
-each other at once.
+region the MAC gives), a TDMA emergency window (from its opening, and only
+if it sends) and a spurious wake each end by an event of their own that
+applies the rule.  A query (the coordinator's and its target's) and a CSMA
+emergency grant hold to the next beacon: `hold_to_beacon` files the device
+under that boundary, and the boundary's BeaconDue applies the rule to it,
+heard or not.  A TDMA slot or window keeps nothing on by itself: its frames
+start as it opens and follow each other at once.
 
 The wakeup radio is out of band and ideal apart from an optional loss draw.
 A wakeup signal is a `WAKEUP_SIGNAL` frame that never enters the channel: its
