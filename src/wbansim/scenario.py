@@ -581,8 +581,7 @@ def _generator(ck: _Check, raw: object, path: str,
     if arrival is ArrivalProcess.PERIODIC:
         # normal traffic staggers by node id to avoid pathological phase alignment
         kw.setdefault("phase_us", profile.id * 1_000_000)
-    return _record(ck, path, GeneratorSpec,
-                   kw | {"traffic_class": cls, "payload_bits": profile.payload_bits}, bad)
+    return _record(ck, path, GeneratorSpec, kw, bad)
 
 
 def _on_demand(ck: _Check, raw: object, path: str, horizon_us: SimTime | None,

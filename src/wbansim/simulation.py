@@ -254,7 +254,7 @@ class Simulation:
             if dev.gen is None:
                 continue
             if dev.gen.arrival is SATURATED:
-                self._offer_frame(dev, dev.gen.traffic_class)
+                self._offer_frame(dev, dev.profile.traffic_class)
             else:
                 t0 = traffic_mod.first_arrival(dev.gen, dev.rng)
                 if t0 <= self.horizon_us:
@@ -402,7 +402,7 @@ class Simulation:
         return frame
 
     def _on_arrival(self, dev: Device) -> None:
-        frame = self._offer_frame(dev, dev.gen.traffic_class)
+        frame = self._offer_frame(dev, dev.profile.traffic_class)
         if frame.traffic_class is EMERGENCY:
             self._send_emergency_signal(EmergencyFlow(frame))
         nxt = traffic_mod.next_arrival(dev.gen, self.scheduler.now, dev.rng)
@@ -439,8 +439,9 @@ class Simulation:
         if not frame.delivered and frame.kind is DATA:
             self.ledger.add_dropped(frame.src, frame.traffic_class)
         gen = dev.gen
-        if gen is not None and gen.arrival is SATURATED and frame.traffic_class is gen.traffic_class:
-            self._offer_frame(dev, gen.traffic_class)
+        cls = frame.traffic_class
+        if gen is not None and gen.arrival is SATURATED and cls is dev.profile.traffic_class:
+            self._offer_frame(dev, cls)
         if dev.grant_active and not dev.queue.has_priority_le(1):
             dev.grant_active = False
 

@@ -42,11 +42,9 @@ class GeneratorSpec:
     """A node's arrival process.  `period_us`, the time between periodic
     arrivals, is computed once per spec; it is None for other processes."""
 
-    __slots__ = ("traffic_class", "payload_bits", "rate_per_hour", "arrival", "phase_us",
-                 "period_us")
+    __slots__ = ("rate_per_hour", "arrival", "phase_us", "period_us")
 
-    def __init__(self, traffic_class: TrafficClass, payload_bits: int,
-                 rate_per_hour: float = 0.0,
+    def __init__(self, rate_per_hour: float = 0.0,
                  arrival: ArrivalProcess = ArrivalProcess.PERIODIC,
                  phase_us: SimTime = 0) -> None:
         if arrival is not ArrivalProcess.SATURATED and rate_per_hour <= 0:
@@ -60,8 +58,6 @@ class GeneratorSpec:
             period_us = round(US_PER_HOUR / rate_per_hour)
             if period_us < 1:
                 raise ValueError(f"rate_per_hour {rate_per_hour} gives a period under 1 us")
-        self.traffic_class = traffic_class
-        self.payload_bits = payload_bits
         self.rate_per_hour = rate_per_hour
         self.arrival = arrival
         self.phase_us = phase_us

@@ -15,11 +15,8 @@ from wbansim.traffic import (
 )
 
 
-def spec(cls=TrafficClass.NORMAL_HIGH, rate=4.0, arrival=ArrivalProcess.PERIODIC, phase=0):
-    return GeneratorSpec(
-        traffic_class=cls, payload_bits=800, rate_per_hour=rate,
-        arrival=arrival, phase_us=phase,
-    )
+def spec(rate=4.0, arrival=ArrivalProcess.PERIODIC, phase=0):
+    return GeneratorSpec(rate_per_hour=rate, arrival=arrival, phase_us=phase)
 
 
 class TestPeriodic:
@@ -29,7 +26,7 @@ class TestPeriodic:
         assert next_arrival(s, 0, rng) == 900 * 1_000_000
 
     def test_four_per_day_spacing_is_21600s(self):
-        s = spec(cls=TrafficClass.NORMAL_LOW, rate=4.0 / 24.0)
+        s = spec(rate=4.0 / 24.0)
         assert next_arrival(s, 0, random.Random(1)) == 21_600 * 1_000_000
 
     def test_count_over_horizon(self):
@@ -49,7 +46,7 @@ class TestPeriodic:
 
 class TestPoisson:
     def test_sample_mean_near_configured_mean(self):
-        s = spec(cls=TrafficClass.EMERGENCY, rate=1.0, arrival=ArrivalProcess.POISSON)
+        s = spec(rate=1.0, arrival=ArrivalProcess.POISSON)
         rng = random.Random(42)
         gaps = []
         t = 0
@@ -61,7 +58,7 @@ class TestPoisson:
         assert mean_s == pytest.approx(3600.0, rel=0.02)
 
     def test_interarrivals_look_exponential(self):
-        s = spec(cls=TrafficClass.EMERGENCY, rate=60.0, arrival=ArrivalProcess.POISSON)
+        s = spec(rate=60.0, arrival=ArrivalProcess.POISSON)
         rng = random.Random(7)
         gaps = []
         t = 0
@@ -74,7 +71,7 @@ class TestPoisson:
         assert p > 0.01
 
     def test_draws_reproducible_across_runs(self):
-        s = spec(cls=TrafficClass.EMERGENCY, rate=10.0, arrival=ArrivalProcess.POISSON)
+        s = spec(rate=10.0, arrival=ArrivalProcess.POISSON)
         a = [next_arrival(s, 0, random.Random(5)) for _ in range(3)]
         b = [next_arrival(s, 0, random.Random(5)) for _ in range(3)]
         assert a == b
@@ -86,7 +83,7 @@ class TestSpecValidation:
             spec(rate=0.0)
 
     def test_saturated_needs_no_rate(self):
-        s = GeneratorSpec(TrafficClass.NORMAL_HIGH, 800, arrival=ArrivalProcess.SATURATED)
+        s = GeneratorSpec(arrival=ArrivalProcess.SATURATED)
         with pytest.raises(ValueError):
             next_arrival(s, 0, random.Random(1))
 
