@@ -22,7 +22,7 @@ from collections import Counter
 from enum import Enum
 from typing import IO, TYPE_CHECKING, Iterable
 
-from .core import SimTime, TrafficClass
+from .core import BNC_ID, SimTime, TrafficClass
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -241,13 +241,12 @@ def write_summary_csv(
     seed: int | str,
     mac: str,
     energy_model: EnergyModel,
-    bnc_id: int = 0,
 ) -> None:
     # Int true division is correctly rounded, so this equals
     # float(ledger.bnc_awake_fraction()).
     total = ledger.total_superframes
     frac_txt = "" if total == 0 else f"{ledger.bnc_awake_superframes / total:.6f}"
-    bnc_energy = f"{ledger.energy_mj(bnc_id, energy_model):.6f}"
+    bnc_energy = f"{ledger.energy_mj(BNC_ID, energy_model):.6f}"
     signals = sum(ledger.wakeup_signals_sent.values())
     fh.write(SUMMARY_CSV_COLUMNS + "\n")
     fh.write(
