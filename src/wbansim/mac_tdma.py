@@ -13,10 +13,9 @@ a beacon or another window, and no slot has to yield to one.  A window opens
 like a slot: the node sends its head frame if that fits, and only while no
 frame of its own is on the air (`attempt_frame`).  The loader makes every
 emergency frame fit in the free part.  The coordinator is held awake from
-the window's opening, not from the grant, to its end, and only if the node
-still has a frame to send there.
-Coordinator commands (e.g. stream stop) piggyback on beacons rather than
-taking airtime from the slot region.
+the window's opening, not from the grant, to its end, if the node has a
+frame to send.  Coordinator commands (e.g. stream stop) piggyback on
+beacons rather than taking airtime from the slot region.
 
 The simulation builds, sends and delivers the beacon for both MACs, and holds
 the coordinator awake through the slot region; this module gives it the slot
@@ -94,9 +93,8 @@ class TdmaMac:
         """A dedicated response window after the last one granted, in the
         free part of this superframe or, if it would start before that part
         or cross the next beacon, of the next one.  The coordinator's hold
-        for it is raised when it opens with a frame to send (`_open_window`),
-        and it ends at the window's end, where its own event applies the
-        rule."""
+        for it is raised when it opens with a frame (`_open_window`) and
+        ends at the window's end, where its own event applies the rule."""
         start = max(self.scheduler.now, self.window_end)
         air = self.air_us(flow.frame.size_bits)
         into = start % self.interval_us
@@ -109,10 +107,8 @@ class TdmaMac:
 
     def _open_window(self, dev, window_end: SimTime) -> None:
         """An emergency window opens.  If the node has a frame to send, the
-        coordinator listens from here, not from the grant, to the window's
-        end, and the node's frame starts only after that, so the coordinator
-        receives it.  A window whose frame already went out in the node's
-        slot leaves the coordinator asleep."""
+        coordinator listens from here, not from the grant, to the window's end,
+        and the frame starts only after that, so the coordinator receives it."""
         if dev.queue:
             bnc = self.bnc
             bnc.hold_awake_until = max(bnc.hold_awake_until, window_end)

@@ -36,17 +36,16 @@ is the rule and the one transition, and reads three facts off the device: tx
 while `tx_until > now`, otherwise rx while `incoming > 0`, otherwise
 idle_listen while `now < hold_awake_until`, otherwise the sleep state.  Every
 other site updates a fact and then calls it, as each TxEnd does for its
-sender (`tx_until` is never reset).
-The one hold, `hold_awake_until`, is raised with `max`, and ends in one of two
-ways.  A CSMA CAP (for each listener that receives its beacon), the
-coordinator's active part (at each beacon it sends, the CAP or the TDMA slot
-region the MAC gives), a TDMA emergency window (from its opening, and only
-if it sends) and a spurious wake each end by an event of their own that
-applies the rule.  A query (the coordinator's and its target's) and a CSMA
-emergency grant hold to the next beacon: `hold_to_beacon` files the device
-under that boundary, and the boundary's BeaconDue applies the rule to it,
-heard or not.  A TDMA slot or window keeps nothing on by itself: its frames
-start as it opens and follow each other at once.
+sender (`tx_until` is never reset).  The one hold, `hold_awake_until`, is
+raised with `max` and ends in one of two ways.  A CSMA CAP (for each listener
+that receives its beacon), the coordinator's active part (at each beacon it
+sends, the CAP or the TDMA slot region the MAC gives), a TDMA emergency
+window (from its opening, if it sends) and a spurious wake each end at an
+event of their own.  A query (the coordinator's and its target's) and a CSMA
+emergency grant hold to the next beacon (`hold_to_beacon`), which applies
+the rule to each device filed under it, heard or not.  A TDMA slot or
+window keeps nothing on by itself: its frames start as it opens and follow
+each other at once.
 
 The wakeup radio is out of band and ideal apart from an optional loss draw.
 A wakeup signal is a `WAKEUP_SIGNAL` frame that never enters the channel: its
@@ -438,8 +437,7 @@ class Simulation:
         dev.queue.remove(frame)
         if not frame.delivered and frame.kind is DATA:
             self.ledger.add_dropped(frame.src, frame.traffic_class)
-        gen = dev.gen
-        cls = frame.traffic_class
+        cls, gen = frame.traffic_class, dev.gen
         if gen is not None and gen.arrival is SATURATED and cls is dev.profile.traffic_class:
             self._offer_frame(dev, cls)
         if dev.grant_active and not dev.queue.has_priority_le(1):
@@ -509,10 +507,8 @@ class Simulation:
             self.scheduler.schedule(now + delay, EventKind.WAKEUP_DUE, device_id, fn, args)
 
     def hold_to_beacon(self, dev: Device) -> None:
-        """Hold `dev` awake to the next beacon boundary and file it under that
-        boundary, whose BeaconDue applies the rule to it.  A query at a
-        beacon's own instant runs before that beacon and is filed under the
-        next one."""
+        """Hold `dev` to the next beacon boundary, whose BeaconDue applies the
+        rule to it (a query at a beacon's own instant holds to the one after)."""
         interval = self.sf.beacon_interval_us
         boundary = (self.scheduler.now // interval + 1) * interval
         dev.hold_awake_until = max(dev.hold_awake_until, boundary)
