@@ -876,29 +876,30 @@ def tdma_query_pair(to_2_s, to_1_s):
     )
 
 
-def query_ends_with_beacon(mac):
-    """BO = SO = 3, one on-demand node with multiplier 1: the coordinator's
-    query signal (1 ms) starts inside superframe 2's beacon and ends with it,
-    at 246 976 us, after the beacon's TxEnd and before node 1's RxEnd."""
+def one_query(mac, name, time_s, multiplier=1, **sections):
+    """BO = SO = 3 unless `sections` say otherwise, for 2 s: one on-demand
+    node, node 1, and one query to it at `time_s`."""
     tdma = {"tdma": {"slot_duration_ms": 3.4, "slots": {1: 0}}} if mac == "tdma" else {}
     return make_scenario(
-        name=f"{mac}_query_ends_with_beacon", mac=mac, horizon_s=2.0,
-        nodes=[on_demand_node(1, 0.1)], on_demand=[{"time_s": 0.245976, "target": 1}],
-        **tdma,
+        name=f"{mac}_{name}", mac=mac, horizon_s=2.0,
+        nodes=[on_demand_node(1, 0.1, multiplier)], on_demand=[{"time_s": time_s, "target": 1}],
+        **tdma, **sections,
     )
+
+
+def query_ends_with_beacon(mac):
+    """The coordinator's query signal (1 ms) starts inside superframe 2's
+    beacon and ends with it, at 246 976 us, after the beacon's TxEnd and
+    before node 1's RxEnd."""
+    return one_query(mac, "query_ends_with_beacon", 0.245976)
 
 
 def query_at_a_beacon(mac):
-    """BO 3, SO 1, one on-demand node with multiplier 2: the query is due at
-    245 760 us, beacon 2's own instant.  Scheduled at load, it runs before
-    that beacon's BeaconDue, so it holds the coordinator to beacon 3."""
-    tdma = {"tdma": {"slot_duration_ms": 3.4, "slots": {1: 0}}} if mac == "tdma" else {}
-    return make_scenario(
-        name=f"{mac}_query_at_a_beacon", mac=mac, horizon_s=2.0,
-        superframe={"beacon_order": 3, "superframe_order": 1},
-        nodes=[on_demand_node(1, 0.1, multiplier=2)], on_demand=[{"time_s": 0.24576, "target": 1}],
-        **tdma,
-    )
+    """BO 3, SO 1, node 1 with multiplier 2: the query is due at 245 760 us,
+    beacon 2's own instant.  Scheduled at load, it runs before that beacon's
+    BeaconDue, so it holds the coordinator to beacon 3."""
+    return one_query(mac, "query_at_a_beacon", 0.24576, multiplier=2,
+                     superframe={"beacon_order": 3, "superframe_order": 1})
 
 
 # Runs that once broke the rule, each through a different path:

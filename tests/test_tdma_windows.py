@@ -238,6 +238,15 @@ def test_emergency_frame_that_cannot_follow_the_slot_region_is_two(tmp_path, cap
 
 
 
+def wakeup_variant(seed):
+    """A simulation of the `tdma_three_links_wakeup` golden variant, whose
+    emergency node is granted windows."""
+    base, sections = VARIANTS["tdma_three_links_wakeup"]
+    raw = yaml.safe_load((SCENARIOS / f"{base}.yaml").read_text(encoding="utf-8"))
+    return Simulation(parse_scenario({**raw, **sections}, name="tdma_three_links_wakeup"),
+                      seed=seed)
+
+
 def idle_waiting_for_windows(sim):
     """Run `sim` to its horizon.  Return the coordinator's idle_listen time,
     in us, while a granted emergency window has yet to start, outside the
@@ -287,10 +296,7 @@ def test_coordinator_sleeps_from_a_grant_to_its_window():
     # Once, the grant raised the coordinator's hold to the window's end: at
     # seed 1 this variant's coordinator listened 6 906 us outside its active
     # parts while 43 windows waited to open.
-    base, sections = VARIANTS["tdma_three_links_wakeup"]
-    raw = yaml.safe_load((SCENARIOS / f"{base}.yaml").read_text(encoding="utf-8"))
-    sim = Simulation(parse_scenario({**raw, **sections}, name="tdma_three_links_wakeup"),
-                     seed=1)
+    sim = wakeup_variant(seed=1)
     assert idle_waiting_for_windows(sim) == (0, 43)
 
 
@@ -327,8 +333,5 @@ def test_coordinator_sleeps_through_a_window_with_nothing_to_send():
     # Once, a window whose frame had already gone out in its node's slot
     # held the coordinator in idle_listen to the window's end: at seed 1
     # this variant's coordinator listened 9 600 us in 3 such windows.
-    base, sections = VARIANTS["tdma_three_links_wakeup"]
-    raw = yaml.safe_load((SCENARIOS / f"{base}.yaml").read_text(encoding="utf-8"))
-    sim = Simulation(parse_scenario({**raw, **sections}, name="tdma_three_links_wakeup"),
-                     seed=1)
+    sim = wakeup_variant(seed=1)
     assert idle_in_empty_windows(sim) == (0, 3)
