@@ -11,7 +11,7 @@ from pathlib import Path
 
 import yaml
 
-from .engine import FIRE_AT, KIND, NODE
+from .engine import trace_line
 from .metrics import merge_ledgers, write_node_csv, write_summary_csv
 from .scenario import ScenarioError, load_scenario
 from .simulation import Simulation
@@ -49,8 +49,7 @@ def run_one(scenario, seed: int, out_dir: Path, trace: bool):
     if trace:
         trace_fh = open(out_dir / f"{scenario.name}_seed{seed}_trace.log", "w", encoding="utf-8")
         def trace_sink(entry, _fh=trace_fh):
-            node = entry[NODE]
-            _fh.write(f"{entry[FIRE_AT]} {entry[KIND].value} {'-' if node is None else node}\n")
+            _fh.write(trace_line(entry) + "\n")
     try:
         sim = Simulation(scenario, seed=seed, trace_sink=trace_sink)
         ledger = sim.run()

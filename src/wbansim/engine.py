@@ -30,9 +30,9 @@ the key a handler is registered under, so dispatches can be counted and
 timed per kind.  Each dispatched entry, as it is, goes to the `trace_sink`
 (when one is set) and then to the handler registered for its kind.
 
-The scheduler remembers the last 32 dispatched entries and formats them as
-`<fire_at> <kind> <node or ->` lines only when a handler raises, so the
-trace tail costs one deque append per event.
+The scheduler remembers the last 32 dispatched entries and formats them
+(`trace_line`) only when a handler raises, so the trace tail costs one deque
+append per event.
 
 What a `RunAborted` leaves pending: the entry whose handler raised (or has
 no handler) counts as dispatched, as does every entry before it.  Every
@@ -80,6 +80,12 @@ class EventKind(Enum):
 # Positions in an event entry.  The per-event code in this module indexes
 # with the literal positions, which saves a global read each.
 FIRE_AT, KIND, NODE, FN, ARGS = range(5)
+
+
+def trace_line(entry: list) -> str:
+    """An entry as one line of an event trace: `<fire_at> <kind> <node or ->`."""
+    node = entry[2]  # NODE
+    return f"{entry[0]} {entry[1].value} {'-' if node is None else node}"
 
 
 def fire(entry: list) -> None:
@@ -165,10 +171,7 @@ class Scheduler:
                     try:
                         handler(entry)
                     except Exception as exc:
-                        tail = "\n".join(
-                            f"{e[FIRE_AT]} {e[KIND].value} {'-' if e[NODE] is None else e[NODE]}"
-                            for e in self._trace_tail
-                        )
+                        tail = "\n".join(map(trace_line, self._trace_tail))
                         raise RunAborted(
                             f"dispatcher for {kind.value} failed at t={fire_at} us: "
                             f"{exc}\nevent trace tail:\n{tail}"
