@@ -39,7 +39,7 @@ from .engine import EventKind
 # Enum members read on the per-event paths, bound once (see simulation.py).
 ACK_TIMEOUT, BACKOFF_EXPIRED, CCA_DUE = (
     EventKind.ACK_TIMEOUT, EventKind.BACKOFF_EXPIRED, EventKind.CCA_DUE)
-RX_END, SLOT_BOUNDARY = EventKind.RX_END, EventKind.SLOT_BOUNDARY
+RX_END = EventKind.RX_END
 BUSY, CRITICAL, EMERGENCY = CcaResult.BUSY, Criticality.CRITICAL, TrafficClass.EMERGENCY
 ACK, BEACON = FrameKind.ACK, FrameKind.BEACON
 
@@ -140,34 +140,33 @@ class CsmaMac:
 
     # -- superframe lifecycle -------------------------------------------------
 
-    def start_superframe(self, t_b: SimTime, listeners: list) -> tuple[SimTime, SimTime, tuple]:
-        """Open the coordinator's CAP and schedule each listener's CAP end;
-        returns the beacon's (first backoff boundary, CAP end, commands)."""
+    def start_superframe(self, t_b: SimTime) -> tuple[SimTime, SimTime, tuple]:
+        """Open the coordinator's CAP; returns the beacon's (first backoff
+        boundary, CAP end, commands)."""
         sim = self.sim
         ubp = self.ubp
         anchor = t_b + -(-sim.air_us(sim.fp.beacon_bits) // ubp) * ubp  # align past the beacon
         cap_end = t_b + sim.sf.active_duration_us
         bnc = sim.bnc
         bnc.cap_anchor, bnc.cap_end = anchor, cap_end
-        # A CAP end only applies the rule: nothing of an attempt is pending
-        # there, since a backoff expiry is scheduled only before the CAP end,
-        # and a first CCA only if both CCAs and the acked transaction end by it.
-        schedule, set_state = self.scheduler.schedule, sim.set_state
-        for dev in listeners:
-            schedule(cap_end, SLOT_BOUNDARY, dev.id, set_state, (dev, cap_end))
         return anchor, cap_end, ()
 
     def on_beacon_received(self, dev, beacon: Frame) -> None:
+        """The listener joins the CAP and is held to its end.  That end only
+        applies the rule: nothing of an attempt is pending there, since a
+        backoff expiry is scheduled only before the CAP end, and a first CCA
+        only if both CCAs and the acked transaction end by it."""
         info: BeaconInfo = beacon.payload
         dev.cap_anchor, dev.cap_end = info.cap_anchor, info.cap_end
-        dev.hold_awake_until = max(dev.hold_awake_until, info.cap_end)
-        self.sim.set_state(dev, self.scheduler.now)
+        sim = self.sim
+        sim.hold(dev, info.cap_end)
+        sim.set_state(dev, self.scheduler.now)
         self.try_start(dev)
 
-    def grant_emergency(self, bnc, node, flow) -> None:
+    def grant_emergency(self, node, flow) -> None:
         """Channel access is granted at the next beacon, top priority."""
         node.grant_active = True
-        self.sim.hold_to_beacon(bnc)
+        self.sim.hold_to_beacon(self.sim.bnc)
 
     # -- contention -----------------------------------------------------------
 

@@ -26,7 +26,7 @@ frame just queues, data for its slot and commands for the next beacon.
 
 from __future__ import annotations
 
-from .core import BNC_ID, FrameKind, SimTime
+from .core import FrameKind, SimTime
 from .engine import EventKind
 
 # Enum members read on the per-event paths, bound once (see simulation.py).
@@ -80,7 +80,7 @@ class TdmaMac:
 
     # -- superframe lifecycle -------------------------------------------------
 
-    def start_superframe(self, t_b: SimTime, listeners: list) -> tuple[SimTime, SimTime, tuple]:
+    def start_superframe(self, t_b: SimTime) -> tuple[SimTime, SimTime, tuple]:
         """Returns the beacon's (region start, region end, queued commands)."""
         region_start = t_b + self.beacon_us
         queue = self.bnc.queue
@@ -89,30 +89,26 @@ class TdmaMac:
     def offer(self, dev, frame) -> None:
         dev.queue.push(frame)
 
-    def grant_emergency(self, bnc, node, flow) -> None:
+    def grant_emergency(self, node, flow) -> None:
         """A dedicated response window after the last one granted, in the
         free part of this superframe or, if it would start before that part
-        or cross the next beacon, of the next one.  The coordinator's hold
-        for it is raised when it opens with a frame (`_open_window`) and
-        ends at the window's end, where its own event applies the rule."""
+        or cross the next beacon, of the next one."""
         start = max(self.scheduler.now, self.window_end)
         air = self.air_us(flow.frame.size_bits)
         into = start % self.interval_us
         if into < self.free_start or into + air > self.interval_us:
             start += (self.free_start - into) % self.interval_us  # this or the next one's
         self.window_end = end = start + air
-        schedule = self.scheduler.schedule
-        schedule(end, SLOT_BOUNDARY, BNC_ID, self.sim.set_state, (bnc, end))
-        schedule(start, SLOT_BOUNDARY, node.id, self._open_window, (node, end))
+        self.scheduler.schedule(start, SLOT_BOUNDARY, node.id, self._open_window, (node, end))
 
     def _open_window(self, dev, window_end: SimTime) -> None:
         """An emergency window opens.  If the node has a frame to send, the
-        coordinator listens from here, not from the grant, to the window's end,
+        coordinator is held from here, not from the grant, to the window's end,
         and the frame starts only after that, so the coordinator receives it."""
         if dev.queue:
-            bnc = self.bnc
-            bnc.hold_awake_until = max(bnc.hold_awake_until, window_end)
-            self.sim.set_state(bnc, self.scheduler.now)
+            sim, bnc = self.sim, self.bnc
+            sim.hold(bnc, window_end)
+            sim.set_state(bnc, self.scheduler.now)
         self.on_slot_start(dev, window_end)
 
     def on_beacon_received(self, dev, beacon) -> None:

@@ -315,10 +315,9 @@ class Simulation:
                 ledger.node_awake_superframes[node_id] += 1
         if listeners:
             ledger.bnc_awake_superframes += 1
-            anchor, end, commands = self.mac.start_superframe(now, listeners)
-            bnc = self.bnc  # awake through the CAP or the slot region
-            bnc.hold_awake_until = max(bnc.hold_awake_until, end)
-            self.scheduler.schedule(end, SLOT_BOUNDARY, BNC_ID, self.set_state, (bnc, end))
+            anchor, end, commands = self.mac.start_superframe(now)
+            bnc = self.bnc
+            self.hold(bnc, end)  # awake through the CAP or the slot region
             beacon = make_beacon(sf_index, anchor, end, self.fp.beacon_bits, now,
                                  self.next_seq(), commands)
             self.begin_tx(bnc, beacon, now, listeners)
@@ -506,6 +505,11 @@ class Simulation:
                 fn, args = self._answer_query, (dev, ctx)
             self.scheduler.schedule(now + delay, EventKind.WAKEUP_DUE, device_id, fn, args)
 
+    def hold(self, dev: Device, until: SimTime) -> None:
+        """Hold `dev` awake to `until`, whose own event applies the rule to it."""
+        dev.hold_awake_until = max(dev.hold_awake_until, until)
+        self.scheduler.schedule(until, SLOT_BOUNDARY, dev.id, self.set_state, (dev, until))
+
     def hold_to_beacon(self, dev: Device) -> None:
         """Hold `dev` to the next beacon boundary, whose BeaconDue applies the
         rule to it (a query at a beacon's own instant holds to the one after)."""
@@ -518,16 +522,14 @@ class Simulation:
         if flow.granted:
             return
         flow.granted = True
-        self.mac.grant_emergency(bnc, self.devices[flow.frame.src], flow)
+        self.mac.grant_emergency(self.devices[flow.frame.src], flow)
         self.set_state(bnc, self.scheduler.now)
 
     def _spurious_wake(self, dev: Device) -> None:
         self.ledger.spurious_wakeups[dev.id] += 1
         now = self.scheduler.now
-        until = now + self.sf.active_duration_us
-        dev.hold_awake_until = max(dev.hold_awake_until, until)
+        self.hold(dev, now + self.sf.active_duration_us)
         self.set_state(dev, now)
-        self.scheduler.schedule(until, SLOT_BOUNDARY, dev.id, self.set_state, (dev, until))
 
     def _answer_query(self, dev: Device, entry: OnDemandEntry) -> None:
         now = self.scheduler.now

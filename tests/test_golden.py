@@ -38,6 +38,7 @@ import yaml
 
 import wbansim.engine
 from wbansim.cli import main
+from wbansim.scenario import parse_scenario
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
@@ -118,14 +119,23 @@ def rng_digests(name: str, streams: dict[str, list]) -> dict[str, str]:
     return out
 
 
+def variant_raw(name: str) -> dict:
+    """The golden variant `name` as a scenario dict: its shipped scenario
+    with the variant's sections in place."""
+    base, sections = VARIANTS[name]
+    raw = yaml.safe_load((SCENARIOS / f"{base}.yaml").read_text(encoding="utf-8"))
+    return {**raw, **sections}
+
+
+def variant_scenario(name: str):
+    return parse_scenario(variant_raw(name), name=name)
+
+
 def scenario_file(name: str, tmp: Path) -> Path:
     if name not in VARIANTS:
         return SCENARIOS / f"{name}.yaml"
-    base, sections = VARIANTS[name]
-    raw = yaml.safe_load((SCENARIOS / f"{base}.yaml").read_text(encoding="utf-8"))
-    raw.update(sections)
     path = tmp / f"{name}.yaml"
-    path.write_text(yaml.safe_dump(raw), encoding="utf-8")
+    path.write_text(yaml.safe_dump(variant_raw(name)), encoding="utf-8")
     return path
 
 

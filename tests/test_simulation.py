@@ -21,7 +21,7 @@ from wbansim.wakeup import is_awake
 
 from conftest import make_scenario, pending_entries
 from test_cap_boundary import GENERATED, build as build_generated
-from test_golden import VARIANTS
+from test_golden import VARIANTS, variant_scenario
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -286,8 +286,7 @@ class TestEmergencyPath:
         sim = Simulation(scn, seed=1)
         granted = []
         grant = sim.mac.grant_emergency
-        sim.mac.grant_emergency = lambda bnc, node, flow: granted.append(flow) or grant(
-            bnc, node, flow)
+        sim.mac.grant_emergency = lambda node, flow: granted.append(flow) or grant(node, flow)
         ledger = sim.run()
         assert ledger.offered[(1, TrafficClass.EMERGENCY)] == frames
         assert ledger.wakeup_signals_sent[1] == 2 * frames
@@ -634,9 +633,7 @@ class TestTdmaRun:
         """Beacons, slot frames and emergency windows share one channel, and
         none of them overlaps another."""
         if name in VARIANTS:
-            base, sections = VARIANTS[name]
-            raw = yaml.safe_load((SCENARIOS / f"{base}.yaml").read_text(encoding="utf-8"))
-            scn = parse_scenario({**raw, **sections}, name=name)
+            scn = variant_scenario(name)
         else:
             scn = self.busy_emergency_scenario()
         _, _, txs = run_observed(scn, seed)
@@ -1038,9 +1035,7 @@ class TestRadioStateInvariants:
                                   for name, seed in RUNS])
     def test_incoming_and_tx_until_agree_with_the_state(self, name, seed):
         if name in VARIANTS:
-            base, sections = VARIANTS[name]
-            raw = yaml.safe_load((SCENARIOS / f"{base}.yaml").read_text(encoding="utf-8"))
-            sim = Simulation(parse_scenario({**raw, **sections}, name=name), seed=seed)
+            sim = Simulation(variant_scenario(name), seed=seed)
         elif seed is None:
             sim, _ = build_generated(name, None)
         else:

@@ -17,7 +17,6 @@ at once and account for every offered frame.
 
 import random
 from collections import Counter
-from pathlib import Path
 
 import yaml
 
@@ -25,14 +24,11 @@ from wbansim.cli import main
 from wbansim.core import FrameKind, TrafficClass
 from wbansim.engine import FIRE_AT, RunAborted
 from wbansim.metrics import RadioState
-from wbansim.scenario import parse_scenario
 from wbansim.simulation import Simulation
 
 import test_simulation
 from conftest import base_scenario_dict, make_scenario
-from test_golden import VARIANTS
-
-SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+from test_golden import variant_scenario
 
 GENERATED_TDMA = 300
 RATES_PER_HOUR = (3600.0, 36000.0, 360000.0)
@@ -241,10 +237,7 @@ def test_emergency_frame_that_cannot_follow_the_slot_region_is_two(tmp_path, cap
 def wakeup_variant(seed):
     """A simulation of the `tdma_three_links_wakeup` golden variant, whose
     emergency node is granted windows."""
-    base, sections = VARIANTS["tdma_three_links_wakeup"]
-    raw = yaml.safe_load((SCENARIOS / f"{base}.yaml").read_text(encoding="utf-8"))
-    return Simulation(parse_scenario({**raw, **sections}, name="tdma_three_links_wakeup"),
-                      seed=seed)
+    return Simulation(variant_scenario("tdma_three_links_wakeup"), seed=seed)
 
 
 def idle_waiting_for_windows(sim):
@@ -260,17 +253,17 @@ def idle_waiting_for_windows(sim):
     active_end = 0  # end of the coordinator's last active part
     grant, start_superframe = mac.grant_emergency, mac.start_superframe
 
-    def observed_grant(bnc, node, flow):
+    def observed_grant(node, flow):
         nonlocal granted
         now = sim.scheduler.now
-        grant(bnc, node, flow)
+        grant(node, flow)
         granted += 1
         windows.append((now, mac.window_end - sim.air_us(flow.frame.size_bits),
                         mac.window_end))
 
-    def observed_start(t_b, listeners):
+    def observed_start(t_b):
         nonlocal active_end
-        region = start_superframe(t_b, listeners)
+        region = start_superframe(t_b)
         active_end = region[1]
         return region
 
