@@ -62,7 +62,11 @@ class PlacementKind(Enum):
 
 
 class Placement:
-    """Node position in meters relative to the BNC; implants carry a tissue depth.
+    """Node position in meters relative to the BNC.
+
+    An implant must carry a tissue depth (`depth_m`; the loader checks its
+    range) and an on-body node must not, but no computation reads it: path
+    loss uses only the link class and the 3-D distance.
 
     A placement compares and hashes by identity, so the channel's link-budget
     memo key hashes in C; nothing compares placements by value.
@@ -194,21 +198,17 @@ class SuperframeConfig:
 
 
 class BeaconInfo:
-    __slots__ = ("superframe_index", "cap_anchor", "cap_end", "commands")
+    __slots__ = ("cap_anchor", "cap_end", "commands")
 
-    def __init__(self, superframe_index: int, cap_anchor: SimTime, cap_end: SimTime,
-                 commands: tuple = ()) -> None:
-        self.superframe_index = superframe_index
+    def __init__(self, cap_anchor: SimTime, cap_end: SimTime, commands: tuple = ()) -> None:
         self.cap_anchor = cap_anchor  # first usable backoff boundary / slot-region start
         self.cap_end = cap_end
         self.commands = commands  # coordinator frames piggybacked under TDMA
 
 
-def make_beacon(
-    sf_index: int, cap_anchor: SimTime, cap_end: SimTime,
-    size_bits: int, now: SimTime, sequence: int, commands: tuple = (),
-) -> Frame:
-    """Broadcast beacon carrying the superframe index and timing, and under
-    TDMA the coordinator's queued commands."""
+def make_beacon(cap_anchor: SimTime, cap_end: SimTime, size_bits: int, now: SimTime,
+                sequence: int, commands: tuple = ()) -> Frame:
+    """Broadcast beacon carrying the superframe timing, and under TDMA the
+    coordinator's queued commands."""
     return Frame(FrameKind.BEACON, BNC_ID, BROADCAST_ID, size_bits, None, now, sequence,
-                 BeaconInfo(sf_index, cap_anchor, cap_end, commands))
+                 BeaconInfo(cap_anchor, cap_end, commands))

@@ -152,15 +152,14 @@ class CsmaMac:
         return anchor, cap_end, ()
 
     def on_beacon_received(self, dev, beacon: Frame) -> None:
-        """The listener joins the CAP and is held to its end.  That end only
-        applies the rule: nothing of an attempt is pending there, since a
-        backoff expiry is scheduled only before the CAP end, and a first CCA
-        only if both CCAs and the acked transaction end by it."""
+        """The listener joins the CAP and is held to its end, where nothing of
+        an attempt is pending: a backoff expiry is scheduled only before the
+        CAP end, and a first CCA only if both CCAs and the acked transaction
+        end by it."""
         info: BeaconInfo = beacon.payload
         dev.cap_anchor, dev.cap_end = info.cap_anchor, info.cap_end
-        sim = self.sim
-        sim.hold(dev, info.cap_end)
-        sim.set_state(dev, self.scheduler.now)
+        self.sim.hold(dev, info.cap_end)
+        self.sim.set_state(dev, self.scheduler.now)
         self.try_start(dev)
 
     def grant_emergency(self, node, flow) -> None:

@@ -106,9 +106,8 @@ class TdmaMac:
         coordinator is held from here, not from the grant, to the window's end,
         and the frame starts only after that, so the coordinator receives it."""
         if dev.queue:
-            sim, bnc = self.sim, self.bnc
-            sim.hold(bnc, window_end)
-            sim.set_state(bnc, self.scheduler.now)
+            self.sim.hold(self.bnc, window_end)
+            self.sim.set_state(self.bnc, self.scheduler.now)
         self.on_slot_start(dev, window_end)
 
     def on_beacon_received(self, dev, beacon) -> None:

@@ -37,15 +37,16 @@ while `tx_until > now`, otherwise rx while `incoming > 0`, otherwise
 idle_listen while `now < hold_awake_until`, otherwise the sleep state.  Every
 other site updates a fact and then calls it, as each TxEnd does for its
 sender (`tx_until` is never reset).  The one hold, `hold_awake_until`, is
-raised with `max` and ends in one of two ways.  A CSMA CAP (for each listener
-that receives its beacon), the coordinator's active part (at each beacon it
-sends, the CAP or the TDMA slot region the MAC gives), a TDMA emergency
-window (from its opening, if it sends) and a spurious wake each end at an
-event of their own.  A query (the coordinator's and its target's) and a CSMA
-emergency grant hold to the next beacon (`hold_to_beacon`), which applies
-the rule to each device filed under it, heard or not.  A TDMA slot or
-window keeps nothing on by itself: its frames start as it opens and follow
-each other at once.
+raised with `max` by two calls only, and each files the hold's end as it
+raises it.  `hold(dev, until)` schedules the end's own event: for the
+coordinator's active part (at each beacon it sends, the CAP or the TDMA slot
+region the MAC gives), a CSMA CAP (for each listener that receives its
+beacon), a TDMA emergency window (from its opening, if it sends) and a
+spurious wake.  `hold_to_beacon(dev)` holds to the next beacon, which
+applies the rule to each device filed under it, heard or not: for a query
+(the coordinator and its target) and a CSMA emergency grant.  Neither
+applies the rule; its caller does.  A TDMA slot or window keeps nothing on
+by itself: its frames start as it opens and follow each other at once.
 
 The wakeup radio is out of band and ideal apart from an optional loss draw.
 A wakeup signal is a `WAKEUP_SIGNAL` frame that never enters the channel: its
@@ -167,8 +168,8 @@ class Device:
         self.queue = PendingQueue()
         self.incoming = 0  # frames on the air for this device, the beacon included
         self.tx_until = 0  # end of its last transmission; never reset
-        # main radio on until then (query, grant, spurious wake, CSMA CAP, the
-        # coordinator's active part)
+        # main radio on until then; raised only by Simulation.hold and
+        # Simulation.hold_to_beacon, which file the hold's end
         self.hold_awake_until = 0
         self.grant_active = False
         # CSMA attempt state; the CAP it last joined: first backoff boundary, end
@@ -316,11 +317,9 @@ class Simulation:
         if listeners:
             ledger.bnc_awake_superframes += 1
             anchor, end, commands = self.mac.start_superframe(now)
-            bnc = self.bnc
-            self.hold(bnc, end)  # awake through the CAP or the slot region
-            beacon = make_beacon(sf_index, anchor, end, self.fp.beacon_bits, now,
-                                 self.next_seq(), commands)
-            self.begin_tx(bnc, beacon, now, listeners)
+            self.hold(self.bnc, end)  # awake through the CAP or the slot region
+            beacon = make_beacon(anchor, end, self.fp.beacon_bits, now, self.next_seq(), commands)
+            self.begin_tx(self.bnc, beacon, now, listeners)
         for dev in self.beacon_holds.pop(now, ()):  # holds that end at this beacon
             self.set_state(dev, now)
         next_t = (sf_index + 1) * self.sf.beacon_interval_us

@@ -156,7 +156,6 @@ class TestFsmAgainstExhaustiveOracle:
 
 class TestBeacon:
     def test_carries_timing(self):
-        b = make_beacon(7, 1280, 983_040, 304, 0, 1)
-        assert b.payload.superframe_index == 7
+        b = make_beacon(1280, 983_040, 304, 0, 1)
         assert b.payload.cap_anchor == 1280
         assert b.dst == -1
