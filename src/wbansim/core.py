@@ -197,18 +197,10 @@ class SuperframeConfig:
         self.default_bitrate_bps = symbol_rate_sps * 4  # 4 bits/symbol
 
 
-class BeaconInfo:
+class BeaconInfo:  # a beacon's payload, as a MAC's start_superframe returns it
     __slots__ = ("cap_anchor", "cap_end", "commands")
 
     def __init__(self, cap_anchor: SimTime, cap_end: SimTime, commands: tuple = ()) -> None:
         self.cap_anchor = cap_anchor  # first usable backoff boundary / slot-region start
         self.cap_end = cap_end
         self.commands = commands  # coordinator frames piggybacked under TDMA
-
-
-def make_beacon(cap_anchor: SimTime, cap_end: SimTime, size_bits: int, now: SimTime,
-                sequence: int, commands: tuple = ()) -> Frame:
-    """Broadcast beacon carrying the superframe timing, and under TDMA the
-    coordinator's queued commands."""
-    return Frame(FrameKind.BEACON, BNC_ID, BROADCAST_ID, size_bits, None, now, sequence,
-                 BeaconInfo(cap_anchor, cap_end, commands))

@@ -13,11 +13,13 @@ fresh backoff state, up to max_frame_retries, after which the frame drops
 (an emergency frame the coordinator has not received refills its budget).
 The loader lets an ack end only before the ack wait.
 
-A listener that receives the beacon is held awake to the CAP end, like the
-coordinator, and contends only before it.  At the end of the CAP (IEEE Std
-802.15.4-2006, 7.5.1.4), a countdown that would cross it carries its
-remaining periods to the next CAP, and an attempt whose two CCAs and acked
-transaction do not fit waits for the next CAP.
+The beacon carries the `BeaconInfo` that `start_superframe` returns: the
+first backoff boundary past the beacon and the CAP end.  A listener that
+receives it is held awake to that end, like the coordinator, and contends
+only before it.  At the end of the CAP (IEEE Std 802.15.4-2006, 7.5.1.4), a
+countdown that would cross it carries its remaining periods to the next CAP,
+and an attempt whose two CCAs and acked transaction do not fit waits for the
+next CAP.
 """
 
 from __future__ import annotations
@@ -136,30 +138,26 @@ class CsmaMac:
         self.scheduler = sim.scheduler
         self.channel = sim.channel
         self.cca_threshold_dbm = sim.channel.params.cca_threshold_dbm
-        self.ubp = sim.sf.unit_backoff_us
+        ubp = self.ubp = sim.sf.unit_backoff_us
+        # into each superframe: the first backoff boundary past the beacon
+        self.anchor_us = -(-sim.air_us(sim.fp.beacon_bits) // ubp) * ubp
 
     # -- superframe lifecycle -------------------------------------------------
 
-    def start_superframe(self, t_b: SimTime) -> tuple[SimTime, SimTime, tuple]:
-        """Open the coordinator's CAP; returns the beacon's (first backoff
-        boundary, CAP end, commands)."""
-        sim = self.sim
-        ubp = self.ubp
-        anchor = t_b + -(-sim.air_us(sim.fp.beacon_bits) // ubp) * ubp  # align past the beacon
-        cap_end = t_b + sim.sf.active_duration_us
-        bnc = sim.bnc
-        bnc.cap_anchor, bnc.cap_end = anchor, cap_end
-        return anchor, cap_end, ()
+    def start_superframe(self, t_b: SimTime) -> BeaconInfo:
+        """Open the coordinator's CAP; returns the record its beacon carries."""
+        info = BeaconInfo(t_b + self.anchor_us, t_b + self.sim.sf.active_duration_us)
+        bnc = self.sim.bnc
+        bnc.cap_anchor, bnc.cap_end = info.cap_anchor, info.cap_end
+        return info
 
-    def on_beacon_received(self, dev, beacon: Frame) -> None:
+    def on_beacon_received(self, dev, info: BeaconInfo) -> None:
         """The listener joins the CAP and is held to its end, where nothing of
         an attempt is pending: a backoff expiry is scheduled only before the
         CAP end, and a first CCA only if both CCAs and the acked transaction
         end by it."""
-        info: BeaconInfo = beacon.payload
         dev.cap_anchor, dev.cap_end = info.cap_anchor, info.cap_end
         self.sim.hold(dev, info.cap_end)
-        self.sim.set_state(dev, self.scheduler.now)
         self.try_start(dev)
 
     def grant_emergency(self, node, flow) -> None:

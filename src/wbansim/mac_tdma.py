@@ -18,15 +18,16 @@ frame to send.  Coordinator commands (e.g. stream stop) piggyback on
 beacons rather than taking airtime from the slot region.
 
 The simulation builds, sends and delivers the beacon for both MACs, and holds
-the coordinator awake through the slot region; this module gives it the slot
-region and the queued commands, turns its reception into a slot start event
-and runs the slot.  There is no backoff, CCA or ack here: an offered
-frame just queues, data for its slot and commands for the next beacon.
+the coordinator awake through the slot region; this module returns the
+beacon's `BeaconInfo` (the slot region and the queued commands), turns its
+reception into a slot start event and runs the slot.  There is no backoff,
+CCA or ack here: an offered frame just queues, data for its slot and
+commands for the next beacon.
 """
 
 from __future__ import annotations
 
-from .core import FrameKind, SimTime
+from .core import BeaconInfo, FrameKind, SimTime
 from .engine import EventKind
 
 # Enum members read on the per-event paths, bound once (see simulation.py).
@@ -80,11 +81,13 @@ class TdmaMac:
 
     # -- superframe lifecycle -------------------------------------------------
 
-    def start_superframe(self, t_b: SimTime) -> tuple[SimTime, SimTime, tuple]:
-        """Returns the beacon's (region start, region end, queued commands)."""
+    def start_superframe(self, t_b: SimTime) -> BeaconInfo:
+        """Returns the record the beacon carries: the slot region and the
+        queued commands."""
         region_start = t_b + self.beacon_us
         queue = self.bnc.queue
-        return region_start, region_start + self.region_us, tuple(queue.drain()) if queue else ()
+        return BeaconInfo(region_start, region_start + self.region_us,
+                          tuple(queue.drain()) if queue else ())
 
     def offer(self, dev, frame) -> None:
         dev.queue.push(frame)
@@ -107,12 +110,10 @@ class TdmaMac:
         and the frame starts only after that, so the coordinator receives it."""
         if dev.queue:
             self.sim.hold(self.bnc, window_end)
-            self.sim.set_state(self.bnc, self.scheduler.now)
         self.on_slot_start(dev, window_end)
 
-    def on_beacon_received(self, dev, beacon) -> None:
+    def on_beacon_received(self, dev, info: BeaconInfo) -> None:
         sim = self.sim
-        info = beacon.payload
         for command in info.commands:
             if command.dst == dev.id:
                 sim.receive(command)

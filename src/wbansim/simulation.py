@@ -9,17 +9,17 @@ transmission, each frame's fate, and radio-state bookkeeping for the energy
 figures.
 
 Every event names the method it runs (see `engine.fire`).  The beacon is
-built, sent and delivered here, for both MACs; the MAC gives its timing (the
-CAP or the slot region) and the commands it carries.  A transmission's
-receivers (`ActiveTx.receivers`) are fixed when it starts: a beacon's are its
-listeners, a unicast frame's is its destination if that device was awake and
-not transmitting.  Each receiver counts the frame as incoming until its end,
-when every receiver gets a reception outcome.  A beacon's listener that
-receives it stays in rx until its own RxEnd at that instant, where the MAC
-sets its facts and applies the rule.  The MAC is reached through
-five calls: `start_superframe`, `on_beacon_received`, `offer` (a frame joins
-a queue), `on_tx_end` (after each transmission's outcome) and
-`grant_emergency`.
+built, sent and delivered here, for both MACs; it carries the `BeaconInfo`
+the MAC's `start_superframe` returns (the CAP or the slot region, and the
+commands).  A transmission's receivers (`ActiveTx.receivers`) are fixed when
+it starts: a beacon's are its listeners, a unicast frame's is its
+destination if that device was awake and not transmitting.  Each receiver
+counts the frame as incoming until its end, when every receiver gets a
+reception outcome.  A beacon's listener that receives it stays in rx until
+its own RxEnd at that instant, where the MAC gets the `BeaconInfo`, sets its
+facts and applies the rule.  The MAC is reached through five calls:
+`start_superframe`, `on_beacon_received`, `offer` (a frame joins a queue),
+`on_tx_end` (after each transmission's outcome) and `grant_emergency`.
 
 A frame's fate is decided here alone.  The MAC reports a frame's reception
 through `receive`, which counts only the first one: a data frame is
@@ -37,16 +37,17 @@ while `tx_until > now`, otherwise rx while `incoming > 0`, otherwise
 idle_listen while `now < hold_awake_until`, otherwise the sleep state.  Every
 other site updates a fact and then calls it, as each TxEnd does for its
 sender (`tx_until` is never reset).  The one hold, `hold_awake_until`, is
-raised with `max` by two calls only, and each files the hold's end as it
-raises it.  `hold(dev, until)` schedules the end's own event: for the
-coordinator's active part (at each beacon it sends, the CAP or the TDMA slot
-region the MAC gives), a CSMA CAP (for each listener that receives its
-beacon), a TDMA emergency window (from its opening, if it sends) and a
-spurious wake.  `hold_to_beacon(dev)` holds to the next beacon, which
-applies the rule to each device filed under it, heard or not: for a query
-(the coordinator and its target) and a CSMA emergency grant.  Neither
-applies the rule; its caller does.  A TDMA slot or window keeps nothing on
-by itself: its frames start as it opens and follow each other at once.
+raised with `max` by two calls only; each files the hold's end as it raises
+it, then applies the rule, so no caller does.  `hold(dev, until)` schedules
+the end's own event: for the coordinator's active part (from each beacon it
+sends, once on the air, to the CAP or slot region end), a CSMA CAP (for each
+listener that receives its beacon), a TDMA emergency window (from its
+opening, if it sends) and a spurious wake.  `hold_to_beacon(dev)` holds to
+the next beacon, which applies the rule to each device filed under it, heard
+or not: for a query (the coordinator, once its wakeup signal is on the air,
+and the target) and a CSMA emergency grant.  A TDMA slot or window keeps
+nothing on by itself: its frames start as it opens and follow each other at
+once.
 
 The wakeup radio is out of band and ideal apart from an optional loss draw.
 A wakeup signal is a `WAKEUP_SIGNAL` frame that never enters the channel: its
@@ -74,6 +75,7 @@ from . import traffic as traffic_mod
 from .channel import ChannelModel
 from .core import (
     BNC_ID,
+    BROADCAST_ID,
     Criticality,
     Frame,
     FrameKind,
@@ -82,7 +84,6 @@ from .core import (
     SimTime,
     TrafficClass,
     airtime,
-    make_beacon,
 )
 from .engine import EventKind, RngStreams, Scheduler, fire
 from .mac_csma import CsmaMac
@@ -169,7 +170,7 @@ class Device:
         self.incoming = 0  # frames on the air for this device, the beacon included
         self.tx_until = 0  # end of its last transmission; never reset
         # main radio on until then; raised only by Simulation.hold and
-        # Simulation.hold_to_beacon, which file the hold's end
+        # Simulation.hold_to_beacon, which file the hold's end and apply the rule
         self.hold_awake_until = 0
         self.grant_active = False
         # CSMA attempt state; the CAP it last joined: first backoff boundary, end
@@ -212,7 +213,7 @@ class Simulation:
         self.ledger = MetricsLedger({n.profile.id: n.profile.traffic_class for n in scenario.nodes})
         self.next_seq = itertools.count(1).__next__  # frame sequence numbers
         # Airtime in us of a frame size, memoised on first use: a run sees a
-        # handful of sizes and asks for them on every backoff expiry.
+        # handful of sizes and asks at each begin_tx and attempt's binding.
         self.air_us = functools.cache(functools.partial(airtime, bitrate_bps=self.fp.bitrate_bps))
 
         self.devices: dict[int, Device] = {}
@@ -316,10 +317,11 @@ class Simulation:
                 ledger.node_awake_superframes[node_id] += 1
         if listeners:
             ledger.bnc_awake_superframes += 1
-            anchor, end, commands = self.mac.start_superframe(now)
-            self.hold(self.bnc, end)  # awake through the CAP or the slot region
-            beacon = make_beacon(anchor, end, self.fp.beacon_bits, now, self.next_seq(), commands)
+            info = self.mac.start_superframe(now)
+            beacon = Frame(BEACON, BNC_ID, BROADCAST_ID, self.fp.beacon_bits, None, now,
+                           self.next_seq(), info)
             self.begin_tx(self.bnc, beacon, now, listeners)
+            self.hold(self.bnc, info.cap_end)  # awake through the CAP or the slot region
         for dev in self.beacon_holds.pop(now, ()):  # holds that end at this beacon
             self.set_state(dev, now)
         next_t = (sf_index + 1) * self.sf.beacon_interval_us
@@ -376,7 +378,7 @@ class Simulation:
                 # It stays in rx until this RxEnd, which applies the rule
                 # once the MAC has set its facts.
                 self.scheduler.schedule(now, RX_END, ddev.id,
-                                        self.mac.on_beacon_received, (ddev, frame))
+                                        self.mac.on_beacon_received, (ddev, frame.payload))
                 continue
             self.set_state(ddev, now)
             if beacon:
@@ -470,8 +472,8 @@ class Simulation:
             self._send_emergency_signal(flow)
 
     def _start_query(self, entry: OnDemandEntry) -> None:
-        self.hold_to_beacon(self.bnc)
         self._send_signal(self.bnc, entry.target, entry)
+        self.hold_to_beacon(self.bnc)
 
     def _enqueue_stop(self, target: int) -> None:
         cmd = Frame(
@@ -505,36 +507,37 @@ class Simulation:
             self.scheduler.schedule(now + delay, EventKind.WAKEUP_DUE, device_id, fn, args)
 
     def hold(self, dev: Device, until: SimTime) -> None:
-        """Hold `dev` awake to `until`, whose own event applies the rule to it."""
+        """Hold `dev` awake to `until`, whose own event applies the rule to
+        it, and apply the rule now."""
         dev.hold_awake_until = max(dev.hold_awake_until, until)
         self.scheduler.schedule(until, SLOT_BOUNDARY, dev.id, self.set_state, (dev, until))
+        self.set_state(dev, self.scheduler.now)
 
     def hold_to_beacon(self, dev: Device) -> None:
         """Hold `dev` to the next beacon boundary, whose BeaconDue applies the
-        rule to it (a query at a beacon's own instant holds to the one after)."""
+        rule to it (a query at a beacon's own instant holds to the one after),
+        and apply the rule now."""
+        now = self.scheduler.now
         interval = self.sf.beacon_interval_us
-        boundary = (self.scheduler.now // interval + 1) * interval
+        boundary = (now // interval + 1) * interval
         dev.hold_awake_until = max(dev.hold_awake_until, boundary)
         self.beacon_holds.setdefault(boundary, []).append(dev)
+        self.set_state(dev, now)
 
     def _grant_emergency(self, bnc: Device, flow: EmergencyFlow) -> None:
         if flow.granted:
             return
         flow.granted = True
         self.mac.grant_emergency(self.devices[flow.frame.src], flow)
-        self.set_state(bnc, self.scheduler.now)
 
     def _spurious_wake(self, dev: Device) -> None:
         self.ledger.spurious_wakeups[dev.id] += 1
-        now = self.scheduler.now
-        self.hold(dev, now + self.sf.active_duration_us)
-        self.set_state(dev, now)
+        self.hold(dev, self.scheduler.now + self.sf.active_duration_us)
 
     def _answer_query(self, dev: Device, entry: OnDemandEntry) -> None:
         now = self.scheduler.now
         dev.grant_active = True
         self.hold_to_beacon(dev)
-        self.set_state(dev, now)
         if entry.continuous:
             until = now + entry.duration_us
             self.scheduler.schedule(now, TRAFFIC_ARRIVAL, dev.id, self._on_stream_arrival,

@@ -1,11 +1,13 @@
-"""A hold ends only where it was raised.
+"""A hold ends only where it was raised, and every fact change applies the rule.
 
 A device's one awake hold, `hold_awake_until`, is raised in two places:
 `Simulation.hold` files the hold's end as an event of its own, and
 `Simulation.hold_to_beacon` files the device under the next beacon, which
-applies the rule to it.  `Device.__init__` sets it to 0, and no other code
-assigns it.  So every hold-end event finds its hold in place, and neither
-MAC schedules anything when a superframe starts.
+applies the rule to it.  Both apply the rule at once, as every other site
+that changes one of the rule's three facts does.  `Device.__init__` sets
+the hold to 0, and no other code assigns it.  So every hold-end event finds
+its hold in place, and neither MAC schedules anything when a superframe
+starts.
 """
 
 import ast
@@ -57,23 +59,85 @@ def test_starting_a_superframe_schedules_nothing(mac):
     assert calendar == before
 
 
+def functions(path):
+    """Each function in `path` as (dotted scope, its `ast.FunctionDef`)."""
+    found = []
+
+    def visit(node, scopes):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                inner = [*scopes, child.name]
+                if isinstance(child, ast.FunctionDef):
+                    found.append((".".join(inner), child))
+                visit(child, inner)
+            else:
+                visit(child, scopes)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), [])
+    return found
+
+
+SOURCE_FUNCTIONS = [item for path in sorted(SRC.glob("*.py")) for item in functions(path)]
+
+
+def stored(node):
+    """The attribute names `node` assigns, augmented assignments included."""
+    return {n.attr for n in ast.walk(node)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store)}
+
+
+def called(node):
+    """The method names `node` calls."""
+    return {n.func.attr for n in ast.walk(node)
+            if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)}
+
+
 def test_only_the_two_holds_and_the_constructor_assign_the_hold():
-    sites = []
-    for path in sorted(SRC.glob("*.py")):
-        scopes = []
-
-        class Visitor(ast.NodeVisitor):
-            def visit_scope(self, node):
-                scopes.append(node.name)
-                self.generic_visit(node)
-                scopes.pop()
-
-            visit_ClassDef = visit_FunctionDef = visit_AsyncFunctionDef = visit_scope
-
-            def visit_Attribute(self, node):
-                if node.attr == "hold_awake_until" and isinstance(node.ctx, ast.Store):
-                    sites.append(".".join(scopes))
-                self.generic_visit(node)
-
-        Visitor().visit(ast.parse(path.read_text(encoding="utf-8")))
+    sites = [scope for scope, fn in SOURCE_FUNCTIONS if "hold_awake_until" in stored(fn)]
     assert sorted(sites) == ["Device.__init__", "Simulation.hold", "Simulation.hold_to_beacon"]
+
+
+def test_every_change_of_a_fact_applies_the_rule():
+    # Once, both holds left the rule to their callers.
+    writers = [(scope, "set_state" in called(fn)) for scope, fn in SOURCE_FUNCTIONS
+               if scope != "Device.__init__"
+               and stored(fn) & {"tx_until", "incoming", "hold_awake_until"}]
+    assert len(writers) >= 5
+    assert [scope for scope, applies in writers if not applies] == []
+
+
+def method_call(stmt):
+    """The method name of a statement that is one method call, else None."""
+    if isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Call) \
+            and isinstance(stmt.value.func, ast.Attribute):
+        return stmt.value.func.attr
+    return None
+
+
+def test_no_caller_applies_the_rule_right_after_a_hold():
+    # Once, four callers did, because neither hold applied it.
+    repeats = []
+    for scope, fn in SOURCE_FUNCTIONS:
+        for node in ast.walk(fn):
+            for field in ("body", "orelse"):
+                block = getattr(node, field, None)
+                if isinstance(block, list):
+                    repeats += [scope for a, b in zip(block, block[1:])
+                                if method_call(a) in ("hold", "hold_to_beacon")
+                                and method_call(b) == "set_state"]
+    assert repeats == []
+
+
+def test_the_simulation_reaches_the_mac_through_its_five_calls():
+    tree = ast.parse((SRC / "simulation.py").read_text(encoding="utf-8"))
+    reads = [n for n in ast.walk(tree) if isinstance(n, ast.Attribute) and n.attr == "mac"
+             and isinstance(n.value, ast.Name) and n.value.id == "self"
+             and isinstance(n.ctx, ast.Load)]
+    uses = sorted((n.attr, type(n.ctx).__name__) for n in ast.walk(tree)
+                  if isinstance(n, ast.Attribute) and n.value in reads)
+    assert len(uses) == len(reads)  # no bare `self.mac` read, such as an alias
+    assert sorted(set(uses)) == [
+        ("grant_emergency", "Load"), ("offer", "Load"), ("on_beacon_received", "Load"),
+        ("on_tx_end", "Load"), ("sim", "Store"), ("start_superframe", "Load"),
+    ]
+    assert uses.count(("sim", "Store")) == 1  # the teardown in `run`

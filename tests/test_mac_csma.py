@@ -3,8 +3,11 @@ import random
 
 import pytest
 
-from wbansim.core import Criticality, SuperframeConfig, make_beacon
+from wbansim.core import BNC_ID, Criticality, Frame, FrameKind, SuperframeConfig, TrafficClass
 from wbansim.mac_csma import BackoffPolicy, CsmaAction, CsmaBackoffFsm, backoff_draw
+from wbansim.simulation import Simulation
+
+from conftest import make_scenario
 
 
 class TestSuperframeConfig:
@@ -155,7 +158,24 @@ class TestFsmAgainstExhaustiveOracle:
 
 
 class TestBeacon:
+    T_B = 5 * 122_880  # the sixth beacon at BO 3
+
     def test_carries_timing(self):
-        b = make_beacon(1280, 983_040, 304, 0, 1)
-        assert b.payload.cap_anchor == 1280
-        assert b.dst == -1
+        # A 304-bit beacon lasts 1 216 us; the first 320 us unit backoff
+        # boundary past it is 1 280 us into the superframe.
+        sim = Simulation(make_scenario(), seed=1)
+        info = sim.mac.start_superframe(self.T_B)
+        assert (info.cap_anchor, info.cap_end) == (self.T_B + 1280, self.T_B + 122_880)
+        assert info.commands == ()
+
+    def test_tdma_carries_the_slot_region_and_drains_the_commands(self):
+        tdma = {"slot_duration_ms": 4.0, "slots": {1: 0}, "slots_per_superframe": 2}
+        sim = Simulation(make_scenario(mac="tdma", tdma=tdma), seed=1)
+        start = self.T_B + sim.air_us(sim.fp.beacon_bits)
+        info = sim.mac.start_superframe(self.T_B)
+        assert (info.cap_anchor, info.cap_end, info.commands) == (start, start + 8_000, ())
+        cmd = Frame(FrameKind.COMMAND, BNC_ID, 1, sim.fp.command_bits,
+                    TrafficClass.ON_DEMAND_NON_CONTINUOUS, 0, 1, ("stop",))
+        sim.mac.offer(sim.bnc, cmd)
+        assert sim.mac.start_superframe(self.T_B).commands == (cmd,)
+        assert not sim.bnc.queue

@@ -1014,9 +1014,14 @@ class TestRadioStateInvariants:
             check(entry)
             charge_idle(entry[FIRE_AT])
             last = entry[FIRE_AT]
-            if entry[FN].__name__ == "on_beacon_received":
-                received.append((last, entry[ARGS][0].id))
 
+        on_beacon_received = sim.mac.on_beacon_received
+
+        def observed_beacon_received(dev, info):
+            received.append((sim.scheduler.now, dev.id))
+            on_beacon_received(dev, info)
+
+        sim.mac.on_beacon_received = observed_beacon_received
         sim.scheduler.trace_sink = after_previous_dispatch
         sim.scheduler.run_until(horizon_us)
         check()

@@ -263,9 +263,9 @@ def idle_waiting_for_windows(sim):
 
     def observed_start(t_b):
         nonlocal active_end
-        region = start_superframe(t_b)
-        active_end = region[1]
-        return region
+        info = start_superframe(t_b)
+        active_end = info.cap_end
+        return info
 
     mac.grant_emergency, mac.start_superframe = observed_grant, observed_start
     idle, last = 0, 0
