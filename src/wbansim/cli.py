@@ -12,7 +12,9 @@ from pathlib import Path
 import yaml
 
 from .engine import trace_line
-from .metrics import merge_ledgers, write_node_csv, write_summary_csv
+# `merge_ledgers` is not called here, but the benchmark's tracer
+# (`perfbench/tracer.py`) patches `wbansim.cli.merge_ledgers` by name.
+from .metrics import MetricsLedger, merge_ledgers, write_node_csv, write_summary_csv  # noqa: F401
 from .scenario import ScenarioError, load_scenario
 from .simulation import Simulation
 
@@ -98,9 +100,15 @@ def main(argv=None) -> int:
     try:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        ledgers = [run_one(scenario, seed, out_dir, args.trace) for seed in seeds]
-        if len(seeds) > 1:
-            merged = merge_ledgers(ledgers)
+        if len(seeds) == 1:
+            run_one(scenario, seeds[0], out_dir, args.trace)
+        else:
+            # Fold each run into the aggregate, in seed order, as it ends, so
+            # a sweep holds one aggregate and the running seed, however many
+            # seeds it has.
+            merged = MetricsLedger()
+            for seed in seeds:
+                merged.merge_from(run_one(scenario, seed, out_dir, args.trace))
             run_id = f"{scenario.name}-aggregate"
             with open(out_dir / f"{scenario.name}_aggregate.csv", "w", encoding="utf-8") as fh:
                 write_node_csv(fh, merged, run_id, "", scenario.mac, scenario.energy)
