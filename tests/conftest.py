@@ -1,7 +1,9 @@
 import copy
 
 import pytest
+import yaml
 
+from wbansim import cli
 from wbansim.scenario import parse_scenario
 
 
@@ -28,6 +30,25 @@ def base_scenario_dict(**overrides):
 
 def make_scenario(name="scenario", **overrides):
     return parse_scenario(base_scenario_dict(**overrides), name=name)
+
+
+def run_sweep(raw, name, seeds, out_dir):
+    """Run `wbansim --seeds 1..<seeds>` on the scenario dict `raw`, saved as
+    `<name>.yaml` in `out_dir`, writing its CSVs there too.  Returns each
+    run's ledger, in seed order, as `cli.run_one` returned it."""
+    path = out_dir / f"{name}.yaml"
+    path.write_text(yaml.safe_dump(raw), encoding="utf-8")
+    ledgers, run_one = [], cli.run_one
+
+    def recording(*args):
+        ledgers.append(run_one(*args))
+        return ledgers[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "run_one", recording)
+        assert cli.main(["--scenario", str(path), f"--seeds=1..{seeds}",
+                         "--out", str(out_dir)]) == 0
+    return ledgers
 
 
 def pending_entries(scheduler, current):

@@ -23,10 +23,17 @@ On any network, a device's `tx` time is the measure of the union of what it
 puts on the air: its channel transmissions and its wakeup signals, clipped
 at the horizon.  That identity is checked on the shipped scenarios, the
 golden variants and generated TDMA scenarios.
+
+The CSVs report energy from the ledger alone: each node row's `energy_mj`,
+and the summary's `bnc_energy_mj` for the coordinator, is the `math.fsum` of
+the device's time in each radio state times that state's power in the
+scenario's `EnergyModel`.  That holds for each run of a sweep and for its
+aggregate, whose state times are the sums of the runs'.
 """
 
+import csv
 import math
-from collections import defaultdict
+from collections import Counter, defaultdict
 from pathlib import Path
 
 import pytest
@@ -41,7 +48,7 @@ from wbansim.scenario import load_scenario, parse_scenario
 from wbansim.simulation import Simulation
 
 import test_simulation
-from conftest import base_scenario_dict
+from conftest import base_scenario_dict, run_sweep
 from test_golden import VARIANTS
 from test_tdma_windows import generated_tdma_scenario
 
@@ -163,3 +170,42 @@ def test_tx_time_is_the_union_of_what_each_device_sends(name):
     assert sum(map(len, spans.values())) > 0
     for dev_id in sim.devices:
         assert ledger.state_us[dev_id][TX] == union_us(spans[dev_id], sim.horizon_us), dev_id
+
+
+# scenario -> the horizon of its 3-seed sweep, as (key, value), or None for
+# its own
+CSV_ENERGY_HORIZONS = {
+    "emergency_8bn": ("horizon_s", 310),
+    "priority_saturated": ("horizon_s", 2),
+    "tdma_three_links": ("horizon_superframes", 200),
+    "wakeup_patterns_10_43": None,
+}
+
+
+def csv_energy(model, states):
+    """The CSV text of the energy a device with these state times used."""
+    return f"{math.fsum(us * 1e-6 * model.power_mw(state) for state, us in states.items()):.6f}"
+
+
+@pytest.mark.parametrize("name", sorted(CSV_ENERGY_HORIZONS))
+def test_csv_energy_is_state_time_times_power(name, tmp_path):
+    raw = yaml.safe_load((SCENARIOS / f"{name}.yaml").read_text(encoding="utf-8"))
+    if CSV_ENERGY_HORIZONS[name] is not None:
+        key, value = CSV_ENERGY_HORIZONS[name]
+        raw[key] = value
+    ledgers = run_sweep(raw, name, 3, tmp_path)
+    model = parse_scenario(raw, name=name).energy
+    aggregate = defaultdict(Counter)
+    for ledger in ledgers:
+        for dev_id, states in ledger.state_us.items():
+            aggregate[dev_id].update(states)
+    runs = [(f"seed{seed}", ledger.state_us) for seed, ledger in enumerate(ledgers, start=1)]
+    for run, state_us in runs + [("aggregate", aggregate)]:
+        with open(tmp_path / f"{name}_{run}.csv", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        assert {int(row["node_id"]) for row in rows} == set(state_us) - {BNC_ID}, run
+        for row in rows:
+            assert row["energy_mj"] == csv_energy(model, state_us[int(row["node_id"])]), (run, row)
+        with open(tmp_path / f"{name}_{run}_summary.csv", encoding="utf-8") as fh:
+            [summary] = csv.DictReader(fh)
+        assert summary["bnc_energy_mj"] == csv_energy(model, state_us[BNC_ID]), run

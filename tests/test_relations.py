@@ -14,6 +14,11 @@ lies.  Each shipped scenario runs at seed 3 to 0.3x and 0.6x its horizon;
 Node order: the order of a scenario's `nodes:` list is not an input.  Any
 permutation of it gives the same node and summary CSV rows.  Each shipped
 scenario runs at seed 1, the busy ones to a shorter horizon.
+
+Merge order: a sweep's aggregate is a sum over its runs, so the order in
+which the per-seed ledgers merge is not an input.  Merged in any order, the
+ledgers of a 12-seed `wbansim --seeds` sweep give the aggregate node and
+summary CSVs that sweep wrote, byte for byte.
 """
 
 import functools
@@ -26,9 +31,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wbansim.cli import run_one
-from wbansim.metrics import write_node_csv, write_summary_csv
+from wbansim.metrics import merge_ledgers, write_node_csv, write_summary_csv
 from wbansim.scenario import parse_scenario
 from wbansim.simulation import Simulation
+
+from conftest import run_sweep
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 SEED = 3
@@ -109,3 +116,38 @@ def test_the_order_of_the_nodes_changes_no_row(name, data):
     count = len(node_order_raw(name)["nodes"])
     order = tuple(data.draw(st.permutations(range(count)), label="order"))
     assert csv_rows(name, order) == csv_rows(name, tuple(range(count)))
+
+
+MERGE_ORDER_SEEDS = 12
+# scenario -> the horizon of its merge-order sweep, as (key, value)
+MERGE_ORDER_HORIZONS = {
+    "emergency_8bn": ("horizon_s", 310),
+    "priority_saturated": ("horizon_s", 3),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(MERGE_ORDER_HORIZONS))
+def sweep(request, tmp_path_factory):
+    """The scenario of one merge-order sweep, its per-seed ledgers and the
+    bytes of the aggregate node and summary CSVs it wrote."""
+    name = request.param
+    key, value = MERGE_ORDER_HORIZONS[name]
+    raw = yaml.safe_load((SCENARIOS / f"{name}.yaml").read_text(encoding="utf-8"))
+    raw[key] = value
+    out_dir = tmp_path_factory.mktemp(name)
+    ledgers = run_sweep(raw, name, MERGE_ORDER_SEEDS, out_dir)
+    aggregate = tuple((out_dir / f"{name}_aggregate{suffix}.csv").read_bytes()
+                      for suffix in ("", "_summary"))
+    return parse_scenario(raw, name=name), ledgers, aggregate
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(order=st.permutations(range(MERGE_ORDER_SEEDS)))
+def test_the_merge_order_changes_no_aggregate_byte(sweep, order):
+    scenario, ledgers, aggregate = sweep
+    merged = merge_ledgers(ledgers[i] for i in order)
+    run_id = f"{scenario.name}-aggregate"
+    node_csv, summary_csv = io.StringIO(), io.StringIO()
+    write_node_csv(node_csv, merged, run_id, "", scenario.mac, scenario.energy)
+    write_summary_csv(summary_csv, merged, run_id, "", scenario.mac, scenario.energy)
+    assert (node_csv.getvalue().encode(), summary_csv.getvalue().encode()) == aggregate
