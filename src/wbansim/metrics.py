@@ -6,7 +6,8 @@ integrals partition the whole run per device, which makes the energy figures
 conservative by construction (they always cover the full horizon).  The
 ledger holds only their totals, `state_us`: each device tracks its own live
 radio state during the run, and the simulation fills `state_us` at the
-horizon.
+horizon.  Latency samples are kept exact, in int64 arrays; the CSV's
+statistics come from their value counts.
 
 `delivered` counts frames the destination actually received (duplicates from
 a lost acknowledgement are not double-counted); `dropped` counts frames
@@ -167,22 +168,36 @@ def merge_ledgers(ledgers: Iterable[MetricsLedger]) -> MetricsLedger:
     return merged
 
 
-def nearest_rank(sorted_samples: list[SimTime], q: float) -> SimTime:
-    n = len(sorted_samples)
-    idx = max(1, math.ceil(q * n))
-    return sorted_samples[idx - 1]
+def latency_stats(samples: Iterable[SimTime]) -> dict[str, float | SimTime] | None:
+    """mean/p50/p99/max over recorded samples; None when there are none.
 
-
-def latency_stats(samples: list[SimTime]) -> dict[str, float | SimTime] | None:
-    """mean/p50/p99/max over recorded samples; None when there are none."""
-    if not samples:
+    The percentiles are nearest-rank: the value at rank `ceil(q n)`, at least
+    1, of the sorted samples.  They are read from a value -> count table, so
+    the memory this takes follows the distinct latencies, not the samples: a
+    TDMA node's frames share one latency, and saturated CSMA latencies fall
+    on backoff-period multiples.  When every sample is distinct the table
+    costs about 107 bytes a sample, against about 44 for a sorted list of
+    Python ints.  The mean is the exact integer sum divided by `n`, rounded
+    once.
+    """
+    counts = Counter(samples)
+    if not counts:
         return None
-    ordered = sorted(samples)
+    n = counts.total()
+    p50_rank, p99_rank = (max(1, math.ceil(q * n)) for q in (0.50, 0.99))
+    values = sorted(counts)
+    seen, p50 = 0, None
+    for value in values:
+        seen += counts[value]
+        if p50 is None and seen >= p50_rank:
+            p50 = value
+        if seen >= p99_rank:  # reached: p99_rank <= n
+            break
     return {
-        "mean": sum(ordered) / len(ordered),
-        "p50": nearest_rank(ordered, 0.50),
-        "p99": nearest_rank(ordered, 0.99),
-        "max": ordered[-1],
+        "mean": sum(value * count for value, count in counts.items()) / n,
+        "p50": p50,
+        "p99": value,
+        "max": values[-1],
     }
 
 

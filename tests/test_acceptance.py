@@ -160,6 +160,20 @@ def test_criterion_5_link_quality_calibration():
           + " ".join(f"node{n}={measured[n]:.4f}" for n in targets))
 
 
+# One TDMA node awake every tenth superframe: its frames wait for the next
+# awake one, and most beacons reach nobody.
+DEFERRAL = {
+    "mac": "tdma",
+    "horizon_superframes": 300_000,
+    "superframe": {"beacon_order": 1, "superframe_order": 1},
+    "tdma": {"slot_duration_ms": 12.0, "slots": {1: 0}},
+    "nodes": [{
+        "id": 1, "class": "normal_high", "wakeup_multiplier": 10,
+        "traffic": {"rate_per_hour": 3906.25, "arrival": "poisson"},
+    }],
+}
+
+
 def test_criterion_6_tdma_isolation_and_deferral():
     """No overlapping data frames over 1e4 superframes; mean wait ~ k*SF/2."""
     scn = load_scenario(SCENARIOS / "tdma_three_links.yaml")
@@ -177,16 +191,7 @@ def test_criterion_6_tdma_isolation_and_deferral():
     for (s1, e1), (s2, e2) in zip(data, data[1:]):
         assert e1 <= s2, f"overlap: [{s1},{e1}) vs [{s2},{e2})"
 
-    defer = parse_scenario({
-        "mac": "tdma",
-        "horizon_superframes": 300_000,
-        "superframe": {"beacon_order": 1, "superframe_order": 1},
-        "tdma": {"slot_duration_ms": 12.0, "slots": {1: 0}},
-        "nodes": [{
-            "id": 1, "class": "normal_high", "wakeup_multiplier": 10,
-            "traffic": {"rate_per_hour": 3906.25, "arrival": "poisson"},
-        }],
-    }, name="deferral")
+    defer = parse_scenario(DEFERRAL, name="deferral")
     ledger = run_ledger(defer, 3)
     samples = ledger.latency_samples(node=1)
     assert len(samples) >= 9_000

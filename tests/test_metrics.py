@@ -1,10 +1,12 @@
 import io
 import itertools
+import math
+from array import array
 from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wbansim.core import TrafficClass
@@ -164,6 +166,32 @@ class TestLatencyStats:
         s = latency_stats(samples)
         assert min(samples) <= s["p50"] <= s["p99"] <= s["max"] == max(samples)
         assert s["p50"] in samples and s["p99"] in samples
+
+    @staticmethod
+    def reference(samples):
+        """The definition: the mean of the samples and their nearest ranks
+        `ceil(q n)`, at least 1, in sorted order."""
+        ordered = sorted(samples)
+        n = len(ordered)
+        def rank(q):
+            return ordered[max(1, math.ceil(q * n)) - 1]
+        return {"mean": sum(ordered) / n, "p50": rank(0.50), "p99": rank(0.99),
+                "max": ordered[-1]}
+
+    # A pool of a few latencies, as TDMA and saturated CSMA produce, and
+    # distinct ones, the table's worst case.
+    SAMPLES = st.one_of(
+        st.lists(st.sampled_from([3_416, 36_536, 38_936, 320, 10**9]), min_size=1, max_size=300),
+        st.lists(st.integers(min_value=0, max_value=2**62), min_size=1, max_size=300,
+                 unique=True),
+    )
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(SAMPLES, st.booleans())
+    def test_equals_sorted_nearest_rank(self, samples, as_array):
+        stats = latency_stats(array("q", samples) if as_array else samples)
+        assert stats == self.reference(samples)
+        assert all(type(stats[k]) is int for k in ("p50", "p99", "max"))
 
 
 def sample_ledger(node=1, offered=10, delivered=8, dropped=1, latency_base=1000):

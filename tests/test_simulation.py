@@ -785,7 +785,8 @@ class TestBoundedMemory:
     # about a sixteenth.  The bound, twice the sample size, was fixed from the
     # slope measured before this test was written: 8.2 bytes per delivered
     # frame on `tdma_three_links` (90 -> 408 KiB from 2 000 to 16 000
-    # superframes, 5 663 -> 45 289 deliveries).
+    # superframes, 5 663 -> 45 289 deliveries).  It traces `Simulation.run()`
+    # alone, so it does not see the CSV writer; the test after it does.
     BYTES_PER_DELIVERY = 16
 
     @staticmethod
@@ -810,6 +811,29 @@ class TestBoundedMemory:
         assert more > 1_000
         assert long_peak - short_peak <= self.BYTES_PER_DELIVERY * more, (
             short_peak, long_peak, more)
+
+    # Writing the node CSV may not copy the latency samples: its statistics
+    # come from a value -> count table, and each `tdma_three_links` node has
+    # one latency.  The bound was fixed before the first run; a sorted list
+    # of Python ints, as the writer once built, costs about 44 bytes a sample
+    # (41 and 161 KiB here).
+    WRITER_BYTES = 16 * 1024
+
+    @pytest.mark.parametrize("superframes", [1_000, 4_000])
+    def test_node_csv_memory_follows_distinct_latencies(self, superframes):
+        scn = load_scenario(SCENARIOS / "tdma_three_links.yaml")
+        scn.horizon_us = superframes * 30_720
+        ledger = Simulation(scn, seed=1).run()
+        assert sum(ledger.delivered.values()) > 2 * superframes
+        write_node_csv(io.StringIO(), ledger, "r", 1, "tdma", EnergyModel())  # warm up
+        out = io.StringIO()
+        tracemalloc.start()
+        try:
+            write_node_csv(out, ledger, "r", 1, "tdma", EnergyModel())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < self.WRITER_BYTES, peak
 
 
 def lossy_acks(emergency=False):
